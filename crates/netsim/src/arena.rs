@@ -121,7 +121,9 @@ impl TrialArena {
     /// Checks out an empty event-queue time-wheel, reusing the pooled one
     /// when the previous trial used the same event type. The simulator
     /// re-arms the wheel (bucket width, window) for its latency model
-    /// before use, so a pooled wheel only contributes its allocations.
+    /// before use, so a pooled wheel contributes its allocations and
+    /// nothing else — all of them, unless the previous trial left them
+    /// several times oversized (see `TimeWheel::reset`).
     pub(crate) fn take_queue<T: WheelItem + 'static>(&mut self) -> TimeWheel<T> {
         match self.queue.take() {
             Some(boxed) => match boxed.downcast::<TimeWheel<T>>() {

@@ -15,7 +15,7 @@
 //! fits in L2), one `Vec<u8>` of phase tags and one `Vec<u32>` of per-node
 //! counters, indexed by [`NodeId::index`]. Protocols read and write *their own*
 //! node's slots through the [`Context`](crate::Context) accessors
-//! ([`Context::seen`](crate::Context::seen) and friends), preserving the
+//! ([`ContextView::seen`](crate::ContextView::seen) and friends), preserving the
 //! distributed-system abstraction: no state machine can peek at another
 //! node's lanes mid-run. After a run the whole layout is inspectable via
 //! [`Simulator::hot`](crate::Simulator::hot).

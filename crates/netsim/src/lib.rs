@@ -13,6 +13,9 @@
 //! * [`sim`] — the deterministic discrete-event simulator. Protocols are
 //!   [`ProtocolNode`] state machines reacting to messages and timers via a
 //!   [`Context`] handle.
+//! * [`mailbox`] — the [`Effect`] vocabulary and the [`Mailbox`] buffer a
+//!   handler's actions are pushed into; shared with the sans-IO cores of
+//!   `fnp-proto`, which push into the simulator's own mailbox.
 //! * [`latency`] — link-latency models (constant, uniform, exponential).
 //! * [`metrics`] — per-run aggregates (message/byte counts by kind,
 //!   delivery times, coverage latency) and the full transmission trace the
@@ -93,6 +96,7 @@ pub mod graph;
 pub mod hot;
 pub mod lanes;
 pub mod latency;
+pub mod mailbox;
 pub mod message;
 pub mod metrics;
 pub mod node;
@@ -111,11 +115,12 @@ pub use graph::{DiameterEstimator, Graph, GraphBuilder, EXACT_DIAMETER_MAX_NODES
 pub use hot::HotState;
 pub use lanes::LanePool;
 pub use latency::{InvalidLatencyModel, LatencyModel, EXPONENTIAL_JITTER_CAP};
+pub use mailbox::{Effect, Mailbox};
 pub use message::{Payload, TestPayload};
 pub use metrics::{KindId, KindRegistry, Metrics, TraceEntry};
 pub use node::NodeId;
 pub use runner::{derive_seed, GridPlan, TrialPlan, TrialRunner};
-pub use sim::{Context, ProtocolNode, SimConfig, Simulator};
+pub use sim::{Context, ContextView, ProtocolNode, SimConfig, Simulator};
 pub use stats::{entropy_bits, percentile, summarize, Summary};
 pub use time::{as_millis, from_millis, SimTime, MILLISECOND, SECOND};
 pub use topology::{GenerateTopologyError, Topology};

@@ -9,8 +9,10 @@
 
 /// Metadata the simulator needs from every protocol message.
 ///
-/// Implementations are expected to be cheap to clone; the simulator clones a
-/// payload once per transmission.
+/// Implementations are expected to be cheap to clone. A point-to-point
+/// send moves its payload; the copies of a fan-out share one
+/// reference-counted payload, cloned at delivery for every recipient but
+/// the last.
 pub trait Payload: Clone + std::fmt::Debug + Send + 'static {
     /// A short, static label identifying the message type, used to group
     /// counters in [`crate::metrics::Metrics`] (e.g. `"flood"`,

@@ -49,6 +49,7 @@ use crate::churn::ChurnSchedule;
 use crate::graph::Graph;
 use crate::hot::HotState;
 use crate::latency::LatencyModel;
+use crate::mailbox::{Effect, Mailbox};
 use crate::message::Payload;
 use crate::metrics::{Metrics, TraceEntry};
 use crate::node::NodeId;
@@ -93,45 +94,33 @@ impl Default for SimConfig {
 
 /// Handle through which a protocol state machine interacts with the world.
 ///
-/// A context is only valid for the duration of one event handler; every
-/// action it records (sends, timers, deliveries, counters) is applied by the
-/// simulator when the handler returns.
+/// A context is only valid for the duration of one event handler. It has
+/// two halves: a read side ([`ContextView`]: identity, clock, neighbours,
+/// RNG, hot lanes — a context dereferences to it: `ctx.now()`,
+/// `ctx.set_seen()`) and the simulator's [`Mailbox`], into which every
+/// action (sends, timers, deliveries, counters) is pushed as an [`Effect`];
+/// the simulator applies them, in emission order, when the handler returns.
 #[derive(Debug)]
 pub struct Context<'a, M> {
+    view: ContextView<'a>,
+    out: &'a mut Mailbox<M>,
+}
+
+/// The read side of a [`Context`]: everything a handler may look at, and
+/// this node's hot lanes. Obtained from [`Context::split`], which is how a
+/// sans-IO core is polled under the simulator — the view is its
+/// environment, the other half its outbox.
+#[derive(Debug)]
+pub struct ContextView<'a> {
     node: NodeId,
     now: SimTime,
     neighbors: &'a [NodeId],
     node_count: usize,
     rng: &'a mut StdRng,
     hot: &'a mut HotState,
-    actions: &'a mut Vec<Action<M>>,
 }
 
-#[derive(Debug)]
-pub(crate) enum Action<M> {
-    Send {
-        to: NodeId,
-        message: M,
-    },
-    /// One message fanned out to every neighbour not in `excluded`; the
-    /// payload is shared (reference-counted) between the in-flight copies
-    /// instead of deep-cloned per target.
-    Broadcast {
-        message: M,
-        excluded: Vec<NodeId>,
-    },
-    Timer {
-        delay: SimTime,
-        tag: u64,
-    },
-    Deliver,
-    Counter {
-        name: &'static str,
-        amount: u64,
-    },
-}
-
-impl<'a, M> Context<'a, M> {
+impl ContextView<'_> {
     /// The node this handler is running on.
     pub fn node_id(&self) -> NodeId {
         self.node
@@ -159,66 +148,6 @@ impl<'a, M> Context<'a, M> {
     pub fn rng(&mut self) -> &mut StdRng {
         self.rng
     }
-
-    /// Sends `message` to `to`. The simulator samples the link latency and
-    /// delivers the message via the recipient's
-    /// [`ProtocolNode::on_message`].
-    pub fn send(&mut self, to: NodeId, message: M) {
-        self.actions.push(Action::Send { to, message });
-    }
-
-    /// Sends `message` to every overlay neighbour except those in
-    /// `excluded`.
-    ///
-    /// The payload is *shared* between the in-flight copies: the simulator
-    /// queues one reference-counted instance and only clones it at delivery
-    /// time when a recipient other than the last needs ownership, so a
-    /// degree-`d` fan-out costs `d − 1` clones instead of `d` and keeps a
-    /// single copy in the event queue.
-    pub fn send_to_neighbors_except(&mut self, message: M, excluded: &[NodeId])
-    where
-        M: Clone,
-    {
-        self.broadcast_except(message, excluded.to_vec());
-    }
-
-    /// Like [`Context::send_to_neighbors_except`], but takes ownership of
-    /// the exclusion list — the zero-copy entry point for adapters (such as
-    /// the sans-IO mailbox driver) that already hold an owned `Vec`.
-    pub fn broadcast_except(&mut self, message: M, excluded: Vec<NodeId>)
-    where
-        M: Clone,
-    {
-        self.actions.push(Action::Broadcast { message, excluded });
-    }
-
-    /// Schedules [`ProtocolNode::on_timer`] on this node after `delay`.
-    pub fn set_timer(&mut self, delay: SimTime, tag: u64) {
-        self.actions.push(Action::Timer { delay, tag });
-    }
-
-    /// Marks this node as having received (accepted) the broadcast payload.
-    ///
-    /// The first call per node is recorded in
-    /// [`Metrics::delivered_at`](crate::metrics::Metrics); later calls are
-    /// ignored.
-    pub fn mark_delivered(&mut self) {
-        self.actions.push(Action::Deliver);
-    }
-
-    /// Increments a custom experiment counter by 1.
-    pub fn record(&mut self, name: &'static str) {
-        self.record_many(name, 1);
-    }
-
-    /// Increments a custom experiment counter by `amount`.
-    pub fn record_many(&mut self, name: &'static str, amount: u64) {
-        self.actions.push(Action::Counter { name, amount });
-    }
-
-    // ------------------------------------------------------------------
-    // Hot-lane accessors (struct-of-arrays per-node state; see `hot`)
-    // ------------------------------------------------------------------
 
     /// This node's seen flag (hot lane; see [`HotState`]).
     ///
@@ -262,16 +191,88 @@ impl<'a, M> Context<'a, M> {
     ///
     /// Wave-dedup protocols store the highest processed round in the
     /// counter lane encoded as `round + 1` (`0` = none yet); this helper
-    /// and [`Context::mark_round_seen`] single-source that encoding so
+    /// and [`ContextView::mark_round_seen`] single-source that encoding so
     /// call sites cannot drift off by one.
     pub fn round_seen(&self, round: u32) -> bool {
         self.counter_lane() > round
     }
 
     /// Records `round` as the highest spread-wave round processed on this
-    /// node (see [`Context::round_seen`] for the encoding).
+    /// node (see [`ContextView::round_seen`] for the encoding).
     pub fn mark_round_seen(&mut self, round: u32) {
         self.set_counter_lane(round + 1);
+    }
+}
+
+impl<'a, M> std::ops::Deref for Context<'a, M> {
+    type Target = ContextView<'a>;
+
+    fn deref(&self) -> &ContextView<'a> {
+        &self.view
+    }
+}
+
+impl<M> std::ops::DerefMut for Context<'_, M> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.view
+    }
+}
+
+impl<'a, M> Context<'a, M> {
+    /// Splits the context into its read side and the mailbox its actions
+    /// go to, so a handler can hand both to code that needs them apart
+    /// (`core.poll(input, view, out)` in `fnp_proto::SimDriver`).
+    pub fn split(&mut self) -> (&mut ContextView<'a>, &mut Mailbox<M>) {
+        (&mut self.view, self.out)
+    }
+
+    /// Sends `message` to `to`. The simulator samples the link latency and
+    /// delivers the message via the recipient's
+    /// [`ProtocolNode::on_message`].
+    pub fn send(&mut self, to: NodeId, message: M) {
+        self.out.send(to, message);
+    }
+
+    /// Sends `message` to every overlay neighbour except those in
+    /// `excluded`.
+    ///
+    /// The payload is *shared* between the in-flight copies: the simulator
+    /// queues one reference-counted instance and only clones it at delivery
+    /// time when a recipient other than the last needs ownership, so a
+    /// degree-`d` fan-out costs `d − 1` clones instead of `d` and keeps a
+    /// single copy in the event queue.
+    pub fn send_to_neighbors_except(&mut self, message: M, excluded: &[NodeId]) {
+        self.out.broadcast(message, excluded);
+    }
+
+    /// Like [`Context::send_to_neighbors_except`], but takes ownership of
+    /// the exclusion list instead of copying it.
+    pub fn broadcast_except(&mut self, message: M, excluded: Vec<NodeId>) {
+        self.out.push(Effect::Broadcast { message, excluded });
+    }
+
+    /// Schedules [`ProtocolNode::on_timer`] on this node after `delay`.
+    pub fn set_timer(&mut self, delay: SimTime, tag: u64) {
+        self.out.set_timer(delay, tag);
+    }
+
+    /// Marks this node as having received (accepted) the broadcast payload.
+    ///
+    /// The first call per node is recorded in
+    /// [`Metrics::delivered_at`](crate::metrics::Metrics); later calls are
+    /// ignored.
+    pub fn mark_delivered(&mut self) {
+        self.out.deliver();
+    }
+
+    /// Increments a custom experiment counter by 1.
+    pub fn record(&mut self, name: &'static str) {
+        self.out.record(name);
+    }
+
+    /// Increments a custom experiment counter by `amount`.
+    pub fn record_many(&mut self, name: &'static str, amount: u64) {
+        self.out.record_many(name, amount);
     }
 }
 
@@ -385,6 +386,10 @@ pub struct Simulator<N: ProtocolNode> {
     /// [`wheel`]) rather than one global heap: the bounded latency models
     /// let most pushes be O(1) bucket appends.
     queue: TimeWheel<Event<N::Message>>,
+    /// The one effect buffer of the run: lent to each handler through its
+    /// [`Context`] and drained into `queue` and `metrics` when the handler
+    /// returns, so it is empty between events.
+    mailbox: Mailbox<N::Message>,
     now: SimTime,
     seq: u64,
     rng: StdRng,
@@ -455,6 +460,7 @@ impl<N: ProtocolNode> Simulator<N> {
             hot,
             config,
             queue,
+            mailbox: Mailbox::new(),
             now: 0,
             seq: 0,
             rng,
@@ -538,27 +544,32 @@ impl<N: ProtocolNode> Simulator<N> {
     where
         F: FnOnce(&mut N, &mut Context<'_, N::Message>),
     {
-        let mut actions: Vec<Action<N::Message>> = Vec::new();
-        {
-            let neighbors = self.graph.neighbors(node);
-            let mut ctx = Context {
+        let mut ctx = Context {
+            view: ContextView {
                 node,
                 now: self.now,
-                neighbors,
+                neighbors: self.graph.neighbors(node),
                 node_count: self.graph.node_count(),
                 rng: &mut self.rng,
                 hot: &mut self.hot,
-                actions: &mut actions,
-            };
-            f(&mut self.nodes[node.index()], &mut ctx);
+            },
+            out: &mut self.mailbox,
+        };
+        f(&mut self.nodes[node.index()], &mut ctx);
+        if !self.mailbox.is_empty() {
+            self.apply_effects(node);
         }
-        self.apply_actions(node, actions);
     }
 
-    fn apply_actions(&mut self, node: NodeId, actions: Vec<Action<N::Message>>) {
-        for action in actions {
-            match action {
-                Action::Send { to, message } => {
+    /// Performs the effects the handler of `node` left in the mailbox, in
+    /// emission order, leaving the mailbox empty.
+    fn apply_effects(&mut self, node: NodeId) {
+        // Taken out for the loop (the arms need `&mut self`) and put back
+        // with its allocation; the placeholder left behind owns no memory.
+        let mut mailbox = std::mem::take(&mut self.mailbox);
+        for effect in mailbox.drain() {
+            match effect {
+                Effect::Send { to, message } => {
                     let delay = self.config.latency.sample(node, to, &mut self.rng);
                     let at = self.now.saturating_add(delay);
                     let kind = message.kind();
@@ -579,7 +590,7 @@ impl<N: ProtocolNode> Simulator<N> {
                         });
                     }
                 }
-                Action::Broadcast { message, excluded } => {
+                Effect::Broadcast { message, excluded } => {
                     let kind = message.kind();
                     let bytes = message.size_bytes();
                     let kind_id = self.metrics.intern_kind(kind);
@@ -619,7 +630,7 @@ impl<N: ProtocolNode> Simulator<N> {
                         }
                     }
                 }
-                Action::Timer { delay, tag } => {
+                Effect::SetTimer { delay, tag } => {
                     let at = self.now.saturating_add(delay.max(1));
                     if at <= self.config.max_time {
                         let seq = self.next_seq();
@@ -630,14 +641,15 @@ impl<N: ProtocolNode> Simulator<N> {
                         });
                     }
                 }
-                Action::Deliver => {
+                Effect::Deliver => {
                     self.metrics.record_delivery(node, self.now);
                 }
-                Action::Counter { name, amount } => {
+                Effect::Counter { name, amount } => {
                     self.metrics.record_counter(name, amount);
                 }
             }
         }
+        self.mailbox = mailbox;
     }
 
     fn next_seq(&mut self) -> u64 {
@@ -979,6 +991,49 @@ mod tests {
             vec![FloodNode::default()],
             SimConfig::default(),
         );
+    }
+
+    #[test]
+    fn a_pooled_queue_arrives_with_the_previous_trials_buckets() {
+        // store_queue → take_queue → assemble: the wheel's clear on the way
+        // into the arena and `assemble`'s re-arming reset on the way out
+        // must together leave a second, identical trial nothing to grow —
+        // although a flood's events sit in under a tenth of the buckets.
+        fn trial(arena: &mut TrialArena) -> (usize, usize) {
+            let n = 10_000;
+            let mut rng = StdRng::seed_from_u64(5);
+            let graph = topology::random_regular(n, 8, &mut rng).unwrap();
+            let nodes = (0..n).map(|_| FloodNode::default()).collect();
+            let mut sim = Simulator::new_in(arena, graph, nodes, SimConfig::default());
+            let armed = sim.queue.retained_capacity();
+            start_flood(&mut sim, NodeId::new(0));
+            assert_eq!(sim.run().delivered_count(), n);
+            let grown = sim.queue.retained_capacity();
+            let (_, metrics) = sim.into_parts_in(arena);
+            arena.recycle_metrics(metrics);
+            (armed, grown)
+        }
+        let mut arena = TrialArena::new();
+        let (fresh, grown) = trial(&mut arena);
+        assert_eq!(fresh, 0);
+        assert!(grown > 10_000);
+        let (pooled, regrown) = trial(&mut arena);
+        assert_eq!(pooled, grown, "the pooled wheel lost capacity in the arena");
+        assert_eq!(regrown, grown, "the second trial had to grow the wheel");
+    }
+
+    #[test]
+    fn a_flood_event_fits_one_cache_line() {
+        // `FloodMessage` is a `u64` transaction id; its events are what a
+        // million-node flood sorts and moves by the million.
+        #[derive(Clone, Debug)]
+        struct TxId(#[allow(dead_code)] u64);
+        impl Payload for TxId {
+            fn kind(&self) -> &'static str {
+                "flood"
+            }
+        }
+        assert!(size_of::<Event<TxId>>() <= 64);
     }
 
     #[test]

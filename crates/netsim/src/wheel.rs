@@ -37,7 +37,7 @@ use std::collections::BinaryHeap;
 
 /// Number of buckets in one wheel rotation.
 ///
-/// With the width from [`TimeWheel::width_for`], one rotation spans four
+/// With the width from [`width_for`], one rotation spans four
 /// times the latency model's maximum delay, so deliveries never overflow
 /// and only long protocol timers take the overflow-heap path.
 const SLOTS: usize = 256;
@@ -51,7 +51,8 @@ const BUCKETS_PER_MAX_DELAY: u64 = 64;
 /// (mirrors `SCRATCH_CLAMP_FACTOR` in the topology generators).
 const WHEEL_CLAMP_FACTOR: usize = 4;
 
-/// Capacity below this many items is never worth shrinking.
+/// Capacity below this many items — per bucket, per heap — is never worth
+/// shrinking.
 const WHEEL_RETAIN_FLOOR: usize = 256;
 
 /// The bucket width for a latency model whose largest delay is `max_delay`:
@@ -162,41 +163,55 @@ impl<T: WheelItem> TimeWheel<T> {
     /// clamp a single million-node trial would pin hundreds of megabytes of
     /// bucket and heap capacity in the arena pool for the rest of the
     /// process, even if every later trial is a thousand times smaller.
+    ///
+    /// The clamp judges the trial that ran since the previous reset. A reset
+    /// with no push in between (the simulator re-arming a wheel the arena
+    /// already cleared) has no trial to judge and keeps every allocation.
     pub(crate) fn reset(&mut self, width: SimTime) {
-        // Peak occupancy spread over the ring approximates per-bucket need;
-        // the clamp factor absorbs the skew of non-uniform delay spreads.
-        let per_slot = (self.peak_len / SLOTS).max(WHEEL_RETAIN_FLOOR);
-        let per_heap = self.peak_len.max(WHEEL_RETAIN_FLOOR);
         for slot in &mut self.slots {
             slot.clear();
-            if slot.capacity() > per_slot * WHEEL_CLAMP_FACTOR {
-                slot.shrink_to(per_slot);
-            }
         }
         self.slots.resize_with(SLOTS, Vec::new);
         self.current.clear();
-        if self.current.capacity() > per_slot * WHEEL_CLAMP_FACTOR {
-            self.current.shrink_to(per_slot);
-        }
         self.incoming.clear();
-        if self.incoming.capacity() > per_heap * WHEEL_CLAMP_FACTOR {
-            self.incoming.shrink_to(per_heap);
-        }
         self.overflow.clear();
-        if self.overflow.capacity() > per_heap * WHEEL_CLAMP_FACTOR {
-            self.overflow.shrink_to(per_heap);
+        #[cfg(debug_assertions)]
+        self.shadow.clear();
+        self.return_current();
+        if self.peak_len > 0 {
+            self.clamp_capacity();
         }
         self.width = width.max(1);
         self.window_start = 0;
         self.cursor = 0;
         self.len = 0;
         self.peak_len = 0;
-        #[cfg(debug_assertions)]
-        {
-            self.shadow.clear();
-            if self.shadow.capacity() > per_heap * WHEEL_CLAMP_FACTOR {
-                self.shadow.shrink_to(per_heap);
+    }
+
+    /// Releases capacity that the trial just ended, which peaked at
+    /// `peak_len` queued events, had no use for. The wheel must be empty.
+    fn clamp_capacity(&mut self) {
+        // The ring is judged as a whole: a flood under the default latency
+        // model keeps its million in-flight events in under a tenth of the
+        // buckets, so a bucket many times the even share is the working
+        // set, not waste. Only when all buckets together hold more than the
+        // trial could have filled does each fall back to the even share.
+        let ring = self.slots.iter().map(Vec::capacity).sum::<usize>() + self.current.capacity();
+        if ring > self.peak_len.max(SLOTS * WHEEL_RETAIN_FLOOR) * WHEEL_CLAMP_FACTOR {
+            let per_slot = (self.peak_len / SLOTS).max(WHEEL_RETAIN_FLOOR);
+            for slot in self.slots.iter_mut().chain([&mut self.current]) {
+                slot.shrink_to(per_slot);
             }
+        }
+        let per_heap = self.peak_len.max(WHEEL_RETAIN_FLOOR);
+        for heap in [&mut self.incoming, &mut self.overflow] {
+            if heap.capacity() > per_heap * WHEEL_CLAMP_FACTOR {
+                heap.shrink_to(per_heap);
+            }
+        }
+        #[cfg(debug_assertions)]
+        if self.shadow.capacity() > per_heap * WHEEL_CLAMP_FACTOR {
+            self.shadow.shrink_to(per_heap);
         }
     }
 
@@ -268,6 +283,17 @@ impl<T: WheelItem> TimeWheel<T> {
         }
     }
 
+    /// Hands the drained `current` buffer back to the cursor bucket, which
+    /// holds the spare it was swapped for. Every bucket thereby keeps the
+    /// buffer that grew to *its* occupancy: were the drained buffer left to
+    /// travel on to the next bucket, each trial would shift all of them one
+    /// bucket along, and a pooled wheel would regrow its hot buckets trial
+    /// after trial.
+    fn return_current(&mut self) {
+        debug_assert!(self.current.is_empty() && self.slots[self.cursor].is_empty());
+        std::mem::swap(&mut self.current, &mut self.slots[self.cursor]);
+    }
+
     /// Advances the cursor until the next event is reachable from the
     /// current bucket or the incoming heap (or the wheel is empty).
     fn ensure_ready(&mut self) {
@@ -282,9 +308,10 @@ impl<T: WheelItem> TimeWheel<T> {
             // slot is empty (its contents were swapped into `current`), so
             // the wider scan never re-reads drained events.
             if let Some(next) = (self.cursor..SLOTS).find(|&j| !self.slots[j].is_empty()) {
-                self.cursor = next;
-                // The drained (but capacity-holding) buffer swaps back into
-                // the ring for reuse.
+                if next != self.cursor {
+                    self.return_current();
+                    self.cursor = next;
+                }
                 std::mem::swap(&mut self.current, &mut self.slots[next]);
                 self.current.sort_unstable_by(|a, b| b.cmp(a));
                 return;
@@ -296,6 +323,7 @@ impl<T: WheelItem> TimeWheel<T> {
                 return;
             };
             self.window_start = earliest.0.at();
+            self.return_current();
             self.cursor = 0;
             while let Some(Reverse(item)) = self.overflow.peek() {
                 let offset = (item.0.at() - self.window_start) / self.width;
@@ -364,7 +392,7 @@ impl<T: WheelItem> TimeWheel<T> {
     /// Total retained item capacity across buckets and heaps (test hook for
     /// the capacity-clamp regression suite).
     #[cfg(test)]
-    fn retained_capacity(&self) -> usize {
+    pub(crate) fn retained_capacity(&self) -> usize {
         self.slots.iter().map(Vec::capacity).sum::<usize>()
             + self.current.capacity()
             + self.incoming.capacity()
@@ -624,6 +652,93 @@ mod tests {
         }
         assert_eq!(wheel.len(), 10_000);
         drain_sorted(&mut wheel);
+    }
+
+    /// Queues `count` events that all fall into the first `hot_slots`
+    /// buckets of a fresh rotation of width-10 buckets.
+    fn push_into_first_slots(wheel: &mut TimeWheel<(SimTime, u64)>, count: u64, hot_slots: u64) {
+        for seq in 0..count {
+            wheel.push((10 + seq % (hot_slots * 10), seq));
+        }
+    }
+
+    #[test]
+    fn a_skewed_trial_keeps_its_buckets_through_store_and_rearm() {
+        // A flood under the default latency model: every in-flight event
+        // sits in well under a tenth of the slots, each many times the even
+        // share. The arena's clear followed by the simulator's re-arming
+        // reset must hand all of it to the next trial.
+        let events = 200_000;
+        let hot_slots = 20u64;
+        assert!(hot_slots * 10 < SLOTS as u64);
+        let mut wheel = TimeWheel::empty();
+        wheel.reset(10);
+        push_into_first_slots(&mut wheel, events, hot_slots);
+        let grown = wheel.retained_capacity();
+        assert!(grown >= 200_000);
+        wheel.clear();
+        assert_eq!(wheel.retained_capacity(), grown, "store-time clamp shrank");
+        wheel.reset(10);
+        assert_eq!(wheel.retained_capacity(), grown, "re-arming reset shrank");
+        // The same trial again fits without growing anything.
+        push_into_first_slots(&mut wheel, events, hot_slots);
+        assert_eq!(wheel.retained_capacity(), grown);
+        // A small trial afterwards still releases the large one's buckets.
+        wheel.clear();
+        push_into_first_slots(&mut wheel, 1000, hot_slots);
+        wheel.clear();
+        let bound = SLOTS * WHEEL_RETAIN_FLOOR * WHEEL_CLAMP_FACTOR;
+        assert!(grown > bound);
+        assert!(wheel.retained_capacity() <= bound);
+    }
+
+    #[test]
+    fn repeated_trials_leave_each_bucket_its_own_buffer() {
+        // Draining swaps bucket buffers through `current`. If the drained
+        // buffer moved on to the next bucket, every trial would shift the
+        // large buffers one bucket further from the hot buckets, which
+        // would then regrow: the ring must not grow over identical trials.
+        // Three far-future events force a re-windowing per trial as well.
+        let mut wheel = TimeWheel::empty();
+        let mut after_first = 0;
+        for trial in 0..6 {
+            wheel.reset(10);
+            // Occupancy falls from bucket to bucket, so a shifted buffer is
+            // always too small for the bucket it lands in.
+            let mut seq = 0;
+            for slot in 1..=20u64 {
+                for _ in 0..(21 - slot) * 500 {
+                    wheel.push((slot * 10, seq));
+                    seq += 1;
+                }
+            }
+            for far in [1_000_000, 1_000_500, 1_001_000] {
+                wheel.push((far, seq));
+                seq += 1;
+            }
+            drain_sorted(&mut wheel);
+            wheel.clear();
+            if trial == 0 {
+                after_first = wheel.retained_capacity();
+            }
+        }
+        assert_eq!(wheel.retained_capacity(), after_first);
+    }
+
+    #[test]
+    fn reset_twice_in_a_row_changes_no_capacity() {
+        // The second reset has no trial of its own to judge (`peak_len` is
+        // back to zero) and must not mistake that for a tiny one.
+        let mut wheel = TimeWheel::empty();
+        wheel.reset(10);
+        push_into_first_slots(&mut wheel, 400_000, 250);
+        wheel.push((1_000_000, 400_000));
+        wheel.reset(10);
+        let after_first = wheel.retained_capacity();
+        assert!(after_first >= 400_000);
+        wheel.reset(10);
+        wheel.reset(7);
+        assert_eq!(wheel.retained_capacity(), after_first);
     }
 
     #[test]

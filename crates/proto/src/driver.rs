@@ -1,81 +1,88 @@
 //! The simulator driver: [`SimDriver`] adapts a [`ProtocolCore`] to the
 //! discrete-event simulator's [`ProtocolNode`] interface.
 //!
-//! The adapter is deliberately thin so the sans-IO split costs nothing in
-//! behaviour: each simulator event is translated to one [`Input`], the core
-//! is polled with the live [`Context`] as its [`NodeView`], and the mailbox
-//! is drained back into the context *in emission order*. Because the
-//! context records actions and the simulator applies them after the handler
-//! returns — exactly as the pre-sans-IO protocol implementations did — the
-//! event sequence, RNG draw order and metrics of a run are byte-identical
-//! to the welded-to-the-simulator design this adapter replaced.
+//! The adapter is deliberately thin so the sans-IO split costs nothing, in
+//! behaviour or in memory: each simulator event is translated to one
+//! [`Input`] and the core is polled on the two halves of the live
+//! [`Context`] — its [`ContextView`] as the [`NodeView`], and the
+//! simulator's own [`Mailbox`] as the outbox. There is no buffer between
+//! the core and the simulator and no per-node driver state; the simulator
+//! applies the effects after the handler returns, in emission order —
+//! exactly as the pre-sans-IO protocol implementations had theirs applied —
+//! so the event sequence, RNG draw order and metrics of a run are
+//! byte-identical to the welded-to-the-simulator design this adapter
+//! replaced.
 
 use crate::core::ProtocolCore;
-use crate::mailbox::{Effect, Input, Mailbox};
-use crate::trace::{TraceEvent, TraceHandle, TracedInput};
+use crate::mailbox::{Input, Mailbox};
+use crate::trace::{PollTrace, TraceHandle, Untraced};
 use crate::view::{HotLanes, NodeView};
-use fnp_netsim::{Context, NodeId, Payload, ProtocolNode, SimTime};
+use fnp_netsim::{Context, ContextView, NodeId, ProtocolNode, SimTime};
 use rand::rngs::StdRng;
 
-impl<M> HotLanes for Context<'_, M> {
+impl HotLanes for ContextView<'_> {
     fn seen(&self) -> bool {
-        Context::seen(self)
+        ContextView::seen(self)
     }
 
     fn set_seen(&mut self) -> bool {
-        Context::set_seen(self)
+        ContextView::set_seen(self)
     }
 
     fn phase(&self) -> u8 {
-        Context::phase(self)
+        ContextView::phase(self)
     }
 
     fn set_phase(&mut self, phase: u8) {
-        Context::set_phase(self, phase);
+        ContextView::set_phase(self, phase);
     }
 
     fn counter_lane(&self) -> u32 {
-        Context::counter_lane(self)
+        ContextView::counter_lane(self)
     }
 
     fn set_counter_lane(&mut self, value: u32) {
-        Context::set_counter_lane(self, value);
+        ContextView::set_counter_lane(self, value);
     }
 }
 
-impl<M> NodeView for Context<'_, M> {
+impl NodeView for ContextView<'_> {
     fn node_id(&self) -> NodeId {
-        Context::node_id(self)
+        ContextView::node_id(self)
     }
 
     fn now(&self) -> SimTime {
-        Context::now(self)
+        ContextView::now(self)
     }
 
     fn neighbors(&self) -> &[NodeId] {
-        Context::neighbors(self)
+        ContextView::neighbors(self)
     }
 
     fn node_count(&self) -> usize {
-        Context::node_count(self)
+        ContextView::node_count(self)
     }
 
     fn rng(&mut self) -> &mut StdRng {
-        Context::rng(self)
+        ContextView::rng(self)
     }
 }
 
 /// Adapter running a sans-IO [`ProtocolCore`] under the simulator.
 ///
 /// Implements [`ProtocolNode`] by translating simulator callbacks into
-/// [`Input`]s and draining the core's [`Mailbox`] back into the [`Context`].
+/// [`Input`]s and polling the core on the [`Context`]'s view and mailbox.
 /// Dereferences to the wrapped core so read accessors
 /// (`driver.is_origin()`, …) keep working at existing call sites.
+///
+/// `T` says what happens to each poll ([`PollTrace`]). The default,
+/// [`Untraced`], has no size, so `SimDriver<C>` is laid out exactly like
+/// `C`: an event the core prunes on its hot lanes touches no per-node
+/// memory at all.
 #[derive(Clone, Debug, Default)]
-pub struct SimDriver<C: ProtocolCore> {
+pub struct SimDriver<C: ProtocolCore, T = Untraced> {
     core: C,
-    mailbox: Mailbox<C::Message>,
-    trace: Option<TraceHandle<C::Message>>,
+    trace: T,
 }
 
 impl<C: ProtocolCore> SimDriver<C> {
@@ -83,22 +90,21 @@ impl<C: ProtocolCore> SimDriver<C> {
     pub fn new(core: C) -> Self {
         Self {
             core,
-            mailbox: Mailbox::new(),
-            trace: None,
+            trace: Untraced,
         }
     }
+}
 
+impl<C: ProtocolCore> SimDriver<C, TraceHandle<C::Message>> {
     /// Like [`SimDriver::new`], additionally recording every poll (input,
     /// RNG state before, effects emitted) into `trace` for later replay
     /// through the bare core via [`replay_trace`](crate::replay_trace).
     pub fn traced(core: C, trace: TraceHandle<C::Message>) -> Self {
-        Self {
-            core,
-            mailbox: Mailbox::new(),
-            trace: Some(trace),
-        }
+        Self { core, trace }
     }
+}
 
+impl<C: ProtocolCore, T: PollTrace<C::Message>> SimDriver<C, T> {
     /// The wrapped core.
     pub fn core(&self) -> &C {
         &self.core
@@ -115,7 +121,8 @@ impl<C: ProtocolCore> SimDriver<C> {
     }
 
     /// Runs an out-of-band protocol entry point (such as "start a
-    /// broadcast") against the core and applies the emitted effects.
+    /// broadcast") against the core; the effects it emits are applied with
+    /// the rest of the handler's.
     ///
     /// This is how experiments trigger an origin under
     /// [`Simulator::trigger`](fnp_netsim::Simulator::trigger):
@@ -128,51 +135,35 @@ impl<C: ProtocolCore> SimDriver<C> {
     pub fn drive<R>(
         &mut self,
         ctx: &mut Context<'_, C::Message>,
-        f: impl FnOnce(&mut C, &mut Context<'_, C::Message>, &mut Mailbox<C::Message>) -> R,
-    ) -> R
-    where
-        C::Message: Clone,
-    {
-        debug_assert!(self.mailbox.is_empty());
-        let rng_before = self.trace.as_ref().map(|_| ctx.rng().clone());
-        let result = f(&mut self.core, ctx, &mut self.mailbox);
-        if let (Some(trace), Some(rng_before)) = (&self.trace, rng_before) {
-            trace.record(TraceEvent {
-                node: NodeView::node_id(ctx),
-                now: NodeView::now(ctx),
-                input: TracedInput::External,
-                rng_before,
-                effects: self.mailbox.effects().to_vec(),
-            });
-        }
-        flush(&mut self.mailbox, ctx);
-        result
+        f: impl FnOnce(&mut C, &mut ContextView<'_>, &mut Mailbox<C::Message>) -> R,
+    ) -> R {
+        let pending = self.trace.before(None, ctx.rng());
+        self.poll_traced(ctx, pending, f)
     }
 
-    fn dispatch(&mut self, input: Input<C::Message>, ctx: &mut Context<'_, C::Message>)
-    where
-        C::Message: Clone,
-    {
-        debug_assert!(self.mailbox.is_empty());
-        let recorded = self
-            .trace
-            .as_ref()
-            .map(|_| (input.clone(), ctx.rng().clone()));
-        self.core.poll(input, ctx, &mut self.mailbox);
-        if let (Some(trace), Some((input, rng_before))) = (&self.trace, recorded) {
-            trace.record(TraceEvent {
-                node: NodeView::node_id(ctx),
-                now: NodeView::now(ctx),
-                input: TracedInput::Input(input),
-                rng_before,
-                effects: self.mailbox.effects().to_vec(),
-            });
-        }
-        flush(&mut self.mailbox, ctx);
+    fn dispatch(&mut self, input: Input<C::Message>, ctx: &mut Context<'_, C::Message>) {
+        let pending = self.trace.before(Some(&input), ctx.rng());
+        self.poll_traced(ctx, pending, |core, view, out| core.poll(input, view, out));
+    }
+
+    /// Runs `f` on the core and the two halves of `ctx`, then reports the
+    /// effects it pushed to the trace.
+    fn poll_traced<R>(
+        &mut self,
+        ctx: &mut Context<'_, C::Message>,
+        pending: T::Pending,
+        f: impl FnOnce(&mut C, &mut ContextView<'_>, &mut Mailbox<C::Message>) -> R,
+    ) -> R {
+        let (view, out) = ctx.split();
+        let first = out.len();
+        let result = f(&mut self.core, view, out);
+        self.trace
+            .after(pending, view.node_id(), view.now(), &out.effects()[first..]);
+        result
     }
 }
 
-impl<C: ProtocolCore> std::ops::Deref for SimDriver<C> {
+impl<C: ProtocolCore, T> std::ops::Deref for SimDriver<C, T> {
     type Target = C;
 
     fn deref(&self) -> &C {
@@ -180,10 +171,7 @@ impl<C: ProtocolCore> std::ops::Deref for SimDriver<C> {
     }
 }
 
-impl<C: ProtocolCore> ProtocolNode for SimDriver<C>
-where
-    C::Message: Clone,
-{
+impl<C: ProtocolCore, T: PollTrace<C::Message>> ProtocolNode for SimDriver<C, T> {
     type Message = C::Message;
 
     fn on_init(&mut self, ctx: &mut Context<'_, Self::Message>) {
@@ -201,18 +189,5 @@ where
 
     fn on_timer(&mut self, tag: u64, ctx: &mut Context<'_, Self::Message>) {
         self.dispatch(Input::TimerFired { tag }, ctx);
-    }
-}
-
-/// Applies drained effects to the simulator context, in emission order.
-fn flush<M: Payload>(mailbox: &mut Mailbox<M>, ctx: &mut Context<'_, M>) {
-    for effect in mailbox.drain() {
-        match effect {
-            Effect::Send { to, message } => ctx.send(to, message),
-            Effect::Broadcast { message, excluded } => ctx.broadcast_except(message, excluded),
-            Effect::SetTimer { delay, tag } => ctx.set_timer(delay, tag),
-            Effect::Deliver => ctx.mark_delivered(),
-            Effect::Counter { name, amount } => ctx.record_many(name, amount),
-        }
     }
 }

@@ -50,5 +50,8 @@ pub use standalone::StandaloneEnv;
 pub use steady::{
     Arrival, SteadyNode, SteadyProtocol, SteadyReport, SteadySession, Tagged, TxOutcome,
 };
-pub use trace::{replay_trace, ReplayMismatch, ReplayView, TraceEvent, TraceHandle, TracedInput};
+pub use trace::{
+    replay_trace, PollTrace, ReplayMismatch, ReplayView, TraceEvent, TraceHandle, TracedInput,
+    Untraced,
+};
 pub use view::{HotLanes, NodeView};

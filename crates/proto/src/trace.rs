@@ -49,6 +49,35 @@ pub struct TraceEvent<M> {
     pub effects: Vec<Effect<M>>,
 }
 
+/// What a [`SimDriver`](crate::SimDriver) does with each poll it makes:
+/// nothing ([`Untraced`], the default, which has no size) or append it to a
+/// recording ([`TraceHandle`]). A type parameter rather than an `Option`
+/// field, so an untraced driver is exactly as large as its core.
+pub trait PollTrace<M> {
+    /// What is carried from before a poll to after it.
+    type Pending;
+
+    /// Called before a poll with its input (`None` for an out-of-band
+    /// entry point run through [`SimDriver::drive`](crate::SimDriver::drive))
+    /// and the RNG state the core is about to see.
+    fn before(&self, input: Option<&Input<M>>, rng: &StdRng) -> Self::Pending;
+
+    /// Called after the poll with the effects it pushed, in emission order.
+    fn after(&self, pending: Self::Pending, node: NodeId, now: SimTime, effects: &[Effect<M>]);
+}
+
+/// The [`PollTrace`] that records nothing.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Untraced;
+
+impl<M> PollTrace<M> for Untraced {
+    type Pending = ();
+
+    fn before(&self, _: Option<&Input<M>>, _: &StdRng) {}
+
+    fn after(&self, (): (), _: NodeId, _: SimTime, _: &[Effect<M>]) {}
+}
+
 /// Shared, append-only recording of a simulator run.
 ///
 /// Clone one handle into every node's [`SimDriver::traced`](crate::SimDriver::traced)
@@ -56,6 +85,33 @@ pub struct TraceEvent<M> {
 #[derive(Debug, Default)]
 pub struct TraceHandle<M> {
     events: Rc<RefCell<Vec<TraceEvent<M>>>>,
+}
+
+impl<M: Clone> PollTrace<M> for TraceHandle<M> {
+    type Pending = (TracedInput<M>, StdRng);
+
+    fn before(&self, input: Option<&Input<M>>, rng: &StdRng) -> Self::Pending {
+        let input = input.map_or(TracedInput::External, |input| {
+            TracedInput::Input(input.clone())
+        });
+        (input, rng.clone())
+    }
+
+    fn after(
+        &self,
+        (input, rng_before): Self::Pending,
+        node: NodeId,
+        now: SimTime,
+        effects: &[Effect<M>],
+    ) {
+        self.record(TraceEvent {
+            node,
+            now,
+            input,
+            rng_before,
+            effects: effects.to_vec(),
+        });
+    }
 }
 
 impl<M> Clone for TraceHandle<M> {

@@ -3,9 +3,9 @@
 //! Effects flow *out* of a core through the [`Mailbox`](crate::Mailbox);
 //! everything a core needs to *read* — its identity, neighbours, the clock,
 //! the run RNG and its hot per-node lanes — flows in through these traits.
-//! The simulator implements them directly on its
-//! [`Context`](fnp_netsim::Context) (so the SoA hot-lane storage keeps
-//! working unchanged), `fnp-node` implements them on its standalone
+//! The simulator's [`ContextView`](fnp_netsim::ContextView) — the read
+//! half of its `Context` — implements them (so the SoA hot-lane storage
+//! keeps working unchanged), `fnp-node` implements them on its standalone
 //! environment, and the trace replayer implements them on a recorded view.
 
 use fnp_netsim::{NodeId, SimTime};
