@@ -1,21 +1,19 @@
-//! Dependency-free JSON output for the experiment binaries.
+//! Dependency-free JSON codec for the experiment reports.
 //!
-//! Every `fnp-bench` binary accepts `--json <path>` and writes its rows,
-//! its parameters and its wall-clock timing as a pretty-printed JSON
-//! document. The writer is deliberately tiny (the build is offline, so no
-//! serde): a [`Json`] value tree, a deterministic pretty-printer with one
-//! key per line, and [`ToJson`] impls for every experiment row type.
+//! `fnp-bench <experiment> --json <path>` writes the rows, the parameters
+//! and the wall-clock timing as a pretty-printed JSON document. The codec
+//! is deliberately tiny (the build is offline, so no serde): a [`Json`]
+//! value tree, a deterministic pretty-printer with one key per line, and
+//! the [`ToJson`] trait each experiment module implements for its row type.
 //!
-//! Determinism matters here: the CI smoke job runs one binary twice and
-//! diffs the outputs (ignoring the `wall_clock_ms` line), so everything
-//! except the timing must be byte-identical across invocations. Rust's
-//! default float formatting (shortest round-trip representation) provides
-//! exactly that.
+//! Determinism matters here: the golden test and the CI smoke job diff
+//! reports (ignoring the `wall_clock_ms` line), so everything except the
+//! timing must be byte-identical across invocations. Rust's default float
+//! formatting (shortest round-trip representation) provides exactly that.
 //!
 //! The module also provides a small recursive-descent parser
-//! ([`Json::parse`]) so that `bench_baseline` can read the committed
-//! `BENCH_baseline.json` trajectory back and *append* to it instead of
-//! clobbering it.
+//! ([`Json::parse`]) and a single-line printer, which `fnp-node`'s wire
+//! format and the repo benchmark's report comparison are built on.
 
 use std::fmt;
 use std::io::Write as _;
@@ -98,6 +96,11 @@ impl Json {
                 .map(|(key, value)| (key.into(), value.into()))
                 .collect(),
         )
+    }
+
+    /// Builds an array from values convertible into [`Json`].
+    pub fn arr<V: Into<Json>>(items: impl IntoIterator<Item = V>) -> Self {
+        Json::Arr(items.into_iter().map(Into::into).collect())
     }
 
     /// Builds an array by converting each row with [`ToJson`].
@@ -578,204 +581,6 @@ impl ToJson for Json {
     }
 }
 
-impl ToJson for fnp_adversary::PrivacySummary {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("runs", Json::from(self.runs)),
-            ("detection_probability", self.detection_probability.into()),
-            (
-                "mean_probability_on_origin",
-                self.mean_probability_on_origin.into(),
-            ),
-            (
-                "mean_anonymity_set_size",
-                self.mean_anonymity_set_size.into(),
-            ),
-            ("mean_entropy_bits", self.mean_entropy_bits.into()),
-        ])
-    }
-}
-
-impl ToJson for crate::LandscapeRow {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("protocol", Json::from(self.protocol)),
-            ("adversary_fraction", self.adversary_fraction.into()),
-            ("detection_probability", self.detection_probability.into()),
-            ("mean_messages", self.mean_messages.into()),
-            ("mean_latency_ms", self.mean_latency_ms.into()),
-        ])
-    }
-}
-
-impl ToJson for crate::FloodDeanonRow {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("n", Json::from(self.n)),
-            ("adversary_fraction", self.adversary_fraction.into()),
-            ("first_spy", self.first_spy.to_json()),
-            ("jordan_center", self.jordan_center.to_json()),
-        ])
-    }
-}
-
-impl ToJson for crate::DandelionRow {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("adversary_fraction", Json::from(self.adversary_fraction)),
-            ("stem_probability", self.stem_probability.into()),
-            ("detection_probability", self.detection_probability.into()),
-            ("mean_stem_length", self.mean_stem_length.into()),
-        ])
-    }
-}
-
-impl ToJson for crate::DcNetCostRow {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("k", Json::from(self.k)),
-            ("explicit_messages", self.explicit_messages.into()),
-            ("keyed_messages", self.keyed_messages.into()),
-            ("keyed_bytes", self.keyed_bytes.into()),
-            (
-                "idle_bytes_with_reservation",
-                self.idle_bytes_with_reservation.into(),
-            ),
-            (
-                "idle_bytes_without_reservation",
-                self.idle_bytes_without_reservation.into(),
-            ),
-        ])
-    }
-}
-
-impl ToJson for crate::ThreePhaseRow {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("k", Json::from(self.k)),
-            ("d", self.d.into()),
-            ("phase1", self.phase1.into()),
-            ("phase2", self.phase2.into()),
-            ("phase3", self.phase3.into()),
-            ("total", self.total.into()),
-            ("coverage", self.coverage.into()),
-        ])
-    }
-}
-
-impl ToJson for crate::MessageOverheadResult {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("n", Json::from(self.n)),
-            (
-                "adaptive_diffusion_messages",
-                self.adaptive_diffusion_messages.into(),
-            ),
-            ("flood_messages", self.flood_messages.into()),
-            ("flexible_messages", self.flexible_messages.into()),
-            ("overhead_ratio", self.overhead_ratio.into()),
-        ])
-    }
-}
-
-impl ToJson for crate::PrivacyBoundsRow {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("k", Json::from(self.k)),
-            ("d", self.d.into()),
-            ("adversary_fraction", self.adversary_fraction.into()),
-            ("summary", self.summary.to_json()),
-            ("group_bound", self.group_bound.into()),
-            ("ideal", self.ideal.into()),
-        ])
-    }
-}
-
-impl ToJson for crate::GroupOverlapRow {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("group_size", Json::from(self.group_size)),
-            ("overlap_degree", self.overlap_degree.into()),
-            ("naive_worst_case", self.naive_worst_case.into()),
-            ("smoothed_worst_case", self.smoothed_worst_case.into()),
-            ("ideal", self.ideal.into()),
-        ])
-    }
-}
-
-impl ToJson for crate::LatencyRow {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("protocol", Json::from(self.protocol)),
-            ("t50_ms", self.t50_ms.into()),
-            ("t90_ms", self.t90_ms.into()),
-            ("t100_ms", self.t100_ms.into()),
-            ("messages", self.messages.into()),
-        ])
-    }
-}
-
-impl ToJson for crate::DissentStartupRow {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("k", Json::from(self.k)),
-            ("startup_seconds", self.startup_seconds.into()),
-            ("messages", self.messages.into()),
-            ("bytes", self.bytes.into()),
-            ("serial_steps", self.serial_steps.into()),
-        ])
-    }
-}
-
-impl ToJson for crate::FairnessRow {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("protocol", Json::from(self.protocol)),
-            ("jain_index", self.jain_index.into()),
-            ("gini", self.gini.into()),
-            (
-                "mean_inclusion_delay_ms",
-                self.mean_inclusion_delay_ms.into(),
-            ),
-            ("orphaned_fraction", self.orphaned_fraction.into()),
-        ])
-    }
-}
-
-impl ToJson for crate::SteadyStateRow {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("protocol", Json::from(self.protocol)),
-            ("rate_per_second", self.rate_per_second.into()),
-            ("injected", self.injected.into()),
-            ("delivered_fraction", self.delivered_fraction.into()),
-            ("throughput_tx_per_s", self.throughput_tx_per_s.into()),
-            ("p50_delivery_ms", self.p50_delivery_ms.into()),
-            ("p95_delivery_ms", self.p95_delivery_ms.into()),
-            ("p99_delivery_ms", self.p99_delivery_ms.into()),
-            ("mean_messages_per_tx", self.mean_messages_per_tx.into()),
-            ("peak_concurrent", self.peak_concurrent.into()),
-            ("mempool_peak_len", self.mempool_peak_len.into()),
-            ("mempool_mean_len", self.mempool_mean_len.into()),
-            ("included_fraction", self.included_fraction.into()),
-            (
-                "mean_inclusion_delay_ms",
-                self.mean_inclusion_delay_ms.into(),
-            ),
-            ("first_spy_detection", self.first_spy_detection.into()),
-        ])
-    }
-}
-
-impl ToJson for crate::ElectionAblationRow {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("strategy", Json::from(self.strategy)),
-            ("summary", self.summary.to_json()),
-        ])
-    }
-}
-
 /// Writes one experiment report to `path`.
 ///
 /// The document layout keeps `wall_clock_ms` on its own line so that
@@ -856,7 +661,7 @@ mod tests {
 
     #[test]
     fn serialization_is_deterministic() {
-        let rows = crate::group_overlap(&[3, 5], &[1, 2]);
+        let rows = crate::group_overlap_with(&crate::TrialRunner::sequential(), &[3, 5], &[1, 2]);
         let a = Json::rows(&rows).to_pretty_string();
         let b = Json::rows(&rows).to_pretty_string();
         assert_eq!(a, b);

@@ -1,16 +1,17 @@
 //! # fnp-bench — experiment harness for every figure and claim of the paper
 //!
-//! The paper's evaluation artefacts (Fig. 1–5 and the quantitative claims of
-//! §III and §V) are regenerated by the binaries in `src/bin/`, one per
-//! experiment id of `DESIGN.md`:
+//! One binary, `fnp-bench <experiment> [flags]`, regenerates the paper's
+//! evaluation artefacts (Fig. 1–5 and the quantitative claims of §III and
+//! §V), one [`experiments`] module and one [`EXPERIMENTS`] entry each:
 //!
-//! | binary | experiment | paper artefact |
+//! | experiment | id | paper artefact |
 //! |---|---|---|
 //! | `fig1_landscape` | E1 | Fig. 1 privacy–performance landscape |
 //! | `fig2_flood_deanon` | E2 | Fig. 2 / §I flooding deanonymisation |
 //! | `fig3_dandelion` | E3 | Fig. 3 / §III-A Dandelion behaviour |
 //! | `fig4_dcnet_cost` | E4 + E9 | Fig. 4 / §III-B, §V-A DC-net cost |
 //! | `fig5_three_phase` | E5 | Fig. 5 / §IV-B three-phase breakdown |
+//! | `fig6_steady_state` | E13 | §V under sustained load: Poisson arrivals, overlapping broadcasts, mempool drain |
 //! | `tab1_message_overhead` | E6 | §V-A 12 500 vs 7 000 messages |
 //! | `tab2_privacy_bounds` | E7 | §V-B ℓ-anonymity / near-1/n detection |
 //! | `tab3_group_overlap` | E8 | §IV-C overlapping-group skew |
@@ -18,31 +19,23 @@
 //! | `tab5_dissent_startup` | E11 | §III-B Dissent startup cost |
 //! | `tab7_fairness` | E12 | §II fee fairness under latency |
 //! | `abl1_vs_election` | A1 | §IV-B virtual-source election ablation |
-//! | `fig6_steady_state` | E13 | §V under sustained load: Poisson arrivals, overlapping broadcasts, mempool drain |
-//!
-//! The same experiment functions are exercised (with small parameters) by
-//! the Criterion benches in `benches/`, so `cargo bench` both times the
-//! protocol building blocks and regenerates miniature versions of every
-//! series.
+//! | `large_n_flood` | — | one untraced flood over a million-node overlay |
 //!
 //! # Parallel trial execution
 //!
-//! Every driver routes its independent repetitions through a
-//! [`TrialRunner`]: the `*_with` variants take an explicit runner, the
-//! plain functions use [`TrialRunner::auto`] (all cores, overridable with
-//! the `FNP_THREADS` environment variable). Grid experiments flatten their
-//! full cell×run cross product into one [`GridPlan`] so every worker stays
-//! busy even when the per-cell `runs` is small, and each worker reuses one
+//! Every driver takes an explicit [`TrialRunner`] and routes its
+//! independent repetitions through it. Grid experiments flatten their full
+//! cell×run cross product into one [`GridPlan`] so every worker stays busy
+//! even when the per-cell `runs` is small, and each worker reuses one
 //! [`TrialArena`] (overlay adjacency, node storage, event queue, metrics)
 //! across all the trials it executes. Results are aggregated in plan order
 //! and each trial derives its seed independently, so a parallel run
 //! produces **byte-identical rows** to a single-threaded one — the
-//! `runner_determinism` and `arena_determinism` integration tests assert
-//! this per thread count.
+//! `runner_determinism`, `arena_determinism` and `golden` integration
+//! tests assert this per thread count.
 //!
-//! All experiment binaries also accept `--threads <n>`, `--json <path>`
-//! (machine-readable rows plus wall-clock timing, see [`json`]) and, where
-//! meaningful, `--n <nodes>` / `--runs <r>` (see [`cli`]).
+//! The flags (`--threads`, `--json`, and the `--n` / `--runs` / `--rates`
+//! size overrides each experiment honours) are described in [`cli`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,62 +46,57 @@
 #![warn(clippy::cast_sign_loss)]
 
 pub mod cli;
+pub mod experiments;
 pub mod json;
+#[cfg(test)]
+mod tests;
 
-use fnp_adversary::{
-    first_spy, jordan_center, AdversarySet, AdversaryView, AttackOutcome, PrivacyExperiment,
-    PrivacySummary,
-};
-use fnp_core::{
-    run_flexible_broadcast_in, run_protocol, run_protocol_in, FlexConfig, ProtocolKind,
-};
-use fnp_dcnet::KeyedParticipant;
+pub use experiments::abl1_vs_election::{election_ablation_with, ElectionAblationRow};
+pub use experiments::fig1_landscape::{landscape_with, LandscapeRow};
+pub use experiments::fig2_flood_deanon::{flood_deanonymization_with, FloodDeanonRow};
+pub use experiments::fig3_dandelion::{dandelion_privacy_with, DandelionRow};
+pub use experiments::fig4_dcnet_cost::{dcnet_cost_with, DcNetCostRow};
+pub use experiments::fig5_three_phase::{three_phase_breakdown_with, ThreePhaseRow};
+pub use experiments::fig6_steady_state::{steady_state_with, SteadyStateRow};
+pub use experiments::large_n_flood::{large_n_flood, LargeNFloodRow};
+pub use experiments::tab1_message_overhead::{message_overhead_with, MessageOverheadResult};
+pub use experiments::tab2_privacy_bounds::{privacy_bounds_with, PrivacyBoundsRow};
+pub use experiments::tab3_group_overlap::{group_overlap_with, GroupOverlapRow};
+pub use experiments::tab4_latency::{latency_with, LatencyRow};
+pub use experiments::tab5_dissent_startup::{dissent_startup_with, DissentStartupRow};
+pub use experiments::tab7_fairness::{fee_fairness_with, FairnessRow};
+pub use experiments::{Experiment, EXPERIMENTS};
+
+use fnp_core::{FlexConfig, ProtocolKind};
 use fnp_diffusion::AdParams;
 use fnp_gossip::DandelionParams;
 pub use fnp_netsim::{derive_seed, GridPlan, TrialArena, TrialPlan, TrialRunner};
-use fnp_netsim::{percentile, summarize, topology, Graph, Metrics, NodeId, SimConfig, SimTime};
+use fnp_netsim::{topology, Graph, SimConfig};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
-/// Default overlay size used by the full experiment binaries (the paper's
+/// Default overlay size used by the full experiments (the paper's
 /// evaluation network size).
 pub const PAPER_NETWORK_SIZE: usize = 1_000;
 
-/// Builds the standard Bitcoin-like overlay used across experiments.
-///
-/// # Panics
-///
-/// Panics if the random-regular generator fails, which for degree-8 graphs
-/// of the sizes used here does not happen in practice.
-pub fn standard_overlay(n: usize, seed: u64) -> Graph {
-    standard_overlay_in(&mut TrialArena::new(), n, seed)
-}
-
-/// Like [`standard_overlay`], but regenerates into `arena`'s pooled graph
-/// storage — byte-identical to a fresh build, without the per-trial
-/// adjacency reallocations.
+/// Builds the standard Bitcoin-like overlay used across experiments into
+/// `arena`'s pooled graph storage — byte-identical to a fresh build,
+/// without the per-trial adjacency reallocations.
 ///
 /// # Panics
 ///
 /// Panics if the random-regular generator fails, which for degree-8 graphs
 /// of the sizes used here does not happen in practice.
 pub fn standard_overlay_in(arena: &mut TrialArena, n: usize, seed: u64) -> Graph {
-    standard_overlay_threaded_in(arena, n, seed, 1)
+    overlay_on_threads(arena, n, seed, 1)
 }
 
-/// Like [`standard_overlay_in`], with the CSR finalize of the overlay (the
-/// per-span neighbour sort) split across `threads` scoped worker threads.
-///
-/// The generated overlay is byte-identical at any thread count — threads
-/// only parallelise sorts of independent spans, whose result is unique.
-/// Intended for single-trial large-n legs where no trial-level parallelism
-/// is available; `0` and `1` both mean sequential.
-///
-/// # Panics
-///
-/// Panics if the random-regular generator fails, which for degree-8 graphs
-/// of the sizes used here does not happen in practice.
-pub fn standard_overlay_threaded_in(
+/// [`standard_overlay_in`] with the CSR finalize (the per-span neighbour
+/// sort) split across `threads` scoped workers, for the single-trial
+/// `large_n_flood` where no trial-level parallelism is available. The
+/// overlay is byte-identical at any thread count: threads only parallelise
+/// sorts of independent spans, whose result is unique.
+pub(crate) fn overlay_on_threads(
     arena: &mut TrialArena,
     n: usize,
     seed: u64,
@@ -142,1766 +130,10 @@ pub fn protocol_suite() -> Vec<(&'static str, ProtocolKind)> {
     ]
 }
 
-/// One row of the privacy–performance landscape (experiment E1).
-#[derive(Clone, Debug)]
-pub struct LandscapeRow {
-    /// Protocol label.
-    pub protocol: &'static str,
-    /// Adversary fraction φ.
-    pub adversary_fraction: f64,
-    /// First-spy detection probability (privacy axis; lower is better).
-    pub detection_probability: f64,
-    /// Mean messages per broadcast (performance axis; lower is better).
-    pub mean_messages: f64,
-    /// Mean time to full coverage in milliseconds.
-    pub mean_latency_ms: f64,
-}
-
-/// Runs experiment E1 with an automatically sized [`TrialRunner`].
-pub fn landscape(n: usize, runs: usize, fractions: &[f64], base_seed: u64) -> Vec<LandscapeRow> {
-    landscape_with(&TrialRunner::auto(), n, runs, fractions, base_seed)
-}
-
-/// Runs experiment E1: every protocol × adversary fraction cell.
-///
-/// The full cell×run grid executes as one flattened [`GridPlan`] on
-/// `runner`, with per-worker [`TrialArena`] reuse; rows come back in cell
-/// order, byte-identical to the nested per-cell loops this replaces.
-pub fn landscape_with(
-    runner: &TrialRunner,
-    n: usize,
-    runs: usize,
-    fractions: &[f64],
-    base_seed: u64,
-) -> Vec<LandscapeRow> {
-    let cells: Vec<(&'static str, ProtocolKind, f64)> = protocol_suite()
-        .into_iter()
-        .flat_map(|(label, kind)| {
-            fractions
-                .iter()
-                .map(move |&fraction| (label, kind, fraction))
-        })
-        .collect();
-    let per_cell = runner.run_grid(GridPlan::new(cells.len(), runs), |arena, cell, run| {
-        let (_, kind, fraction) = cells[cell];
-        // Pinned per-cell seed formula; the lossy f64 cast is part of it.
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let seed = base_seed + run as u64 * 17 + (fraction * 1000.0) as u64;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let graph = standard_overlay_in(arena, n, seed);
-        let origin = NodeId::new(rng.gen_range(0..n));
-        let metrics = run_protocol_in(
-            arena,
-            kind,
-            graph,
-            origin,
-            SimConfig {
-                seed,
-                ..SimConfig::default()
-            },
-        )
-        .expect("protocol run");
-        let adversaries = AdversarySet::random_fraction(n, fraction, &[origin], &mut rng);
-        let view = AdversaryView::from_metrics(&metrics, &adversaries);
-        let outcome = AttackOutcome {
-            origin,
-            estimate: first_spy(&view),
-        };
-        let result = (
-            metrics.messages_sent as f64,
-            metrics.time_to_coverage(1.0),
-            outcome,
-        );
-        arena.recycle_metrics(metrics);
-        result
-    });
-    let mut rows = Vec::new();
-    for (&(label, _, fraction), trials) in cells.iter().zip(per_cell) {
-        let mut experiment = PrivacyExperiment::new();
-        let mut messages = Vec::new();
-        let mut latencies = Vec::new();
-        for (message_count, latency, outcome) in trials {
-            messages.push(message_count);
-            if let Some(at) = latency {
-                latencies.push(fnp_netsim::as_millis(at));
-            }
-            experiment.record(outcome);
-        }
-        rows.push(LandscapeRow {
-            protocol: label,
-            adversary_fraction: fraction,
-            detection_probability: experiment.detection_probability(),
-            mean_messages: summarize(&messages).mean,
-            mean_latency_ms: summarize(&latencies).mean,
-        });
-    }
-    rows
-}
-
-/// One row of the flooding-deanonymisation experiment (E2).
-#[derive(Clone, Debug)]
-pub struct FloodDeanonRow {
-    /// Network size.
-    pub n: usize,
-    /// Adversary fraction φ.
-    pub adversary_fraction: f64,
-    /// First-spy summary.
-    pub first_spy: PrivacySummary,
-    /// Jordan-centre summary.
-    pub jordan_center: PrivacySummary,
-}
-
-/// Runs experiment E2 with an automatically sized [`TrialRunner`].
-pub fn flood_deanonymization(
-    sizes: &[usize],
-    fractions: &[f64],
-    runs: usize,
-    base_seed: u64,
-) -> Vec<FloodDeanonRow> {
-    flood_deanonymization_with(&TrialRunner::auto(), sizes, fractions, runs, base_seed)
-}
-
-/// Runs experiment E2: first-spy and centrality attacks against plain
-/// flood-and-prune, as a function of the adversary fraction, over the
-/// flattened (size × fraction) × run grid.
-pub fn flood_deanonymization_with(
-    runner: &TrialRunner,
-    sizes: &[usize],
-    fractions: &[f64],
-    runs: usize,
-    base_seed: u64,
-) -> Vec<FloodDeanonRow> {
-    let cells: Vec<(usize, f64)> = sizes
-        .iter()
-        .flat_map(|&n| fractions.iter().map(move |&fraction| (n, fraction)))
-        .collect();
-    let per_cell = runner.run_grid(GridPlan::new(cells.len(), runs), |arena, cell, run| {
-        let (n, fraction) = cells[cell];
-        // Pinned per-cell seed formula; the lossy f64 cast is part of it.
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let seed = base_seed + run as u64 * 31 + n as u64 + (fraction * 100.0) as u64;
-        let mut rng = StdRng::seed_from_u64(seed);
-        // The overlay is needed twice (once consumed by the run, once by the
-        // centrality estimator), so the simulator gets a clone — which the
-        // arena then recycles for the next trial's checkout.
-        let graph = standard_overlay_in(arena, n, seed);
-        let origin = NodeId::new(rng.gen_range(0..n));
-        let metrics = run_protocol_in(
-            arena,
-            ProtocolKind::Flood,
-            graph.clone(),
-            origin,
-            SimConfig {
-                seed,
-                ..SimConfig::default()
-            },
-        )
-        .expect("flood run");
-        let adversaries = AdversarySet::random_fraction(n, fraction, &[origin], &mut rng);
-        let view = AdversaryView::from_metrics(&metrics, &adversaries);
-        let honest = adversaries.honest_nodes();
-        let spy = AttackOutcome {
-            origin,
-            estimate: first_spy(&view),
-        };
-        let centre = AttackOutcome {
-            origin,
-            estimate: jordan_center(&graph, &view, &honest),
-        };
-        arena.recycle_metrics(metrics);
-        (spy, centre)
-    });
-    let mut rows = Vec::new();
-    for (&(n, fraction), trials) in cells.iter().zip(per_cell) {
-        let mut spy = PrivacyExperiment::new();
-        let mut centre = PrivacyExperiment::new();
-        for (spy_outcome, centre_outcome) in trials {
-            spy.record(spy_outcome);
-            centre.record(centre_outcome);
-        }
-        rows.push(FloodDeanonRow {
-            n,
-            adversary_fraction: fraction,
-            first_spy: spy.summary(),
-            jordan_center: centre.summary(),
-        });
-    }
-    rows
-}
-
-/// One row of the Dandelion experiment (E3).
-#[derive(Clone, Debug)]
-pub struct DandelionRow {
-    /// Adversary fraction φ.
-    pub adversary_fraction: f64,
-    /// Stem-continue probability used.
-    pub stem_probability: f64,
-    /// First-spy detection probability.
-    pub detection_probability: f64,
-    /// Mean stem length observed.
-    pub mean_stem_length: f64,
-}
-
-/// Runs experiment E3 with an automatically sized [`TrialRunner`].
-pub fn dandelion_privacy(
-    n: usize,
-    fractions: &[f64],
-    stem_probabilities: &[f64],
-    runs: usize,
-    base_seed: u64,
-) -> Vec<DandelionRow> {
-    dandelion_privacy_with(
-        &TrialRunner::auto(),
-        n,
-        fractions,
-        stem_probabilities,
-        runs,
-        base_seed,
-    )
-}
-
-/// Runs experiment E3: Dandelion's first-spy detection probability across
-/// adversary fractions and stem lengths, over the flattened
-/// (stem probability × fraction) × run grid.
-pub fn dandelion_privacy_with(
-    runner: &TrialRunner,
-    n: usize,
-    fractions: &[f64],
-    stem_probabilities: &[f64],
-    runs: usize,
-    base_seed: u64,
-) -> Vec<DandelionRow> {
-    let cells: Vec<(f64, f64)> = stem_probabilities
-        .iter()
-        .flat_map(|&stem| fractions.iter().map(move |&fraction| (stem, fraction)))
-        .collect();
-    let per_cell = runner.run_grid(GridPlan::new(cells.len(), runs), |arena, cell, run| {
-        let (stem_probability, fraction) = cells[cell];
-        // Pinned per-cell seed formula; the lossy f64 cast is part of it.
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let seed = base_seed + run as u64 * 13 + (fraction * 100.0) as u64;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let graph = standard_overlay_in(arena, n, seed);
-        let origin = NodeId::new(rng.gen_range(0..n));
-        let params = DandelionParams {
-            stem_continue_probability: stem_probability,
-            max_stem_hops: 20,
-        };
-        let metrics = run_protocol_in(
-            arena,
-            ProtocolKind::Dandelion(params),
-            graph,
-            origin,
-            SimConfig {
-                seed,
-                ..SimConfig::default()
-            },
-        )
-        .expect("dandelion run");
-        let stem_length = metrics.messages_of_kind("dandelion-stem") as f64;
-        let adversaries = AdversarySet::random_fraction(n, fraction, &[origin], &mut rng);
-        let view = AdversaryView::from_metrics(&metrics, &adversaries);
-        let outcome = AttackOutcome {
-            origin,
-            estimate: first_spy(&view),
-        };
-        arena.recycle_metrics(metrics);
-        (stem_length, outcome)
-    });
-    let mut rows = Vec::new();
-    for (&(stem_probability, fraction), trials) in cells.iter().zip(per_cell) {
-        let mut experiment = PrivacyExperiment::new();
-        let mut stems = Vec::new();
-        for (stem_length, outcome) in trials {
-            stems.push(stem_length);
-            experiment.record(outcome);
-        }
-        rows.push(DandelionRow {
-            adversary_fraction: fraction,
-            stem_probability,
-            detection_probability: experiment.detection_probability(),
-            mean_stem_length: summarize(&stems).mean,
-        });
-    }
-    rows
-}
-
-/// One row of the DC-net cost experiment (E4 + E9).
-#[derive(Clone, Debug)]
-pub struct DcNetCostRow {
-    /// Group size k.
-    pub k: usize,
-    /// Messages per explicit (Fig. 4) round.
-    pub explicit_messages: u64,
-    /// Messages per keyed (pad-based) round.
-    pub keyed_messages: u64,
-    /// Bytes per keyed round at the full slot size.
-    pub keyed_bytes: u64,
-    /// Bytes per idle round with the §V-A reservation optimisation.
-    pub idle_bytes_with_reservation: u64,
-    /// Bytes per idle round without the optimisation.
-    pub idle_bytes_without_reservation: u64,
-}
-
-/// Runs experiment E4/E9 with an automatically sized [`TrialRunner`].
-pub fn dcnet_cost(ks: &[usize], slot_len: usize, seed: u64) -> Vec<DcNetCostRow> {
-    dcnet_cost_with(&TrialRunner::auto(), ks, slot_len, seed)
-}
-
-/// Runs experiment E4/E9: per-round cost of the DC-net constructions and
-/// the savings of the reservation optimisation, as functions of k.
-///
-/// Each group size derives its own seed via [`derive_seed`], so the rows
-/// are independent and can run in parallel.
-pub fn dcnet_cost_with(
-    runner: &TrialRunner,
-    ks: &[usize],
-    slot_len: usize,
-    seed: u64,
-) -> Vec<DcNetCostRow> {
-    runner.run(ks.len(), |index| {
-        let k = ks[index];
-        let mut rng = StdRng::seed_from_u64(derive_seed(seed, k as u64));
-        let payloads = vec![None; k];
-        // The pooled explicit round is byte-identical to the fresh-buffer
-        // one (asserted by the fnp-dcnet scratch-reuse suite), so the JSON
-        // rows are unchanged while the 4·k·(k−1)+k share buffers come from
-        // one reusable pool.
-        let mut scratch = fnp_dcnet::RoundScratch::new();
-        let explicit =
-            fnp_dcnet::run_explicit_round_in(&payloads, slot_len, &mut rng, &mut scratch)
-                .expect("explicit round");
-        let mut keyed_group =
-            fnp_dcnet::KeyedDcGroup::new(k, slot_len, &mut rng).expect("keyed group");
-        let keyed = keyed_group.run_round(0, &payloads).expect("keyed round");
-        let model = fnp_dcnet::ReservationCostModel::new(k, slot_len);
-        DcNetCostRow {
-            k,
-            explicit_messages: explicit.messages_sent,
-            keyed_messages: keyed.messages_sent,
-            keyed_bytes: keyed.bytes_sent,
-            idle_bytes_with_reservation: model.idle_round_bytes_with_reservation(),
-            idle_bytes_without_reservation: model.idle_round_bytes_without_reservation(),
-        }
-    })
-}
-
-// ---------------------------------------------------------------------
-// Keyed DC-net round microbench (the dcnet leg of `bench_baseline`)
-// ---------------------------------------------------------------------
-
-/// Deterministic pad key for the unordered bench pair `{a, b}` under
-/// `seed` (SplitMix64 expansion; symmetric in `a` and `b`, like the
-/// DH-derived keys of the real harness).
-fn bench_pad_key(seed: u64, a: usize, b: usize) -> [u8; 32] {
-    let mut state = seed ^ ((a.min(b) as u64) << 32) ^ (a.max(b) as u64 + 1);
-    let mut key = [0u8; 32];
-    for chunk in key.chunks_exact_mut(8) {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        chunk.copy_from_slice(&z.to_le_bytes());
-    }
-    key
-}
-
-/// Builds the pairwise pad-key table of a deterministic `k`-member bench
-/// group: entry `i` holds `(peer, key)` for every peer of member `i`,
-/// ascending — the same shape `KeyedParticipant::from_pad_keys` consumes.
-#[must_use]
-pub fn bench_pad_key_table(k: usize, seed: u64) -> Vec<Vec<(usize, [u8; 32])>> {
-    (0..k)
-        .map(|i| {
-            (0..k)
-                .filter(|&j| j != i)
-                .map(|j| (j, bench_pad_key(seed, i, j)))
-                .collect()
-        })
-        .collect()
-}
-
-/// Builds the keyed participants of a bench group from its pad-key table
-/// (no DH — key agreement is outside the scope of the round microbench).
-#[must_use]
-pub fn bench_keyed_participants(table: &[Vec<(usize, [u8; 32])>]) -> Vec<KeyedParticipant> {
-    let k = table.len();
-    table
-        .iter()
-        .enumerate()
-        .map(|(i, peers)| {
-            KeyedParticipant::from_pad_keys(i, k, peers.iter().copied())
-                .expect("bench groups have at least two members")
-        })
-        .collect()
-}
-
-/// FNV-1a 64-bit fold over a byte slice, seeded with the running hash.
-fn fnv1a64_bytes(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// FNV-1a offset basis (the running-hash seed for [`fnv1a64_bytes`]).
-const FNV1A64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Runs `rounds` silent keyed DC-net rounds through the fused hot path —
-/// pads XORed straight into pooled slot buffers, contributions combined
-/// by borrowing — and returns an FNV-1a digest over every combined slot.
-///
-/// The digest must equal [`run_unfused_keyed_rounds`]' for the same
-/// group: the keystream bytes are identical, only the allocation and
-/// traversal pattern differs. `bench_baseline` asserts exactly that.
-#[must_use]
-pub fn run_fused_keyed_rounds(
-    participants: &[KeyedParticipant],
-    slot_len: usize,
-    rounds: u64,
-) -> u64 {
-    let mut slots: Vec<Vec<u8>> = vec![Vec::new(); participants.len()];
-    let mut combined: Vec<u8> = Vec::new();
-    let mut digest = FNV1A64_OFFSET;
-    for round in 0..rounds {
-        for (participant, slot) in participants.iter().zip(slots.iter_mut()) {
-            participant
-                .contribute_into(round, slot_len, None, slot)
-                .expect("bench slot length is valid");
-        }
-        let outcome =
-            fnp_dcnet::combine_contributions_into(slots.iter().map(Vec::as_slice), &mut combined)
-                .expect("bench rounds are complete");
-        assert_eq!(outcome, fnp_dcnet::SlotOutcome::Silence);
-        digest = fnv1a64_bytes(digest, &combined);
-    }
-    digest
-}
-
-/// Runs the same silent rounds the way the pre-optimisation code did: a
-/// freshly allocated contribution slot per member, a freshly allocated
-/// pad per pair produced by a **single-block** reference keystream, a
-/// separate XOR pass per pad, and a clone-then-XOR combine. This is the
-/// "before" lane of the dcnet perf trajectory leg; it reproduces the old
-/// cost model even as `fnp-crypto`'s engine evolves.
-#[must_use]
-pub fn run_unfused_keyed_rounds(
-    table: &[Vec<(usize, [u8; 32])>],
-    slot_len: usize,
-    rounds: u64,
-) -> u64 {
-    let mut digest = FNV1A64_OFFSET;
-    for round in 0..rounds {
-        let contributions: Vec<Vec<u8>> = table
-            .iter()
-            .map(|peers| {
-                let mut slot = fnp_dcnet::slot::silence(slot_len);
-                for (_, key) in peers {
-                    let pad = reference_single_block_pad(key, round, slot_len);
-                    fnp_crypto::prg::xor_into(&mut slot, &pad);
-                }
-                slot
-            })
-            .collect();
-        let mut combined = contributions[0].clone();
-        for contribution in &contributions[1..] {
-            fnp_crypto::prg::xor_into(&mut combined, contribution);
-        }
-        assert_eq!(
-            fnp_dcnet::slot::decode(&combined),
-            fnp_dcnet::SlotOutcome::Silence
-        );
-        digest = fnv1a64_bytes(digest, &combined);
-    }
-    digest
-}
-
-/// Reference ChaCha20 pad: RFC 7539 block function evaluated one block at
-/// a time, with `ChaCha20::for_round`'s nonce layout (round id in the
-/// final eight nonce bytes, counter starting at 0). Byte-identical to
-/// `PadGenerator::pad`, but at the pre-optimisation single-block cost.
-fn reference_single_block_pad(key: &[u8; 32], round: u64, len: usize) -> Vec<u8> {
-    let mut init = [0u32; 16];
-    init[0] = 0x6170_7865;
-    init[1] = 0x3320_646e;
-    init[2] = 0x7962_2d32;
-    init[3] = 0x6b20_6574;
-    for (word, chunk) in init[4..12].iter_mut().zip(key.chunks_exact(4)) {
-        *word = u32::from_le_bytes(chunk.try_into().expect("4-byte chunk"));
-    }
-    let round_bytes = round.to_le_bytes();
-    init[14] = u32::from_le_bytes(round_bytes[..4].try_into().expect("4-byte chunk"));
-    init[15] = u32::from_le_bytes(round_bytes[4..].try_into().expect("4-byte chunk"));
-
-    let mut out = vec![0u8; len];
-    for (block_index, block) in out.chunks_mut(64).enumerate() {
-        init[12] = u32::try_from(block_index).expect("bench pads stay far below 2^32 blocks");
-        let mut state = init;
-        for _ in 0..10 {
-            // Column rounds.
-            quarter_round(&mut state, 0, 4, 8, 12);
-            quarter_round(&mut state, 1, 5, 9, 13);
-            quarter_round(&mut state, 2, 6, 10, 14);
-            quarter_round(&mut state, 3, 7, 11, 15);
-            // Diagonal rounds.
-            quarter_round(&mut state, 0, 5, 10, 15);
-            quarter_round(&mut state, 1, 6, 11, 12);
-            quarter_round(&mut state, 2, 7, 8, 13);
-            quarter_round(&mut state, 3, 4, 9, 14);
-        }
-        for (i, byte) in block.iter_mut().enumerate() {
-            let word = state[i / 4].wrapping_add(init[i / 4]);
-            *byte = word.to_le_bytes()[i % 4];
-        }
-    }
-    out
-}
-
-/// The ChaCha20 quarter round (reference lane of the microbench).
-fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
-    state[a] = state[a].wrapping_add(state[b]);
-    state[d] ^= state[a];
-    state[d] = state[d].rotate_left(16);
-    state[c] = state[c].wrapping_add(state[d]);
-    state[b] ^= state[c];
-    state[b] = state[b].rotate_left(12);
-    state[a] = state[a].wrapping_add(state[b]);
-    state[d] ^= state[a];
-    state[d] = state[d].rotate_left(8);
-    state[c] = state[c].wrapping_add(state[d]);
-    state[b] ^= state[c];
-    state[b] = state[b].rotate_left(7);
-}
-
-/// One row of the three-phase breakdown experiment (E5).
-#[derive(Clone, Debug)]
-pub struct ThreePhaseRow {
-    /// Group size k.
-    pub k: usize,
-    /// Diffusion depth d.
-    pub d: u32,
-    /// Mean phase-1 messages.
-    pub phase1: f64,
-    /// Mean phase-2 messages.
-    pub phase2: f64,
-    /// Mean phase-3 messages.
-    pub phase3: f64,
-    /// Mean total messages.
-    pub total: f64,
-    /// Mean coverage (should be 1.0).
-    pub coverage: f64,
-}
-
-/// Runs experiment E5 with an automatically sized [`TrialRunner`].
-pub fn three_phase_breakdown(
-    n: usize,
-    ks: &[usize],
-    ds: &[u32],
-    runs: usize,
-    base_seed: u64,
-) -> Vec<ThreePhaseRow> {
-    three_phase_breakdown_with(&TrialRunner::auto(), n, ks, ds, runs, base_seed)
-}
-
-/// Runs experiment E5: the per-phase message breakdown of the flexible
-/// protocol across (k, d), over the flattened (k × d) × run grid.
-pub fn three_phase_breakdown_with(
-    runner: &TrialRunner,
-    n: usize,
-    ks: &[usize],
-    ds: &[u32],
-    runs: usize,
-    base_seed: u64,
-) -> Vec<ThreePhaseRow> {
-    let cells: Vec<(usize, u32)> = ks
-        .iter()
-        .flat_map(|&k| ds.iter().map(move |&d| (k, d)))
-        .collect();
-    let per_cell = runner.run_grid(GridPlan::new(cells.len(), runs), |arena, cell, run| {
-        let (k, d) = cells[cell];
-        let seed = base_seed + run as u64 * 7 + k as u64 * 1000 + d as u64;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let graph = standard_overlay_in(arena, n, seed);
-        let origin = NodeId::new(rng.gen_range(0..n));
-        let report = run_flexible_broadcast_in(
-            arena,
-            graph,
-            origin,
-            b"three phase tx".to_vec(),
-            FlexConfig::default().with_k(k).with_d(d),
-            SimConfig {
-                seed,
-                ..SimConfig::default()
-            },
-        )
-        .expect("flexible run");
-        let result = [
-            report.phase1_messages as f64,
-            report.phase2_messages as f64,
-            report.phase3_messages as f64,
-            report.total_messages() as f64,
-            report.coverage(),
-        ];
-        arena.recycle_metrics(report.metrics);
-        result
-    });
-    let mut rows = Vec::new();
-    for (&(k, d), trials) in cells.iter().zip(per_cell) {
-        let column = |index: usize| {
-            let values: Vec<f64> = trials.iter().map(|trial| trial[index]).collect();
-            summarize(&values).mean
-        };
-        rows.push(ThreePhaseRow {
-            k,
-            d,
-            phase1: column(0),
-            phase2: column(1),
-            phase3: column(2),
-            total: column(3),
-            coverage: column(4),
-        });
-    }
-    rows
-}
-
-/// Result of the §V-A message-overhead comparison (E6).
-#[derive(Clone, Debug)]
-pub struct MessageOverheadResult {
-    /// Network size.
-    pub n: usize,
-    /// Mean messages for full adaptive diffusion to reach all peers.
-    pub adaptive_diffusion_messages: f64,
-    /// Mean messages for flood-and-prune to reach all peers.
-    pub flood_messages: f64,
-    /// Mean messages for the flexible protocol (d-limited diffusion).
-    pub flexible_messages: f64,
-    /// Ratio adaptive-diffusion / flood (the paper reports ≈12 500/7 000 ≈ 1.8).
-    pub overhead_ratio: f64,
-}
-
-/// Runs experiment E6 with an automatically sized [`TrialRunner`].
-pub fn message_overhead(n: usize, runs: usize, base_seed: u64) -> MessageOverheadResult {
-    message_overhead_with(&TrialRunner::auto(), n, runs, base_seed)
-}
-
-/// Runs experiment E6: the paper's §V-A simulation.
-pub fn message_overhead_with(
-    runner: &TrialRunner,
-    n: usize,
-    runs: usize,
-    base_seed: u64,
-) -> MessageOverheadResult {
-    let trials = runner.run_with_arena(runs, |arena, run| {
-        let seed = base_seed + run as u64;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let graph = standard_overlay_in(arena, n, seed);
-        let origin = NodeId::new(rng.gen_range(0..n));
-
-        let report = fnp_diffusion::run_adaptive_diffusion_in(
-            arena,
-            graph.clone(),
-            origin,
-            AdParams {
-                max_rounds: 256,
-                ..AdParams::default()
-            },
-            SimConfig {
-                seed,
-                ..SimConfig::default()
-            },
-        );
-        let adaptive = report.messages_until_full_coverage.map(|m| m as f64);
-        arena.recycle_metrics(report.metrics);
-
-        let flood = run_protocol_in(
-            arena,
-            ProtocolKind::Flood,
-            graph.clone(),
-            origin,
-            SimConfig {
-                seed,
-                ..SimConfig::default()
-            },
-        )
-        .expect("flood run");
-        let flood_messages = flood.messages_sent as f64;
-        arena.recycle_metrics(flood);
-
-        let flexible = run_flexible_broadcast_in(
-            arena,
-            graph,
-            origin,
-            b"overhead tx".to_vec(),
-            FlexConfig::default(),
-            SimConfig {
-                seed,
-                ..SimConfig::default()
-            },
-        )
-        .expect("flexible run");
-        let flexible_messages = flexible.total_messages() as f64;
-        arena.recycle_metrics(flexible.metrics);
-        (adaptive, flood_messages, flexible_messages)
-    });
-    let mut ad_messages = Vec::new();
-    let mut flood_messages = Vec::new();
-    let mut flexible_messages = Vec::new();
-    for (adaptive, flood, flexible) in trials {
-        if let Some(messages) = adaptive {
-            ad_messages.push(messages);
-        }
-        flood_messages.push(flood);
-        flexible_messages.push(flexible);
-    }
-    let ad = summarize(&ad_messages).mean;
-    let flood = summarize(&flood_messages).mean;
-    MessageOverheadResult {
-        n,
-        adaptive_diffusion_messages: ad,
-        flood_messages: flood,
-        flexible_messages: summarize(&flexible_messages).mean,
-        overhead_ratio: if flood > 0.0 { ad / flood } else { 0.0 },
-    }
-}
-
-/// One row of the privacy-bounds experiment (E7).
-#[derive(Clone, Debug)]
-pub struct PrivacyBoundsRow {
-    /// Group size k.
-    pub k: usize,
-    /// Diffusion depth d.
-    pub d: u32,
-    /// Adversary fraction φ.
-    pub adversary_fraction: f64,
-    /// First-spy summary against the flexible protocol.
-    pub summary: PrivacySummary,
-    /// The k-anonymity bound 1/k the DC-net phase guarantees.
-    pub group_bound: f64,
-    /// The perfect-obfuscation target 1/n.
-    pub ideal: f64,
-}
-
-/// Runs experiment E7 with an automatically sized [`TrialRunner`].
-pub fn privacy_bounds(
-    n: usize,
-    ks: &[usize],
-    ds: &[u32],
-    fractions: &[f64],
-    runs: usize,
-    base_seed: u64,
-) -> Vec<PrivacyBoundsRow> {
-    privacy_bounds_with(&TrialRunner::auto(), n, ks, ds, fractions, runs, base_seed)
-}
-
-/// Runs experiment E7: the attacker's success against the flexible protocol
-/// compared with the 1/k floor and the 1/n ideal, over the flattened
-/// (k × d × fraction) × run grid.
-pub fn privacy_bounds_with(
-    runner: &TrialRunner,
-    n: usize,
-    ks: &[usize],
-    ds: &[u32],
-    fractions: &[f64],
-    runs: usize,
-    base_seed: u64,
-) -> Vec<PrivacyBoundsRow> {
-    let cells: Vec<(usize, u32, f64)> = ks
-        .iter()
-        .flat_map(|&k| {
-            ds.iter()
-                .flat_map(move |&d| fractions.iter().map(move |&fraction| (k, d, fraction)))
-        })
-        .collect();
-    let per_cell = runner.run_grid(GridPlan::new(cells.len(), runs), |arena, cell, run| {
-        let (k, d, fraction) = cells[cell];
-        let seed = base_seed + run as u64 * 3 + k as u64 * 100 + d as u64 * 10;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let graph = standard_overlay_in(arena, n, seed);
-        let origin = NodeId::new(rng.gen_range(0..n));
-        let metrics = run_protocol_in(
-            arena,
-            ProtocolKind::Flexible(FlexConfig::default().with_k(k).with_d(d)),
-            graph,
-            origin,
-            SimConfig {
-                seed,
-                ..SimConfig::default()
-            },
-        )
-        .expect("flexible run");
-        let adversaries = AdversarySet::random_fraction(n, fraction, &[origin], &mut rng);
-        let view = AdversaryView::from_metrics(&metrics, &adversaries);
-        let outcome = AttackOutcome {
-            origin,
-            estimate: first_spy(&view),
-        };
-        arena.recycle_metrics(metrics);
-        outcome
-    });
-    let mut rows = Vec::new();
-    for (&(k, d, fraction), trials) in cells.iter().zip(per_cell) {
-        let mut experiment = PrivacyExperiment::new();
-        for outcome in trials {
-            experiment.record(outcome);
-        }
-        rows.push(PrivacyBoundsRow {
-            k,
-            d,
-            adversary_fraction: fraction,
-            summary: experiment.summary(),
-            group_bound: 1.0 / k as f64,
-            ideal: 1.0 / n as f64,
-        });
-    }
-    rows
-}
-
-/// One row of the group-overlap experiment (E8).
-#[derive(Clone, Debug)]
-pub struct GroupOverlapRow {
-    /// Size of the examined group.
-    pub group_size: usize,
-    /// Number of groups the most-shared member belongs to.
-    pub overlap_degree: usize,
-    /// Worst-case origin probability under naive selection.
-    pub naive_worst_case: f64,
-    /// Worst-case origin probability with smoothing.
-    pub smoothed_worst_case: f64,
-    /// Ideal uniform probability 1/|group|.
-    pub ideal: f64,
-}
-
-/// Runs experiment E8 with an automatically sized [`TrialRunner`].
-pub fn group_overlap(group_sizes: &[usize], overlap_degrees: &[usize]) -> Vec<GroupOverlapRow> {
-    group_overlap_with(&TrialRunner::auto(), group_sizes, overlap_degrees)
-}
-
-/// Runs experiment E8: origin-probability skew of overlapping groups with
-/// and without smoothing. Each (size, overlap) cell is an independent,
-/// purely combinatorial computation, parallelised across the grid.
-pub fn group_overlap_with(
-    runner: &TrialRunner,
-    group_sizes: &[usize],
-    overlap_degrees: &[usize],
-) -> Vec<GroupOverlapRow> {
-    use fnp_groups::{GroupSelectionPolicy, OverlappingGroups};
-    let cells: Vec<(usize, usize)> = group_sizes
-        .iter()
-        .flat_map(|&size| overlap_degrees.iter().map(move |&overlap| (size, overlap)))
-        .collect();
-    runner.run(cells.len(), |index| {
-        let (size, overlap) = cells[index];
-        // Group 0 holds nodes 0..size. All members except node 0 also
-        // belong to `overlap` further groups, reproducing (and
-        // generalising) the paper's A/B/C example.
-        let mut groups = OverlappingGroups::new();
-        groups.insert_group(0, (0..size).map(NodeId::new));
-        for extra in 0..overlap {
-            let base = 100 * (extra + 1);
-            groups.insert_group(
-                extra + 1,
-                (1..size)
-                    .map(NodeId::new)
-                    .chain(std::iter::once(NodeId::new(base))),
-            );
-        }
-        GroupOverlapRow {
-            group_size: size,
-            overlap_degree: overlap,
-            naive_worst_case: groups
-                .worst_case_origin_probability(0, GroupSelectionPolicy::UniformPerNode),
-            smoothed_worst_case: groups
-                .worst_case_origin_probability(0, GroupSelectionPolicy::Smoothed),
-            ideal: 1.0 / size as f64,
-        }
-    })
-}
-
-/// One row of the latency experiment (E10).
-#[derive(Clone, Debug)]
-pub struct LatencyRow {
-    /// Protocol label.
-    pub protocol: &'static str,
-    /// Mean milliseconds to 50 % coverage.
-    pub t50_ms: f64,
-    /// Mean milliseconds to 90 % coverage.
-    pub t90_ms: f64,
-    /// Mean milliseconds to full coverage.
-    pub t100_ms: f64,
-    /// Mean total messages.
-    pub messages: f64,
-}
-
-/// Runs experiment E10 with an automatically sized [`TrialRunner`].
-pub fn latency(n: usize, runs: usize, base_seed: u64) -> Vec<LatencyRow> {
-    latency_with(&TrialRunner::auto(), n, runs, base_seed)
-}
-
-/// Runs experiment E10: dissemination latency of all four protocols, over
-/// the flattened protocol × run grid.
-pub fn latency_with(
-    runner: &TrialRunner,
-    n: usize,
-    runs: usize,
-    base_seed: u64,
-) -> Vec<LatencyRow> {
-    let cells = protocol_suite();
-    let per_cell = runner.run_grid(GridPlan::new(cells.len(), runs), |arena, cell, run| {
-        let (_, kind) = cells[cell];
-        let seed = base_seed + run as u64 * 23;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let graph = standard_overlay_in(arena, n, seed);
-        let origin = NodeId::new(rng.gen_range(0..n));
-        let metrics = run_protocol_in(
-            arena,
-            kind,
-            graph,
-            origin,
-            SimConfig {
-                seed,
-                ..SimConfig::default()
-            },
-        )
-        .expect("protocol run");
-        let result = (
-            metrics.messages_sent as f64,
-            metrics.time_to_coverage(0.5),
-            metrics.time_to_coverage(0.9),
-            metrics.time_to_coverage(1.0),
-        );
-        arena.recycle_metrics(metrics);
-        result
-    });
-    let mut rows = Vec::new();
-    for ((label, _), trials) in cells.iter().zip(per_cell) {
-        let mut t50 = Vec::new();
-        let mut t90 = Vec::new();
-        let mut t100 = Vec::new();
-        let mut messages = Vec::new();
-        for (message_count, c50, c90, c100) in trials {
-            messages.push(message_count);
-            for (coverage_time, bucket) in [(c50, &mut t50), (c90, &mut t90), (c100, &mut t100)] {
-                if let Some(at) = coverage_time {
-                    bucket.push(fnp_netsim::as_millis(at));
-                }
-            }
-        }
-        rows.push(LatencyRow {
-            protocol: label,
-            t50_ms: summarize(&t50).mean,
-            t90_ms: summarize(&t90).mean,
-            t100_ms: summarize(&t100).mean,
-            messages: summarize(&messages).mean,
-        });
-    }
-    rows
-}
-
-/// One row of the Dissent startup experiment (E11).
-#[derive(Clone, Debug)]
-pub struct DissentStartupRow {
-    /// Group size.
-    pub k: usize,
-    /// Modelled startup latency of the announcement phase, in seconds
-    /// (calibrated to the paper's "≈30 s for 8–12 members" anchor).
-    pub startup_seconds: f64,
-    /// Point-to-point messages of one full round (announcement + bulk).
-    pub messages: u64,
-    /// Bytes of one full round.
-    pub bytes: u64,
-    /// Serial hand-off steps of the announcement shuffle.
-    pub serial_steps: usize,
-}
-
-/// Runs experiment E11 with an automatically sized [`TrialRunner`].
-pub fn dissent_startup(ks: &[usize], base_seed: u64) -> Vec<DissentStartupRow> {
-    dissent_startup_with(&TrialRunner::auto(), ks, base_seed)
-}
-
-/// Runs experiment E11: the Dissent-style baseline's startup cost as a
-/// function of group size (§III-B's argument against shuffle-based systems
-/// for blockchain dissemination). Each group size is an independent trial.
-pub fn dissent_startup_with(
-    runner: &TrialRunner,
-    ks: &[usize],
-    base_seed: u64,
-) -> Vec<DissentStartupRow> {
-    use fnp_shuffle::{DissentSession, SessionConfig};
-    runner.run(ks.len(), |index| {
-        let k = ks[index];
-        let mut rng = StdRng::seed_from_u64(base_seed + k as u64);
-        let mut session =
-            DissentSession::new(k, SessionConfig::default(), &mut rng).expect("k >= 2");
-        // One member broadcasts a typical 250-byte transaction.
-        let mut messages = vec![None; k];
-        messages[k / 2] = Some(vec![0xabu8; 250]);
-        let report = session.run_round(&messages, &mut rng).expect("round runs");
-        DissentStartupRow {
-            k,
-            startup_seconds: report.startup.latency_seconds(),
-            messages: report.messages_sent,
-            bytes: report.bytes_sent,
-            serial_steps: report.announcement.serial_steps,
-        }
-    })
-}
-
-/// One row of the fee-fairness experiment (E12).
-#[derive(Clone, Debug)]
-pub struct FairnessRow {
-    /// Protocol label.
-    pub protocol: &'static str,
-    /// Jain fairness index of miner fee income normalised by hash rate
-    /// (1.0 = perfectly proportional).
-    pub jain_index: f64,
-    /// Gini coefficient of the same distribution (0.0 = perfectly
-    /// proportional).
-    pub gini: f64,
-    /// Mean delay from broadcast start to block inclusion, in milliseconds.
-    pub mean_inclusion_delay_ms: f64,
-    /// Fraction of transactions never included within the race budget.
-    pub orphaned_fraction: f64,
-}
-
-/// Runs experiment E12 with an automatically sized [`TrialRunner`].
-pub fn fee_fairness(
-    n: usize,
-    miner_count: usize,
-    runs: usize,
-    races_per_run: usize,
-    base_seed: u64,
-) -> Vec<FairnessRow> {
-    fee_fairness_with(
-        &TrialRunner::auto(),
-        n,
-        miner_count,
-        runs,
-        races_per_run,
-        base_seed,
-    )
-}
-
-/// Runs experiment E12: §II's latency-fairness argument measured end to end.
-///
-/// For each protocol a transaction is broadcast `runs` times on an
-/// `n`-node overlay whose first `miner_count` nodes are equal-hash-rate
-/// miners; each broadcast's per-miner delivery times feed `races_per_run`
-/// simulated block races. Each broadcast races in its own
-/// [`fnp_blockchain::InclusionRace`]; the per-trial aggregates merge in
-/// plan order, which is equivalent to one sequential accumulator.
-pub fn fee_fairness_with(
-    runner: &TrialRunner,
-    n: usize,
-    miner_count: usize,
-    runs: usize,
-    races_per_run: usize,
-    base_seed: u64,
-) -> Vec<FairnessRow> {
-    use fnp_blockchain::{InclusionRace, MinerSet, RaceConfig};
-    let miners = MinerSet::uniform(miner_count).expect("at least one miner");
-    // Keep the block race fast relative to dissemination so that latency
-    // differences actually matter (a 10-minute Bitcoin interval would let
-    // every protocol catch up long before the next block).
-    let race_config = RaceConfig {
-        mean_block_interval: 5 * fnp_netsim::SECOND,
-        fee: 100,
-        max_blocks: 200,
-    };
-    let cells = protocol_suite();
-    let per_cell = runner.run_grid(GridPlan::new(cells.len(), runs), |arena, cell, run| {
-        let (_, kind) = cells[cell];
-        let seed = base_seed + run as u64 * 31;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let graph = standard_overlay_in(arena, n, seed);
-        // The wallet is a non-miner node so that every miner has to learn
-        // the transaction over the network.
-        let origin = NodeId::new(rng.gen_range(miner_count..n));
-        let metrics = run_protocol_in(
-            arena,
-            kind,
-            graph,
-            origin,
-            SimConfig {
-                seed,
-                ..SimConfig::default()
-            },
-        )
-        .expect("protocol run");
-        let mut race = InclusionRace::new();
-        for _ in 0..races_per_run {
-            race.run_once(&metrics, &miners, race_config, &mut rng);
-        }
-        arena.recycle_metrics(metrics);
-        race
-    });
-    let mut rows = Vec::new();
-    for ((label, _), trials) in cells.iter().zip(per_cell) {
-        let mut race = InclusionRace::new();
-        for trial in trials {
-            race.merge(trial);
-        }
-        let report = race.report(&miners);
-        rows.push(FairnessRow {
-            protocol: label,
-            jain_index: report.jain_index,
-            gini: report.gini,
-            // `mean_inclusion_delay` is in SimTime units (microseconds).
-            mean_inclusion_delay_ms: report.mean_inclusion_delay / 1_000.0,
-            orphaned_fraction: report.orphaned_fraction,
-        });
-    }
-    rows
-}
-
-/// One row of the steady-state heavy-traffic experiment (E13 / fig6).
-///
-/// Each row aggregates `runs` independent sessions of one protocol under
-/// one Poisson arrival rate: many wallets inject transactions into the
-/// same overlay, the broadcasts overlap in flight, and every transaction's
-/// first miner delivery feeds a shared mempool drained by an exponential
-/// block process.
-#[derive(Clone, Debug)]
-pub struct SteadyStateRow {
-    /// Protocol label.
-    pub protocol: &'static str,
-    /// Poisson arrival rate, in transactions per simulated second.
-    pub rate_per_second: f64,
-    /// Transactions injected across all runs.
-    pub injected: usize,
-    /// Achieved fraction of the `injected × n` possible deliveries
-    /// (mean per-transaction coverage; 1.0 = every broadcast completed).
-    pub delivered_fraction: f64,
-    /// Fully delivered transactions per simulated second, averaged over
-    /// runs.
-    pub throughput_tx_per_s: f64,
-    /// Median delivery latency over every `(transaction, node)` delivery,
-    /// in milliseconds since that transaction's injection.
-    pub p50_delivery_ms: f64,
-    /// 95th-percentile delivery latency in milliseconds.
-    pub p95_delivery_ms: f64,
-    /// 99th-percentile delivery latency in milliseconds.
-    pub p99_delivery_ms: f64,
-    /// Mean messages sent per injected transaction.
-    pub mean_messages_per_tx: f64,
-    /// Highest number of transactions simultaneously in flight (max over
-    /// runs) — the overlap the session actually sustained.
-    pub peak_concurrent: usize,
-    /// Mempool occupancy high-water mark, in transactions (max over runs).
-    pub mempool_peak_len: usize,
-    /// Mean mempool occupancy sampled after every miner delivery,
-    /// averaged over runs.
-    pub mempool_mean_len: f64,
-    /// Fraction of injected transactions included in a block before the
-    /// drain budget ran out.
-    pub included_fraction: f64,
-    /// Mean delay from first miner delivery to block inclusion, in
-    /// milliseconds.
-    pub mean_inclusion_delay_ms: f64,
-    /// Fraction of transactions whose first-spy estimate named the true
-    /// origin — privacy under load; lower is better.
-    pub first_spy_detection: f64,
-}
-
-/// Per-trial aggregates of one steady-state session (numbers only, so the
-/// grid workers stay cheap to join).
-struct SteadyTrial {
-    injected: usize,
-    deliveries: usize,
-    fully_delivered: usize,
-    latencies_us: Vec<u64>,
-    messages: u64,
-    peak_concurrent: usize,
-    detected: usize,
-    included: usize,
-    inclusion_delays_us: Vec<u64>,
-    mempool_peak_len: usize,
-    mempool_mean_len: f64,
-}
-
-/// Fixed transaction size (bytes) used by the steady-state mempool replay.
-const STEADY_TX_BYTES: usize = 250;
-
-/// One steady-state trial: build the overlay, draw the Poisson arrival
-/// schedule, run the overlapping broadcasts and replay the miner
-/// deliveries against the mempool. Everything derives from `seed`, so the
-/// trial is a pure function of its cell — byte-identical at any worker
-/// count.
-fn steady_trial(
-    arena: &mut TrialArena,
-    kind: ProtocolKind,
-    n: usize,
-    miner_count: usize,
-    rate: f64,
-    horizon: SimTime,
-    seed: u64,
-) -> SteadyTrial {
-    use fnp_blockchain::{
-        replay_steady_mempool, MinerDelivery, MinerSet, SteadyMempoolConfig, Transaction,
-    };
-    use fnp_proto::steady::run_steady_in;
-    use fnp_proto::Arrival;
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let graph = standard_overlay_in(arena, n, seed);
-
-    // Nodes 0..miner_count are the miners. Wallets and adversaries are
-    // drawn from the remaining nodes: every miner has to learn each
-    // transaction over the network, and the spies watch from the edge
-    // rather than from inside the mining set.
-    let adversary_count = (n / 10).max(1);
-    let mut outsiders: Vec<NodeId> = (miner_count..n).map(NodeId::new).collect();
-    for i in 0..adversary_count {
-        let j = rng.gen_range(i..outsiders.len());
-        outsiders.swap(i, j);
-    }
-    let adversaries: Vec<NodeId> = outsiders[..adversary_count].to_vec();
-    let senders = &outsiders[adversary_count..];
-
-    let times = fnp_netsim::poisson_arrivals(rate, horizon, &mut rng)
-        .expect("callers validate arrival rates");
-    let arrivals: Vec<Arrival> = times
-        .into_iter()
-        .map(|at| Arrival {
-            at,
-            origin: senders[rng.gen_range(0..senders.len())],
-        })
-        .collect();
-
-    let config = SimConfig {
+/// The simulator configuration of one trial: defaults plus its seed.
+pub(crate) fn sim_config(seed: u64) -> SimConfig {
+    SimConfig {
         seed,
         ..SimConfig::default()
-    };
-    let (metrics, report) = match kind {
-        ProtocolKind::Flood => {
-            let prototypes = (0..n).map(|_| fnp_gossip::FloodNode::new()).collect();
-            run_steady_in(
-                arena,
-                graph,
-                prototypes,
-                &arrivals,
-                &adversaries,
-                miner_count,
-                config,
-            )
-        }
-        ProtocolKind::Dandelion(params) => {
-            let line = fnp_gossip::StemLine::random(n, &mut rng);
-            let prototypes = (0..n)
-                .map(|i| fnp_gossip::DandelionNode::new(params, line.successor(NodeId::new(i))))
-                .collect();
-            run_steady_in(
-                arena,
-                graph,
-                prototypes,
-                &arrivals,
-                &adversaries,
-                miner_count,
-                config,
-            )
-        }
-        ProtocolKind::AdaptiveDiffusion(params) => {
-            let prototypes = (0..n)
-                .map(|_| fnp_diffusion::AdaptiveDiffusionNode::new(params))
-                .collect();
-            run_steady_in(
-                arena,
-                graph,
-                prototypes,
-                &arrivals,
-                &adversaries,
-                miner_count,
-                config,
-            )
-        }
-        ProtocolKind::Flexible(flex_config) => {
-            let prototypes = fnp_core::flex_steady_prototypes_in(arena, n, flex_config, seed)
-                .expect("flexible prototype setup");
-            run_steady_in(
-                arena,
-                graph,
-                prototypes,
-                &arrivals,
-                &adversaries,
-                miner_count,
-                config,
-            )
-        }
-    };
-
-    // Feed each transaction's first miner delivery into the shared pool.
-    // Distinct fees make the eviction order strict; the injection time
-    // doubles as the uniqueness salt of the transaction id (arrival times
-    // are strictly increasing).
-    let deliveries: Vec<MinerDelivery> = report
-        .per_tx
-        .iter()
-        .enumerate()
-        .filter_map(|(tx, outcome)| {
-            outcome.first_miner_delivery.map(|at| MinerDelivery {
-                at,
-                tx: Transaction::new(
-                    outcome.origin,
-                    STEADY_TX_BYTES,
-                    100 + tx as u64,
-                    outcome.injected_at,
-                ),
-            })
-        })
-        .collect();
-    let miners = MinerSet::uniform(miner_count).expect("at least one miner");
-    let pool_report = replay_steady_mempool(
-        &miners,
-        &deliveries,
-        SteadyMempoolConfig {
-            // A pool of ~64 transactions: generous in the steady regime,
-            // tight enough that a burst exercises the fee-eviction policy.
-            capacity_bytes: 64 * STEADY_TX_BYTES,
-            // Eight transactions per block, every two seconds on average.
-            block_max_bytes: 8 * STEADY_TX_BYTES,
-            mean_block_interval: 2 * fnp_netsim::SECOND,
-            max_drain_blocks: 1_000,
-        },
-        &mut rng,
-    );
-
-    let detected = report
-        .per_tx
-        .iter()
-        .filter(|outcome| outcome.first_spy_estimate == Some(outcome.origin))
-        .count();
-    let fully_delivered = report
-        .per_tx
-        .iter()
-        .filter(|outcome| outcome.delivered_count == n)
-        .count();
-    let trial = SteadyTrial {
-        injected: report.per_tx.len(),
-        deliveries: report.latencies_us.len(),
-        fully_delivered,
-        latencies_us: report.latencies_us,
-        messages: metrics.messages_sent,
-        peak_concurrent: report.peak_concurrent,
-        detected,
-        included: pool_report.included,
-        inclusion_delays_us: pool_report.inclusion_delays_us,
-        mempool_peak_len: pool_report.peak_len,
-        mempool_mean_len: pool_report.mean_len,
-    };
-    arena.recycle_metrics(metrics);
-    trial
-}
-
-/// Runs experiment E13 with an automatically sized [`TrialRunner`].
-pub fn steady_state(
-    n: usize,
-    miner_count: usize,
-    runs: usize,
-    rates: &[f64],
-    horizon: SimTime,
-    base_seed: u64,
-) -> Vec<SteadyStateRow> {
-    steady_state_with(
-        &TrialRunner::auto(),
-        n,
-        miner_count,
-        runs,
-        rates,
-        horizon,
-        base_seed,
-    )
-}
-
-/// Runs experiment E13: every protocol × arrival-rate cell of the
-/// steady-state heavy-traffic grid.
-///
-/// The cell×run cross product executes as one flattened [`GridPlan`];
-/// the per-cell seed depends on `(rate, run)` but **not** on the protocol,
-/// so at a given rate all four protocols face the same overlay, the same
-/// arrival schedule and the same wallets — a paired comparison.
-///
-/// # Panics
-///
-/// Panics if fewer than two non-miner, non-adversary nodes remain to act
-/// as wallets (`n` must comfortably exceed `miner_count + n/10`), or if
-/// any rate is zero, negative or non-finite (validate with
-/// [`fnp_netsim::validate_rate`] first — the CLI layer already does).
-pub fn steady_state_with(
-    runner: &TrialRunner,
-    n: usize,
-    miner_count: usize,
-    runs: usize,
-    rates: &[f64],
-    horizon: SimTime,
-    base_seed: u64,
-) -> Vec<SteadyStateRow> {
-    // Same four protocols as `protocol_suite`, but adaptive diffusion runs
-    // with a moderated round budget: the 96-round tail is sized for one
-    // broadcast on the paper's 1 000-node overlay, and under sustained
-    // arrivals it would keep every transaction spreading for tens of
-    // simulated seconds after full coverage, dwarfing the arrival window.
-    let suite: Vec<(&'static str, ProtocolKind)> = vec![
-        ("flood", ProtocolKind::Flood),
-        (
-            "dandelion",
-            ProtocolKind::Dandelion(DandelionParams::default()),
-        ),
-        (
-            "adaptive-diffusion",
-            ProtocolKind::AdaptiveDiffusion(AdParams {
-                max_rounds: 32,
-                ..AdParams::default()
-            }),
-        ),
-        ("flexible", ProtocolKind::Flexible(FlexConfig::default())),
-    ];
-    let cells: Vec<(&'static str, ProtocolKind, f64)> = suite
-        .into_iter()
-        .flat_map(|(label, kind)| rates.iter().map(move |&rate| (label, kind, rate)))
-        .collect();
-    let per_cell = runner.run_grid(GridPlan::new(cells.len(), runs), |arena, cell, run| {
-        let (_, kind, rate) = cells[cell];
-        // Pinned per-cell seed formula; the lossy f64 cast is part of it.
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let seed = base_seed + run as u64 * 17 + (rate * 100.0) as u64;
-        steady_trial(arena, kind, n, miner_count, rate, horizon, seed)
-    });
-
-    let horizon_seconds = horizon as f64 / fnp_netsim::SECOND as f64;
-    let mut rows = Vec::new();
-    for (&(label, _, rate), trials) in cells.iter().zip(per_cell) {
-        let trial_count = trials.len();
-        let mut injected = 0usize;
-        let mut deliveries = 0usize;
-        let mut fully_delivered = 0usize;
-        let mut messages = 0u64;
-        let mut peak_concurrent = 0usize;
-        let mut detected = 0usize;
-        let mut included = 0usize;
-        let mut mempool_peak_len = 0usize;
-        let mut mempool_mean_sum = 0.0f64;
-        let mut latencies_ms: Vec<f64> = Vec::new();
-        let mut inclusion_ms: Vec<f64> = Vec::new();
-        for trial in trials {
-            injected += trial.injected;
-            deliveries += trial.deliveries;
-            fully_delivered += trial.fully_delivered;
-            messages += trial.messages;
-            peak_concurrent = peak_concurrent.max(trial.peak_concurrent);
-            detected += trial.detected;
-            included += trial.included;
-            mempool_peak_len = mempool_peak_len.max(trial.mempool_peak_len);
-            mempool_mean_sum += trial.mempool_mean_len;
-            latencies_ms.extend(trial.latencies_us.iter().map(|&us| us as f64 / 1e3));
-            inclusion_ms.extend(trial.inclusion_delays_us.iter().map(|&us| us as f64 / 1e3));
-        }
-        let injected_f = injected as f64;
-        rows.push(SteadyStateRow {
-            protocol: label,
-            rate_per_second: rate,
-            injected,
-            delivered_fraction: if injected == 0 {
-                0.0
-            } else {
-                deliveries as f64 / (injected_f * n as f64)
-            },
-            throughput_tx_per_s: fully_delivered as f64
-                / (horizon_seconds * trial_count.max(1) as f64),
-            p50_delivery_ms: percentile(&latencies_ms, 50.0),
-            p95_delivery_ms: percentile(&latencies_ms, 95.0),
-            p99_delivery_ms: percentile(&latencies_ms, 99.0),
-            mean_messages_per_tx: if injected == 0 {
-                0.0
-            } else {
-                messages as f64 / injected_f
-            },
-            peak_concurrent,
-            mempool_peak_len,
-            mempool_mean_len: mempool_mean_sum / trial_count.max(1) as f64,
-            included_fraction: if injected == 0 {
-                0.0
-            } else {
-                included as f64 / injected_f
-            },
-            mean_inclusion_delay_ms: summarize(&inclusion_ms).mean,
-            first_spy_detection: if injected == 0 {
-                0.0
-            } else {
-                detected as f64 / injected_f
-            },
-        });
-    }
-    rows
-}
-
-/// One row of the virtual-source election ablation (A1).
-#[derive(Clone, Debug)]
-pub struct ElectionAblationRow {
-    /// Election strategy label.
-    pub strategy: &'static str,
-    /// First-spy summary against the flexible protocol under this strategy.
-    pub summary: PrivacySummary,
-}
-
-/// Runs ablation A1 with an automatically sized [`TrialRunner`].
-pub fn election_ablation(
-    n: usize,
-    adversary_fraction: f64,
-    runs: usize,
-    base_seed: u64,
-) -> Vec<ElectionAblationRow> {
-    election_ablation_with(&TrialRunner::auto(), n, adversary_fraction, runs, base_seed)
-}
-
-/// Runs ablation A1: the paper's hash-based virtual-source election versus
-/// keeping the originator as the virtual source.
-///
-/// Both variants run the identical three-phase protocol; only the 1→2
-/// transition differs. The hash-based election decorrelates the diffusion
-/// centre from the true sender, so the first-spy detection probability
-/// should not exceed (and is typically well below) the ablated variant's.
-pub fn election_ablation_with(
-    runner: &TrialRunner,
-    n: usize,
-    adversary_fraction: f64,
-    runs: usize,
-    base_seed: u64,
-) -> Vec<ElectionAblationRow> {
-    use fnp_core::ElectionStrategy;
-    let strategies: [(&'static str, ElectionStrategy); 2] = [
-        ("hash-based", ElectionStrategy::HashBased),
-        ("originator-as-source", ElectionStrategy::OriginatorAsSource),
-    ];
-    let per_cell = runner.run_grid(GridPlan::new(strategies.len(), runs), |arena, cell, run| {
-        let (_, strategy) = strategies[cell];
-        let seed = base_seed + run as u64 * 13;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let graph = standard_overlay_in(arena, n, seed);
-        let origin = NodeId::new(rng.gen_range(0..n));
-        let config = FlexConfig::default().with_election(strategy);
-        let metrics = run_protocol_in(
-            arena,
-            ProtocolKind::Flexible(config),
-            graph,
-            origin,
-            SimConfig {
-                seed,
-                ..SimConfig::default()
-            },
-        )
-        .expect("flexible run");
-        let adversaries = AdversarySet::random_fraction(n, adversary_fraction, &[origin], &mut rng);
-        let view = AdversaryView::from_metrics(&metrics, &adversaries);
-        let outcome = AttackOutcome {
-            origin,
-            estimate: first_spy(&view),
-        };
-        arena.recycle_metrics(metrics);
-        outcome
-    });
-    let mut rows = Vec::new();
-    for ((label, _), trials) in strategies.iter().zip(per_cell) {
-        let mut experiment = PrivacyExperiment::new();
-        for outcome in trials {
-            experiment.record(outcome);
-        }
-        rows.push(ElectionAblationRow {
-            strategy: label,
-            summary: experiment.summary(),
-        });
-    }
-    rows
-}
-
-/// Convenience used by benches and smoke tests: one broadcast of each
-/// protocol over a small overlay; returns the metrics keyed by label.
-pub fn smoke_suite(n: usize, seed: u64) -> Vec<(&'static str, Metrics)> {
-    protocol_suite()
-        .into_iter()
-        .map(|(label, kind)| {
-            let graph = standard_overlay(n, seed);
-            let metrics = run_protocol(
-                kind,
-                graph,
-                NodeId::new(0),
-                SimConfig {
-                    seed,
-                    ..SimConfig::default()
-                },
-            )
-            .expect("protocol run");
-            (label, metrics)
-        })
-        .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn smoke_suite_delivers_everywhere() {
-        for (label, metrics) in smoke_suite(100, 1) {
-            assert_eq!(metrics.coverage(), 1.0, "{label}");
-        }
-    }
-
-    #[test]
-    fn reference_pad_matches_the_crypto_engine() {
-        let key = bench_pad_key(3, 0, 1);
-        let generator = fnp_crypto::prg::PadGenerator::new(key);
-        for (round, len) in [(0u64, 512usize), (1, 64), (7, 1), (9, 130)] {
-            assert_eq!(
-                reference_single_block_pad(&key, round, len),
-                generator.pad(round, len),
-                "round {round} len {len}"
-            );
-        }
-    }
-
-    #[test]
-    fn fused_and_unfused_microbench_lanes_agree() {
-        for k in [2usize, 8, 16] {
-            let table = bench_pad_key_table(k, 42);
-            let participants = bench_keyed_participants(&table);
-            assert_eq!(
-                run_fused_keyed_rounds(&participants, 512, 5),
-                run_unfused_keyed_rounds(&table, 512, 5),
-                "k={k}"
-            );
-        }
-    }
-
-    #[test]
-    fn bench_pad_keys_are_symmetric_and_distinct() {
-        assert_eq!(bench_pad_key(1, 2, 5), bench_pad_key(1, 5, 2));
-        assert_ne!(bench_pad_key(1, 2, 5), bench_pad_key(1, 2, 6));
-        assert_ne!(bench_pad_key(1, 2, 5), bench_pad_key(2, 2, 5));
-    }
-
-    #[test]
-    fn dissent_startup_reproduces_the_paper_anchor() {
-        let rows = dissent_startup(&[4, 8, 10, 12], 5);
-        assert_eq!(rows.len(), 4);
-        // Latency grows with k and hits the tens-of-seconds range at 8–12.
-        assert!(rows
-            .windows(2)
-            .all(|w| w[1].startup_seconds > w[0].startup_seconds));
-        assert!(rows[2].startup_seconds > 15.0 && rows[2].startup_seconds < 60.0);
-        // Message and byte counts also grow with the group size.
-        assert!(rows[3].messages > rows[0].messages);
-        assert!(rows[3].bytes > rows[0].bytes);
-        assert_eq!(rows[1].serial_steps, 8);
-    }
-
-    #[test]
-    fn small_fee_fairness_has_the_right_shape() {
-        let rows = fee_fairness(80, 20, 2, 200, 9);
-        assert_eq!(rows.len(), 4);
-        for row in &rows {
-            assert!(
-                row.jain_index > 0.0 && row.jain_index <= 1.0 + 1e-9,
-                "{row:?}"
-            );
-            assert!(row.gini >= 0.0 && row.gini <= 1.0, "{row:?}");
-            assert!(row.orphaned_fraction <= 1.0);
-        }
-        // Flooding is the latency reference point: it should not be the
-        // slowest to get transactions included.
-        let flood = rows.iter().find(|r| r.protocol == "flood").unwrap();
-        let flexible = rows.iter().find(|r| r.protocol == "flexible").unwrap();
-        assert!(flexible.mean_inclusion_delay_ms >= flood.mean_inclusion_delay_ms * 0.5);
-    }
-
-    #[test]
-    fn election_ablation_never_favours_the_ablated_variant() {
-        let rows = election_ablation(100, 0.2, 6, 21);
-        assert_eq!(rows.len(), 2);
-        let hash_based = &rows[0];
-        let ablated = &rows[1];
-        assert_eq!(hash_based.strategy, "hash-based");
-        // The hash-based election must not be easier to deanonymise than
-        // keeping the originator as the virtual source (small-sample runs
-        // allow equality).
-        assert!(
-            hash_based.summary.detection_probability
-                <= ablated.summary.detection_probability + 1e-9,
-            "hash {:?} vs ablated {:?}",
-            hash_based.summary.detection_probability,
-            ablated.summary.detection_probability
-        );
-    }
-
-    #[test]
-    fn dcnet_cost_rows_follow_the_quadratic_shape() {
-        let rows = dcnet_cost(&[4, 8, 16], 256, 1);
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].explicit_messages, 3 * 4 * 3);
-        assert_eq!(rows[1].keyed_messages, 8 * 7);
-        // Doubling k roughly quadruples both variants.
-        assert!(rows[2].explicit_messages > 3 * rows[1].explicit_messages);
-        assert!(rows[2].idle_bytes_with_reservation < rows[2].idle_bytes_without_reservation);
-    }
-
-    #[test]
-    fn group_overlap_reproduces_the_paper_example() {
-        let rows = group_overlap(&[3], &[1]);
-        assert_eq!(rows.len(), 1);
-        assert!((rows[0].naive_worst_case - 0.5).abs() < 1e-9);
-        assert!((rows[0].smoothed_worst_case - 1.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn small_flood_deanonymization_shows_high_detection() {
-        let rows = flood_deanonymization(&[100], &[0.2], 5, 1);
-        assert_eq!(rows.len(), 1);
-        // Flooding is easy to deanonymise: the first-spy attack should catch
-        // a good fraction of the broadcasts even with few runs.
-        assert!(
-            rows[0].first_spy.detection_probability >= 0.2,
-            "{:?}",
-            rows[0]
-        );
-    }
-
-    #[test]
-    fn small_privacy_bounds_are_below_flooding() {
-        let flood = flood_deanonymization(&[100], &[0.2], 5, 2)[0]
-            .first_spy
-            .detection_probability;
-        let flexible = privacy_bounds(100, &[5], &[4], &[0.2], 5, 2)[0]
-            .summary
-            .detection_probability;
-        assert!(
-            flexible <= flood,
-            "flexible ({flexible}) should not be easier to deanonymise than flooding ({flood})"
-        );
-    }
-
-    #[test]
-    fn small_message_overhead_has_the_right_shape() {
-        // On very small overlays adaptive diffusion can be cheaper than
-        // flooding (tree-shaped spread vs. per-edge redundancy); the paper's
-        // 12 500-vs-7 000 gap is a 1,000-peer figure exercised by the tab1
-        // binary and the `message_overhead` bench. This smoke test checks the
-        // quantities that hold at every size: all counters are populated and
-        // the flexible protocol costs more than plain flooding because it
-        // adds the periodic DC-net rounds on top of the final broadcast.
-        let result = message_overhead(100, 2, 3);
-        assert!(result.adaptive_diffusion_messages > 0.0);
-        assert!(result.flood_messages > 0.0);
-        assert!(result.flexible_messages > 0.0);
-        assert!(
-            result.flexible_messages > result.flood_messages,
-            "flexible ({}) should cost more than flooding ({})",
-            result.flexible_messages,
-            result.flood_messages
-        );
-        assert!(
-            result.overhead_ratio > 0.4,
-            "ratio {}",
-            result.overhead_ratio
-        );
     }
 }

@@ -80,7 +80,7 @@ fn trials_a_then_b_in_one_arena_match_fresh_arena_runs() {
         .expect("protocol run");
         let fresh = run_protocol(
             kind,
-            fnp_bench::standard_overlay(n, seed),
+            fnp_bench::standard_overlay_in(&mut TrialArena::new(), n, seed),
             NodeId::new(trial % n),
             config,
         )
@@ -117,8 +117,13 @@ fn growing_then_shrinking_the_overlay_leaves_no_stale_state() {
             let origin = NodeId::new(n - 1);
             let reused = run_protocol_in(&mut arena, kind, graph, origin, config.clone())
                 .expect("protocol run");
-            let fresh = run_protocol(kind, fnp_bench::standard_overlay(n, 9), origin, config)
-                .expect("protocol run");
+            let fresh = run_protocol(
+                kind,
+                fnp_bench::standard_overlay_in(&mut TrialArena::new(), n, 9),
+                origin,
+                config,
+            )
+            .expect("protocol run");
             assert_eq!(
                 format!("{reused:?}"),
                 format!("{fresh:?}"),

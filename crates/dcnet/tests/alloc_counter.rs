@@ -3,7 +3,7 @@
 //! A counting [`GlobalAlloc`] wraps the system allocator; after a short
 //! warm-up that provisions the pooled contribution buffers, one hundred
 //! silent rounds must not touch the heap at all. This pins the ISSUE-7
-//! acceptance criterion ("zero heap allocations per round in the
+//! acceptance requirement ("zero heap allocations per round in the
 //! steady-state contribute path") as a test rather than a one-off
 //! measurement.
 //!
