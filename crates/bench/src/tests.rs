@@ -67,7 +67,10 @@ const FNV1A64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Runs `rounds` silent keyed DC-net rounds through the fused hot path —
 /// pads XORed straight into pooled slot buffers, contributions combined
-/// by borrowing — and returns an FNV-1a digest over every combined slot.
+/// by borrowing — and returns an FNV-1a digest over every member's
+/// contribution and the combined slot. (The combined slot alone is all
+/// zeros on a silent round whatever the keystream was: any pads both
+/// endpoints agree on cancel.)
 ///
 /// The digest must equal [`run_unfused_keyed_rounds`]' for the same
 /// group: the keystream bytes are identical, only the allocation and
@@ -81,6 +84,7 @@ fn run_fused_keyed_rounds(participants: &[KeyedParticipant], slot_len: usize, ro
             participant
                 .contribute_into(round, slot_len, None, slot)
                 .expect("bench slot length is valid");
+            digest = fnv1a64_bytes(digest, slot);
         }
         let outcome =
             fnp_dcnet::combine_contributions_into(slots.iter().map(Vec::as_slice), &mut combined)
@@ -94,8 +98,9 @@ fn run_fused_keyed_rounds(participants: &[KeyedParticipant], slot_len: usize, ro
 /// Runs the same silent rounds the way the pre-optimisation code did: a
 /// freshly allocated contribution slot per member, a freshly allocated
 /// pad per pair produced by a **single-block** reference keystream, a
-/// separate XOR pass per pad, and a clone-then-XOR combine — the reference
-/// the fused lane is checked against, independent of `fnp-crypto`'s engine.
+/// separate XOR pass per pad, and a separate XOR pass per contribution —
+/// the reference the fused lane is checked against, independent of
+/// `fnp-crypto`'s engine.
 fn run_unfused_keyed_rounds(table: &[Vec<(usize, [u8; 32])>], slot_len: usize, rounds: u64) -> u64 {
     let mut digest = FNV1A64_OFFSET;
     for round in 0..rounds {
@@ -110,8 +115,9 @@ fn run_unfused_keyed_rounds(table: &[Vec<(usize, [u8; 32])>], slot_len: usize, r
                 slot
             })
             .collect();
-        let mut combined = contributions[0].clone();
-        for contribution in &contributions[1..] {
+        let mut combined = fnp_dcnet::slot::silence(slot_len);
+        for contribution in &contributions {
+            digest = fnv1a64_bytes(digest, contribution);
             fnp_crypto::prg::xor_into(&mut combined, contribution);
         }
         assert_eq!(
@@ -218,13 +224,23 @@ fn reference_pad_matches_the_crypto_engine() {
 
 #[test]
 fn fused_and_unfused_microbench_lanes_agree() {
-    for k in [2usize, 8, 16, 32, 64] {
+    // The paper's k = 5 and an eight-plus-one tail (k = 10) beside the
+    // powers of two; a whole number of blocks and a partial last one.
+    for (k, slot_len) in [
+        (2usize, 512usize),
+        (5, 300),
+        (8, 512),
+        (10, 300),
+        (16, 512),
+        (32, 512),
+        (64, 512),
+    ] {
         let table = bench_pad_key_table(k, 42);
         let participants = bench_keyed_participants(&table);
         assert_eq!(
-            run_fused_keyed_rounds(&participants, 512, 5),
-            run_unfused_keyed_rounds(&table, 512, 5),
-            "k={k}"
+            run_fused_keyed_rounds(&participants, slot_len, 5),
+            run_unfused_keyed_rounds(&table, slot_len, 5),
+            "k={k}, slot of {slot_len} B"
         );
     }
 }

@@ -64,7 +64,7 @@ pub mod identity;
 pub mod prg;
 pub mod sha256;
 
-pub use chacha20::ChaCha20;
+pub use chacha20::{ChaCha20, PeerKeys};
 pub use crc32::{crc32, Crc32};
 pub use dh::{pairwise_pad_key, KeyPair, PublicKey};
 pub use hkdf::{hkdf_sha256, Hkdf};
@@ -77,11 +77,39 @@ pub use sha256::Sha256;
 mod tests {
     use super::*;
 
+    /// A key with no repeated byte, for the `Debug` redaction tests.
+    pub(crate) fn distinct_key() -> [u8; 32] {
+        core::array::from_fn(|i| 0xC1 + u8::try_from(i).expect("below 32"))
+    }
+
+    /// Asserts that `printed` (a `Debug` rendering of something keyed with
+    /// [`distinct_key`]) shows no run of key bytes: no two consecutive bytes
+    /// as a decimal list or as hex, and no little-endian key word.
+    pub(crate) fn assert_no_key_run(printed: &str) {
+        for pair in distinct_key().windows(2) {
+            let (a, b) = (pair[0], pair[1]);
+            for run in [
+                format!("{a}, {b}"),
+                format!("{a},\n"),
+                format!("{a:02x}{b:02x}"),
+            ] {
+                assert!(!printed.contains(&run), "{run:?} in {printed}");
+            }
+        }
+        for word in distinct_key().chunks_exact(4) {
+            let word = u32::from_le_bytes(word.try_into().expect("4-byte chunk"));
+            for run in [format!("{word}"), format!("{word:x}")] {
+                assert!(!printed.contains(&run), "{run:?} in {printed}");
+            }
+        }
+    }
+
     #[test]
     fn public_types_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Sha256>();
         assert_send_sync::<ChaCha20>();
+        assert_send_sync::<PeerKeys>();
         assert_send_sync::<Crc32>();
         assert_send_sync::<KeyPair>();
         assert_send_sync::<PublicKey>();

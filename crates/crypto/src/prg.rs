@@ -16,10 +16,12 @@
 //!
 //! Pad generation is stateless — each round's pad is an independent
 //! ChaCha20 stream keyed by `(pairwise key, round)` — so every operation
-//! takes `&self` and a generator can be shared freely. The hot DC-net
-//! contribute path uses the fused [`PadGenerator::xor_pad_into`], which
-//! XORs the keystream directly into the contribution slot without ever
-//! materialising a pad buffer.
+//! takes `&self` and a generator can be shared freely. [`PadGenerator`] is
+//! the pad-by-pad definition: one key, one whole pad. The DC-net contribute
+//! path never materialises a pad — it needs only the XOR of a member's
+//! pads, which [`crate::chacha20::PeerKeys`] produces with the member's
+//! peers as SIMD lanes, folded before anything is stored — and is tested
+//! byte for byte against this type.
 //!
 //! # Examples
 //!
@@ -34,12 +36,21 @@
 //! ```
 
 use crate::chacha20::ChaCha20;
+use core::fmt;
 use rand::Rng;
 
 /// Deterministic generator of per-round pads from a pairwise key.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct PadGenerator {
     key: [u8; 32],
+}
+
+impl fmt::Debug for PadGenerator {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PadGenerator")
+            .field("key", &"<redacted>")
+            .finish()
+    }
 }
 
 impl PadGenerator {
@@ -52,23 +63,9 @@ impl PadGenerator {
     ///
     /// The pad is the ChaCha20 keystream under the pairwise key with the
     /// round number as nonce; both endpoints of the pair derive the
-    /// identical bytes. Allocates — hot paths use
-    /// [`PadGenerator::pad_into`] or [`PadGenerator::xor_pad_into`].
+    /// identical bytes.
     pub fn pad(&self, round: u64, len: usize) -> Vec<u8> {
         ChaCha20::for_round(&self.key, round).keystream(len)
-    }
-
-    /// Writes the pad for `round` into `out` (caller-owned, no allocation).
-    pub fn pad_into(&self, round: u64, out: &mut [u8]) {
-        ChaCha20::for_round(&self.key, round).keystream_into(out);
-    }
-
-    /// XORs the pad for `round` into `dst` in place — the fused form used
-    /// by the DC-net contribute path: the keystream goes straight from the
-    /// cipher's block function into the contribution slot, with no pad
-    /// buffer in between.
-    pub fn xor_pad_into(&self, round: u64, dst: &mut [u8]) {
-        ChaCha20::for_round(&self.key, round).apply_keystream(dst);
     }
 }
 
@@ -186,28 +183,17 @@ mod tests {
     }
 
     #[test]
+    fn pad_generator_debug_prints_no_key_byte_run() {
+        let generator = PadGenerator::new(crate::tests::distinct_key());
+        crate::tests::assert_no_key_run(&format!("{generator:?}"));
+    }
+
+    #[test]
     fn pads_differ_across_rounds_and_keys() {
         let a = PadGenerator::new([1u8; 32]);
         let b = PadGenerator::new([2u8; 32]);
         assert_ne!(a.pad(0, 64), a.pad(1, 64));
         assert_ne!(a.pad(0, 64), b.pad(0, 64));
-    }
-
-    #[test]
-    fn pad_into_and_xor_pad_into_match_pad() {
-        let generator = PadGenerator::new([0x21u8; 32]);
-        for len in [0usize, 1, 64, 100, 512, 513] {
-            let reference = generator.pad(3, len);
-
-            let mut buf = vec![0xAAu8; len];
-            generator.pad_into(3, &mut buf);
-            assert_eq!(buf, reference, "pad_into length {len}");
-
-            let base: Vec<u8> = (0..len).map(|i| u8::try_from(i % 256).unwrap()).collect();
-            let mut fused = base.clone();
-            generator.xor_pad_into(3, &mut fused);
-            assert_eq!(fused, xor(&base, &reference), "xor_pad_into length {len}");
-        }
     }
 
     #[test]

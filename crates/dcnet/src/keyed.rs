@@ -17,12 +17,21 @@
 //! it reduces the per-round cost from `3·k·(k−1)` messages to `k·(k−1)`
 //! (full mesh) while preserving the same anonymity set. Experiment E4
 //! contrasts the two variants.
+//!
+//! A contribution needs the XOR of a member's `k − 1` pads, never a single
+//! pad, and those pads share round and block counter and differ only in
+//! key. [`KeyedParticipant`] therefore keeps its pairwise keys word-sliced
+//! in batches of eight peers ([`PeerKeys`]) and
+//! [`KeyedParticipant::contribute_into`] is "encode the slot, one kernel
+//! call per batch": the peers are the SIMD lanes of one ChaCha20 pass
+//! (consecutive blocks fill the lanes a short batch leaves free) and the
+//! lanes are folded before anything is stored.
 
 use crate::scratch::RoundScratch;
 use crate::slot::{self, SlotOutcome};
+use fnp_crypto::chacha20::PeerKeys;
 use fnp_crypto::dh::{pairwise_pad_key, KeyPair, PublicKey};
-use fnp_crypto::prg::{xor_into, PadGenerator};
-use std::collections::BTreeMap;
+use fnp_crypto::prg::xor_into;
 use std::fmt;
 
 /// Errors produced by the keyed DC-net.
@@ -94,9 +103,9 @@ impl From<slot::PayloadTooLargeError> for KeyedDcError {
 
 /// One member of a keyed DC-net group.
 ///
-/// Holds this member's index and one *stateless* pad generator per other
-/// member. Each generator is keyed by the pairwise secret of that pair and
-/// derives a pad from the round number alone — there is no per-stream
+/// Holds this member's index and the pairwise secret it shares with every
+/// other member, word-sliced eight peers to a batch ([`PeerKeys`]). A pad is
+/// derived from its key and the round number alone — there is no per-stream
 /// position to advance, so producing a contribution takes `&self` and the
 /// same participant can serve any round in any order.
 ///
@@ -107,7 +116,9 @@ impl From<slot::PayloadTooLargeError> for KeyedDcError {
 pub struct KeyedParticipant {
     index: usize,
     size: usize,
-    pads: BTreeMap<usize, PadGenerator>,
+    /// The other members in index order, eight to a batch: peer `p` is the
+    /// `p`-th of them, or the `(p − 1)`-th past this member's own index.
+    batches: Vec<PeerKeys>,
 }
 
 impl fmt::Debug for KeyedParticipant {
@@ -115,7 +126,7 @@ impl fmt::Debug for KeyedParticipant {
         f.debug_struct("KeyedParticipant")
             .field("index", &self.index)
             .field("size", &self.size)
-            .field("pads", &format_args!("<{} pairwise pads>", self.pads.len()))
+            .field("pads", &format_args!("<{} pairwise pads>", self.size - 1))
             .finish()
     }
 }
@@ -170,20 +181,27 @@ impl KeyedParticipant {
         if index >= size {
             return Err(KeyedDcError::MemberOutOfRange { index, size });
         }
-        let mut pads = BTreeMap::new();
+        let mut batches = vec![PeerKeys::default(); (size - 1).div_ceil(PeerKeys::LANES)];
+        let mut received = 0;
         for (peer, key) in pad_keys {
             if peer >= size || peer == index {
                 return Err(KeyedDcError::MemberOutOfRange { index: peer, size });
             }
-            pads.insert(peer, PadGenerator::new(key));
+            let slot = peer - usize::from(peer > index);
+            let fresh = batches[slot / PeerKeys::LANES].set(slot % PeerKeys::LANES, &key);
+            received += usize::from(fresh);
         }
-        if pads.len() != size - 1 {
+        if received != size - 1 {
             return Err(KeyedDcError::MissingContributions {
-                received: pads.len(),
+                received,
                 expected: size - 1,
             });
         }
-        Ok(Self { index, size, pads })
+        Ok(Self {
+            index,
+            size,
+            batches,
+        })
     }
 
     /// This member's index.
@@ -219,11 +237,11 @@ impl KeyedParticipant {
     /// Writes this member's contribution for `round` into `out`.
     ///
     /// In-place form of [`KeyedParticipant::contribution`], and the DC-net
-    /// contribute hot path: the framed slot is built directly in `out` and
-    /// each pairwise pad keystream is XORed into it with the fused
-    /// [`PadGenerator::xor_pad_into`], so no pad buffer is ever
-    /// materialised. Once `out` carries `slot_len` bytes of capacity the
-    /// call performs no heap allocation.
+    /// contribute hot path: the framed slot is built directly in `out`, then
+    /// one [`PeerKeys::xor_round_pads_into`] call per batch of eight peers
+    /// XORs in the sum of that batch's pads, folded across the peers before
+    /// it is stored, so no pad is ever materialised. Once `out` carries
+    /// `slot_len` bytes of capacity the call performs no heap allocation.
     ///
     /// # Errors
     ///
@@ -240,8 +258,8 @@ impl KeyedParticipant {
             Some(payload) => slot::encode_into(payload, slot_len, out)?,
             None => slot::silence_into(slot_len, out),
         }
-        for pad_generator in self.pads.values() {
-            pad_generator.xor_pad_into(round, out);
+        for batch in &self.batches {
+            batch.xor_round_pads_into(round, out);
         }
         Ok(())
     }
@@ -451,12 +469,69 @@ pub fn expected_message_count(k: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fnp_crypto::prg::PadGenerator;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn rng(seed: u64) -> StdRng {
         StdRng::seed_from_u64(seed)
+    }
+
+    /// Member `index`'s pad keys in a `size`-member group, expanded from
+    /// `seed`.
+    fn random_pad_keys(index: usize, size: usize, seed: u64) -> Vec<(usize, [u8; 32])> {
+        let mut r = rng(seed);
+        (0..size)
+            .filter(|&peer| peer != index)
+            .map(|peer| {
+                let mut key = [0u8; 32];
+                rand::RngCore::fill_bytes(&mut r, &mut key);
+                (peer, key)
+            })
+            .collect()
+    }
+
+    /// The contribution composed pad by pad: the framed slot XORed with
+    /// [`PadGenerator::pad`] of every peer, one whole pad at a time.
+    fn contribution_pad_by_pad(
+        pad_keys: &[(usize, [u8; 32])],
+        round: u64,
+        slot_len: usize,
+        payload: Option<&[u8]>,
+    ) -> Vec<u8> {
+        let mut expected = match payload {
+            Some(payload) => slot::encode(payload, slot_len).unwrap(),
+            None => slot::silence(slot_len),
+        };
+        for (_, key) in pad_keys {
+            xor_into(&mut expected, &PadGenerator::new(*key).pad(round, slot_len));
+        }
+        expected
+    }
+
+    #[test]
+    fn contributions_match_pad_by_pad_at_every_lane_tail() {
+        // Last batches of 1, 2, 3, 4, 5, 7 and 8 peers, alone and behind
+        // full batches; slots of no, one, several and a partial last block.
+        for peers in [1usize, 2, 3, 4, 5, 7, 8, 9, 31, 32, 33] {
+            let (index, size) = (peers / 2, peers + 1);
+            let pad_keys = random_pad_keys(index, size, 40 + peers as u64);
+            let member =
+                KeyedParticipant::from_pad_keys(index, size, pad_keys.iter().copied()).unwrap();
+            let mut got = Vec::new();
+            for slot_len in [0usize, 1, 63, 64, 300, 512, 513, 1100] {
+                let payload = (slot_len >= 64).then_some(b"tx".as_slice());
+                member
+                    .contribute_into(7, slot_len, payload, &mut got)
+                    .unwrap();
+                assert_eq!(
+                    got,
+                    contribution_pad_by_pad(&pad_keys, 7, slot_len, payload),
+                    "{peers} peers, slot of {slot_len} B"
+                );
+            }
+        }
     }
 
     #[test]
@@ -693,6 +768,22 @@ mod tests {
                 expected: 3
             })
         ));
+        assert!(matches!(
+            KeyedParticipant::from_pad_keys(1, 3, [(2, key), (2, key)]),
+            Err(KeyedDcError::MissingContributions {
+                received: 1,
+                expected: 2
+            })
+        ));
+        // A repeated peer whose set is otherwise complete keeps the last key.
+        let repeated = [(0, key), (2, [8u8; 32]), (2, [9u8; 32])];
+        assert_eq!(
+            KeyedParticipant::from_pad_keys(1, 3, repeated)
+                .unwrap()
+                .contribution(4, 64, None)
+                .unwrap(),
+            contribution_pad_by_pad(&[(0, key), (2, [9u8; 32])], 4, 64, None)
+        );
     }
 
     #[test]
@@ -730,6 +821,30 @@ mod tests {
             payloads[sender] = Some(payload.clone());
             let report = group.run_round(round, &payloads).unwrap();
             prop_assert_eq!(report.outcome, SlotOutcome::Message(payload));
+        }
+
+        /// The batched multi-key path is byte-identical to the pad-by-pad
+        /// composition for any group size, position, slot length and round,
+        /// whatever order the keys arrive in.
+        #[test]
+        fn prop_contribute_into_matches_pad_by_pad(
+            peers in 1usize..=40,
+            index in any::<usize>(),
+            slot_len in 0usize..=1100,
+            round in any::<u64>(),
+            seed in any::<u64>(),
+        ) {
+            let size = peers + 1;
+            let index = index % size;
+            let mut pad_keys = random_pad_keys(index, size, seed);
+            let member =
+                KeyedParticipant::from_pad_keys(index, size, pad_keys.iter().rev().copied())
+                    .unwrap();
+            let payload = (slot_len >= 16).then_some(b"payload".as_slice());
+            let mut got = b"stale".to_vec();
+            member.contribute_into(round, slot_len, payload, &mut got).unwrap();
+            pad_keys.rotate_left(peers / 3);
+            prop_assert_eq!(got, contribution_pad_by_pad(&pad_keys, round, slot_len, payload));
         }
     }
 }
