@@ -104,6 +104,7 @@ impl CachedGroup {
                     size,
                     self.pad_keys[own_index].iter().copied(),
                 )
+                .map(Rc::new)
                 .expect("cached groups always have at least two members");
                 (
                     *node,

@@ -49,10 +49,11 @@ const PHASE_FLOODING: u8 = 1;
 ///
 /// The member list and identity table are identical for every member of a
 /// group, so they are reference-counted and shared between the `k`
-/// memberships instead of deep-copied `k` times at setup. Cloning shares
-/// the member/identity tables and copies the keyed participant, giving
-/// each in-flight transaction of a steady-state session its own DC-net
-/// engine at the same group position.
+/// memberships instead of deep-copied `k` times at setup. The keyed
+/// participant is immutable once built (rounds only read its pad keys), so
+/// it is reference-counted too: cloning a membership — what every
+/// per-transaction instance of a steady-state session does — is three
+/// refcount bumps and copies no key material.
 #[derive(Clone, Debug)]
 pub struct GroupMembership {
     /// The group members' overlay node ids, sorted ascending (shared
@@ -63,8 +64,9 @@ pub struct GroupMembership {
     /// The members' public identities (same order as `members`), used for
     /// the virtual-source election (shared between all members).
     pub identities: Rc<[Identity]>,
-    /// The keyed DC-net participant holding the pairwise pad generators.
-    pub participant: KeyedParticipant,
+    /// The keyed DC-net participant holding the pairwise pad generators
+    /// (shared between this node's per-transaction instances).
+    pub participant: Rc<KeyedParticipant>,
 }
 
 /// State of the phase-1 DC-net engine on one node.
@@ -549,14 +551,7 @@ impl FlexNode {
             out.set_timer(self.config.ad_round_interval, TIMER_AD_ROUND);
         } else {
             out.record("flex-ad-pass");
-            let received_from = token.received_from;
-            let candidates: Vec<NodeId> = view
-                .neighbors()
-                .iter()
-                .copied()
-                .filter(|n| Some(*n) != received_from)
-                .collect();
-            if candidates.is_empty() {
+            let Some(next) = view.random_neighbor_except(token.received_from) else {
                 let round = token.round;
                 view.mark_round_seen(round);
                 self.ad.token = Some(token);
@@ -564,8 +559,7 @@ impl FlexNode {
                 self.grow_frontier(round, &[], view, out);
                 out.set_timer(self.config.ad_round_interval, TIMER_AD_ROUND);
                 return;
-            }
-            let next = candidates[view.rng().gen_range(0..candidates.len())];
+            };
             if !self.ad.children.contains(&next) && self.ad.parent != Some(next) {
                 out.send(
                     next,
@@ -638,9 +632,10 @@ impl ProtocolCore for FlexNode {
 }
 
 impl SteadyProtocol for FlexNode {
-    /// A per-transaction instance shares the node's group tables and slot
-    /// scratch pool and copies the keyed participant, so each in-flight
-    /// transaction runs its own DC-net rounds at the same group position.
+    /// A per-transaction instance shares the node's group tables, keyed
+    /// participant and slot scratch pool, and starts with DC-round state of
+    /// its own: each in-flight transaction runs its own DC-net rounds at
+    /// the same group position, on the same pad keys.
     fn per_tx_instance(&self) -> Self {
         FlexNode::with_scratch(self.config, self.group.clone(), Rc::clone(&self.scratch))
     }

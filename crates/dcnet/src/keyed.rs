@@ -109,9 +109,11 @@ impl From<slot::PayloadTooLargeError> for KeyedDcError {
 /// position to advance, so producing a contribution takes `&self` and the
 /// same participant can serve any round in any order.
 ///
-/// Cloning copies the pairwise pad keys: a clone serves the same group
-/// position, which is what the steady-state sessions use to run one DC-net
-/// engine per in-flight transaction.
+/// Cloning copies the pairwise pad keys (a clone serves the same group
+/// position). Because contributing only reads them, callers that need the
+/// same participant in many places — the steady-state sessions run one
+/// DC-net engine per in-flight transaction — share it behind an `Rc`
+/// instead.
 #[derive(Clone)]
 pub struct KeyedParticipant {
     index: usize,

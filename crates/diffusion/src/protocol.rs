@@ -190,12 +190,10 @@ impl AdaptiveDiffusionNode {
         out.deliver();
         out.record("ad-origin");
 
-        let neighbors = view.neighbors().to_vec();
-        if neighbors.is_empty() {
+        let Some(first) = view.random_neighbor_except(None) else {
             self.infection = Some(infection);
             return;
-        }
-        let first = neighbors[view.rng().gen_range(0..neighbors.len())];
+        };
         out.send(first, AdMessage::Infect { round: 0 });
         out.send(
             first,
@@ -306,14 +304,7 @@ impl AdaptiveDiffusionNode {
             out.record("ad-pass");
             // Pass the token to a random neighbour other than the one we got
             // it from. If no such neighbour exists we keep it instead.
-            let received_from = token.received_from;
-            let candidates: Vec<NodeId> = view
-                .neighbors()
-                .iter()
-                .copied()
-                .filter(|n| Some(*n) != received_from)
-                .collect();
-            if candidates.is_empty() {
+            let Some(next) = view.random_neighbor_except(token.received_from) else {
                 let round = token.round;
                 infection.token = Some(token);
                 view.mark_round_seen(round);
@@ -321,8 +312,7 @@ impl AdaptiveDiffusionNode {
                 self.grow_frontier(round, &[], view, out);
                 out.set_timer(self.params.round_interval, ROUND_TIMER);
                 return;
-            }
-            let next = candidates[view.rng().gen_range(0..candidates.len())];
+            };
             if !infection.children.contains(&next) && infection.parent != Some(next) {
                 out.send(next, AdMessage::Infect { round: token.round });
                 infection.children.push(next);

@@ -62,7 +62,8 @@ impl LanePool {
     /// Returns a lane set to the pool. The contents are irrelevant — the
     /// next [`acquire`](Self::acquire) re-zeroes them.
     pub fn release(&mut self, lanes: HotState) {
-        self.live = self.live.saturating_sub(1);
+        debug_assert!(self.live > 0, "released more lane sets than acquired");
+        self.live -= 1;
         self.free.push(lanes);
     }
 
@@ -110,6 +111,16 @@ mod tests {
         pool.release(c);
         assert_eq!(pool.live(), 0);
         assert_eq!(pool.peak_live(), 2);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "released more lane sets than acquired")]
+    fn a_double_release_is_caught() {
+        let mut pool = LanePool::new(2);
+        let lanes = pool.acquire();
+        pool.release(lanes.clone());
+        pool.release(lanes);
     }
 
     #[test]

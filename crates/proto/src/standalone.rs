@@ -124,6 +124,26 @@ mod tests {
     }
 
     #[test]
+    fn random_neighbor_draws_like_an_index_into_the_eligible_list() {
+        use rand::Rng;
+        let ids = |indices: &[usize]| indices.iter().map(|&i| NodeId::new(i)).collect::<Vec<_>>();
+        let mut env = StandaloneEnv::new(NodeId::new(0), 9, ids(&[1, 3, 5, 8]), 11);
+        let mut reference = env.clone();
+        let eligible = ids(&[1, 3, 8]);
+        for _ in 0..50 {
+            let expected = eligible[reference.rng().gen_range(0..eligible.len())];
+            let drawn = env.random_neighbor_except(Some(NodeId::new(5)));
+            assert_eq!(drawn, Some(expected));
+        }
+
+        // No eligible neighbour: `None`, and no draw is consumed.
+        let mut lone = StandaloneEnv::new(NodeId::new(0), 2, ids(&[1]), 3);
+        let untouched = lone.clone().rng().gen_range(0..u64::MAX);
+        assert_eq!(lone.random_neighbor_except(Some(NodeId::new(1))), None);
+        assert_eq!(lone.rng().gen_range(0..u64::MAX), untouched);
+    }
+
+    #[test]
     fn hot_lanes_roundtrip() {
         let mut env = StandaloneEnv::new(NodeId::new(0), 1, vec![], 0);
         assert!(!env.set_seen());

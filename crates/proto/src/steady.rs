@@ -21,9 +21,21 @@
 //! * [`SteadySession`] is the shared per-trial bookkeeping: a
 //!   [`LanePool`] of per-transaction hot lanes, exact in-flight event
 //!   accounting per transaction (each message and pending timer counts;
-//!   when a transaction's count drains to zero its lanes are recycled),
-//!   the delivery log that feeds latency percentiles and the mempool
-//!   replay, and the first-spy observation record for privacy-under-load.
+//!   when a transaction's count drains to zero it retires), the delivery
+//!   log that feeds latency percentiles and the mempool replay, and the
+//!   first-spy observation record for privacy-under-load.
+//!
+//! A live transaction *is* a slot. Transaction ids are dense, so the
+//! session keeps each transaction's record — in-flight count, leased lane
+//! set, slot — at `txs[tx]`; the slot is a small number leased with the
+//! lanes at arrival and returned to a free list at retirement, so there are
+//! never more slots than the session's peak concurrency. Every node indexes
+//! its instance table by that slot and stamps each entry with the
+//! transaction that owns it: an entry stamped with another transaction is
+//! stale — its owner retired and the slot was recycled — and is dropped
+//! where it is found. Routing an event is therefore one session borrow, two
+//! indexed loads and a stamp comparison, whatever the number of live
+//! transactions; nothing is keyed, searched or swept.
 //!
 //! Arrivals are precomputed (see [`fnp_netsim::arrival`]) and scheduled as
 //! ordinary timers at `Init`, so the whole session rides the existing time
@@ -45,7 +57,6 @@ use fnp_netsim::{
 };
 use rand::rngs::StdRng;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// Extra wire bytes accounted for the transaction tag a steady-state
@@ -151,12 +162,11 @@ struct TxState {
     /// Events (messages in flight + pending timers) that will still arrive
     /// as inputs for this transaction. Starts at 1: the arrival timer.
     inflight: u64,
-    injected_at: SimTime,
-    origin: NodeId,
-    delivered_count: usize,
-    first_miner_delivery: Option<SimTime>,
-    first_spy_estimate: Option<NodeId>,
-    completed_at: Option<SimTime>,
+    /// From arrival until the last event drains: the leased lane set, and
+    /// the slot — the index of this transaction's instance in every node's
+    /// table — leased with it.
+    lease: Option<(HotState, usize)>,
+    outcome: TxOutcome,
 }
 
 /// Shared per-trial session state (one per simulation, behind
@@ -164,12 +174,10 @@ struct TxState {
 #[derive(Debug)]
 pub struct SteadySession {
     lanes: LanePool,
+    /// Slots returned by retired transactions, reused before a new one is
+    /// numbered — so the slot count equals the pool's `peak_live`.
+    free_slots: Vec<usize>,
     txs: Vec<TxState>,
-    /// Live per-transaction lane sets.
-    active: BTreeMap<u64, HotState>,
-    /// Transactions whose last event drained, in retirement order; nodes
-    /// consume this with a cursor to drop their retired instances.
-    retired: Vec<u64>,
     adversary: Vec<bool>,
     miner_count: usize,
     latencies_us: Vec<u64>,
@@ -177,33 +185,58 @@ pub struct SteadySession {
 
 impl SteadySession {
     /// Builds the session bookkeeping for an `n`-node overlay.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the offender, if an adversary or an arrival's origin
+    /// is not one of the `n` nodes, if an arrival is scheduled at time 0, or
+    /// if the arrivals outnumber the timer-tag namespace's transaction ids.
     #[must_use]
     pub fn new(n: usize, arrivals: &[Arrival], adversaries: &[NodeId], miner_count: usize) -> Self {
+        assert_tx_ids_fit(arrivals.len());
         let mut adversary = vec![false; n];
-        for node in adversaries {
-            adversary[node.index()] = true;
+        for node in adversaries.iter().map(|node| node.index()) {
+            assert!(
+                node < n,
+                "adversary node {node} is outside the {n}-node overlay"
+            );
+            adversary[node] = true;
         }
-        let txs = arrivals
-            .iter()
-            .map(|arrival| TxState {
+        let state = |(tx, arrival): (usize, &Arrival)| {
+            let (at, origin) = (arrival.at, arrival.origin.index());
+            assert!(
+                origin < n,
+                "transaction {tx} originates at node {origin}, outside the {n}-node overlay"
+            );
+            assert!(at > 0, "transaction {tx} arrives at time 0, not after it");
+            TxState {
                 inflight: 1,
-                injected_at: arrival.at,
-                origin: arrival.origin,
-                delivered_count: 0,
-                first_miner_delivery: None,
-                first_spy_estimate: None,
-                completed_at: None,
-            })
-            .collect();
+                lease: None,
+                outcome: TxOutcome {
+                    origin: arrival.origin,
+                    injected_at: at,
+                    delivered_count: 0,
+                    first_miner_delivery: None,
+                    first_spy_estimate: None,
+                    completed_at: None,
+                },
+            }
+        };
         Self {
             lanes: LanePool::new(n),
-            txs,
-            active: BTreeMap::new(),
-            retired: Vec::new(),
+            free_slots: Vec::new(),
+            txs: arrivals.iter().enumerate().map(state).collect(),
             adversary,
             miner_count,
             latencies_us: Vec::new(),
         }
+    }
+
+    /// Slots on the free list: every slot the session ever numbered — its
+    /// peak concurrency — less those on lease to live transactions.
+    #[must_use]
+    pub fn free_slots(&self) -> usize {
+        self.free_slots.len()
     }
 
     #[allow(clippy::cast_possible_truncation)] // tx ids are dense indices
@@ -211,24 +244,41 @@ impl SteadySession {
         &mut self.txs[tx as usize]
     }
 
-    fn record_delivery(&mut self, tx: u64, node: NodeId, now: SimTime) {
-        let miner_count = self.miner_count;
+    /// Leases lanes and a slot to the arriving `tx`.
+    fn admit(&mut self, tx: u64) {
+        // With the free list empty, slots `0..live` are exactly the leased
+        // ones, so the next new slot is numbered `live`.
+        let slot = self.free_slots.pop().unwrap_or(self.lanes.live());
+        self.tx(tx).lease = Some((self.lanes.acquire(), slot));
+    }
+
+    /// Credits `tx` with the `spawned` events a poll put in flight, and
+    /// retires it — lanes to the pool, slot to the free list — at zero.
+    fn settle(&mut self, tx: u64, spawned: u64, now: SimTime) {
         let state = self.tx(tx);
-        state.delivered_count += 1;
-        if node.index() < miner_count && state.first_miner_delivery.is_none() {
-            state.first_miner_delivery = Some(now);
+        state.inflight += spawned;
+        if state.inflight == 0 {
+            state.outcome.completed_at = Some(now);
+            let (lane, slot) = state.lease.take().expect("leased until retirement");
+            self.lanes.release(lane);
+            self.free_slots.push(slot);
         }
-        let latency = now.saturating_sub(state.injected_at);
+    }
+
+    fn record_delivery(&mut self, tx: u64, node: NodeId, now: SimTime) {
+        let is_miner = node.index() < self.miner_count;
+        let outcome = &mut self.tx(tx).outcome;
+        outcome.delivered_count += 1;
+        if is_miner && outcome.first_miner_delivery.is_none() {
+            outcome.first_miner_delivery = Some(now);
+        }
+        let latency = now.saturating_sub(outcome.injected_at);
         self.latencies_us.push(latency);
     }
 
     fn observe(&mut self, tx: u64, receiver: NodeId, from: NodeId) {
-        if !self.adversary[receiver.index()] {
-            return;
-        }
-        let state = self.tx(tx);
-        if state.first_spy_estimate.is_none() {
-            state.first_spy_estimate = Some(from);
+        if self.adversary[receiver.index()] {
+            self.tx(tx).outcome.first_spy_estimate.get_or_insert(from);
         }
     }
 
@@ -237,18 +287,7 @@ impl SteadySession {
     pub fn into_report(self) -> SteadyReport {
         SteadyReport {
             peak_concurrent: self.lanes.peak_live(),
-            per_tx: self
-                .txs
-                .into_iter()
-                .map(|state| TxOutcome {
-                    origin: state.origin,
-                    injected_at: state.injected_at,
-                    delivered_count: state.delivered_count,
-                    first_miner_delivery: state.first_miner_delivery,
-                    first_spy_estimate: state.first_spy_estimate,
-                    completed_at: state.completed_at,
-                })
-                .collect(),
+            per_tx: self.txs.into_iter().map(|state| state.outcome).collect(),
             latencies_us: self.latencies_us,
         }
     }
@@ -277,16 +316,15 @@ enum TxEvent<M> {
 #[derive(Debug)]
 pub struct SteadyNode<C: SteadyProtocol> {
     prototype: C,
-    /// Live per-transaction instances; the bool records whether `Init` has
-    /// been polled on the instance.
-    instances: BTreeMap<u64, (C, bool)>,
+    /// Per-transaction instances, indexed by the transaction's session
+    /// slot: `(owner, instance, whether Init has been polled on it)`. An
+    /// entry whose owner is not the transaction being routed is stale.
+    instances: Vec<Option<(u64, C, bool)>>,
     session: Rc<RefCell<SteadySession>>,
     /// Injections this node performs, as `(at, tx)` timer schedules.
     arrivals: Vec<(SimTime, u64)>,
     /// Reused inner mailbox (drained into the outer one after every poll).
     inner: Mailbox<C::Message>,
-    /// Cursor into the session's retirement log.
-    pruned: usize,
 }
 
 impl<C: SteadyProtocol> SteadyNode<C> {
@@ -302,18 +340,20 @@ impl<C: SteadyProtocol> SteadyNode<C> {
     ) -> Self {
         Self {
             prototype,
-            instances: BTreeMap::new(),
+            instances: Vec::new(),
             session,
             arrivals,
             inner: Mailbox::new(),
-            pruned: 0,
         }
     }
 
-    /// The number of transaction instances currently alive on this node.
+    /// The number of occupied slots in this node's instance table: the
+    /// instances of live transactions, plus stale ones — their transaction
+    /// retired — that stay until their slot is reused. Never more than the
+    /// session's peak concurrency.
     #[must_use]
     pub fn live_instances(&self) -> usize {
-        self.instances.len()
+        self.instances.iter().flatten().count()
     }
 
     fn handle<V: NodeView>(
@@ -323,114 +363,104 @@ impl<C: SteadyProtocol> SteadyNode<C> {
         view: &mut V,
         out: &mut Mailbox<Tagged<C::Message>>,
     ) {
-        // Prologue: consume the input in the session's in-flight
-        // accounting, check the transaction's lanes out, drop instances of
-        // transactions retired since this node was last polled.
-        let mut lane = {
-            let mut sess = self.session.borrow_mut();
-            for &retired in &sess.retired[self.pruned..] {
-                self.instances.remove(&retired);
-            }
-            self.pruned = sess.retired.len();
-            {
-                let state = sess.tx(tx);
-                debug_assert!(state.inflight > 0, "input for a drained transaction");
-                state.inflight -= 1;
-            }
-            if let TxEvent::Message { from, .. } = &event {
-                sess.observe(tx, view.node_id(), *from);
-            }
-            match event {
-                TxEvent::Arrival => sess.lanes.acquire(),
-                _ => sess
-                    .active
-                    .remove(&tx)
-                    .expect("live transaction has lanes checked in"),
-            }
-        };
-
-        // Poll the transaction's instance against its own lanes.
-        debug_assert!(self.inner.is_empty());
         let node = view.node_id();
-        {
-            let mut lane_view = LaneView {
-                lane: &mut lane,
-                node,
-                view,
-            };
-            match event {
-                TxEvent::Arrival => {
-                    let mut instance = self.prototype.per_tx_instance();
+        let now = view.now();
+        let mut session = self.session.borrow_mut();
+        let sess = &mut *session;
+
+        // Account: consume the input in the transaction's in-flight count
+        // and find its lanes and slot.
+        match &event {
+            TxEvent::Arrival => sess.admit(tx),
+            TxEvent::Message { from, .. } => sess.observe(tx, node, *from),
+            TxEvent::Timer { .. } => {}
+        }
+        let state = sess.tx(tx);
+        debug_assert!(state.inflight > 0, "input for a drained transaction");
+        state.inflight -= 1;
+        let (lane, slot) = state.lease.as_mut().expect("live transaction has a lease");
+        let slot = *slot;
+
+        // Stamp check: whatever another transaction left in this slot
+        // belongs to a retired owner.
+        if self.instances.len() <= slot {
+            self.instances.resize_with(slot + 1, || None);
+        }
+        let entry = &mut self.instances[slot];
+        if entry.as_ref().is_some_and(|(owner, ..)| *owner != tx) {
+            *entry = None;
+        }
+
+        // Poll the transaction's instance against its own lanes, borrowed
+        // in place (the inner core cannot reach the session).
+        debug_assert!(self.inner.is_empty());
+        let mut lane_view = LaneView { lane, node, view };
+        match event {
+            TxEvent::Arrival => {
+                let (_, instance, _) = entry.insert((tx, self.prototype.per_tx_instance(), true));
+                instance.poll(Input::Init, &mut lane_view, &mut self.inner);
+                instance.start_tx(tx, &mut lane_view, &mut self.inner);
+            }
+            TxEvent::Message { from, message } => {
+                let (_, instance, inited) =
+                    entry.get_or_insert_with(|| (tx, self.prototype.per_tx_instance(), false));
+                if !*inited && C::wants_init(&message) {
                     instance.poll(Input::Init, &mut lane_view, &mut self.inner);
-                    instance.start_tx(tx, &mut lane_view, &mut self.inner);
-                    self.instances.insert(tx, (instance, true));
+                    *inited = true;
                 }
-                TxEvent::Message { from, message } => {
-                    if !self.instances.contains_key(&tx) {
-                        let instance = self.prototype.per_tx_instance();
-                        self.instances.insert(tx, (instance, false));
-                    }
-                    let (instance, inited) = self
-                        .instances
-                        .get_mut(&tx)
-                        .expect("inserted above if absent");
-                    if !*inited && C::wants_init(&message) {
-                        instance.poll(Input::Init, &mut lane_view, &mut self.inner);
-                        *inited = true;
-                    }
-                    instance.poll(
-                        Input::Message { from, message },
-                        &mut lane_view,
-                        &mut self.inner,
-                    );
-                }
-                TxEvent::Timer { tag } => {
-                    // Only a live instance can have set the timer.
-                    if let Some((instance, _)) = self.instances.get_mut(&tx) {
-                        instance.poll(Input::TimerFired { tag }, &mut lane_view, &mut self.inner);
-                    }
+                instance.poll(
+                    Input::Message { from, message },
+                    &mut lane_view,
+                    &mut self.inner,
+                );
+            }
+            TxEvent::Timer { tag } => {
+                // Only a live instance can have set the timer.
+                if let Some((_, instance, _)) = entry {
+                    instance.poll(Input::TimerFired { tag }, &mut lane_view, &mut self.inner);
                 }
             }
         }
 
-        // Epilogue: translate the inner effects onto the shared wire and
-        // settle the transaction's in-flight balance.
-        let now = view.now();
-        let mut sess = self.session.borrow_mut();
+        // Translate the inner effects onto the shared wire, then settle
+        // the transaction's in-flight balance: retire or keep.
+        let mut spawned = 0;
         for effect in self.inner.drain() {
             match effect {
                 Effect::Send { to, message } => {
-                    sess.tx(tx).inflight += 1;
+                    spawned += 1;
                     out.send(to, Tagged { tx, inner: message });
                 }
                 Effect::Broadcast { message, excluded } => {
-                    let fanout = view
+                    spawned += view
                         .neighbors()
                         .iter()
                         .filter(|neighbor| !excluded.contains(neighbor))
                         .count() as u64;
-                    sess.tx(tx).inflight += fanout;
                     out.push(Effect::Broadcast {
                         message: Tagged { tx, inner: message },
                         excluded,
                     });
                 }
                 Effect::SetTimer { delay, tag } => {
-                    sess.tx(tx).inflight += 1;
+                    spawned += 1;
                     out.set_timer(delay, encode_timer(tx, tag));
                 }
                 Effect::Deliver => sess.record_delivery(tx, node, now),
                 Effect::Counter { name, amount } => out.record_many(name, amount),
             }
         }
-        if sess.tx(tx).inflight == 0 {
-            sess.tx(tx).completed_at = Some(now);
-            sess.lanes.release(lane);
-            sess.retired.push(tx);
-        } else {
-            sess.active.insert(tx, lane);
-        }
+        sess.settle(tx, spawned, now);
     }
+}
+
+/// Panics if `count` transactions would wrap the timer-tag namespace.
+fn assert_tx_ids_fit(count: usize) {
+    let ids = 1u64 << (u64::BITS - TAG_SLOT_BITS);
+    assert!(
+        count as u64 <= ids,
+        "{count} arrivals exceed the {ids} transaction ids of the timer-tag namespace"
+    );
 }
 
 /// Encodes an inner timer tag into the shared timer-tag namespace.
@@ -554,7 +584,8 @@ impl<V: NodeView> NodeView for LaneView<'_, V> {
 ///
 /// # Panics
 ///
-/// Panics if `prototypes.len()` differs from the overlay size.
+/// Panics if `prototypes.len()` differs from the overlay size, and on the
+/// arrivals and adversaries [`SteadySession::new`] rejects.
 pub fn run_steady_in<C: SteadyProtocol + 'static>(
     arena: &mut TrialArena,
     graph: Graph,
@@ -635,6 +666,51 @@ mod tests {
     #[should_panic(expected = "tag namespace")]
     fn oversized_inner_tags_are_rejected() {
         let _ = encode_timer(0, TAG_SLOT_MASK);
+    }
+
+    #[test]
+    #[should_panic(expected = "transaction 1 originates at node 6, outside the 6-node overlay")]
+    fn an_origin_outside_the_overlay_is_rejected_by_name() {
+        let arrivals = [arrival(10, 4), arrival(20, 6)];
+        let _ = SteadySession::new(6, &arrivals, &[], 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "adversary node 9 is outside the 6-node overlay")]
+    fn an_adversary_outside_the_overlay_is_rejected_by_name() {
+        let _ = SteadySession::new(6, &[], &[NodeId::new(3), NodeId::new(9)], 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "transaction 2 arrives at time 0")]
+    fn an_arrival_at_time_zero_is_rejected_by_name() {
+        let arrivals = [arrival(10, 4), arrival(20, 5), arrival(0, 1)];
+        let _ = run_steady_in(
+            &mut TrialArena::new(),
+            ring(6),
+            vec![MiniFlood; 6],
+            &arrivals,
+            &[],
+            0,
+            SimConfig::default(),
+        );
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "transaction ids of the timer-tag namespace")]
+    fn more_arrivals_than_transaction_ids_are_rejected() {
+        // Ids are 48 bits. No slice that long can be built, so the count
+        // check is exercised on its own.
+        assert_tx_ids_fit(1 << 48);
+        assert_tx_ids_fit((1 << 48) + 1);
+    }
+
+    fn arrival(at: SimTime, origin: usize) -> Arrival {
+        Arrival {
+            at,
+            origin: NodeId::new(origin),
+        }
     }
 
     #[test]
@@ -817,5 +893,195 @@ mod tests {
         let warm = run(&mut arena);
         assert_eq!(fresh, cold);
         assert_eq!(fresh, warm);
+    }
+
+    /// `run_steady_in` wired by hand, without an arena, so the nodes and
+    /// the session survive the run for inspection.
+    fn run_kept<C: SteadyProtocol + 'static>(
+        graph: Graph,
+        prototypes: Vec<C>,
+        arrivals: &[Arrival],
+        seed: u64,
+    ) -> (Vec<SteadyNode<C>>, Rc<RefCell<SteadySession>>) {
+        let n = graph.node_count();
+        let session = Rc::new(RefCell::new(SteadySession::new(n, arrivals, &[], 0)));
+        let mut per_node = vec![Vec::new(); n];
+        for (tx, arrival) in arrivals.iter().enumerate() {
+            per_node[arrival.origin.index()].push((arrival.at, tx as u64));
+        }
+        let nodes = prototypes
+            .into_iter()
+            .zip(per_node)
+            .map(|(prototype, arrivals)| {
+                SimDriver::new(SteadyNode::new(prototype, Rc::clone(&session), arrivals))
+            })
+            .collect();
+        let config = SimConfig {
+            seed,
+            ..SimConfig::default()
+        };
+        let mut sim = Simulator::new(graph, nodes, config);
+        sim.run();
+        let (nodes, _) = sim.into_parts();
+        (
+            nodes.into_iter().map(SimDriver::into_core).collect(),
+            session,
+        )
+    }
+
+    #[test]
+    fn random_schedules_leak_no_lane_slot_or_instance() {
+        use rand::{Rng, SeedableRng};
+        let mut recycled = false;
+        let mut overlapped = false;
+        for seed in 0..24 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(5..20);
+            // Gaps from back-to-back to well past a ring's flight time
+            // (~100 ms a hop), so concurrency rises and falls within a run.
+            let mut at = 0;
+            let arrivals: Vec<Arrival> = (0..rng.gen_range(1..40))
+                .map(|_| {
+                    at += rng.gen_range(1..3_000_000);
+                    arrival(at, rng.gen_range(0..n))
+                })
+                .collect();
+            let (nodes, session) = run_kept(ring(n), vec![MiniFlood; n], &arrivals, seed);
+            let session = session.borrow();
+            let peak = session.lanes.peak_live();
+            assert_eq!(session.lanes.live(), 0, "seed {seed}: lanes on lease");
+            assert_eq!(session.free_slots(), peak, "seed {seed}: a slot was lost");
+            let mut slots = session.free_slots.clone();
+            slots.sort_unstable();
+            assert!(
+                slots.into_iter().eq(0..peak),
+                "seed {seed}: slots not dense"
+            );
+            for (tx, state) in session.txs.iter().enumerate() {
+                assert!(state.lease.is_none(), "seed {seed}: tx {tx} kept its lease");
+                assert!(state.outcome.completed_at.is_some(), "seed {seed}: tx {tx}");
+                assert_eq!(state.outcome.delivered_count, n, "seed {seed}: tx {tx}");
+            }
+            for node in &nodes {
+                assert!(
+                    node.instances.len() <= peak,
+                    "seed {seed}: table outgrew peak"
+                );
+                assert!(node.live_instances() <= peak);
+            }
+            recycled |= arrivals.len() > peak;
+            overlapped |= peak > 2;
+        }
+        assert!(
+            recycled && overlapped,
+            "schedules must both overlap and recycle"
+        );
+    }
+
+    /// A core whose per-instance state is observable: it reports how many
+    /// times it has been entered through the `entries` counter.
+    #[derive(Debug, Default)]
+    struct EntryCounter {
+        entries: u64,
+    }
+
+    impl ProtocolCore for EntryCounter {
+        type Message = Ping;
+
+        fn poll<V: NodeView>(&mut self, input: Input<Ping>, _: &mut V, out: &mut Mailbox<Ping>) {
+            if !matches!(input, Input::Init) {
+                self.entries += 1;
+                out.record_many("entries", self.entries);
+            }
+        }
+    }
+
+    impl SteadyProtocol for EntryCounter {
+        fn per_tx_instance(&self) -> Self {
+            Self::default()
+        }
+
+        fn start_tx(&mut self, _tx: u64, _: &mut impl NodeView, out: &mut Mailbox<Ping>) {
+            self.entries += 1;
+            out.send(NodeId::new(1), Ping);
+        }
+    }
+
+    #[test]
+    fn a_recycled_slot_spawns_a_pristine_instance_and_orphan_timers_are_ignored() {
+        use crate::standalone::StandaloneEnv;
+        // Three back-to-back transactions from node 0, each retired before
+        // the next arrives, so all three are handed slot 0.
+        let arrivals = [arrival(1, 0), arrival(2, 0), arrival(3, 0)];
+        let session = Rc::new(RefCell::new(SteadySession::new(2, &arrivals, &[], 0)));
+        let node = |id| {
+            let neighbors = vec![NodeId::new(1 - id)];
+            (
+                SteadyNode::new(EntryCounter::default(), Rc::clone(&session), Vec::new()),
+                StandaloneEnv::new(NodeId::new(id), 2, neighbors, 7),
+            )
+        };
+        let (mut origin, mut origin_env) = node(0);
+        let (mut relay, mut relay_env) = node(1);
+        let mut out = Mailbox::new();
+        let mut effects = |node: &mut SteadyNode<EntryCounter>, env: &mut StandaloneEnv, input| {
+            node.poll(input, env, &mut out);
+            out.drain().collect::<Vec<_>>()
+        };
+        let arrive = |tx: u64| Input::TimerFired {
+            tag: tx << TAG_SLOT_BITS,
+        };
+        let relayed = |tx| Input::Message {
+            from: NodeId::new(0),
+            message: Tagged { tx, inner: Ping },
+        };
+        let entries = |amount| Effect::Counter {
+            name: "entries",
+            amount,
+        };
+
+        // Transaction 0 runs origin → relay and retires; the relay keeps
+        // its instance, stale, in slot 0.
+        let sent = effects(&mut origin, &mut origin_env, arrive(0));
+        assert_eq!(
+            sent,
+            [Effect::Send {
+                to: NodeId::new(1),
+                message: Tagged { tx: 0, inner: Ping }
+            }]
+        );
+        assert_eq!(
+            effects(&mut relay, &mut relay_env, relayed(0)),
+            [entries(1)]
+        );
+        assert_eq!(session.borrow().lanes.live(), 0);
+        assert_eq!(session.borrow().free_slots(), 1);
+        assert_eq!(relay.live_instances(), 1);
+
+        // Transaction 1 is handed the same slot: its first message at the
+        // relay must meet a pristine instance, not transaction 0's.
+        effects(&mut origin, &mut origin_env, arrive(1));
+        assert!(matches!(session.borrow().txs[1].lease, Some((_, 0))));
+        assert_eq!(
+            effects(&mut relay, &mut relay_env, relayed(1)),
+            [entries(1)]
+        );
+        assert_eq!(
+            origin.live_instances(),
+            1,
+            "the stale instance was replaced"
+        );
+
+        // Transaction 2, same slot again. A timer for it on the relay,
+        // which never spawned an instance for it, drops the stale one and
+        // is otherwise ignored — but still counts as the consumed input.
+        effects(&mut origin, &mut origin_env, arrive(2));
+        let orphan = Input::TimerFired {
+            tag: encode_timer(2, 5),
+        };
+        assert_eq!(effects(&mut relay, &mut relay_env, orphan), []);
+        assert_eq!(relay.live_instances(), 0);
+        assert_eq!(session.borrow().lanes.live(), 0);
+        assert_eq!(session.borrow().lanes.peak_live(), 1);
     }
 }

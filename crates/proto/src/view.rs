@@ -10,6 +10,7 @@
 
 use fnp_netsim::{NodeId, SimTime};
 use rand::rngs::StdRng;
+use rand::Rng;
 
 /// View of this node's hot lanes (seen flag, phase tag, counter slot).
 ///
@@ -79,4 +80,17 @@ pub trait NodeView: HotLanes {
     /// simulator driver it is the simulation RNG, which keeps runs
     /// reproducible under a fixed seed.
     fn rng(&mut self) -> &mut StdRng;
+
+    /// Draws a uniformly random neighbour other than `excluded` — one
+    /// `gen_range` over the eligible count, no allocation — or returns
+    /// `None`, leaving the RNG untouched, when there is none.
+    fn random_neighbor_except(&mut self, excluded: Option<NodeId>) -> Option<NodeId> {
+        let eligible = |neighbor: &&NodeId| Some(**neighbor) != excluded;
+        let count = self.neighbors().iter().filter(eligible).count();
+        if count == 0 {
+            return None;
+        }
+        let pick = self.rng().gen_range(0..count);
+        self.neighbors().iter().filter(eligible).nth(pick).copied()
+    }
 }
