@@ -309,7 +309,7 @@ mod tests {
 
     /// A tiny local flooding implementation so this crate's tests do not
     /// depend on `fnp-gossip` (which would create a dependency cycle risk
-    /// for no benefit — the estimators only need *a* trace).
+    /// for no benefit — the estimators only need *a* recorded run).
     mod fnp_gossip_stub {
         use fnp_netsim::{
             topology, Context, Graph, Metrics, NodeId, Payload, ProtocolNode, SimConfig, Simulator,
@@ -348,7 +348,7 @@ mod tests {
                 graph.clone(),
                 nodes,
                 SimConfig {
-                    record_trace: true,
+                    record_receipts: true,
                     ..SimConfig::default()
                 },
             );

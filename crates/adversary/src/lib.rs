@@ -6,8 +6,8 @@
 //! experiments need to *measure* that:
 //!
 //! * [`observer`] — selecting the colluding node set (the botnet model of
-//!   Biryukov et al.) and reducing the simulator's transmission trace to
-//!   what those nodes could actually observe.
+//!   Biryukov et al.) and looking up what those nodes could actually
+//!   observe in the simulator's first-receipt table.
 //! * [`estimators`] — the first-spy and Jordan-centre/rumour-centrality
 //!   estimators that turn observations into a posterior over originators.
 //! * [`metrics`] — aggregation of detection probability, anonymity-set
@@ -38,7 +38,7 @@
 //!     graph,
 //!     origin,
 //!     1,
-//!     SimConfig { record_trace: true, ..SimConfig::default() },
+//!     SimConfig { record_receipts: true, ..SimConfig::default() },
 //! );
 //!
 //! // A botnet controlling 20 % of the network watches the broadcast.

@@ -4,14 +4,16 @@
 //! and controls a fraction of the network's nodes — "a larger number of
 //! nodes, as they can be deployed by renting botnets" — which faithfully
 //! run the protocol but log everything they receive. This module selects
-//! the colluding set and filters the simulator's omniscient transmission
-//! trace down to the *observations* those nodes could actually make: the
-//! time each adversarial node first received the transaction and from whom.
+//! the colluding set and looks up, in the first-receipt table the simulator
+//! fills at delivery for every node alike ([`Metrics::receipts`]), the
+//! *observations* those nodes could actually make: the time each
+//! adversarial node first received the transaction and from whom. The set
+//! is chosen after the run, so one run can be scored against many sets and
+//! the simulator never learns who the attacker is.
 
-use fnp_netsim::{Metrics, NodeId, SimTime, TraceEntry};
+use fnp_netsim::{Metrics, NodeId, SimTime};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
 /// The set of adversary-controlled (colluding, honest-but-curious) nodes.
@@ -121,21 +123,27 @@ impl AdversaryView {
     ///
     /// Only messages *received by* adversarial nodes are visible; the first
     /// receipt per observer is kept (later duplicates add no information for
-    /// the first-spy and centrality estimators).
+    /// the first-spy and centrality estimators). Observations are in
+    /// [`NodeId`] order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run recorded no receipts: an empty view would read as
+    /// perfect privacy.
     pub fn from_metrics(metrics: &Metrics, adversaries: &AdversarySet) -> Self {
-        let mut first: BTreeMap<NodeId, &TraceEntry> = BTreeMap::new();
-        for entry in &metrics.trace {
-            if adversaries.contains(entry.to) && !first.contains_key(&entry.to) {
-                first.insert(entry.to, entry);
-            }
-        }
-        let observations = first
-            .into_values()
-            .map(|entry| Observation {
-                observer: entry.to,
-                relayed_by: entry.from,
-                at: entry.at,
-                kind: entry.kind,
+        let receipts = metrics
+            .receipts()
+            .expect("the run was not recorded: set SimConfig::record_receipts");
+        let observations = adversaries
+            .nodes()
+            .filter_map(|observer| {
+                let receipt = receipts.get(observer.index()).copied().flatten()?;
+                Some(Observation {
+                    observer,
+                    relayed_by: receipt.from,
+                    at: receipt.at,
+                    kind: metrics.kinds().name(receipt.kind),
+                })
             })
             .collect();
         Self { observations }
@@ -213,36 +221,10 @@ mod tests {
     #[test]
     fn view_keeps_only_first_receipt_per_observer() {
         let mut metrics = Metrics::new(4);
-        metrics.trace = vec![
-            TraceEntry {
-                at: 10,
-                from: NodeId::new(0),
-                to: NodeId::new(2),
-                kind: "flood",
-                bytes: 1,
-            },
-            TraceEntry {
-                at: 15,
-                from: NodeId::new(1),
-                to: NodeId::new(2),
-                kind: "flood",
-                bytes: 1,
-            },
-            TraceEntry {
-                at: 12,
-                from: NodeId::new(0),
-                to: NodeId::new(3),
-                kind: "flood",
-                bytes: 1,
-            },
-            TraceEntry {
-                at: 9,
-                from: NodeId::new(0),
-                to: NodeId::new(1),
-                kind: "flood",
-                bytes: 1,
-            },
-        ];
+        metrics.record_receipts();
+        for (at, from, to) in [(10, 0, 2), (15, 1, 2), (12, 0, 3), (9, 0, 1)] {
+            metrics.note_receipt(NodeId::new(to), NodeId::new(from), at, "flood");
+        }
         let adversaries = AdversarySet::from_nodes(4, [NodeId::new(2), NodeId::new(3)]);
         let view = AdversaryView::from_metrics(&metrics, &adversaries);
         assert_eq!(view.observer_count(), 2);
@@ -254,10 +236,21 @@ mod tests {
 
     #[test]
     fn view_of_unreached_adversary_is_empty() {
-        let metrics = Metrics::new(3);
+        // A recorded run in which only node 1 ever received anything.
+        let mut metrics = Metrics::new(3);
+        metrics.record_receipts();
+        metrics.note_receipt(NodeId::new(1), NodeId::new(0), 5, "flood");
         let adversaries = AdversarySet::from_nodes(3, [NodeId::new(2)]);
         let view = AdversaryView::from_metrics(&metrics, &adversaries);
         assert_eq!(view.observer_count(), 0);
         assert!(view.first_observation().is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "run was not recorded: set SimConfig::record_receipts")]
+    fn view_of_an_unrecorded_run_panics() {
+        let metrics = Metrics::new(3);
+        let adversaries = AdversarySet::from_nodes(3, [NodeId::new(2)]);
+        let _ = AdversaryView::from_metrics(&metrics, &adversaries);
     }
 }

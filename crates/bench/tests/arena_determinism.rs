@@ -129,8 +129,18 @@ fn growing_then_shrinking_the_overlay_leaves_no_stale_state() {
                 format!("{fresh:?}"),
                 "trial {trial} ({kind}, n={n}) diverged after a grow/shrink cycle"
             );
+            // The first-receipt table is pooled with the metrics: a receipt
+            // of the 300-node trial must not survive into the 50-node one.
+            let receipts = reused.receipts().expect("run_protocol_in records receipts");
+            assert_eq!(receipts.len(), n);
+            assert_eq!(Some(receipts), fresh.receipts(), "trial {trial} ({kind})");
             arena.recycle_metrics(reused);
         }
+        // An unrecorded run on the same arena hands back no table at all.
+        let graph = fnp_bench::standard_overlay_in(&mut arena, 50, 9);
+        let unrecorded =
+            fnp_gossip::run_flood_in(&mut arena, graph, NodeId::new(0), 1, SimConfig::default());
+        assert!(unrecorded.receipts().is_none());
     }
 }
 

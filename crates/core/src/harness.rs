@@ -184,7 +184,8 @@ fn take_extras(
 ///
 /// The overlay is partitioned into DC-net groups of size `config.k` to
 /// `2·config.k − 1`; every node participates in exactly one group. The
-/// broadcast is traced so that adversary estimators can replay it.
+/// run records every node's first receipt so that adversary estimators can
+/// score it.
 ///
 /// # Errors
 ///
@@ -259,9 +260,9 @@ pub fn run_flexible_broadcast_in(
         ))
     }));
 
-    let mut traced_config = sim_config;
-    traced_config.record_trace = true;
-    let mut sim = Simulator::new_in(arena, graph, nodes, traced_config);
+    let mut recorded = sim_config;
+    recorded.record_receipts = true;
+    let mut sim = Simulator::new_in(arena, graph, nodes, recorded);
     // `trigger` takes a `FnOnce`, so the payload can be moved in directly.
     sim.trigger(origin, |driver, ctx| {
         driver.drive(ctx, move |node, view, out| {
@@ -341,8 +342,9 @@ impl fmt::Display for ProtocolKind {
 }
 
 /// Runs one broadcast of `kind` from `origin` over `graph` and returns the
-/// simulator metrics (with tracing enabled, so adversary estimators can be
-/// applied to the result).
+/// simulator metrics (with first receipts recorded, so adversary estimators
+/// can be applied to the result; the full trace only if `sim_config` asks
+/// for it).
 ///
 /// # Errors
 ///
@@ -371,15 +373,15 @@ pub fn run_protocol_in(
     origin: NodeId,
     sim_config: SimConfig,
 ) -> Result<Metrics, HarnessError> {
-    let mut traced = sim_config;
-    traced.record_trace = true;
+    let mut recorded = sim_config;
+    recorded.record_receipts = true;
     match kind {
-        ProtocolKind::Flood => Ok(fnp_gossip::run_flood_in(arena, graph, origin, 1, traced)),
+        ProtocolKind::Flood => Ok(fnp_gossip::run_flood_in(arena, graph, origin, 1, recorded)),
         ProtocolKind::Dandelion(params) => {
-            let mut rng = StdRng::seed_from_u64(traced.seed ^ 0xDA4D_E110_u64);
+            let mut rng = StdRng::seed_from_u64(recorded.seed ^ 0xDA4D_E110_u64);
             let line = StemLine::random(graph.node_count(), &mut rng);
             Ok(
-                fnp_gossip::run_dandelion_in(arena, graph, &line, origin, 1, params, traced)
+                fnp_gossip::run_dandelion_in(arena, graph, &line, origin, 1, params, recorded)
                     .metrics,
             )
         }
@@ -389,7 +391,7 @@ pub fn run_protocol_in(
             nodes.extend(
                 (0..node_count).map(|_| SimDriver::new(AdaptiveDiffusionNode::new(params))),
             );
-            let mut sim = Simulator::new_in(arena, graph, nodes, traced);
+            let mut sim = Simulator::new_in(arena, graph, nodes, recorded);
             sim.trigger(origin, |driver, ctx| {
                 driver.drive(ctx, |node, view, out| node.start_broadcast(view, out));
             });
@@ -400,7 +402,7 @@ pub fn run_protocol_in(
         }
         ProtocolKind::Flexible(config) => {
             let payload = b"flexible broadcast payload".to_vec();
-            run_flexible_broadcast_in(arena, graph, origin, payload, config, traced)
+            run_flexible_broadcast_in(arena, graph, origin, payload, config, recorded)
                 .map(|report| report.metrics)
         }
     }
@@ -518,11 +520,12 @@ mod tests {
             }),
             ProtocolKind::Flexible(FlexConfig::default()),
         ];
+        let origin = NodeId::new(5);
         for kind in kinds {
             let metrics = run_protocol(
                 kind,
                 graph.clone(),
-                NodeId::new(5),
+                origin,
                 SimConfig {
                     seed: 4,
                     ..SimConfig::default()
@@ -530,7 +533,15 @@ mod tests {
             )
             .unwrap_or_else(|e| panic!("{kind}: {e}"));
             assert_eq!(metrics.coverage(), 1.0, "{kind} did not reach everyone");
-            assert!(!metrics.trace.is_empty(), "{kind} should be traced");
+            assert_eq!(metrics.trace.capacity(), 0, "{kind} should keep no log");
+            let receipts = metrics.receipts().expect("receipts are recorded");
+            for (node, delivered) in metrics.delivered_at.iter().enumerate() {
+                // Only the origin delivers without having received anything.
+                assert!(
+                    delivered.is_none() || receipts[node].is_some() || node == origin.index(),
+                    "{kind}: node {node} delivered without a receipt"
+                );
+            }
         }
     }
 

@@ -28,33 +28,9 @@ pub struct DiffusionReport {
 }
 
 impl DiffusionReport {
-    fn from_metrics(metrics: Metrics) -> Self {
-        let coverage = metrics.coverage();
-        let messages_until_full_coverage = if coverage >= 1.0 {
-            let full_coverage_at = metrics
-                .delivered_at
-                .iter()
-                .flatten()
-                .copied()
-                .max()
-                .unwrap_or(0);
-            if metrics.trace.is_empty() {
-                // Tracing disabled: fall back to the total (an upper bound).
-                Some(metrics.messages_sent)
-            } else {
-                Some(
-                    metrics
-                        .trace
-                        .iter()
-                        .filter(|entry| entry.at <= full_coverage_at)
-                        .count() as u64,
-                )
-            }
-        } else {
-            None
-        };
+    fn new(metrics: Metrics, messages_until_full_coverage: Option<u64>) -> Self {
         Self {
-            coverage,
+            coverage: metrics.coverage(),
             messages_until_full_coverage,
             rounds_executed: metrics.counter("ad-rounds"),
             metrics,
@@ -69,7 +45,7 @@ impl DiffusionReport {
 /// [`DiffusionReport::messages_until_full_coverage`] is the number of
 /// messages *sent* up to that moment, which matches the paper's
 /// "messages ... to reach all peers" accounting. The configuration's
-/// `record_trace` flag is forced on so the report can also be replayed by
+/// `record_receipts` flag is forced on so the report can also be scored by
 /// adversary estimators.
 pub fn run_adaptive_diffusion(
     graph: Graph,
@@ -90,7 +66,7 @@ pub fn run_adaptive_diffusion_in(
     params: AdParams,
     mut config: SimConfig,
 ) -> DiffusionReport {
-    config.record_trace = true;
+    config.record_receipts = true;
     let node_count = graph.node_count();
     let mut nodes: Vec<SimDriver<AdaptiveDiffusionNode>> = arena.take_nodes();
     nodes.extend((0..node_count).map(|_| SimDriver::new(AdaptiveDiffusionNode::new(params))));
@@ -110,9 +86,7 @@ pub fn run_adaptive_diffusion_in(
     }
     let (nodes, metrics) = sim.into_parts_in(arena);
     arena.store_nodes(nodes);
-    let mut report = DiffusionReport::from_metrics(metrics);
-    report.messages_until_full_coverage = messages_at_full_coverage;
-    report
+    DiffusionReport::new(metrics, messages_at_full_coverage)
 }
 
 #[cfg(test)]

@@ -78,6 +78,7 @@ impl FloodNode {
 impl ProtocolCore for FloodNode {
     type Message = FloodMessage;
 
+    #[inline] // see `SimDriver::dispatch`
     fn poll<V: NodeView>(
         &mut self,
         input: Input<FloodMessage>,

@@ -8,6 +8,9 @@
 //! shared payload and one exclusion list per *first receipt* — and nothing
 //! per event. A per-node buffer, a per-dispatch `Vec` or a wheel that drops
 //! its buckets between trials each cost several times the bound below.
+//! The first run records first receipts and the second does not: an
+//! unrecorded flood carries no receipt table even when the pooled metrics
+//! it was handed held one.
 //!
 //! This file intentionally contains a single test: the counter is
 //! process-global, and a sibling test running concurrently would perturb
@@ -66,8 +69,13 @@ fn a_flood_on_a_warm_arena_allocates_per_first_receipt_only() {
     };
     let mut arena = TrialArena::new();
 
-    let cold = run_flood_in(&mut arena, graph.clone(), NodeId::new(0), 1, config.clone());
+    let recorded = SimConfig {
+        record_receipts: true,
+        ..config.clone()
+    };
+    let cold = run_flood_in(&mut arena, graph.clone(), NodeId::new(0), 1, recorded);
     assert_eq!(cold.coverage(), 1.0);
+    assert!(cold.receipts().is_some());
     let events = cold.events_processed;
     arena.recycle_metrics(cold);
 
@@ -75,6 +83,10 @@ fn a_flood_on_a_warm_arena_allocates_per_first_receipt_only() {
     let warm = run_flood_in(&mut arena, graph, NodeId::new(0), 1, config);
     let requested = BYTES.load(Ordering::Relaxed) - before;
     assert_eq!(warm.events_processed, events);
+    assert!(
+        warm.receipts().is_none(),
+        "an unrecorded flood has no table"
+    );
     assert!(
         requested <= BYTES_PER_EVENT_BOUND * events,
         "a warm flood requested {requested} B over {events} events ({} B/event, bound {BYTES_PER_EVENT_BOUND})",

@@ -18,8 +18,9 @@
 //!   `fnp-proto`, which push into the simulator's own mailbox.
 //! * [`latency`] — link-latency models (constant, uniform, exponential).
 //! * [`metrics`] — per-run aggregates (message/byte counts by kind,
-//!   delivery times, coverage latency) and the full transmission trace the
-//!   adversary estimators replay.
+//!   delivery times, coverage latency), the per-node first-receipt table
+//!   the adversary estimators read, and the optional full transmission
+//!   trace.
 //! * [`stats`] — means, percentiles and entropy helpers for experiment
 //!   reports.
 //! * [`runner`] — the parallel trial engine: fans independent seeded runs
@@ -117,7 +118,7 @@ pub use lanes::LanePool;
 pub use latency::{InvalidLatencyModel, LatencyModel, EXPONENTIAL_JITTER_CAP};
 pub use mailbox::{Effect, Mailbox};
 pub use message::{Payload, TestPayload};
-pub use metrics::{KindId, KindRegistry, Metrics, TraceEntry};
+pub use metrics::{KindId, KindRegistry, Metrics, Receipt, TraceEntry};
 pub use node::NodeId;
 pub use runner::{derive_seed, GridPlan, TrialPlan, TrialRunner};
 pub use sim::{Context, ContextView, ProtocolNode, SimConfig, Simulator};

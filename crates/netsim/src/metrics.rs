@@ -5,8 +5,16 @@
 //! which kind were sent (§V-A), how many bytes, when each node first
 //! received the transaction (latency / fairness, §II), and which node an
 //! adversary would blame (privacy, §V-B). [`Metrics`] collects the first
-//! three; the optional [`TraceEntry`] log captures the full transmission
-//! trace that the `fnp-adversary` estimators replay.
+//! three. For the fourth it keeps, when [`SimConfig::record_receipts`] asks
+//! for it, one [`Receipt`] per node — who handed the node its first message,
+//! when, of which kind — which is all the `fnp-adversary` node estimators
+//! consume: n entries however many messages the run sent. The optional
+//! [`TraceEntry`] log ([`SimConfig::record_trace`]) is the full transmission
+//! trace on top of that table, for the link-level eavesdropper, the
+//! determinism tests and debugging.
+//!
+//! [`SimConfig::record_receipts`]: crate::SimConfig::record_receipts
+//! [`SimConfig::record_trace`]: crate::SimConfig::record_trace
 //!
 //! # Interned kind accounting
 //!
@@ -27,10 +35,12 @@ use std::collections::BTreeMap;
 
 /// One transmitted message, as seen by an omniscient observer.
 ///
-/// The adversary crate filters this trace down to what *its* nodes could
-/// actually observe (messages addressed to adversarial nodes); keeping the
-/// full trace in the simulator keeps the protocols themselves oblivious to
-/// the attacker, mirroring the honest-but-curious model of §IV-A.
+/// The log of these is what a link-level eavesdropper
+/// (`fnp_adversary::LinkObserver`) filters down to its tapped links. Colluding
+/// *nodes* need far less — see [`Receipt`]. Either way the simulator records
+/// for every node alike and the adversary picks its own afterwards, which
+/// keeps the protocols oblivious to the attacker, mirroring the
+/// honest-but-curious model of §IV-A.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceEntry {
     /// Time the message was *received*.
@@ -43,6 +53,18 @@ pub struct TraceEntry {
     pub kind: &'static str,
     /// Reported wire size of the message in bytes.
     pub bytes: usize,
+}
+
+/// The first message delivered to a node: all an honest-but-curious node
+/// contributes to the first-spy and centrality estimators.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Receipt {
+    /// Time the message was received.
+    pub at: SimTime,
+    /// Sending node.
+    pub from: NodeId,
+    /// Message kind, as interned in [`Metrics::kinds`].
+    pub kind: KindId,
 }
 
 /// A dense index identifying one interned message-kind label.
@@ -214,6 +236,8 @@ pub struct Metrics {
     pub delivered_at: Vec<Option<SimTime>>,
     /// Complete transmission trace (only populated when tracing is enabled).
     pub trace: Vec<TraceEntry>,
+    /// First receipt per node; empty unless the run records receipts.
+    receipts: Vec<Option<Receipt>>,
     /// Number of events processed by the simulator.
     pub events_processed: u64,
     /// Simulated time at which the run ended.
@@ -230,8 +254,8 @@ impl Metrics {
     }
 
     /// Resets the collection to the state of a fresh `Metrics::new(n)`,
-    /// reusing the counter, delivery and trace allocations (the cheap path
-    /// of a [`TrialArena`](crate::TrialArena) checkout).
+    /// reusing the counter, delivery, trace and receipt allocations (the
+    /// cheap path of a [`TrialArena`](crate::TrialArena) checkout).
     pub(crate) fn reset(&mut self, n: usize) {
         self.messages_sent = 0;
         self.bytes_sent = 0;
@@ -241,6 +265,7 @@ impl Metrics {
         self.delivered_at.clear();
         self.delivered_at.resize(n, None);
         self.trace.clear();
+        self.receipts.clear();
         self.events_processed = 0;
         self.finished_at = 0;
     }
@@ -272,6 +297,33 @@ impl Metrics {
         if slot.is_none() {
             *slot = Some(at);
         }
+    }
+
+    /// Starts the first-receipt table, one empty entry per node, as a
+    /// [`Simulator`](crate::Simulator) whose run records receipts does.
+    pub fn record_receipts(&mut self) {
+        self.receipts.resize(self.delivered_at.len(), None);
+    }
+
+    /// Notes that `from` delivered a message of `kind` to `to` at time `at`;
+    /// the first call per `to` wins.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`Metrics::record_receipts`] was called first.
+    pub fn note_receipt(&mut self, to: NodeId, from: NodeId, at: SimTime, kind: &'static str) {
+        let slot = &mut self.receipts[to.index()];
+        if slot.is_none() {
+            let kind = self.messages_per_kind.registry.intern(kind);
+            *slot = Some(Receipt { at, from, kind });
+        }
+    }
+
+    /// The first receipt of every node, indexed by [`NodeId::index`] (`None`
+    /// for a node no message reached) — or `None` if the run did not record
+    /// receipts at all.
+    pub fn receipts(&self) -> Option<&[Option<Receipt>]> {
+        (!self.receipts.is_empty() || self.delivered_at.is_empty()).then_some(&self.receipts[..])
     }
 
     /// Increments a custom counter.
@@ -423,6 +475,24 @@ mod tests {
         assert_eq!(m.delivered_at[1], Some(10));
         assert_eq!(m.delivered_count(), 1);
         assert_eq!(m.coverage(), 0.5);
+    }
+
+    #[test]
+    fn first_receipt_per_node_wins() {
+        let mut m = Metrics::new(3);
+        assert_eq!(m.receipts(), None);
+        m.record_receipts();
+        assert_eq!(m.receipts(), Some(&[None; 3][..]));
+        m.note_receipt(NodeId::new(2), NodeId::new(0), 10, "flood");
+        m.note_receipt(NodeId::new(2), NodeId::new(1), 15, "stem");
+        let receipt = m.receipts().unwrap()[2].unwrap();
+        assert_eq!((receipt.at, receipt.from), (10, NodeId::new(0)));
+        assert_eq!(m.kinds().name(receipt.kind), "flood");
+        assert_eq!(size_of::<Option<Receipt>>(), 24);
+        // Noting a receipt sends nothing.
+        assert!(m.messages_by_kind().is_empty());
+        // An empty network has nothing to record, which is not "unrecorded".
+        assert_eq!(Metrics::new(0).receipts(), Some(&[][..]));
     }
 
     #[test]
@@ -583,6 +653,8 @@ mod tests {
             kind: "flood",
             bytes: 100,
         });
+        m.record_receipts();
+        m.note_receipt(NodeId::new(1), NodeId::new(0), 10, "flood");
         m.events_processed = 5;
         m.finished_at = 10;
 
@@ -592,6 +664,8 @@ mod tests {
         assert_eq!(m.bytes_sent, fresh.bytes_sent);
         assert_eq!(m.delivered_at, fresh.delivered_at);
         assert_eq!(m.trace, fresh.trace);
+        assert_eq!(m.receipts(), None, "a reset run records nothing yet");
+        assert_eq!(m.receipts(), fresh.receipts());
         assert_eq!(m.events_processed, fresh.events_processed);
         assert_eq!(m.finished_at, fresh.finished_at);
         assert!(m.messages_by_kind().is_empty());

@@ -66,9 +66,17 @@ pub struct SimConfig {
     pub latency: LatencyModel,
     /// Seed of the simulation-wide random number generator.
     pub seed: u64,
-    /// Whether to record the full transmission trace (needed by the
-    /// adversary estimators; costs memory proportional to message count).
+    /// Whether to record the full transmission trace, one
+    /// [`TraceEntry`] per delivered message — memory proportional to the
+    /// message count. Wanted by the link-level eavesdropper
+    /// (`fnp_adversary::LinkObserver`), the determinism tests and debugging;
+    /// the node-level adversary estimators need only
+    /// [`record_receipts`](Self::record_receipts), which this implies.
     pub record_trace: bool,
+    /// Whether to record each node's first receipt
+    /// ([`Metrics::receipts`]) — 24 bytes per node, whatever the message
+    /// count. `fnp_adversary::AdversaryView` reads nothing else.
+    pub record_receipts: bool,
     /// Hard cap on processed events, guarding against runaway protocols.
     pub max_events: u64,
     /// Hard cap on simulated time; events scheduled later are dropped.
@@ -85,6 +93,7 @@ impl Default for SimConfig {
             latency: LatencyModel::default(),
             seed: 0,
             record_trace: false,
+            record_receipts: false,
             max_events: 50_000_000,
             max_time: SimTime::MAX,
             churn: ChurnSchedule::none(),
@@ -439,8 +448,8 @@ impl<N: ProtocolNode> Simulator<N> {
         nodes: Vec<N>,
         hot: HotState,
         mut queue: TimeWheel<Event<N::Message>>,
-        metrics: Metrics,
-        config: SimConfig,
+        mut metrics: Metrics,
+        mut config: SimConfig,
     ) -> Self {
         assert_eq!(
             graph.node_count(),
@@ -454,6 +463,11 @@ impl<N: ProtocolNode> Simulator<N> {
         }
         queue.reset(wheel::width_for(config.latency.max_delay()));
         let rng = StdRng::seed_from_u64(config.seed);
+        // The log implies the table, so a delivery tests one flag.
+        config.record_receipts |= config.record_trace;
+        if config.record_receipts {
+            metrics.record_receipts();
+        }
         Self {
             graph,
             nodes,
@@ -687,14 +701,17 @@ impl<N: ProtocolNode> Simulator<N> {
                     self.metrics.record_counter("dropped-offline", 1);
                     return true;
                 }
-                if self.config.record_trace {
-                    self.metrics.trace.push(TraceEntry {
-                        at: self.now,
-                        from,
-                        to,
-                        kind,
-                        bytes,
-                    });
+                if self.config.record_receipts {
+                    self.metrics.note_receipt(to, from, self.now, kind);
+                    if self.config.record_trace {
+                        self.metrics.trace.push(TraceEntry {
+                            at: self.now,
+                            from,
+                            to,
+                            kind,
+                            bytes,
+                        });
+                    }
                 }
                 let message = message.into_message();
                 self.dispatch(to, |node, ctx| node.on_message(from, message, ctx));
@@ -843,7 +860,9 @@ mod tests {
         let nodes = (0..20).map(|_| FloodNode::default()).collect();
         let mut sim = Simulator::new(graph, nodes, SimConfig::default());
         start_flood(&mut sim, NodeId::new(0));
-        assert!(sim.run().trace.is_empty());
+        let metrics = sim.run();
+        assert!(metrics.trace.is_empty());
+        assert!(metrics.receipts().is_none());
     }
 
     #[test]

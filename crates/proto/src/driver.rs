@@ -141,6 +141,11 @@ impl<C: ProtocolCore, T: PollTrace<C::Message>> SimDriver<C, T> {
         self.poll_traced(ctx, pending, f)
     }
 
+    // `#[inline]` here, on `poll_traced` and on the `ProtocolNode` methods
+    // lets `Simulator::run` inline the adapter from any codegen unit; without
+    // it each is instantiated once, in this module's unit, and sharing it is
+    // a partitioning accident (`flood_large` reads 6 % slower without).
+    #[inline]
     fn dispatch(&mut self, input: Input<C::Message>, ctx: &mut Context<'_, C::Message>) {
         let pending = self.trace.before(Some(&input), ctx.rng());
         self.poll_traced(ctx, pending, |core, view, out| core.poll(input, view, out));
@@ -148,6 +153,7 @@ impl<C: ProtocolCore, T: PollTrace<C::Message>> SimDriver<C, T> {
 
     /// Runs `f` on the core and the two halves of `ctx`, then reports the
     /// effects it pushed to the trace.
+    #[inline]
     fn poll_traced<R>(
         &mut self,
         ctx: &mut Context<'_, C::Message>,
@@ -174,10 +180,12 @@ impl<C: ProtocolCore, T> std::ops::Deref for SimDriver<C, T> {
 impl<C: ProtocolCore, T: PollTrace<C::Message>> ProtocolNode for SimDriver<C, T> {
     type Message = C::Message;
 
+    #[inline]
     fn on_init(&mut self, ctx: &mut Context<'_, Self::Message>) {
         self.dispatch(Input::Init, ctx);
     }
 
+    #[inline]
     fn on_message(
         &mut self,
         from: NodeId,
@@ -187,6 +195,7 @@ impl<C: ProtocolCore, T: PollTrace<C::Message>> ProtocolNode for SimDriver<C, T>
         self.dispatch(Input::Message { from, message }, ctx);
     }
 
+    #[inline]
     fn on_timer(&mut self, tag: u64, ctx: &mut Context<'_, Self::Message>) {
         self.dispatch(Input::TimerFired { tag }, ctx);
     }

@@ -112,6 +112,7 @@ fn a_global_eavesdropper_breaks_flooding_but_not_phase_one() {
         origin,
         SimConfig {
             seed: 5,
+            record_trace: true,
             ..SimConfig::default()
         },
     )
