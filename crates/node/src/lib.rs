@@ -32,6 +32,27 @@
 //! | `{"type":"counter","name":"x","amount":1}` | a metrics increment |
 //! | `{"type":"done","node":0,"delivered":true}` | shutdown acknowledged |
 //!
+//! The codec is strict, and `crates/node/tests/wire_oracle.rs` pins how:
+//!
+//! * A line must be one JSON document; anything after it but whitespace is
+//!   an error, and so is nesting deeper than 128.
+//! * An event must carry every field in its row above with the type shown:
+//!   integers are non-negative, without fraction or exponent, at most
+//!   `u64::MAX`. A missing or mistyped field is a [`WireError`] quoting the
+//!   field; so is an unknown `"type"`.
+//! * **Unknown fields are ignored, but must be valid JSON** — including the
+//!   fields of other event types (`"neighbors"` on a `tick`).
+//! * **Of a repeated key the first occurrence counts**, at the top level
+//!   and inside `"message"`; keys compare after escapes are decoded.
+//! * **Node ids** — `node`, `from`, every item of `neighbors` — are at most
+//!   `u32::MAX`; a larger one is an error quoting the field.
+//! * **`init` must be consistent**: `node` and every neighbour below
+//!   `node_count`, and the node not its own neighbour. It is rejected
+//!   before `init_ok` is printed, and nothing else is accepted before it.
+//!
+//! A violation is fatal: the message goes to stderr and the process exits
+//! with status 1.
+//!
 //! Time is event time, exactly as in the simulator: the node's clock only
 //! advances to the `at` stamp of the inputs the harness feeds it, so a
 //! trace replayed through `fnp-node` sees the same clock the simulator saw.

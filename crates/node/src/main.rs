@@ -18,15 +18,20 @@ fn main() -> ExitCode {
     let stdout = std::io::stdout();
     let mut output = stdout.lock();
     let mut runtime = NodeRuntime::new();
+    let mut input = stdin.lock();
+    // One buffer for every event line, one for every batch of output lines.
+    let mut line = String::new();
     let mut lines = Vec::new();
-    for line in stdin.lock().lines() {
-        let line = match line {
-            Ok(line) => line,
+    loop {
+        line.clear();
+        match input.read_line(&mut line) {
+            Ok(0) => return ExitCode::SUCCESS,
+            Ok(_) => {}
             Err(error) => {
                 eprintln!("fnp-node: stdin read failed: {error}");
                 return ExitCode::FAILURE;
             }
-        };
+        }
         if line.trim().is_empty() {
             continue;
         }
@@ -57,5 +62,4 @@ fn main() -> ExitCode {
             return ExitCode::SUCCESS;
         }
     }
-    ExitCode::SUCCESS
 }

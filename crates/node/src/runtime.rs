@@ -7,6 +7,7 @@
 
 use crate::wire::{self, Event, WireError};
 use fnp_gossip::FloodNode;
+use fnp_netsim::NodeId;
 use fnp_proto::{Effect, Input, Mailbox, NodeView, ProtocolCore, StandaloneEnv};
 
 /// What the caller should do after handling an event.
@@ -44,8 +45,11 @@ impl NodeRuntime {
     ///
     /// # Errors
     ///
-    /// Returns a [`WireError`] when an event arrives out of protocol:
-    /// anything before `init`, or a second `init`.
+    /// Returns a [`WireError`] when an event arrives out of protocol —
+    /// anything before `init`, or a second `init` — and when `init`
+    /// contradicts itself: `node` or a neighbour not below `node_count`,
+    /// or the node listed as its own neighbour. A rejected `init` prints
+    /// nothing and leaves the runtime awaiting a valid one.
     pub fn handle(
         &mut self,
         event: Event,
@@ -59,10 +63,9 @@ impl NodeRuntime {
                 seed,
             } => {
                 if self.state.is_some() {
-                    return Err(WireError {
-                        message: "duplicate init".to_string(),
-                    });
+                    return Err(WireError::new("duplicate init"));
                 }
+                check_topology(node, node_count, &neighbors)?;
                 let mut running = Running {
                     core: FloodNode::new(),
                     env: StandaloneEnv::new(node, node_count, neighbors, seed),
@@ -117,10 +120,36 @@ impl NodeRuntime {
     }
 
     fn running(&mut self) -> Result<&mut Running, WireError> {
-        self.state.as_mut().ok_or_else(|| WireError {
-            message: "event before init".to_string(),
-        })
+        self.state
+            .as_mut()
+            .ok_or_else(|| WireError::new("event before init"))
     }
+}
+
+/// An `init` must describe a node of the overlay it names: otherwise the
+/// node would address `send` lines to peers that cannot exist, or to itself.
+fn check_topology(node: NodeId, node_count: usize, neighbors: &[NodeId]) -> Result<(), WireError> {
+    if node.index() >= node_count {
+        return Err(WireError::new(format!(
+            "\"node\" {} is not below \"node_count\" {node_count}",
+            node.index()
+        )));
+    }
+    for neighbor in neighbors {
+        if neighbor.index() >= node_count {
+            return Err(WireError::new(format!(
+                "\"neighbors\" item {} is not below \"node_count\" {node_count}",
+                neighbor.index()
+            )));
+        }
+        if *neighbor == node {
+            return Err(WireError::new(format!(
+                "\"neighbors\" lists the node itself ({})",
+                node.index()
+            )));
+        }
+    }
+    Ok(())
 }
 
 impl Running {
@@ -157,7 +186,6 @@ impl Running {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fnp_netsim::NodeId;
 
     fn lines(runtime: &mut NodeRuntime, event: Event) -> (Disposition, Vec<String>) {
         let mut out = Vec::new();
@@ -231,5 +259,29 @@ mod tests {
         lines(&mut runtime, init_event(0));
         let err = runtime.handle(init_event(0), &mut Vec::new()).unwrap_err();
         assert!(err.to_string().contains("duplicate init"));
+    }
+
+    #[test]
+    fn an_init_that_contradicts_itself_is_rejected_and_prints_nothing() {
+        let init = |node: usize, neighbors: &[usize]| Event::Init {
+            node: NodeId::new(node),
+            node_count: 3,
+            neighbors: neighbors.iter().copied().map(NodeId::new).collect(),
+            seed: 1,
+        };
+        let mut runtime = NodeRuntime::new();
+        let mut out = Vec::new();
+        for (bad, field) in [
+            (init(3, &[0, 1]), "\"node\""),
+            (init(0, &[1, 3]), "\"neighbors\""),
+            (init(0, &[1, 0]), "\"neighbors\""),
+        ] {
+            let err = runtime.handle(bad, &mut out).unwrap_err();
+            assert!(err.to_string().contains(field), "{err}");
+            assert!(out.is_empty(), "{out:?}");
+        }
+        // Still awaiting its init: a consistent one is accepted.
+        runtime.handle(init(0, &[1, 2]), &mut out).unwrap();
+        assert_eq!(out, [r#"{"type":"init_ok","node":0}"#]);
     }
 }

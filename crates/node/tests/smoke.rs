@@ -269,3 +269,98 @@ fn malformed_input_fails_loudly() {
     let status = node.child.wait().expect("wait for fnp-node");
     assert!(!status.success(), "malformed input must not exit 0");
 }
+
+/// Feeds `lines` to a fresh `fnp-node`, closes its stdin and collects what
+/// it did: exit code, stdout, stderr.
+fn run_to_exit(lines: &[&str]) -> (Option<i32>, String, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_fnp-node"))
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn fnp-node");
+    let mut stdin = child.stdin.take().unwrap();
+    for line in lines {
+        // The node may already have exited on an earlier line.
+        let _ = writeln!(stdin, "{line}");
+    }
+    drop(stdin);
+    let output = child.wait_with_output().expect("wait for fnp-node");
+    (
+        output.status.code(),
+        String::from_utf8(output.stdout).unwrap(),
+        String::from_utf8(output.stderr).unwrap(),
+    )
+}
+
+#[test]
+fn a_node_id_beyond_u32_is_a_wire_error_not_a_panic() {
+    const INIT: &str = r#"{"type":"init","node":0,"node_count":2,"neighbors":[1],"seed":0}"#;
+    for (lines, field) in [
+        (
+            vec![
+                INIT,
+                r#"{"type":"deliver","at":0,"from":4294967296,"message":{"tx_id":1}}"#,
+            ],
+            "\"from\"",
+        ),
+        (
+            vec![r#"{"type":"init","node":4294967296,"node_count":2,"neighbors":[1],"seed":0}"#],
+            "\"node\"",
+        ),
+        (
+            vec![r#"{"type":"init","node":0,"node_count":2,"neighbors":[1,4294967296],"seed":0}"#],
+            "\"neighbors\"",
+        ),
+    ] {
+        let (code, _, stderr) = run_to_exit(&lines);
+        assert_eq!(code, Some(1), "{lines:?}: {stderr}");
+        assert!(
+            stderr.starts_with("fnp-node: invalid wire line: "),
+            "{stderr}"
+        );
+        assert!(stderr.contains(field), "{stderr} should name {field}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+}
+
+#[test]
+fn an_inconsistent_init_is_rejected_before_init_ok() {
+    for (init, field) in [
+        (
+            r#"{"type":"init","node":2,"node_count":2,"neighbors":[1],"seed":0}"#,
+            "\"node\"",
+        ),
+        (
+            r#"{"type":"init","node":0,"node_count":2,"neighbors":[1,2],"seed":0}"#,
+            "\"neighbors\"",
+        ),
+        (
+            r#"{"type":"init","node":0,"node_count":2,"neighbors":[0,1],"seed":0}"#,
+            "\"neighbors\"",
+        ),
+    ] {
+        let (code, stdout, stderr) = run_to_exit(&[init, r#"{"type":"start","at":0,"tx_id":1}"#]);
+        assert_eq!(code, Some(1), "{init}: {stderr}");
+        assert_eq!(
+            stdout, "",
+            "{init}: nothing may be printed, least of all init_ok"
+        );
+        assert!(stderr.contains(field), "{stderr} should name {field}");
+    }
+}
+
+#[test]
+fn blank_lines_are_skipped_and_eof_is_a_clean_exit() {
+    let (code, stdout, stderr) = run_to_exit(&[
+        "",
+        r#"{"type":"init","node":0,"node_count":2,"neighbors":[1],"seed":0}"#,
+        "   ",
+        r#"{"type":"start","at":0,"tx_id":7}"#,
+    ]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert_eq!(
+        stdout,
+        "{\"type\":\"init_ok\",\"node\":0}\n{\"type\":\"delivered\",\"at\":0}\n{\"type\":\"send\",\"to\":1,\"message\":{\"tx_id\":7}}\n"
+    );
+}
