@@ -70,7 +70,7 @@ pub use experiments::{Experiment, EXPERIMENTS};
 use fnp_core::{FlexConfig, ProtocolKind};
 use fnp_diffusion::AdParams;
 use fnp_gossip::DandelionParams;
-pub use fnp_netsim::{derive_seed, GridPlan, TrialArena, TrialPlan, TrialRunner};
+pub use fnp_netsim::{derive_seed, GridPlan, TrialArena, TrialRunner};
 use fnp_netsim::{topology, Graph, SimConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

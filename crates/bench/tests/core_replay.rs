@@ -8,7 +8,7 @@
 //! between the sans-IO cores and the simulator path fails here with the
 //! first diverging event.
 
-use fnp_core::{FlexConfig, FlexNode, GroupKeyCache, GroupMembership};
+use fnp_core::{group_memberships, FlexConfig, FlexNode, GroupMembership};
 use fnp_diffusion::{AdParams, AdaptiveDiffusionNode};
 use fnp_gossip::{DandelionNode, DandelionParams, FloodNode, StemLine};
 use fnp_groups::form_groups;
@@ -146,16 +146,15 @@ fn adaptive_diffusion_replays_exactly() {
 }
 
 /// Rebuilds the flexible protocol's group memberships exactly as the
-/// harness does (same seed-derived setup RNG, same key cache), so the
+/// harness does (same seed-derived setup RNG, same key seed), so the
 /// replayed cores start from the same initial state as the recorded run.
 fn flex_memberships(n: usize, config: FlexConfig, seed: u64) -> Vec<Option<GroupMembership>> {
     let mut setup_rng = StdRng::seed_from_u64(seed ^ 0xD1F7_BEEF);
     let all_nodes: Vec<NodeId> = (0..n).map(NodeId::new).collect();
     let groups = form_groups(&all_nodes, config.k, &mut setup_rng).unwrap();
-    let mut key_cache = GroupKeyCache::new(seed);
     let mut memberships: Vec<Option<GroupMembership>> = (0..n).map(|_| None).collect();
     for group in &groups {
-        for (node, membership) in key_cache.memberships(group) {
+        for (node, membership) in group_memberships(group, seed) {
             memberships[node.index()] = Some(membership);
         }
     }

@@ -7,7 +7,7 @@
 //! [`Metrics`] — counters, delivery times and the full transmission trace —
 //! whether or not its polls are recorded.
 
-use fnp_core::{FlexConfig, FlexNode, GroupKeyCache, GroupMembership};
+use fnp_core::{group_memberships, FlexConfig, FlexNode, GroupMembership};
 use fnp_diffusion::{AdParams, AdaptiveDiffusionNode};
 use fnp_gossip::{DandelionNode, DandelionParams, FloodNode, StemLine};
 use fnp_groups::form_groups;
@@ -112,10 +112,9 @@ fn flexible() {
     let cores = || -> Vec<FlexNode> {
         let all: Vec<NodeId> = (0..NODES).map(NodeId::new).collect();
         let groups = form_groups(&all, config.k, &mut StdRng::seed_from_u64(SEED + 2)).unwrap();
-        let mut keys = GroupKeyCache::new(SEED);
         let mut memberships: Vec<Option<GroupMembership>> = (0..NODES).map(|_| None).collect();
         for group in &groups {
-            for (node, membership) in keys.memberships(group) {
+            for (node, membership) in group_memberships(group, SEED) {
                 memberships[node.index()] = Some(membership);
             }
         }

@@ -10,14 +10,14 @@
 //! flexible protocol — through one call.
 
 use crate::config::FlexConfig;
-use crate::keycache::GroupKeyCache;
+use crate::keycache::group_memberships;
 use crate::message::{PHASE1_KINDS, PHASE2_KINDS, PHASE3_KINDS};
 use crate::node::{FlexNode, GroupMembership};
 use fnp_crypto::dh::KeyPair;
 use fnp_dcnet::RoundScratch;
 use fnp_diffusion::{AdParams, AdaptiveDiffusionNode};
 use fnp_gossip::{DandelionParams, StemLine};
-use fnp_groups::{form_groups, FormationError, Group};
+use fnp_groups::{form_groups, FormationError};
 use fnp_netsim::{Graph, Metrics, NodeId, SimConfig, Simulator, TrialArena};
 use fnp_proto::SimDriver;
 use rand::rngs::StdRng;
@@ -125,58 +125,42 @@ pub fn node_key_pair(node: NodeId, key_seed: u64) -> KeyPair {
     KeyPair::from_secret(key_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (node.index() as u64 + 1))
 }
 
-/// Builds the [`GroupMembership`] handed to each member of `group`.
-///
-/// Delegates to the worker's [`GroupKeyCache`]: the first trial to see this
-/// group composition pays the pairwise DH/HKDF derivations, later trials
-/// (same key seed, same members) reuse the cached pad keys. The member list
-/// and identity table are shared (reference-counted) between all `k`
-/// memberships rather than deep-copied per member.
-fn build_memberships(
-    group: &Group,
-    key_cache: &mut GroupKeyCache,
-) -> Vec<(NodeId, GroupMembership)> {
-    key_cache.memberships(group)
-}
-
-/// Per-worker state carried across trials in the arena's extension slot:
-/// the group-key cache plus the DC-round buffer pool the trial's nodes
-/// share.
-#[derive(Debug)]
-struct HarnessExtras {
-    key_cache: GroupKeyCache,
-    scratch: Rc<RefCell<RoundScratch>>,
-}
-
-/// Checks the worker's harness extras out of the arena extension slot.
-///
-/// A missing slot or a slot holding some other extension type falls back
-/// to fresh state; a key cache derived under a different key seed is
-/// replaced (stale pad keys must never leak between seeds) while the
-/// scratch pool — plain zeroed buffers — survives any seed change.
-/// Correctness never depends on what the slot contains.
-fn take_extras(
-    arena: &mut TrialArena,
-    key_seed: u64,
-) -> (GroupKeyCache, Rc<RefCell<RoundScratch>>) {
-    match arena
-        .take_extension()
-        .and_then(|boxed| boxed.downcast::<HarnessExtras>().ok())
-    {
-        Some(extras) => {
-            let HarnessExtras { key_cache, scratch } = *extras;
-            let key_cache = if key_cache.key_seed() == key_seed {
-                key_cache
-            } else {
-                GroupKeyCache::new(key_seed)
-            };
-            (key_cache, scratch)
-        }
-        None => (
-            GroupKeyCache::new(key_seed),
-            Rc::new(RefCell::new(RoundScratch::new())),
-        ),
+/// Fails unless `origin` is one of the overlay's `nodes` nodes.
+fn check_origin(origin: NodeId, nodes: usize) -> Result<(), HarnessError> {
+    if origin.index() < nodes {
+        Ok(())
+    } else {
+        Err(HarnessError::OriginOutOfRange { origin, nodes })
     }
+}
+
+/// The one group set-up: partitions an `n`-node overlay into DC-net groups
+/// (setup RNG `seed ^ 0xD1F7_BEEF`), derives every group's memberships
+/// under key seed `seed` and yields one configured [`FlexNode`] per node,
+/// in node order. All of them draw their DC-round slot buffers from
+/// `scratch`; callers pass a fresh pool, so that it lives exactly as long
+/// as the nodes that share it.
+///
+/// `config` must already be validated.
+fn flex_nodes(
+    n: usize,
+    config: FlexConfig,
+    seed: u64,
+    scratch: Rc<RefCell<RoundScratch>>,
+) -> Result<impl Iterator<Item = FlexNode>, HarnessError> {
+    let mut setup_rng = StdRng::seed_from_u64(seed ^ 0xD1F7_BEEF);
+    let all_nodes: Vec<NodeId> = (0..n).map(NodeId::new).collect();
+    let groups = form_groups(&all_nodes, config.k, &mut setup_rng)?;
+
+    let mut memberships: Vec<Option<GroupMembership>> = (0..n).map(|_| None).collect();
+    for group in &groups {
+        for (node, membership) in group_memberships(group, seed) {
+            memberships[node.index()] = Some(membership);
+        }
+    }
+    Ok(memberships
+        .into_iter()
+        .map(move |membership| FlexNode::with_scratch(config, membership, Rc::clone(&scratch))))
 }
 
 /// Sets up and runs one flexible-protocol broadcast of `payload` from
@@ -225,40 +209,11 @@ pub fn run_flexible_broadcast_in(
 ) -> Result<FlexReport, HarnessError> {
     config.validate()?;
     let n = graph.node_count();
-    if origin.index() >= n {
-        return Err(HarnessError::OriginOutOfRange { origin, nodes: n });
-    }
-
-    let mut setup_rng = StdRng::seed_from_u64(sim_config.seed ^ 0xD1F7_BEEF);
-    let all_nodes: Vec<NodeId> = (0..n).map(NodeId::new).collect();
-    let groups = form_groups(&all_nodes, config.k, &mut setup_rng)?;
-
-    // Build one membership object per node, reusing any key material the
-    // previous trial on this worker derived for the same groups.
-    let (mut key_cache, scratch) = take_extras(arena, sim_config.seed);
-    let mut memberships: Vec<Option<GroupMembership>> = (0..n).map(|_| None).collect();
-    let mut origin_group = Vec::new();
-    for group in &groups {
-        if group.contains(origin) {
-            origin_group = group.member_vec();
-        }
-        for (node, membership) in build_memberships(group, &mut key_cache) {
-            memberships[node.index()] = Some(membership);
-        }
-    }
-    arena.store_extension(Box::new(HarnessExtras {
-        key_cache,
-        scratch: Rc::clone(&scratch),
-    }));
+    check_origin(origin, n)?;
 
     let mut nodes: Vec<SimDriver<FlexNode>> = arena.take_nodes();
-    nodes.extend(memberships.into_iter().map(|membership| {
-        SimDriver::new(FlexNode::with_scratch(
-            config,
-            membership,
-            Rc::clone(&scratch),
-        ))
-    }));
+    nodes.extend(flex_nodes(n, config, sim_config.seed, Rc::default())?.map(SimDriver::new));
+    let origin_group = nodes[origin.index()].core().group_members().to_vec();
 
     let mut recorded = sim_config;
     recorded.record_receipts = true;
@@ -278,43 +233,28 @@ pub fn run_flexible_broadcast_in(
 /// Builds one configured [`FlexNode`] per overlay node — the prototypes a
 /// steady-state session spawns per-transaction instances from.
 ///
-/// The group formation, pairwise-key derivation and scratch pooling are
-/// identical to [`run_flexible_broadcast_in`] (same `seed ^ 0xD1F7_BEEF`
-/// setup RNG, same arena-pooled [`GroupKeyCache`]), so a steady-state trial
-/// sees exactly the group landscape a single-broadcast trial at the same
-/// seed would.
+/// The group formation and pairwise-key derivation are those of
+/// [`run_flexible_broadcast_in`], so a steady-state trial sees exactly the
+/// group landscape a single-broadcast trial at the same seed would. The
+/// prototypes and every instance spawned from them share one slot-buffer
+/// pool, which is freed with the last of them.
+///
+/// `arena` is unused: set-up keeps nothing between trials. The parameter
+/// stays because the frozen `benchmark/src/api.rs` calls this signature;
+/// to be retired with the next benchmark issue (ROADMAP item 1f).
 ///
 /// # Errors
 ///
 /// Returns a [`HarnessError`] if the configuration is invalid or groups
 /// cannot be formed (network smaller than `k`).
 pub fn flex_steady_prototypes_in(
-    arena: &mut TrialArena,
+    _arena: &mut TrialArena,
     n: usize,
     config: FlexConfig,
     seed: u64,
 ) -> Result<Vec<FlexNode>, HarnessError> {
     config.validate()?;
-    let mut setup_rng = StdRng::seed_from_u64(seed ^ 0xD1F7_BEEF);
-    let all_nodes: Vec<NodeId> = (0..n).map(NodeId::new).collect();
-    let groups = form_groups(&all_nodes, config.k, &mut setup_rng)?;
-
-    let (mut key_cache, scratch) = take_extras(arena, seed);
-    let mut memberships: Vec<Option<GroupMembership>> = (0..n).map(|_| None).collect();
-    for group in &groups {
-        for (node, membership) in build_memberships(group, &mut key_cache) {
-            memberships[node.index()] = Some(membership);
-        }
-    }
-    arena.store_extension(Box::new(HarnessExtras {
-        key_cache,
-        scratch: Rc::clone(&scratch),
-    }));
-
-    Ok(memberships
-        .into_iter()
-        .map(|membership| FlexNode::with_scratch(config, membership, Rc::clone(&scratch)))
-        .collect())
+    Ok(flex_nodes(n, config, seed, Rc::default())?.collect())
 }
 
 /// The four dissemination strategies the experiments compare.
@@ -348,8 +288,10 @@ impl fmt::Display for ProtocolKind {
 ///
 /// # Errors
 ///
-/// Only [`ProtocolKind::Flexible`] can fail (invalid config / group
-/// formation); the baselines always succeed.
+/// [`HarnessError::OriginOutOfRange`] for every kind if `origin` is not a
+/// node of `graph`; [`ProtocolKind::Flexible`] additionally fails on an
+/// invalid config (reported ahead of the origin) or if groups cannot be
+/// formed. A baseline with a valid origin always succeeds.
 pub fn run_protocol(
     kind: ProtocolKind,
     graph: Graph,
@@ -373,6 +315,11 @@ pub fn run_protocol_in(
     origin: NodeId,
     sim_config: SimConfig,
 ) -> Result<Metrics, HarnessError> {
+    // A flexible run that is wrong on both counts reports its config.
+    if let ProtocolKind::Flexible(config) = &kind {
+        config.validate()?;
+    }
+    check_origin(origin, graph.node_count())?;
     let mut recorded = sim_config;
     recorded.record_receipts = true;
     match kind {
@@ -569,7 +516,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_key_cache_reproduces_cold_cache_broadcasts() {
+    fn reused_arena_reproduces_fresh_arena_broadcasts() {
         let graph = overlay(100, 6);
         let config = SimConfig {
             seed: 21,
@@ -589,31 +536,17 @@ mod tests {
 
         let fresh = run(&mut TrialArena::new());
         let mut arena = TrialArena::new();
-        let cold = run(&mut arena); // derives and populates the cache
-        let warm = run(&mut arena); // must hit the cache for every group
-        for report in [&cold, &warm] {
+        let first = run(&mut arena);
+        let second = run(&mut arena); // on the first run's pooled storage
+        for report in [&first, &second] {
             assert_eq!(report.total_messages(), fresh.total_messages());
             assert_eq!(report.metrics.delivered_at, fresh.metrics.delivered_at);
             assert_eq!(report.origin_group, fresh.origin_group);
         }
-
-        // The pooled extras must carry the key seed the cache was derived
-        // under, and the scratch pool must have recycled round buffers.
-        let extras = *arena
-            .take_extension()
-            .expect("broadcast pools its harness extras")
-            .downcast::<HarnessExtras>()
-            .expect("extension slot holds the harness extras");
-        assert_eq!(extras.key_cache.key_seed(), 21);
-        assert!(!extras.key_cache.is_empty());
-        assert!(
-            extras.scratch.borrow().pooled() > 0,
-            "resolved DC rounds should have recycled their buffers"
-        );
     }
 
     #[test]
-    fn key_cache_is_discarded_when_the_seed_changes() {
+    fn reused_arena_reproduces_a_fresh_arena_when_the_seed_changes() {
         let graph = overlay(100, 6);
         let run = |arena: &mut TrialArena, seed: u64| {
             run_flexible_broadcast_in(
@@ -630,11 +563,85 @@ mod tests {
             .unwrap()
         };
         let mut arena = TrialArena::new();
-        run(&mut arena, 1); // populates a seed-1 cache
-        let reseeded = run(&mut arena, 2); // must not reuse seed-1 material
+        run(&mut arena, 1);
+        let reseeded = run(&mut arena, 2); // nothing of seed 1 may show
         let fresh = run(&mut TrialArena::new(), 2);
         assert_eq!(reseeded.total_messages(), fresh.total_messages());
         assert_eq!(reseeded.metrics.delivered_at, fresh.metrics.delivered_at);
+    }
+
+    #[test]
+    fn baselines_and_flexible_reject_an_out_of_range_origin() {
+        let kinds = [
+            ProtocolKind::Flood,
+            ProtocolKind::Dandelion(DandelionParams::default()),
+            ProtocolKind::AdaptiveDiffusion(AdParams::default()),
+            ProtocolKind::Flexible(FlexConfig::default()),
+        ];
+        for kind in kinds {
+            // One past the last node, and far past it.
+            for origin in [10, 999] {
+                let err = run_protocol(
+                    kind,
+                    topology::ring(10).unwrap(),
+                    NodeId::new(origin),
+                    SimConfig::default(),
+                )
+                .unwrap_err();
+                assert_eq!(
+                    err,
+                    HarnessError::OriginOutOfRange {
+                        origin: NodeId::new(origin),
+                        nodes: 10
+                    },
+                    "{kind}"
+                );
+            }
+        }
+        // Wrong on both counts: the config is reported, as before.
+        let err = run_protocol(
+            ProtocolKind::Flexible(FlexConfig::default().with_k(1)),
+            topology::ring(10).unwrap(),
+            NodeId::new(10),
+            SimConfig::default(),
+        )
+        .unwrap_err();
+        assert!(matches!(err, HarnessError::Config(_)), "{err}");
+    }
+
+    /// One flexible broadcast over nodes that draw from `scratch`.
+    fn broadcast_over(scratch: &Rc<RefCell<RoundScratch>>, graph: &Graph) -> Metrics {
+        let config = FlexConfig::default();
+        let nodes = flex_nodes(graph.node_count(), config, 9, Rc::clone(scratch))
+            .unwrap()
+            .map(SimDriver::new)
+            .collect();
+        let mut sim = Simulator::new(graph.clone(), nodes, SimConfig::default());
+        sim.trigger(NodeId::new(4), |driver, ctx| {
+            driver.drive(ctx, |node, view, out| {
+                node.start_broadcast(b"tx".to_vec(), view, out);
+            });
+        });
+        sim.run();
+        sim.into_parts().1
+    }
+
+    #[test]
+    fn slot_buffer_pool_is_a_fixed_point_across_broadcasts() {
+        let graph = overlay(60, 9);
+        let scratch = Rc::new(RefCell::new(RoundScratch::new()));
+        let first = broadcast_over(&scratch, &graph);
+        let after_first = scratch.borrow().pooled();
+        let second = broadcast_over(&scratch, &graph);
+        assert_eq!(first.coverage(), 1.0);
+        assert!(first.messages_of_kind("flex-dc") > 0);
+        assert_eq!(second.messages_sent, first.messages_sent);
+        assert!(after_first > 0, "resolved rounds recycle their buffers");
+        // What the pool hands out is what it gets back: a second identical
+        // broadcast finds every buffer it needs parked and adds none. (A
+        // pool that is also handed the senders' private copies grows by
+        // k − 1 buffers per node per DC round.)
+        assert_eq!(scratch.borrow().pooled(), after_first);
     }
 
     #[test]
@@ -643,8 +650,6 @@ mod tests {
         let n = 60;
         let graph = overlay(n, 8);
         let mut arena = TrialArena::new();
-        let prototypes =
-            flex_steady_prototypes_in(&mut arena, n, FlexConfig::default(), 8).unwrap();
         // Two transactions injected half a second apart: the second arrives
         // while the first is still in its DC-net phase, so their rounds
         // genuinely overlap on the origin's group.
@@ -662,18 +667,26 @@ mod tests {
                 origin: NodeId::new(33),
             },
         ];
-        let (metrics, report) = run_steady_in(
-            &mut arena,
-            graph,
-            prototypes,
-            &arrivals,
-            &[NodeId::new(5)],
-            3,
-            SimConfig {
-                seed: 8,
-                ..SimConfig::default()
-            },
-        );
+        let scratch = Rc::new(RefCell::new(RoundScratch::new()));
+        let mut session = || {
+            let prototypes = flex_nodes(n, FlexConfig::default(), 8, Rc::clone(&scratch))
+                .unwrap()
+                .collect();
+            let ran = run_steady_in(
+                &mut arena,
+                graph.clone(),
+                prototypes,
+                &arrivals,
+                &[NodeId::new(5)],
+                3,
+                SimConfig {
+                    seed: 8,
+                    ..SimConfig::default()
+                },
+            );
+            (ran, scratch.borrow().pooled())
+        };
+        let ((metrics, report), pooled) = session();
         for (tx, outcome) in report.per_tx.iter().enumerate() {
             assert_eq!(
                 outcome.delivered_count, n,
@@ -686,6 +699,13 @@ mod tests {
         // Each transaction pays its own DC-net phase: at least two rounds'
         // worth of contributions crossed the wire.
         assert!(metrics.messages_of_kind("flex-dc") > 0);
+
+        // The overlapping transactions' instances share one slot-buffer
+        // pool; a second identical session adds nothing to it.
+        assert!(pooled > 0, "resolved rounds recycle their buffers");
+        let ((again, _), pooled_again) = session();
+        assert_eq!(again.messages_sent, metrics.messages_sent);
+        assert_eq!(pooled_again, pooled);
     }
 
     #[test]

@@ -24,9 +24,8 @@
 //! * [`node`] — the [`FlexNode`] per-node state machine.
 //! * [`harness`] — group formation, key setup, one-call experiment runners
 //!   and the [`ProtocolKind`] abstraction for baseline comparisons.
-//! * [`keycache`] — the per-worker [`GroupKeyCache`] that memoises derived
-//!   DC-net pad keys across trials (pooled in the `TrialArena` extension
-//!   slot).
+//! * [`keycache`] — [`group_memberships`], the symmetric derivation of one
+//!   group's pairwise DC-net pad keys (a pure function of seed and members).
 //!
 //! # Example: an anonymous broadcast over a 200-node overlay
 //!
@@ -67,6 +66,6 @@ pub use harness::{
     flex_steady_prototypes_in, node_key_pair, run_flexible_broadcast, run_flexible_broadcast_in,
     run_protocol, run_protocol_in, FlexReport, HarnessError, ProtocolKind,
 };
-pub use keycache::GroupKeyCache;
+pub use keycache::{group_memberships, GroupKeyCache};
 pub use message::{FlexMessage, PHASE1_KINDS, PHASE2_KINDS, PHASE3_KINDS};
 pub use node::{FlexNode, GroupMembership};

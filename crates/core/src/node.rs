@@ -117,9 +117,10 @@ pub struct FlexNode {
     config: FlexConfig,
     group: Option<GroupMembership>,
     dc: DcState,
-    /// Pool the DC-round slot buffers (own contributions, combine
-    /// accumulators) are drawn from. The harness shares one pool between
-    /// all nodes of a trial and carries it across trials in the arena.
+    /// Pool the DC-round slot buffers (own contributions, the copies sent
+    /// to peers, combine accumulators) are drawn from and return to. The
+    /// harness shares one pool between all nodes of a trial; it is freed
+    /// with them.
     scratch: Rc<RefCell<RoundScratch>>,
     /// The transaction payload once this node knows it. Presence is
     /// mirrored in the hot seen lane; handlers test [`HotLanes::seen`](fnp_proto::HotLanes::seen)
@@ -138,8 +139,9 @@ impl FlexNode {
     }
 
     /// Like [`FlexNode::new`], but drawing DC-round slot buffers from
-    /// `scratch` — a pool the caller shares between all nodes of a trial
-    /// (and, via the experiment harness, across trials on one worker).
+    /// `scratch` — a pool the caller shares between all nodes that can
+    /// exchange DC-net contributions, since a received contribution is
+    /// recycled into the receiver's pool.
     pub fn with_scratch(
         config: FlexConfig,
         group: Option<GroupMembership>,
@@ -273,20 +275,24 @@ impl FlexNode {
             )
             .expect("slot length validated by FlexConfig::validate");
 
-        // Send to every other member, then record our own contribution
-        // (moving the pooled buffer into the received map; it returns to
-        // the pool when the round resolves).
+        // Send a pooled copy to every other member — the receiver recycles
+        // it into this same pool when its round resolves, so the pool must
+        // be where it came from — then record our own contribution (moving
+        // its buffer into the received map; it returns to the pool when
+        // the round resolves).
         let own_index = group.own_index;
         for (index, member) in group.members.iter().enumerate() {
             if index == own_index {
                 continue;
             }
+            let mut data = self.scratch.borrow_mut().checkout();
+            data.extend_from_slice(&contribution);
             out.send(
                 *member,
                 FlexMessage::DcContribution {
                     round,
                     member_index: own_index,
-                    data: contribution.clone(),
+                    data,
                 },
             );
         }

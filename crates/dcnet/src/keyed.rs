@@ -162,8 +162,8 @@ impl KeyedParticipant {
     /// pairwise pad keys: one `(peer_index, key)` entry per *other* member,
     /// where `key` is what [`pairwise_pad_key`] derives for that pair.
     ///
-    /// This is the fast path for harnesses that cache key material across
-    /// trials — it skips the modular exponentiations entirely and is
+    /// This is the path for harnesses that derive each pair's key once and
+    /// hand it to both endpoints — it does no modular exponentiation and is
     /// behaviourally identical to [`KeyedParticipant::new`] given matching
     /// keys (the pads, and hence every contribution, are byte-identical).
     ///

@@ -6,12 +6,17 @@
 //! was fused (see `fnp-crypto`'s multi-block ChaCha20). [`RoundScratch`] is
 //! a simple free list of `Vec<u8>` buffers: round drivers check buffers
 //! out, fill them, and recycle them when the round is over, so consecutive
-//! rounds — and, via the simulator's trial arenas, consecutive *trials* —
-//! reuse the same allocations.
+//! rounds reuse the same allocations.
+//!
+//! **Precondition: recycle only buffers this pool handed out.** The pool
+//! cannot tell, and every foreign buffer it is given is one it keeps for
+//! good. A buffer that crosses to another owner — a contribution sent to a
+//! peer that will recycle it into a pool shared with the sender — is
+//! therefore checked out by the sender and filled, not cloned.
 //!
 //! Buffers are cleared on recycle and zero-filled on
 //! [`RoundScratch::checkout_zeroed`], so no bytes ever leak from one round
-//! (or one trial) into the next. Capacity is retained indefinitely; the
+//! into the next. Capacity is retained for as long as the pool lives; the
 //! pool is intended for fixed-slot-size simulation workloads where that is
 //! exactly the point.
 
@@ -19,8 +24,10 @@
 ///
 /// Checkout either returns a pooled buffer (cleared, capacity retained) or
 /// an empty fresh one; [`RoundScratch::recycle`] clears a buffer and
-/// returns it to the pool. The pool only grows as large as the peak number
-/// of simultaneously checked-out buffers, because every checkout pops.
+/// returns it to the pool. Given the precondition in the
+/// [module documentation](self), the pool only grows as large as the peak
+/// number of simultaneously checked-out buffers, because every checkout
+/// pops.
 #[derive(Debug, Default)]
 pub struct RoundScratch {
     free: Vec<Vec<u8>>,
@@ -47,7 +54,8 @@ impl RoundScratch {
         buf
     }
 
-    /// Returns a buffer to the pool: contents cleared, capacity kept.
+    /// Returns a buffer this pool handed out: contents cleared, capacity
+    /// kept.
     pub fn recycle(&mut self, mut buf: Vec<u8>) {
         buf.clear();
         self.free.push(buf);

@@ -1,13 +1,10 @@
 //! Per-worker allocation reuse across simulation trials.
 //!
-//! Every experiment trial used to build its world from scratch: an overlay
-//! [`Graph`] (one `Vec` per node), a node-state vector, a fresh event-queue
-//! time-wheel, zeroed [`Metrics`] and hot-field lanes — and drop the lot at the
-//! end of the trial. Over a multi-thousand-trial sweep that rebuild churn
-//! dominates the allocator profile while the *shapes* of consecutive trials
-//! are identical (same `n`, same degree, same protocol).
-//!
-//! A [`TrialArena`] is the fix: each [`TrialRunner`](crate::TrialRunner)
+//! A trial's world is an overlay [`Graph`], a node-state vector, an
+//! event-queue time-wheel, zeroed [`Metrics`] and hot-field lanes, and the
+//! *shapes* of consecutive trials in a sweep are identical (same `n`, same
+//! degree, same protocol). A [`TrialArena`] pools exactly that simulator
+//! storage and nothing else: each [`TrialRunner`](crate::TrialRunner)
 //! worker owns one arena and hands it to every trial it executes
 //! ([`TrialRunner::run_with_arena`](crate::TrialRunner::run_with_arena)).
 //! Finished simulations return their storage to the arena
@@ -50,9 +47,6 @@ pub struct TrialArena {
     nodes: Option<Box<dyn Any>>,
     /// Scratch buffers of the configuration-model overlay generator.
     regular_scratch: Option<RegularScratch>,
-    /// Opaque per-worker extension slot for harness-level caches (e.g. the
-    /// group-key cache in `fnp-core`) that live upstream of this crate.
-    extension: Option<Box<dyn Any>>,
 }
 
 impl TrialArena {
@@ -172,22 +166,6 @@ impl TrialArena {
     pub fn store_regular_scratch(&mut self, scratch: RegularScratch) {
         self.regular_scratch = Some(scratch);
     }
-
-    /// Checks out the opaque per-worker extension slot.
-    ///
-    /// Higher layers (the `fnp-core` harness) pool caches here whose types
-    /// this crate cannot name — e.g. derived group-key material reused
-    /// across trials. The caller downcasts; a `None` or a mismatched type
-    /// simply means "build a fresh cache".
-    #[must_use]
-    pub fn take_extension(&mut self) -> Option<Box<dyn Any>> {
-        self.extension.take()
-    }
-
-    /// Returns the opaque extension slot contents to the pool.
-    pub fn store_extension(&mut self, extension: Box<dyn Any>) {
-        self.extension = Some(extension);
-    }
 }
 
 /// Takes the pooled vector out of `slot` if it holds a `Vec<T>`; otherwise
@@ -266,22 +244,6 @@ mod tests {
         // Different type: fresh vector, no panic.
         let other: Vec<String> = arena.take_nodes();
         assert!(other.is_empty());
-    }
-
-    #[test]
-    fn scratch_and_extension_pools_round_trip() {
-        let mut arena = TrialArena::new();
-        // Scratch: a dirty store comes back as-is (the generator clears it).
-        let scratch = arena.regular_scratch();
-        arena.store_regular_scratch(scratch);
-        let _again = arena.regular_scratch();
-
-        // Extension slot: opaque round trip with caller-side downcasting.
-        assert!(arena.take_extension().is_none());
-        arena.store_extension(Box::new(vec![1u8, 2, 3]));
-        let boxed = arena.take_extension().expect("stored extension");
-        assert_eq!(*boxed.downcast::<Vec<u8>>().unwrap(), vec![1, 2, 3]);
-        assert!(arena.take_extension().is_none(), "take empties the slot");
     }
 
     #[test]

@@ -120,7 +120,7 @@ pub use mailbox::{Effect, Mailbox};
 pub use message::{Payload, TestPayload};
 pub use metrics::{KindId, KindRegistry, Metrics, Receipt, TraceEntry};
 pub use node::NodeId;
-pub use runner::{derive_seed, GridPlan, TrialPlan, TrialRunner};
+pub use runner::{derive_seed, GridPlan, TrialRunner};
 pub use sim::{Context, ContextView, ProtocolNode, SimConfig, Simulator};
 pub use stats::{entropy_bits, percentile, summarize, Summary};
 pub use time::{as_millis, from_millis, SimTime, MILLISECOND, SECOND};

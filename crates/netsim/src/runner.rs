@@ -49,33 +49,6 @@ pub fn derive_seed(base_seed: u64, trial: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A description of a batch of independent trials.
-///
-/// The plan is the *what* (how many trials, from which base seed); the
-/// [`TrialRunner`] is the *how* (over how many threads). Splitting the two
-/// lets experiment drivers build plans without deciding on parallelism.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TrialPlan {
-    /// Number of independent trials.
-    pub trials: usize,
-    /// Base seed from which every per-trial seed is derived.
-    pub base_seed: u64,
-}
-
-impl TrialPlan {
-    /// Creates a plan of `trials` trials derived from `base_seed`.
-    #[must_use]
-    pub fn new(trials: usize, base_seed: u64) -> Self {
-        Self { trials, base_seed }
-    }
-
-    /// The derived seed of trial `trial` (see [`derive_seed`]).
-    #[must_use]
-    pub fn seed(&self, trial: usize) -> u64 {
-        derive_seed(self.base_seed, trial as u64)
-    }
-}
-
 /// A two-level trial grid: `cells` experiment cells × `runs` repetitions
 /// per cell, flattened into one plan so that every worker stays busy even
 /// when `runs` is smaller than the thread count.
@@ -300,16 +273,6 @@ impl TrialRunner {
             .map(|_| flat.by_ref().take(plan.runs).collect())
             .collect()
     }
-
-    /// Runs every trial of `plan`, passing `f` the trial index and its
-    /// derived seed; results come back in plan order.
-    pub fn run_plan<T, F>(&self, plan: TrialPlan, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize, u64) -> T + Sync,
-    {
-        self.run(plan.trials, |trial| f(trial, plan.seed(trial)))
-    }
 }
 
 #[cfg(test)]
@@ -364,20 +327,6 @@ mod tests {
         assert_ne!(derive_seed(0, 0), derive_seed(1, 0));
         let seeds: std::collections::BTreeSet<u64> = (0..1000).map(|t| derive_seed(7, t)).collect();
         assert_eq!(seeds.len(), 1000, "derived seeds must not collide");
-    }
-
-    #[test]
-    fn trial_plan_seeds_match_derive_seed() {
-        let plan = TrialPlan::new(5, 99);
-        for trial in 0..plan.trials {
-            assert_eq!(plan.seed(trial), derive_seed(99, trial as u64));
-        }
-        let runner = TrialRunner::new(2);
-        let seeds = runner.run_plan(plan, |_, seed| seed);
-        assert_eq!(
-            seeds,
-            (0..5).map(|t| derive_seed(99, t)).collect::<Vec<_>>()
-        );
     }
 
     #[test]
