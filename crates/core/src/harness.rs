@@ -241,7 +241,7 @@ pub fn run_flexible_broadcast_in(
 ///
 /// `arena` is unused: set-up keeps nothing between trials. The parameter
 /// stays because the frozen `benchmark/src/api.rs` calls this signature;
-/// to be retired with the next benchmark issue (ROADMAP item 1f).
+/// to be retired with the next benchmark issue (ROADMAP item 1d).
 ///
 /// # Errors
 ///

@@ -94,7 +94,7 @@ pub fn group_memberships(group: &Group, key_seed: u64) -> Vec<(NodeId, GroupMemb
 ///
 /// Holds a key seed and forwards to [`group_memberships`]; it caches
 /// nothing. New code calls the function. To be retired with the next
-/// benchmark issue (ROADMAP item 1f).
+/// benchmark issue (ROADMAP item 1d).
 #[derive(Debug)]
 pub struct GroupKeyCache {
     key_seed: u64,

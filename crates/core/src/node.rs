@@ -28,11 +28,12 @@ use fnp_crypto::sha256::Sha256;
 use fnp_dcnet::keyed::{combine_contributions_into, KeyedParticipant};
 use fnp_dcnet::slot::SlotOutcome;
 use fnp_dcnet::RoundScratch;
+use fnp_diffusion::{AdMessage, InfectionTree, Round, Token, Wire};
 use fnp_netsim::NodeId;
 use fnp_proto::{Input, Mailbox, NodeView, ProtocolCore, SteadyProtocol};
 use rand::Rng;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 /// Timer tag for DC-net round pacing.
@@ -77,38 +78,42 @@ struct DcState {
     /// Whether the pending payload should skip the next round (collision
     /// back-off).
     backoff: bool,
-    /// Round number of the next round this node will start.
+    /// Round number of the next round this node will start, which is also
+    /// the number of rounds it has started so far.
     next_round: u64,
-    /// Rounds this node has participated in so far.
-    rounds_started: u64,
     /// Contributions received per round, keyed by round → member index.
     /// A round's entry is removed (and its buffers recycled into the
     /// node's scratch pool) as soon as the round resolves, so this map
     /// only holds in-flight rounds.
     received: BTreeMap<u64, BTreeMap<usize, Vec<u8>>>,
     /// Rounds whose outcome has already been resolved.
-    resolved: BTreeMap<u64, SlotOutcome>,
+    resolved: BTreeSet<u64>,
     /// Whether this node injected its payload into the given round.
     injected_in: Option<u64>,
 }
 
-/// Phase-2 infection state (cold; the hot companions — the payload-seen
-/// flag, the flooding phase tag and the last processed spread round — live
-/// in the driver's hot lanes, accessed through [`HotLanes::seen`](fnp_proto::HotLanes::seen),
-/// [`HotLanes::phase`](fnp_proto::HotLanes::phase) and [`HotLanes::counter_lane`](fnp_proto::HotLanes::counter_lane)).
-#[derive(Debug, Default, Clone)]
-struct AdState {
-    parent: Option<NodeId>,
-    children: Vec<NodeId>,
-    token: Option<AdToken>,
-}
+/// Phase 2's wire for the shared virtual-source engine: adaptive diffusion
+/// under `flex-` names, its infections carrying the transaction payload (an
+/// empty one from a node that does not know it yet). Borrows only the
+/// payload field, so the node's tree stays mutable beside it.
+struct FlexWire<'a>(&'a Option<Vec<u8>>);
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct AdToken {
-    t: u32,
-    h: u32,
-    round: u32,
-    received_from: Option<NodeId>,
+impl Wire for FlexWire<'_> {
+    type Message = FlexMessage;
+    const ROUNDS: &'static str = "flex-ad-rounds";
+    const KEEP: &'static str = "flex-ad-keep";
+    const PASS: &'static str = "flex-ad-pass";
+
+    fn encode(&self, message: AdMessage) -> FlexMessage {
+        match message {
+            AdMessage::Infect { round } => {
+                let payload = self.0.clone().unwrap_or_default();
+                FlexMessage::AdInfect { round, payload }
+            }
+            AdMessage::Spread { round } => FlexMessage::AdSpread { round },
+            AdMessage::Token { t, h, round } => FlexMessage::AdToken { t, h, round },
+        }
+    }
 }
 
 /// A node running the flexible three-phase broadcast protocol.
@@ -126,7 +131,11 @@ pub struct FlexNode {
     /// mirrored in the hot seen lane; handlers test [`HotLanes::seen`](fnp_proto::HotLanes::seen)
     /// instead of probing this option.
     payload: Option<Vec<u8>>,
-    ad: AdState,
+    /// Phase-2 state: this node's links in the infection tree and the
+    /// token while it holds it (cold; the payload-seen flag, the flooding
+    /// phase tag and the last processed spread round live in the driver's
+    /// hot lanes).
+    ad: InfectionTree,
     /// True if this node originated the broadcast.
     is_origin: bool,
 }
@@ -153,7 +162,7 @@ impl FlexNode {
             dc: DcState::default(),
             scratch,
             payload: None,
-            ad: AdState::default(),
+            ad: InfectionTree::default(),
             is_origin: false,
         }
     }
@@ -197,7 +206,7 @@ impl FlexNode {
         self.is_origin = true;
         view.set_seen();
         self.payload = Some(payload.clone());
-        self.deliver(out);
+        out.deliver();
         if self.group.is_some() {
             out.record("flex-origin-queued");
             self.dc.pending_payload = Some(payload);
@@ -206,10 +215,6 @@ impl FlexNode {
             out.record("flex-origin-no-group");
             self.start_flooding(view, out, None);
         }
-    }
-
-    fn deliver(&mut self, out: &mut Mailbox<FlexMessage>) {
-        out.deliver();
     }
 
     /// Learns the payload (idempotent). The duplicate case is decided by
@@ -224,7 +229,7 @@ impl FlexNode {
             return false;
         }
         self.payload = Some(payload.to_vec());
-        self.deliver(out);
+        out.deliver();
         true
     }
 
@@ -238,12 +243,11 @@ impl FlexNode {
         let Some(group) = self.group.as_ref() else {
             return;
         };
-        if self.dc.rounds_started >= self.config.max_dc_rounds {
+        if self.dc.next_round >= self.config.max_dc_rounds {
             return;
         }
         let round = self.dc.next_round;
         self.dc.next_round += 1;
-        self.dc.rounds_started += 1;
 
         // Decide whether to inject the pending payload this round.
         let inject = match (&self.dc.pending_payload, self.dc.backoff) {
@@ -304,7 +308,7 @@ impl FlexNode {
         out.record("flex-dc-rounds");
 
         // Schedule the next round while the budget lasts.
-        if self.dc.rounds_started < self.config.max_dc_rounds {
+        if self.dc.next_round < self.config.max_dc_rounds {
             out.set_timer(self.config.dc_round_interval, TIMER_DC_ROUND);
         }
         self.try_resolve_round(round, view, out);
@@ -344,7 +348,7 @@ impl FlexNode {
         let Some(group) = self.group.as_ref() else {
             return;
         };
-        if self.dc.resolved.contains_key(&round) {
+        if self.dc.resolved.contains(&round) {
             return;
         }
         match self.dc.received.get(&round) {
@@ -370,7 +374,7 @@ impl FlexNode {
             scratch.recycle(contribution);
         }
         drop(scratch);
-        self.dc.resolved.insert(round, outcome.clone());
+        self.dc.resolved.insert(round);
 
         match outcome {
             SlotOutcome::Silence => {
@@ -447,20 +451,21 @@ impl FlexNode {
             .filter(|(index, _)| *index != own_index)
             .map(|(_, node)| *node)
             .collect();
-        self.ad.parent = None;
-        self.ad.children = children;
-        self.ad.token = Some(AdToken {
-            t: 2,
-            h: 1,
-            round: 0,
-            received_from: None,
-        });
+        self.ad = InfectionTree {
+            parent: None,
+            children,
+            token: Some(Token::FIRST),
+        };
         view.mark_round_seen(0);
 
-        // Immediately run the first diffusion expansion around the group,
-        // then pace further rounds with the timer.
-        self.grow_frontier(0, &[], view, out);
-        self.forward_spread(0, &[], out);
+        // Immediately run the first diffusion expansion around the group —
+        // frontier first, then the wave to the group, the one site in this
+        // order — then pace further rounds with the timer.
+        let wire = FlexWire(&self.payload);
+        if view.phase() != PHASE_FLOODING {
+            self.ad.grow_frontier(&wire, 0, None, view, out);
+        }
+        self.ad.forward_spread(&wire, 0, None, out);
         out.set_timer(self.config.ad_round_interval, TIMER_AD_ROUND);
     }
 
@@ -468,122 +473,29 @@ impl FlexNode {
     // Phase 2: adaptive diffusion
     // ------------------------------------------------------------------
 
-    fn payload_clone(&self) -> Vec<u8> {
-        self.payload.clone().unwrap_or_default()
-    }
-
-    /// Sends infections to neighbours that are neither parent nor children.
-    fn grow_frontier(
-        &mut self,
-        round: u32,
-        excluded: &[NodeId],
-        view: &impl NodeView,
-        out: &mut Mailbox<FlexMessage>,
-    ) {
+    /// One virtual-source round (the engine's keep-or-pass) of at most `d`,
+    /// then the switch to phase 3.
+    fn on_ad_timer(&mut self, view: &mut impl NodeView, out: &mut Mailbox<FlexMessage>) {
         if view.phase() == PHASE_FLOODING {
+            // Phase 2 is over on this node; a token it still holds is void.
+            self.ad.token = None;
             return;
         }
-        let payload = self.payload_clone();
-        let parent = self.ad.parent;
-        for target in view.neighbors() {
-            let target = *target;
-            if Some(target) == parent
-                || self.ad.children.contains(&target)
-                || excluded.contains(&target)
-            {
-                continue;
+        let FlexConfig { schedule, d, .. } = self.config;
+        let wire = FlexWire(&self.payload);
+        match self.ad.run_round(&wire, schedule, d, view, out) {
+            Some(Round::Kept) => out.set_timer(self.config.ad_round_interval, TIMER_AD_ROUND),
+            Some(Round::BudgetExhausted) => {
+                // Transition 2 → 3: the final virtual source sends the last
+                // spread request, which doubles as the switch-to-flood signal.
+                out.record("flex-switch-to-flood");
+                for &child in &self.ad.children {
+                    let payload = self.payload.clone().unwrap_or_default();
+                    out.send(child, FlexMessage::FinalSpread { payload });
+                }
+                self.start_flooding(view, out, None);
             }
-            out.send(
-                target,
-                FlexMessage::AdInfect {
-                    round,
-                    payload: payload.clone(),
-                },
-            );
-            self.ad.children.push(target);
-        }
-    }
-
-    /// Forwards a spread wave to the diffusion children.
-    fn forward_spread(&self, round: u32, excluded: &[NodeId], out: &mut Mailbox<FlexMessage>) {
-        for &child in &self.ad.children {
-            if !excluded.contains(&child) {
-                out.send(child, FlexMessage::AdSpread { round });
-            }
-        }
-    }
-
-    /// One virtual-source round: keep-and-spread, pass, or — once the round
-    /// counter reaches `d` — trigger the switch to phase 3.
-    fn run_ad_round(&mut self, view: &mut impl NodeView, out: &mut Mailbox<FlexMessage>) {
-        let Some(mut token) = self.ad.token.take() else {
-            return;
-        };
-        if view.phase() == PHASE_FLOODING {
-            return;
-        }
-        token.t += 2;
-        token.round += 1;
-        out.record("flex-ad-rounds");
-
-        if token.round > self.config.d {
-            // Transition 2 → 3: the final virtual source sends the last
-            // spread request, which doubles as the switch-to-flood signal.
-            out.record("flex-switch-to-flood");
-            self.ad.token = Some(token);
-            let payload = self.payload_clone();
-            for child in self.ad.children.clone() {
-                out.send(
-                    child,
-                    FlexMessage::FinalSpread {
-                        payload: payload.clone(),
-                    },
-                );
-            }
-            self.start_flooding(view, out, None);
-            return;
-        }
-
-        let keep = view
-            .rng()
-            .gen_bool(self.config.schedule.keep_probability(token.t, token.h));
-        if keep {
-            out.record("flex-ad-keep");
-            let round = token.round;
-            view.mark_round_seen(round);
-            self.ad.token = Some(token);
-            self.forward_spread(round, &[], out);
-            self.grow_frontier(round, &[], view, out);
-            out.set_timer(self.config.ad_round_interval, TIMER_AD_ROUND);
-        } else {
-            out.record("flex-ad-pass");
-            let Some(next) = view.random_neighbor_except(token.received_from) else {
-                let round = token.round;
-                view.mark_round_seen(round);
-                self.ad.token = Some(token);
-                self.forward_spread(round, &[], out);
-                self.grow_frontier(round, &[], view, out);
-                out.set_timer(self.config.ad_round_interval, TIMER_AD_ROUND);
-                return;
-            };
-            if !self.ad.children.contains(&next) && self.ad.parent != Some(next) {
-                out.send(
-                    next,
-                    FlexMessage::AdInfect {
-                        round: token.round,
-                        payload: self.payload_clone(),
-                    },
-                );
-                self.ad.children.push(next);
-            }
-            out.send(
-                next,
-                FlexMessage::AdToken {
-                    t: token.t,
-                    h: token.h + 1,
-                    round: token.round,
-                },
-            );
+            Some(Round::Passed) | None => {}
         }
     }
 
@@ -603,7 +515,7 @@ impl FlexNode {
             return;
         }
         view.set_phase(PHASE_FLOODING);
-        let payload = self.payload_clone();
+        let payload = self.payload.clone().unwrap_or_default();
         let excluded: Vec<NodeId> = exclude.into_iter().collect();
         out.broadcast(FlexMessage::Flood { payload }, &excluded);
     }
@@ -630,7 +542,7 @@ impl ProtocolCore for FlexNode {
             Input::Message { from, message } => self.on_flex_message(from, message, view, out),
             Input::TimerFired { tag } => match tag {
                 TIMER_DC_ROUND => self.run_dc_round(view, out),
-                TIMER_AD_ROUND => self.run_ad_round(view, out),
+                TIMER_AD_ROUND => self.on_ad_timer(view, out),
                 _ => {}
             },
         }
@@ -677,12 +589,11 @@ impl FlexNode {
             } => {
                 self.on_dc_contribution(round, member_index, data, view, out);
             }
-            FlexMessage::AdInfect { round, payload } => {
+            FlexMessage::AdInfect { payload, .. } => {
+                // An already-informed node ignores repeated infections.
                 if self.learn_payload(&payload, view, out) {
                     self.ad.parent = Some(from);
                 }
-                // Note: an already-informed node ignores repeated infections.
-                let _ = round;
             }
             FlexMessage::AdSpread { round } => {
                 if !view.seen() {
@@ -695,12 +606,8 @@ impl FlexNode {
                 if view.phase() == PHASE_FLOODING {
                     return;
                 }
-                if view.round_seen(round) {
-                    return;
-                }
-                view.mark_round_seen(round);
-                self.forward_spread(round, &[from], out);
-                self.grow_frontier(round, &[from], view, out);
+                let wire = FlexWire(&self.payload);
+                self.ad.on_spread(&wire, round, from, view, out);
             }
             FlexMessage::AdToken { t, h, round } => {
                 // The token always follows an infection, so the payload is
@@ -708,15 +615,16 @@ impl FlexNode {
                 if !view.seen() {
                     out.record("flex-token-before-payload");
                 }
-                self.ad.token = Some(AdToken {
-                    t,
-                    h,
-                    round,
-                    received_from: Some(from),
-                });
-                view.mark_round_seen(round);
-                self.forward_spread(round, &[from], out);
-                self.grow_frontier(round, &[from], view, out);
+                let wire = FlexWire(&self.payload);
+                self.ad.hold_token(t, h, round, from);
+                if view.phase() == PHASE_FLOODING {
+                    // A flooding node infects nobody new: it only relays
+                    // the wave, and its round timer will void the token.
+                    view.mark_round_seen(round);
+                    self.ad.forward_spread(&wire, round, Some(from), out);
+                } else {
+                    self.ad.spread_wave(&wire, round, Some(from), view, out);
+                }
                 out.set_timer(self.config.ad_round_interval, TIMER_AD_ROUND);
             }
             FlexMessage::FinalSpread { payload } => {
@@ -729,15 +637,10 @@ impl FlexNode {
                 }
                 // Forward the switch signal through the diffusion subtree,
                 // then start flooding ourselves.
-                let forwarded = payload.clone();
-                for child in self.ad.children.clone() {
+                for &child in &self.ad.children {
                     if child != from {
-                        out.send(
-                            child,
-                            FlexMessage::FinalSpread {
-                                payload: forwarded.clone(),
-                            },
-                        );
+                        let payload = payload.clone();
+                        out.send(child, FlexMessage::FinalSpread { payload });
                     }
                 }
                 self.start_flooding(view, out, Some(from));
@@ -783,6 +686,186 @@ mod tests {
         assert!(!node.is_origin());
         assert!(!node.holds_token());
         assert!(node.group_members().is_empty());
+    }
+
+    // Phase-2 edges, one poll at a time on a stand-alone environment: node 0
+    // of five, neighbours 1, 2 and 3, in no group.
+    use fnp_proto::{Effect, HotLanes, StandaloneEnv};
+
+    const D: u32 = 2;
+
+    fn lone_node() -> (FlexNode, StandaloneEnv) {
+        let neighbors = [1, 2, 3].map(NodeId::new).to_vec();
+        let env = StandaloneEnv::new(NodeId::new(0), 5, neighbors, 7);
+        (FlexNode::new(FlexConfig::default().with_d(D), None), env)
+    }
+
+    fn poll(
+        node: &mut FlexNode,
+        env: &mut StandaloneEnv,
+        input: Input<FlexMessage>,
+    ) -> Vec<Effect<FlexMessage>> {
+        let mut out = Mailbox::new();
+        node.poll(input, env, &mut out);
+        out.drain().collect()
+    }
+
+    fn message(from: usize, message: FlexMessage) -> Input<FlexMessage> {
+        let from = NodeId::new(from);
+        Input::Message { from, message }
+    }
+
+    fn send(to: usize, message: FlexMessage) -> Effect<FlexMessage> {
+        let to = NodeId::new(to);
+        Effect::Send { to, message }
+    }
+
+    fn count(name: &'static str) -> Effect<FlexMessage> {
+        Effect::Counter { name, amount: 1 }
+    }
+
+    const AD_TIMER: Input<FlexMessage> = Input::TimerFired {
+        tag: TIMER_AD_ROUND,
+    };
+
+    /// Node 0 infected by node 1 and handed the token in round `round`: it
+    /// has infected 2 and 3 and its round timer is armed.
+    fn virtual_source(round: u32) -> (FlexNode, StandaloneEnv) {
+        let (mut node, mut env) = lone_node();
+        let payload = b"tx".to_vec();
+        let infect = FlexMessage::AdInfect { round, payload };
+        assert_eq!(
+            poll(&mut node, &mut env, message(1, infect.clone())),
+            [Effect::Deliver]
+        );
+        let token = FlexMessage::AdToken { t: 2, h: 1, round };
+        let interval = FlexConfig::default().ad_round_interval;
+        assert_eq!(
+            poll(&mut node, &mut env, message(1, token)),
+            [
+                send(2, infect.clone()),
+                send(3, infect),
+                Effect::SetTimer {
+                    delay: interval,
+                    tag: TIMER_AD_ROUND
+                },
+            ]
+        );
+        assert!(node.holds_token());
+        (node, env)
+    }
+
+    #[test]
+    fn a_spread_before_the_payload_is_dropped_and_counted() {
+        let (mut node, mut env) = lone_node();
+        let effects = poll(
+            &mut node,
+            &mut env,
+            message(1, FlexMessage::AdSpread { round: 1 }),
+        );
+        assert_eq!(effects, [count("flex-spread-before-payload")]);
+        assert!(!env.round_seen(1), "a dropped wave must not count as seen");
+        assert!(!node.has_payload());
+    }
+
+    #[test]
+    fn a_token_before_the_payload_is_counted_and_still_accepted() {
+        let (mut node, mut env) = lone_node();
+        let token = FlexMessage::AdToken {
+            t: 2,
+            h: 1,
+            round: 0,
+        };
+        let effects = poll(&mut node, &mut env, message(1, token));
+        assert_eq!(effects[0], count("flex-token-before-payload"));
+        assert!(matches!(effects.last(), Some(Effect::SetTimer { .. })));
+        assert!(node.holds_token());
+    }
+
+    #[test]
+    fn a_token_on_a_flooding_node_is_discarded_and_rearms_no_timer() {
+        let (mut node, mut env) = virtual_source(0);
+        let payload = b"tx".to_vec();
+        let flood = FlexMessage::Flood { payload };
+        let effects = poll(&mut node, &mut env, message(3, flood.clone()));
+        assert_eq!(
+            effects,
+            [Effect::Broadcast {
+                message: flood,
+                excluded: vec![NodeId::new(3)]
+            }]
+        );
+        assert_eq!(env.phase(), PHASE_FLOODING);
+        assert!(
+            node.holds_token(),
+            "the token is still there until the timer"
+        );
+
+        assert_eq!(poll(&mut node, &mut env, AD_TIMER), []);
+        assert!(!node.holds_token());
+
+        // A token that arrives later is relayed down the tree, infects
+        // nobody new, and goes the same way at its timer.
+        let token = FlexMessage::AdToken {
+            t: 4,
+            h: 2,
+            round: 1,
+        };
+        let effects = poll(&mut node, &mut env, message(2, token));
+        assert_eq!(effects.len(), 2, "{effects:?}");
+        assert_eq!(effects[0], send(3, FlexMessage::AdSpread { round: 1 }));
+        assert!(matches!(effects[1], Effect::SetTimer { .. }));
+        assert_eq!(poll(&mut node, &mut env, AD_TIMER), []);
+        assert!(!node.holds_token());
+    }
+
+    #[test]
+    fn a_final_spread_is_forwarded_once() {
+        let (mut node, mut env) = virtual_source(0);
+        let payload = b"tx".to_vec();
+        let last = FlexMessage::FinalSpread {
+            payload: payload.clone(),
+        };
+        // From child 2: on to the other child, then flood away from 2.
+        let effects = poll(&mut node, &mut env, message(2, last.clone()));
+        assert_eq!(
+            effects,
+            [
+                send(3, last.clone()),
+                Effect::Broadcast {
+                    message: FlexMessage::Flood { payload },
+                    excluded: vec![NodeId::new(2)]
+                },
+            ]
+        );
+        // The children relation can contain cycles: the request coming
+        // round again must die here.
+        assert_eq!(poll(&mut node, &mut env, message(3, last)), []);
+    }
+
+    #[test]
+    fn budget_exhaustion_sends_the_final_spread_then_floods_once() {
+        let (mut node, mut env) = virtual_source(D);
+        let payload = b"tx".to_vec();
+        let last = FlexMessage::FinalSpread {
+            payload: payload.clone(),
+        };
+        assert_eq!(
+            poll(&mut node, &mut env, AD_TIMER),
+            [
+                count("flex-ad-rounds"),
+                count("flex-switch-to-flood"),
+                send(2, last.clone()),
+                send(3, last),
+                Effect::Broadcast {
+                    message: FlexMessage::Flood { payload },
+                    excluded: vec![]
+                },
+            ]
+        );
+        assert!(node.holds_token(), "the final virtual source keeps it");
+        // A stray timer afterwards voids the token and sends nothing.
+        assert_eq!(poll(&mut node, &mut env, AD_TIMER), []);
     }
 
     // End-to-end behaviour with groups is exercised by the harness tests in

@@ -9,8 +9,12 @@
 //! * [`alpha`] — the virtual-source hand-off probability schedules,
 //!   including the regular-tree formula of Fanti et al. and degenerate
 //!   schedules for ablations.
-//! * [`protocol`] — the [`AdaptiveDiffusionNode`] state machine (infection
-//!   tree, token transfers, spread waves), simulator-driven through
+//! * [`engine`] — the virtual-source mechanism itself (infection tree, token
+//!   transfers, spread waves, the keep/pass round), generic over the
+//!   [`Wire`] of the protocol running it: [`AdaptiveDiffusionNode`] here,
+//!   phase 2 of `fnp-core`'s `FlexNode` there.
+//! * [`protocol`] — the [`AdaptiveDiffusionNode`] state machine: the engine
+//!   on the bare [`AdMessage`] wire, simulator-driven through
 //!   [`fnp_proto::SimDriver`].
 //! * [`report`] — a convenience runner producing the message-count figures
 //!   of the paper's §V-A (experiment E6).
@@ -39,11 +43,13 @@
 #![warn(missing_debug_implementations)]
 
 pub mod alpha;
+pub mod engine;
 pub mod protocol;
 pub mod report;
 
 pub use alpha::AlphaSchedule;
-pub use protocol::{AdMessage, AdParams, AdaptiveDiffusionNode};
+pub use engine::{InfectionTree, Round, Token, Wire};
+pub use protocol::{AdMessage, AdParams, AdWire, AdaptiveDiffusionNode};
 pub use report::{run_adaptive_diffusion, run_adaptive_diffusion_in, DiffusionReport};
 
 #[cfg(test)]

@@ -23,9 +23,9 @@
 //! §V-A and reproduced by experiment E6).
 
 use crate::alpha::AlphaSchedule;
+use crate::engine::{InfectionTree, Round, Token, Wire};
 use fnp_netsim::{NodeId, Payload, SimTime, MILLISECOND};
 use fnp_proto::{Input, Mailbox, NodeView, ProtocolCore, SteadyProtocol};
-use rand::Rng;
 
 /// Timer tag used by the virtual source to pace rounds.
 const ROUND_TIMER: u64 = 1;
@@ -102,42 +102,32 @@ impl Default for AdParams {
     }
 }
 
-/// Virtual-source token state held by at most one node at a time.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct Token {
-    t: u32,
-    h: u32,
-    round: u32,
-    received_from: Option<NodeId>,
+/// The bare wire of stand-alone adaptive diffusion: [`AdMessage`]s as they
+/// are, counted under `ad-` names.
+#[derive(Clone, Copy, Debug)]
+pub struct AdWire;
+
+impl Wire for AdWire {
+    type Message = AdMessage;
+    const ROUNDS: &'static str = "ad-rounds";
+    const KEEP: &'static str = "ad-keep";
+    const PASS: &'static str = "ad-pass";
+
+    fn encode(&self, message: AdMessage) -> AdMessage {
+        message
+    }
 }
 
-/// Per-node infection state (cold: touched only by the owning node's
-/// handlers once the hot-lane checks have passed).
-///
-/// The hot companions live in the driver's hot lanes (struct-of-arrays
-/// under the simulator): the [`seen` lane](fnp_proto::HotLanes::seen) mirrors
-/// `is_some()` of the node's `Option<Infection>` for the
-/// duplicate-infection fast path, and the
-/// [`counter` lane](fnp_proto::HotLanes::counter_lane) holds the highest spread-wave
-/// round already processed (encoded as `round + 1`, `0` = none), which
-/// suppresses duplicate waves without touching this struct (the infection
-/// "children" relation can contain cycles on general graphs, so without the
-/// check a wave could circulate forever).
-#[derive(Clone, Debug, Default)]
-struct Infection {
-    /// The node that infected us (tree parent); `None` for the origin.
-    parent: Option<NodeId>,
-    /// Nodes we have infected (tree children).
-    children: Vec<NodeId>,
-    /// The virtual-source token, if currently held.
-    token: Option<Token>,
-}
-
-/// A node running adaptive diffusion.
+/// A node running adaptive diffusion: the [`engine`](crate::engine) on the
+/// bare wire.
 #[derive(Clone, Debug)]
 pub struct AdaptiveDiffusionNode {
     params: AdParams,
-    infection: Option<Infection>,
+    /// This node's tree links and token; all empty until it is infected.
+    /// Whether it is lives in the driver's
+    /// [`seen` lane](fnp_proto::HotLanes::seen), so a duplicate infection —
+    /// the hottest branch of the protocol — never loads this cold state.
+    tree: InfectionTree,
     /// Set when this node was the true origin of the broadcast.
     is_origin: bool,
 }
@@ -147,14 +137,15 @@ impl AdaptiveDiffusionNode {
     pub fn new(params: AdParams) -> Self {
         Self {
             params,
-            infection: None,
+            tree: InfectionTree::default(),
             is_origin: false,
         }
     }
 
-    /// Whether this node has received the message.
+    /// Whether this node has received the message: it started the broadcast
+    /// or some node infected it.
     pub fn is_infected(&self) -> bool {
-        self.infection.is_some()
+        self.is_origin || self.tree.parent.is_some()
     }
 
     /// Whether this node was the broadcast origin.
@@ -164,14 +155,12 @@ impl AdaptiveDiffusionNode {
 
     /// Whether this node currently holds the virtual-source token.
     pub fn holds_token(&self) -> bool {
-        self.infection
-            .as_ref()
-            .is_some_and(|state| state.token.is_some())
+        self.tree.token.is_some()
     }
 
     /// The node that infected this node, if any (the infection-tree parent).
     pub fn infection_parent(&self) -> Option<NodeId> {
-        self.infection.as_ref().and_then(|state| state.parent)
+        self.tree.parent
     }
 
     /// Starts a broadcast from this node. Under the simulator, call through
@@ -186,146 +175,10 @@ impl AdaptiveDiffusionNode {
             return;
         }
         self.is_origin = true;
-        let mut infection = Infection::default();
         out.deliver();
         out.record("ad-origin");
-
-        let Some(first) = view.random_neighbor_except(None) else {
-            self.infection = Some(infection);
-            return;
-        };
-        out.send(first, AdMessage::Infect { round: 0 });
-        out.send(
-            first,
-            AdMessage::Token {
-                t: 2,
-                h: 1,
-                round: 0,
-            },
-        );
-        infection.children.push(first);
-        self.infection = Some(infection);
-    }
-
-    /// Becomes infected (idempotent); returns `true` on the first infection.
-    ///
-    /// The duplicate case — the hottest branch of the protocol, hit by
-    /// every redundant `Infect`/`Spread` delivery — is decided entirely by
-    /// the dense seen lane without loading this node's cold state.
-    fn infect(
-        &mut self,
-        parent: Option<NodeId>,
-        view: &mut impl NodeView,
-        out: &mut Mailbox<AdMessage>,
-    ) -> bool {
-        if view.set_seen() {
-            return false;
-        }
-        self.infection = Some(Infection {
-            parent,
-            children: Vec::new(),
-            token: None,
-        });
-        out.deliver();
-        true
-    }
-
-    /// Sends infections to all uninfected-looking neighbours (those that are
-    /// neither our parent nor already our children), excluding `excluded`.
-    fn grow_frontier(
-        &mut self,
-        round: u32,
-        excluded: &[NodeId],
-        view: &impl NodeView,
-        out: &mut Mailbox<AdMessage>,
-    ) {
-        let Some(infection) = self.infection.as_mut() else {
-            return;
-        };
-        let parent = infection.parent;
-        for target in view.neighbors() {
-            let target = *target;
-            if Some(target) == parent
-                || infection.children.contains(&target)
-                || excluded.contains(&target)
-            {
-                continue;
-            }
-            out.send(target, AdMessage::Infect { round });
-            infection.children.push(target);
-        }
-    }
-
-    /// Forwards a spread wave to the infection-tree children.
-    fn forward_spread(&self, round: u32, excluded: &[NodeId], out: &mut Mailbox<AdMessage>) {
-        let Some(infection) = self.infection.as_ref() else {
-            return;
-        };
-        for &child in &infection.children {
-            if !excluded.contains(&child) {
-                out.send(child, AdMessage::Spread { round });
-            }
-        }
-    }
-
-    /// Executes one virtual-source round: keep (and spread) or pass.
-    fn run_round(&mut self, view: &mut impl NodeView, out: &mut Mailbox<AdMessage>) {
-        let Some(infection) = self.infection.as_mut() else {
-            return;
-        };
-        let Some(mut token) = infection.token.take() else {
-            return;
-        };
-        token.t += 2;
-        token.round += 1;
-        out.record("ad-rounds");
-
-        if token.round > self.params.max_rounds {
-            // The final virtual source simply stops (it keeps the token but
-            // schedules no further rounds); the flexible broadcast protocol
-            // (fnp-core) instead switches to flood-and-prune here.
-            infection.token = Some(token);
-            out.record("ad-finished");
-            return;
-        }
-
-        let keep_probability = self.params.schedule.keep_probability(token.t, token.h);
-        let keep = view.rng().gen_bool(keep_probability);
-
-        if keep {
-            out.record("ad-keep");
-            let round = token.round;
-            infection.token = Some(token);
-            view.mark_round_seen(round);
-            self.forward_spread(round, &[], out);
-            self.grow_frontier(round, &[], view, out);
-            out.set_timer(self.params.round_interval, ROUND_TIMER);
-        } else {
-            out.record("ad-pass");
-            // Pass the token to a random neighbour other than the one we got
-            // it from. If no such neighbour exists we keep it instead.
-            let Some(next) = view.random_neighbor_except(token.received_from) else {
-                let round = token.round;
-                infection.token = Some(token);
-                view.mark_round_seen(round);
-                self.forward_spread(round, &[], out);
-                self.grow_frontier(round, &[], view, out);
-                out.set_timer(self.params.round_interval, ROUND_TIMER);
-                return;
-            };
-            if !infection.children.contains(&next) && infection.parent != Some(next) {
-                out.send(next, AdMessage::Infect { round: token.round });
-                infection.children.push(next);
-            }
-            out.send(
-                next,
-                AdMessage::Token {
-                    t: token.t,
-                    h: token.h + 1,
-                    round: token.round,
-                },
-            );
-            // This node no longer holds the token and schedules no timers.
+        if let Some(first) = view.random_neighbor_except(None) {
+            self.tree.hand_token(&AdWire, first, &Token::FIRST, out);
         }
     }
 }
@@ -341,46 +194,36 @@ impl ProtocolCore for AdaptiveDiffusionNode {
     ) {
         match input {
             Input::Init => {}
-            Input::Message { from, message } => match message {
-                AdMessage::Infect { .. } => {
-                    self.infect(Some(from), view, out);
+            Input::Message { from, message } => {
+                // Any of the three messages infects a node that was not yet.
+                if !view.set_seen() {
+                    self.tree.parent = Some(from);
+                    out.deliver();
                 }
-                AdMessage::Spread { round } => {
-                    // A spread wave: make sure we are infected, pass it on to
-                    // our subtree and grow the frontier around us. Each wave
-                    // (round) is processed at most once per node — tracked in
-                    // the hot counter lane — so that cycles in the infection
-                    // relation cannot circulate a wave indefinitely.
-                    self.infect(Some(from), view, out);
-                    if view.round_seen(round) {
-                        return;
+                match message {
+                    AdMessage::Infect { .. } => {}
+                    AdMessage::Spread { round } => {
+                        self.tree.on_spread(&AdWire, round, from, view, out);
                     }
-                    view.mark_round_seen(round);
-                    self.forward_spread(round, &[from], out);
-                    self.grow_frontier(round, &[from], view, out);
-                }
-                AdMessage::Token { t, h, round } => {
-                    self.infect(Some(from), view, out);
-                    view.mark_round_seen(round);
-                    let infection = self.infection.as_mut().expect("infected above");
-                    infection.token = Some(Token {
-                        t,
-                        h,
-                        round,
-                        received_from: Some(from),
-                    });
-                    // The new virtual source spreads in every direction except
-                    // the one the token came from, then paces further rounds.
-                    self.forward_spread(round, &[from], out);
-                    self.grow_frontier(round, &[from], view, out);
-                    out.set_timer(self.params.round_interval, ROUND_TIMER);
-                }
-            },
-            Input::TimerFired { tag } => {
-                if tag == ROUND_TIMER {
-                    self.run_round(view, out);
+                    AdMessage::Token { t, h, round } => {
+                        self.tree.hold_token(t, h, round, from);
+                        self.tree.spread_wave(&AdWire, round, Some(from), view, out);
+                        out.set_timer(self.params.round_interval, ROUND_TIMER);
+                    }
                 }
             }
+            Input::TimerFired { tag } if tag == ROUND_TIMER => {
+                let (schedule, budget) = (self.params.schedule, self.params.max_rounds);
+                match self.tree.run_round(&AdWire, schedule, budget, view, out) {
+                    Some(Round::Kept) => out.set_timer(self.params.round_interval, ROUND_TIMER),
+                    // The final virtual source simply stops: it keeps the
+                    // token and schedules no further round (`fnp-core`
+                    // switches to flood-and-prune here instead).
+                    Some(Round::BudgetExhausted) => out.record("ad-finished"),
+                    Some(Round::Passed) | None => {}
+                }
+            }
+            Input::TimerFired { .. } => {}
         }
     }
 }
