@@ -79,7 +79,9 @@ pub struct SimConfig {
     pub record_receipts: bool,
     /// Hard cap on processed events, guarding against runaway protocols.
     pub max_events: u64,
-    /// Hard cap on simulated time; events scheduled later are dropped.
+    /// Hard cap on simulated time; a message or timer scheduled later is
+    /// dropped and counted under the `"dropped-late"` counter (a dropped
+    /// message still counts as sent).
     pub max_time: SimTime,
     /// Outage schedule injected into the run (empty = no churn). While a
     /// node is down it neither receives messages nor fires timers; dropped
@@ -322,6 +324,14 @@ enum PayloadSlot<M> {
 }
 
 impl<M: Clone> PayloadSlot<M> {
+    /// The payload, wherever it lives.
+    fn payload(&self) -> &M {
+        match self {
+            PayloadSlot::Owned(message) => message,
+            PayloadSlot::Shared(shared) => shared,
+        }
+    }
+
     /// Takes ownership of the payload, cloning only when other in-flight
     /// copies still share it (the last recipient gets the original).
     fn into_message(self) -> M {
@@ -334,14 +344,17 @@ impl<M: Clone> PayloadSlot<M> {
     }
 }
 
+/// What a queued event does. A delivery carries the message and nothing
+/// derived from it: its kind and size are pure functions of the payload
+/// ([`Payload::kind`], [`Payload::size_bytes`]), wanted only by a recording
+/// run, so `step` asks the message for them there instead of every queued
+/// event carrying 24 bytes of them through every bucket copy and sort.
 #[derive(Debug)]
 enum EventKind<M> {
     Deliver {
         from: NodeId,
         to: NodeId,
         message: PayloadSlot<M>,
-        bytes: usize,
-        kind: &'static str,
     },
     Timer {
         node: NodeId,
@@ -586,9 +599,8 @@ impl<N: ProtocolNode> Simulator<N> {
                 Effect::Send { to, message } => {
                     let delay = self.config.latency.sample(node, to, &mut self.rng);
                     let at = self.now.saturating_add(delay);
-                    let kind = message.kind();
-                    let bytes = message.size_bytes();
-                    self.metrics.record_send(kind, bytes);
+                    self.metrics
+                        .record_send(message.kind(), message.size_bytes());
                     if at <= self.config.max_time {
                         let seq = self.next_seq();
                         self.push_event(Event {
@@ -598,16 +610,15 @@ impl<N: ProtocolNode> Simulator<N> {
                                 from: node,
                                 to,
                                 message: PayloadSlot::Owned(message),
-                                bytes,
-                                kind,
                             },
                         });
+                    } else {
+                        self.metrics.record_counter("dropped-late", 1);
                     }
                 }
                 Effect::Broadcast { message, excluded } => {
-                    let kind = message.kind();
                     let bytes = message.size_bytes();
-                    let kind_id = self.metrics.intern_kind(kind);
+                    let kind_id = self.metrics.intern_kind(message.kind());
                     let shared = Rc::new(message);
                     // The loop iterates the neighbor slice in place (the
                     // whole point is not to allocate a target list), which
@@ -637,10 +648,10 @@ impl<N: ProtocolNode> Simulator<N> {
                                     from: node,
                                     to,
                                     message: PayloadSlot::Shared(Rc::clone(&shared)),
-                                    bytes,
-                                    kind,
                                 },
                             });
+                        } else {
+                            self.metrics.record_counter("dropped-late", 1);
                         }
                     }
                 }
@@ -653,6 +664,8 @@ impl<N: ProtocolNode> Simulator<N> {
                             seq,
                             kind: EventKind::Timer { node, tag },
                         });
+                    } else {
+                        self.metrics.record_counter("dropped-late", 1);
                     }
                 }
                 Effect::Deliver => {
@@ -690,18 +703,13 @@ impl<N: ProtocolNode> Simulator<N> {
         self.now = event.at;
         self.metrics.events_processed += 1;
         match event.kind {
-            EventKind::Deliver {
-                from,
-                to,
-                message,
-                bytes,
-                kind,
-            } => {
+            EventKind::Deliver { from, to, message } => {
                 if self.config.churn.is_down(to, self.now) {
                     self.metrics.record_counter("dropped-offline", 1);
                     return true;
                 }
                 if self.config.record_receipts {
+                    let kind = message.payload().kind();
                     self.metrics.note_receipt(to, from, self.now, kind);
                     if self.config.record_trace {
                         self.metrics.trace.push(TraceEntry {
@@ -709,7 +717,7 @@ impl<N: ProtocolNode> Simulator<N> {
                             from,
                             to,
                             kind,
-                            bytes,
+                            bytes: message.payload().size_bytes(),
                         });
                     }
                 }
@@ -907,6 +915,53 @@ mod tests {
     }
 
     #[test]
+    fn everything_max_time_cuts_off_is_counted() {
+        // One node, at time 0: a send, a broadcast to its two other
+        // neighbours and a timer, all due after `max_time`. None is queued,
+        // each is counted, and the messages still count as sent.
+        struct Late;
+        impl ProtocolNode for Late {
+            type Message = TestPayload;
+            fn on_message(
+                &mut self,
+                _: NodeId,
+                _: TestPayload,
+                ctx: &mut Context<'_, TestPayload>,
+            ) {
+                ctx.record("arrived");
+            }
+            fn on_timer(&mut self, _: u64, ctx: &mut Context<'_, TestPayload>) {
+                ctx.record("fired");
+            }
+        }
+        let run = |max_time| {
+            let mut sim = Simulator::new(
+                topology::complete(4).unwrap(),
+                vec![Late, Late, Late, Late],
+                SimConfig {
+                    latency: LatencyModel::Constant { delay: 1000 },
+                    max_time,
+                    ..SimConfig::default()
+                },
+            );
+            sim.trigger(NodeId::new(0), |_, ctx| {
+                ctx.send(NodeId::new(1), TestPayload::new("late", 10));
+                ctx.send_to_neighbors_except(TestPayload::new("late", 10), &[NodeId::new(1)]);
+                ctx.set_timer(1000, 7);
+            });
+            let metrics = sim.run();
+            (
+                metrics.messages_sent,
+                metrics.counter("dropped-late"),
+                metrics.counter("arrived") + metrics.counter("fired"),
+                metrics.events_processed,
+            )
+        };
+        assert_eq!(run(999), (3, 4, 0, 0));
+        assert_eq!(run(1000), (3, 0, 4, 4));
+    }
+
+    #[test]
     fn run_until_pauses_and_resumes() {
         let graph = topology::line(10).unwrap();
         let nodes = (0..10).map(|_| FloodNode::default()).collect();
@@ -1044,7 +1099,9 @@ mod tests {
     #[test]
     fn a_flood_event_fits_one_cache_line() {
         // `FloodMessage` is a `u64` transaction id; its events are what a
-        // million-node flood sorts and moves by the million.
+        // million-node flood copies, sorts and moves by the million — with
+        // room to spare: time, sequence number, the two node ids and the
+        // payload slot, and nothing that can be read off the payload.
         #[derive(Clone, Debug)]
         struct TxId(#[allow(dead_code)] u64);
         impl Payload for TxId {
@@ -1052,7 +1109,7 @@ mod tests {
                 "flood"
             }
         }
-        assert!(size_of::<Event<TxId>>() <= 64);
+        assert!(size_of::<Event<TxId>>() <= 40);
     }
 
     #[test]

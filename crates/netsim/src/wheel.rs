@@ -30,6 +30,27 @@
 //!   exactly the key the reference heap would have returned — the entire
 //!   pre-wheel implementation is retained as an executable cross-check
 //!   that the whole test suite exercises.
+//!
+//! # Where the events live
+//!
+//! A bucket owns no buffer. It is a linked list of fixed-size *chunks*
+//! ([`CHUNK`] events each) drawn LIFO from one wheel-wide free list; only
+//! the newest chunk of a bucket can be partly filled. When the cursor
+//! reaches a bucket, its chunks are *gathered* — copied into the one
+//! persistent `current` buffer, which is then sorted and popped from the
+//! end — and go straight back to the free list, still warm, for the pushes
+//! that popping those events will cause. The wheel therefore holds
+//!
+//! * one chunk per [`CHUNK`] events in flight, plus at most one partly
+//!   filled chunk per non-empty bucket — `O(peak in flight)`, whichever
+//!   buckets the events of this trial, or the last one, happened to fall
+//!   into; and
+//! * `current`, as large as the fullest bucket ever drained.
+//!
+//! A bucket that kept a `Vec` of its own would keep the capacity of the
+//! busiest moment it ever saw, `O(SLOTS × per-bucket peak)` in all: for a
+//! trial whose waves sweep across the ring — adaptive diffusion at the
+//! paper's `n` — an order of magnitude more than it ever has in flight.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -46,12 +67,29 @@ const SLOTS: usize = 256;
 /// [`width_for`]).
 const BUCKETS_PER_MAX_DELAY: u64 = 64;
 
+/// Events per chunk of bucket storage.
+///
+/// A delivery lands within [`BUCKETS_PER_MAX_DELAY`] buckets of the cursor,
+/// so about that many chunks are partly filled at any moment: at 64 events
+/// that is a few thousand events of slack, of the order of what a
+/// 1 000-node trial has in flight and nothing beside a large flood. A
+/// larger chunk wastes proportionally more; a smaller one follows a link,
+/// and on a cold wheel calls the allocator, proportionally more often (at
+/// 64 a chunk of flood events is 2.5 KB). A constant, not a setting.
+const CHUNK: usize = 64;
+
+/// "No chunk": the end of a bucket's list or of the free list, and an
+/// empty bucket. Out of range for `chunks`, so `chunks.get(NO_CHUNK)` is
+/// the `None` that the "does this bucket have a chunk with room" check on
+/// the push path wants anyway.
+const NO_CHUNK: usize = usize::MAX;
+
 /// Retained capacity is clamped on [`TimeWheel::reset`] when it exceeds
-/// this factor times the peak occupancy of the trial that just ended
+/// this factor times what the trial that just ended could have used
 /// (mirrors `SCRATCH_CLAMP_FACTOR` in the topology generators).
 const WHEEL_CLAMP_FACTOR: usize = 4;
 
-/// Capacity below this many items — per bucket, per heap — is never worth
+/// Capacity below this many items — `current`, each heap — is never worth
 /// shrinking.
 const WHEEL_RETAIN_FLOOR: usize = 256;
 
@@ -98,6 +136,18 @@ impl<T: WheelItem> Ord for ByKey<T> {
     }
 }
 
+/// One fixed-size piece of bucket storage; see the
+/// [module documentation](self#where-the-events-live).
+#[derive(Debug)]
+struct Chunk<T> {
+    /// At most [`CHUNK`] events, in push order; allocated once, at that
+    /// capacity, and never grown.
+    items: Vec<ByKey<T>>,
+    /// The next (older) chunk of the list this one is on — a bucket's or
+    /// the free list — or [`NO_CHUNK`].
+    next: usize,
+}
+
 /// Bucketed time-wheel priority queue over `(at, seq)` keys; see the
 /// [module documentation](self).
 #[derive(Debug)]
@@ -108,10 +158,16 @@ pub(crate) struct TimeWheel<T> {
     window_start: SimTime,
     /// Index of the bucket currently being drained.
     cursor: usize,
-    /// The fixed ring of buckets (push order; sorted on drain).
-    slots: Vec<Vec<ByKey<T>>>,
-    /// The cursor bucket, sorted *descending* so the minimum pops off the
-    /// end in `O(1)` without moving the rest.
+    /// The fixed ring of buckets: for each, the index in `chunks` of its
+    /// newest chunk (the only one that can have room), or [`NO_CHUNK`].
+    slots: [usize; SLOTS],
+    /// Every chunk the wheel has allocated, each on exactly one list.
+    chunks: Vec<Chunk<T>>,
+    /// Head of the free list: empty chunks, most recently freed first.
+    free: usize,
+    /// The cursor bucket, gathered out of its chunks and sorted
+    /// *descending* so the minimum pops off the end in `O(1)` without
+    /// moving the rest.
     current: Vec<ByKey<T>>,
     /// Events at or before the cursor bucket's upper edge, pushed after
     /// the bucket was sorted.
@@ -137,15 +193,17 @@ impl<T: WheelItem> Default for TimeWheel<T> {
 
 impl<T: WheelItem> TimeWheel<T> {
     /// Creates an empty wheel with a placeholder bucket width; call
-    /// [`TimeWheel::reset`] with the model-derived width before use. The
-    /// ring always holds [`SLOTS`] buckets (empty `Vec`s allocate nothing),
-    /// so even an un-reset wheel is safe to push to and pop from.
+    /// [`TimeWheel::reset`] with the model-derived width before use. An
+    /// empty wheel owns no heap memory, and even un-reset it is safe to
+    /// push to and pop from.
     pub(crate) fn empty() -> Self {
         Self {
             width: 1,
             window_start: 0,
             cursor: 0,
-            slots: std::iter::repeat_with(Vec::new).take(SLOTS).collect(),
+            slots: [NO_CHUNK; SLOTS],
+            chunks: Vec::new(),
+            free: NO_CHUNK,
             current: Vec::new(),
             incoming: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
@@ -157,29 +215,31 @@ impl<T: WheelItem> TimeWheel<T> {
     }
 
     /// Drops all queued events and re-arms the wheel with `width`, keeping
-    /// the bucket allocations (the arena-recycling path) — unless they are
+    /// the chunks and buffers (the arena-recycling path) — unless they are
     /// more than [`WHEEL_CLAMP_FACTOR`]× oversized for the trial that just
-    /// ended, in which case they shrink to its peak occupancy. Without the
-    /// clamp a single million-node trial would pin hundreds of megabytes of
-    /// bucket and heap capacity in the arena pool for the rest of the
+    /// ended, in which case they shrink to what it could have used. Without
+    /// the clamp a single million-node trial would pin hundreds of megabytes
+    /// of chunk and heap capacity in the arena pool for the rest of the
     /// process, even if every later trial is a thousand times smaller.
     ///
     /// The clamp judges the trial that ran since the previous reset. A reset
     /// with no push in between (the simulator re-arming a wheel the arena
     /// already cleared) has no trial to judge and keeps every allocation.
     pub(crate) fn reset(&mut self, width: SimTime) {
-        for slot in &mut self.slots {
-            slot.clear();
-        }
-        self.slots.resize_with(SLOTS, Vec::new);
+        self.slots = [NO_CHUNK; SLOTS];
         self.current.clear();
         self.incoming.clear();
         self.overflow.clear();
         #[cfg(debug_assertions)]
         self.shadow.clear();
-        self.return_current();
         if self.peak_len > 0 {
             self.clamp_capacity();
+        }
+        // No bucket has a chunk any more: empty them all onto the free list.
+        self.free = NO_CHUNK;
+        for (index, chunk) in self.chunks.iter_mut().enumerate().rev() {
+            chunk.items.clear();
+            chunk.next = std::mem::replace(&mut self.free, index);
         }
         self.width = width.max(1);
         self.window_start = 0;
@@ -189,19 +249,20 @@ impl<T: WheelItem> TimeWheel<T> {
     }
 
     /// Releases capacity that the trial just ended, which peaked at
-    /// `peak_len` queued events, had no use for. The wheel must be empty.
+    /// `peak_len` queued events, had no use for. No bucket may still refer
+    /// to a chunk; the caller rebuilds the free list.
     fn clamp_capacity(&mut self) {
-        // The ring is judged as a whole: a flood under the default latency
-        // model keeps its million in-flight events in under a tenth of the
-        // buckets, so a bucket many times the even share is the working
-        // set, not waste. Only when all buckets together hold more than the
-        // trial could have filled does each fall back to the even share.
-        let ring = self.slots.iter().map(Vec::capacity).sum::<usize>() + self.current.capacity();
-        if ring > self.peak_len.max(SLOTS * WHEEL_RETAIN_FLOOR) * WHEEL_CLAMP_FACTOR {
-            let per_slot = (self.peak_len / SLOTS).max(WHEEL_RETAIN_FLOOR);
-            for slot in self.slots.iter_mut().chain([&mut self.current]) {
-                slot.shrink_to(per_slot);
-            }
+        // The most chunks `peak_len` events can occupy: full ones, plus one
+        // partly filled per bucket. `current` never holds more than all of
+        // them. The two are judged together — they are the same events at
+        // different moments — so neither alone has to be within the factor.
+        let chunks = self.peak_len.div_ceil(CHUNK) + SLOTS;
+        let current = self.peak_len.max(WHEEL_RETAIN_FLOOR);
+        let retained = self.chunks.len() * CHUNK + self.current.capacity();
+        if retained > (chunks * CHUNK + current) * WHEEL_CLAMP_FACTOR {
+            self.chunks.truncate(chunks);
+            self.chunks.shrink_to(chunks);
+            self.current.shrink_to(current);
         }
         let per_heap = self.peak_len.max(WHEEL_RETAIN_FLOOR);
         for heap in [&mut self.incoming, &mut self.overflow] {
@@ -276,22 +337,54 @@ impl<T: WheelItem> TimeWheel<T> {
         let offset = (at - self.window_start) / self.width;
         if offset >= SLOTS as SimTime {
             self.overflow.push(Reverse(item));
-        } else {
-            // offset < SLOTS = 256, so the cast is lossless.
-            #[allow(clippy::cast_possible_truncation)]
-            self.slots[offset as usize].push(item);
+            return;
+        }
+        // offset < SLOTS = 256, so the cast is lossless.
+        #[allow(clippy::cast_possible_truncation)]
+        let slot = offset as usize;
+        match self.chunks.get_mut(self.slots[slot]) {
+            Some(chunk) if chunk.items.len() < CHUNK => chunk.items.push(item),
+            _ => self.push_in_new_chunk(slot, item),
         }
     }
 
-    /// Hands the drained `current` buffer back to the cursor bucket, which
-    /// holds the spare it was swapped for. Every bucket thereby keeps the
-    /// buffer that grew to *its* occupancy: were the drained buffer left to
-    /// travel on to the next bucket, each trial would shift all of them one
-    /// bucket along, and a pooled wheel would regrow its hot buckets trial
-    /// after trial.
-    fn return_current(&mut self) {
-        debug_assert!(self.current.is_empty() && self.slots[self.cursor].is_empty());
-        std::mem::swap(&mut self.current, &mut self.slots[self.cursor]);
+    /// Puts `item` in a chunk off the free list (allocating one only when
+    /// the list is empty), which becomes bucket `slot`'s newest.
+    fn push_in_new_chunk(&mut self, slot: usize, item: ByKey<T>) {
+        let index = match self.chunks.get(self.free) {
+            Some(free) => std::mem::replace(&mut self.free, free.next),
+            None => {
+                self.chunks.push(Chunk {
+                    items: Vec::with_capacity(CHUNK),
+                    next: NO_CHUNK,
+                });
+                self.chunks.len() - 1
+            }
+        };
+        let chunk = &mut self.chunks[index];
+        chunk.next = self.slots[slot];
+        chunk.items.push(item);
+        self.slots[slot] = index;
+    }
+
+    /// Moves the events of bucket `slot` (not empty) into `current` (empty)
+    /// and sorts them for popping; the bucket's chunks go to the front of
+    /// the free list, its newest first.
+    fn gather(&mut self, slot: usize) {
+        debug_assert!(self.current.is_empty());
+        let head = std::mem::replace(&mut self.slots[slot], NO_CHUNK);
+        let mut index = head;
+        loop {
+            let chunk = &mut self.chunks[index];
+            self.current.append(&mut chunk.items);
+            if chunk.next == NO_CHUNK {
+                chunk.next = self.free;
+                break;
+            }
+            index = chunk.next;
+        }
+        self.free = head;
+        self.current.sort_unstable_by(|a, b| b.cmp(a));
     }
 
     /// Advances the cursor until the next event is reachable from the
@@ -305,15 +398,11 @@ impl<T: WheelItem> TimeWheel<T> {
             // saturation edge: when `cursor_end` caps at `SimTime::MAX`, an
             // event at exactly `SimTime::MAX` routes into the cursor slot
             // itself instead of the incoming heap. Mid-rotation the cursor
-            // slot is empty (its contents were swapped into `current`), so
+            // slot is empty (its contents were gathered into `current`), so
             // the wider scan never re-reads drained events.
-            if let Some(next) = (self.cursor..SLOTS).find(|&j| !self.slots[j].is_empty()) {
-                if next != self.cursor {
-                    self.return_current();
-                    self.cursor = next;
-                }
-                std::mem::swap(&mut self.current, &mut self.slots[next]);
-                self.current.sort_unstable_by(|a, b| b.cmp(a));
+            if let Some(next) = (self.cursor..SLOTS).find(|&j| self.slots[j] != NO_CHUNK) {
+                self.cursor = next;
+                self.gather(next);
                 return;
             }
             // The whole rotation has drained: start the next window at the
@@ -323,7 +412,6 @@ impl<T: WheelItem> TimeWheel<T> {
                 return;
             };
             self.window_start = earliest.0.at();
-            self.return_current();
             self.cursor = 0;
             while let Some(Reverse(item)) = self.overflow.peek() {
                 let offset = (item.0.at() - self.window_start) / self.width;
@@ -389,11 +477,14 @@ impl<T: WheelItem> TimeWheel<T> {
         Some(item)
     }
 
-    /// Total retained item capacity across buckets and heaps (test hook for
-    /// the capacity-clamp regression suite).
+    /// Total retained item capacity across chunks, `current` and heaps
+    /// (test hook for the capacity regression suite).
     #[cfg(test)]
     pub(crate) fn retained_capacity(&self) -> usize {
-        self.slots.iter().map(Vec::capacity).sum::<usize>()
+        self.chunks
+            .iter()
+            .map(|chunk| chunk.items.capacity())
+            .sum::<usize>()
             + self.current.capacity()
             + self.incoming.capacity()
             + self.overflow.capacity()
@@ -507,6 +598,33 @@ mod tests {
         );
     }
 
+    /// Bucket width of the equivalence tests below.
+    const WIDTH: SimTime = 16;
+
+    /// Events that exercise the chunk boundaries, numbered from `seq`.
+    ///
+    /// From `near` on, four buckets two apart get `CHUNK − 1`, `CHUNK`,
+    /// `CHUNK + 1` and several chunks' worth of events, each bucket's at
+    /// one time, so they share a bucket however the window is aligned. At
+    /// `far` sits a cluster that a re-windowing spills more than a chunk of
+    /// into a single bucket: one event to anchor the new window, the rest
+    /// one bucket later (bucket 0 of a new window is the cursor bucket and
+    /// takes its events through the incoming heap).
+    fn chunk_edge_events(near: SimTime, far: SimTime, seq: &mut u64) -> Vec<(SimTime, u64)> {
+        let buckets = [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5]
+            .into_iter()
+            .zip((0..).map(|bucket| near + 2 * bucket * WIDTH));
+        let cluster = [(1, far), (CHUNK + 10, far + WIDTH)];
+        buckets
+            .chain(cluster)
+            .flat_map(|(occupancy, at)| std::iter::repeat_n(at, occupancy))
+            .map(|at| {
+                *seq += 1;
+                (at, *seq - 1)
+            })
+            .collect()
+    }
+
     #[test]
     fn interleaved_push_pop_matches_reference_heap() {
         // Randomised workload mimicking a simulation: pop one event, push a
@@ -514,7 +632,8 @@ mod tests {
         // asserts heap equivalence on every single pop.
         let mut rng = StdRng::seed_from_u64(42);
         let mut wheel = TimeWheel::empty();
-        wheel.reset(width_for(1050));
+        assert_eq!(width_for(1050), WIDTH);
+        wheel.reset(WIDTH);
         let mut seq = 0u64;
         let mut now = 0;
         for _ in 0..50 {
@@ -523,11 +642,23 @@ mod tests {
         }
         let mut popped = 0usize;
         let mut total = 50usize;
+        let mut edges_at = [100usize, 2500].into_iter().peekable();
         while let Some((at, _)) = wheel.pop() {
             assert!(at >= now, "pop order went backwards");
             now = at;
             popped += 1;
-            if total < 5000 {
+            // Twice, mid-run: buckets filled to (at least — follow-ups may
+            // join them) just under, exactly, just over and several times
+            // a chunk, and an overflow spill of more than a chunk into one
+            // bucket.
+            if edges_at.next_if_eq(&popped).is_some() {
+                let near = now + 64 * WIDTH;
+                for event in chunk_edge_events(near, now + 1_000_000, &mut seq) {
+                    wheel.push(event);
+                    total += 1;
+                }
+            }
+            if total < 6000 {
                 for _ in 0..rng.gen_range(0..3) {
                     // Mostly bounded-latency deliveries, occasionally a
                     // long timer that must take the overflow path.
@@ -543,7 +674,26 @@ mod tests {
             }
         }
         assert_eq!(popped, total);
+        assert!(edges_at.next().is_none(), "the run ended before its edges");
         assert_eq!(wheel.len(), 0);
+
+        // The saturation edge: once the cursor bucket's upper edge caps at
+        // `SimTime::MAX`, an event at exactly that time files into the
+        // cursor bucket's chunks, not the incoming heap — also while the
+        // events gathered from that bucket are still being popped.
+        wheel.push((SimTime::MAX - 5, seq));
+        wheel.push((SimTime::MAX - 3, seq + 1));
+        for extra in 0..CHUNK as u64 + 1 {
+            wheel.push((SimTime::MAX, seq + 2 + extra));
+        }
+        seq += CHUNK as u64 + 3;
+        assert_eq!(wheel.pop().map(|(at, _)| at), Some(SimTime::MAX - 5));
+        assert_eq!(wheel.pop().map(|(at, _)| at), Some(SimTime::MAX - 3));
+        assert_eq!(wheel.pop().map(|(at, _)| at), Some(SimTime::MAX));
+        for extra in 0..CHUNK as u64 + 2 {
+            wheel.push((SimTime::MAX, seq + extra));
+        }
+        assert_eq!(drain_sorted(&mut wheel).len(), 2 * CHUNK + 2);
     }
 
     #[test]
@@ -582,13 +732,14 @@ mod tests {
         // session opened mid-drain (the broadcast fan-out pattern) — must
         // pop identically. The debug shadow heap re-checks each pop too.
         let mut rng = StdRng::seed_from_u64(7);
-        let events: Vec<(SimTime, u64)> = (0..500)
+        let mut seq = 500;
+        let mut events: Vec<(SimTime, u64)> = (0..seq)
             .map(|seq| (rng.gen_range(0..100_000), seq))
             .collect();
         let mut single = TimeWheel::empty();
         let mut bulk = TimeWheel::empty();
-        single.reset(width_for(1050));
-        bulk.reset(width_for(1050));
+        single.reset(WIDTH);
+        bulk.reset(WIDTH);
         for &event in &events[..250] {
             single.push(event);
             bulk.push(event);
@@ -598,6 +749,14 @@ mod tests {
         for _ in 0..50 {
             assert_eq!(single.pop(), bulk.pop());
         }
+        // The burst also fills buckets exactly to the chunk boundaries (no
+        // other event is that late), spills more than a chunk out of the
+        // overflow heap into one bucket, and ends at the `SimTime::MAX`
+        // saturation edge.
+        events.extend(chunk_edge_events(200_000, 1_000_000, &mut seq));
+        events.push((SimTime::MAX - 1, seq));
+        events.extend((1..=CHUNK as u64 + 1).map(|extra| (SimTime::MAX, seq + extra)));
+        seq += CHUNK as u64 + 2;
         {
             let mut session = bulk.bulk();
             for &event in &events[250..] {
@@ -607,7 +766,33 @@ mod tests {
         for &event in &events[250..] {
             single.push(event);
         }
-        assert_eq!(drain_sorted(&mut single), drain_sorted(&mut bulk));
+        // Pop in lockstep up to the first event at `SimTime::MAX`, then
+        // push into the cursor bucket that is being drained.
+        loop {
+            let popped = single.pop();
+            assert_eq!(popped, bulk.pop());
+            if popped.is_some_and(|(at, _)| at == SimTime::MAX) {
+                break;
+            }
+        }
+        {
+            let mut session = bulk.bulk();
+            for extra in 0..CHUNK as u64 {
+                single.push((SimTime::MAX, seq + extra));
+                session.push((SimTime::MAX, seq + extra));
+            }
+        }
+        let rest = drain_sorted(&mut single);
+        assert_eq!(rest.len(), 2 * CHUNK);
+        assert_eq!(rest, drain_sorted(&mut bulk));
+    }
+
+    /// The most item capacity a trial that peaked at `peak` queued events
+    /// can have made the wheel allocate: every event in a chunk (full
+    /// chunks plus one partly filled per bucket), every event in `current`
+    /// and in each heap, those three grown by doubling.
+    fn capacity_bound(peak: usize) -> usize {
+        (peak.div_ceil(CHUNK) + SLOTS) * CHUNK + 3 * 2 * peak.max(WHEEL_RETAIN_FLOOR)
     }
 
     #[test]
@@ -626,10 +811,14 @@ mod tests {
         }
         wheel.clear();
         let after_large = wheel.retained_capacity();
-        let bound = 1000 * WHEEL_CLAMP_FACTOR + SLOTS * WHEEL_RETAIN_FLOOR * WHEEL_CLAMP_FACTOR;
+        let bound = capacity_bound(1000) * WHEEL_CLAMP_FACTOR;
         assert!(
-            after_large >= large / 2,
+            after_large >= large,
             "large-trial capacity should be retained for reuse, got {after_large}"
+        );
+        assert!(
+            after_large <= capacity_bound(large),
+            "a trial never allocates beyond its own peak, got {after_large}"
         );
         assert!(
             after_large > bound,
@@ -666,8 +855,10 @@ mod tests {
     fn a_skewed_trial_keeps_its_buckets_through_store_and_rearm() {
         // A flood under the default latency model: every in-flight event
         // sits in well under a tenth of the slots, each many times the even
-        // share. The arena's clear followed by the simulator's re-arming
-        // reset must hand all of it to the next trial.
+        // share. The wheel allocates for the events, not for where they
+        // fell — about one item of chunk capacity per event — and the
+        // arena's clear followed by the simulator's re-arming reset must
+        // hand all of it to the next trial.
         let events = 200_000;
         let hot_slots = 20u64;
         assert!(hot_slots * 10 < SLOTS as u64);
@@ -676,35 +867,75 @@ mod tests {
         push_into_first_slots(&mut wheel, events, hot_slots);
         let grown = wheel.retained_capacity();
         assert!(grown >= 200_000);
+        // At most one partly filled chunk per hot bucket on top.
+        assert!(grown <= 200_000 + 20 * CHUNK);
         wheel.clear();
         assert_eq!(wheel.retained_capacity(), grown, "store-time clamp shrank");
         wheel.reset(10);
         assert_eq!(wheel.retained_capacity(), grown, "re-arming reset shrank");
-        // The same trial again fits without growing anything.
+        // The same trial again, and the same events skewed into other
+        // buckets, fit without allocating a chunk.
         push_into_first_slots(&mut wheel, events, hot_slots);
         assert_eq!(wheel.retained_capacity(), grown);
-        // A small trial afterwards still releases the large one's buckets.
+        wheel.clear();
+        for seq in 0..events {
+            wheel.push((1500 + seq % (hot_slots * 10), seq));
+        }
+        assert_eq!(wheel.retained_capacity(), grown);
+        // Draining adds `current`, sized for the fullest bucket.
+        drain_sorted(&mut wheel);
+        assert!(wheel.retained_capacity() <= capacity_bound(200_000));
+        // A small trial afterwards still releases the large one's chunks.
         wheel.clear();
         push_into_first_slots(&mut wheel, 1000, hot_slots);
         wheel.clear();
-        let bound = SLOTS * WHEEL_RETAIN_FLOOR * WHEEL_CLAMP_FACTOR;
+        let bound = capacity_bound(1000) * WHEEL_CLAMP_FACTOR;
         assert!(grown > bound);
         assert!(wheel.retained_capacity() <= bound);
     }
 
     #[test]
-    fn repeated_trials_leave_each_bucket_its_own_buffer() {
-        // Draining swaps bucket buffers through `current`. If the drained
-        // buffer moved on to the next bucket, every trial would shift the
-        // large buffers one bucket further from the hot buckets, which
-        // would then regrow: the ring must not grow over identical trials.
-        // Three far-future events force a re-windowing per trial as well.
+    fn storage_follows_the_events_in_flight_not_where_they_fell() {
+        // Adaptive diffusion's shape: wave after wave of a few thousand
+        // events, each wave a handful of buckets wide, drained before the
+        // next one lands further round the ring. Over a trial every bucket
+        // is at some moment the busiest — buckets that each kept the buffer
+        // they grew ended up holding `SLOTS` waves — while the events in
+        // flight never exceed one wave, and neither may the chunks
+        // (17 920 items of capacity here; per-bucket buffers: 236 032).
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut wheel = TimeWheel::empty();
+        wheel.reset(WIDTH);
+        let wave = 7000;
+        let (mut now, mut seq) = (0, 0);
+        for _ in 0..60 {
+            let delay = rng.gen_range(100..900);
+            for _ in 0..wave {
+                wheel.push((now + delay + rng.gen_range(0..150), seq));
+                seq += 1;
+            }
+            assert_eq!(wheel.len(), wave);
+            now = drain_sorted(&mut wheel)[wave - 1].0;
+        }
+        let retained = wheel.retained_capacity();
+        assert!(
+            retained <= capacity_bound(wave),
+            "{retained} items of capacity for {wave} in flight"
+        );
+    }
+
+    #[test]
+    fn a_repeated_trial_allocates_no_chunk() {
+        // Draining hands a bucket's chunks to the free list and the next
+        // pushes take them from there, wherever they land: an identical
+        // trial on a cleared and re-armed wheel finds every chunk it needs,
+        // and `current` already sized for its fullest bucket. Three
+        // far-future events force a re-windowing per trial as well.
         let mut wheel = TimeWheel::empty();
         let mut after_first = 0;
         for trial in 0..6 {
             wheel.reset(10);
-            // Occupancy falls from bucket to bucket, so a shifted buffer is
-            // always too small for the bucket it lands in.
+            // Occupancy falls from bucket to bucket.
             let mut seq = 0;
             for slot in 1..=20u64 {
                 for _ in 0..(21 - slot) * 500 {
@@ -716,10 +947,12 @@ mod tests {
                 wheel.push((far, seq));
                 seq += 1;
             }
+            let peak = wheel.len();
             drain_sorted(&mut wheel);
             wheel.clear();
             if trial == 0 {
                 after_first = wheel.retained_capacity();
+                assert!(after_first <= capacity_bound(peak));
             }
         }
         assert_eq!(wheel.retained_capacity(), after_first);
@@ -738,6 +971,11 @@ mod tests {
         assert!(after_first >= 400_000);
         wheel.reset(10);
         wheel.reset(7);
+        assert_eq!(wheel.retained_capacity(), after_first);
+        // And the chunks are all there to be used: the same trial again
+        // allocates nothing.
+        wheel.reset(10);
+        push_into_first_slots(&mut wheel, 400_000, 250);
         assert_eq!(wheel.retained_capacity(), after_first);
     }
 
