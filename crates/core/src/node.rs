@@ -516,8 +516,7 @@ impl FlexNode {
         }
         view.set_phase(PHASE_FLOODING);
         let payload = self.payload.clone().unwrap_or_default();
-        let excluded: Vec<NodeId> = exclude.into_iter().collect();
-        out.broadcast(FlexMessage::Flood { payload }, &excluded);
+        out.broadcast(FlexMessage::Flood { payload }, exclude.as_slice());
     }
 }
 

@@ -5,9 +5,11 @@
 //! `run_flood_in` on a [`TrialArena`] grows the pooled time wheel, metrics,
 //! hot lanes and node vector to the trial's size; the second, over the same
 //! overlay, must then get by on what a flood inherently allocates — one
-//! shared payload and one exclusion list per *first receipt* — and nothing
-//! per event. A per-node buffer, a per-dispatch `Vec` or a wheel that drops
-//! its buckets between trials each cost several times the bound below.
+//! exclusion list per *first receipt* — and nothing per event: a queued
+//! delivery owns its payload in place, cloned at send time, with no heap
+//! box around it. A per-node buffer, a per-dispatch `Vec`, a boxed or
+//! reference-counted payload per fan-out or a wheel that drops its buckets
+//! between trials each cost more than the bound below.
 //! The first run records first receipts and the second does not: an
 //! unrecorded flood carries no receipt table even when the pooled metrics
 //! it was handed held one.
@@ -54,10 +56,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 /// Bytes a warm flood may request per processed event. One event in seven
-/// is a first receipt, which costs a 24-byte `Rc` and a 4-byte exclusion
-/// list: 4 B per event, to the byte on every run. One more 160-byte buffer
-/// per first receipt would read 27 B per event.
-const BYTES_PER_EVENT_BOUND: u64 = 16;
+/// is a first receipt, which costs a 4-byte exclusion list: 0.59 B per
+/// event, to the byte on every run. A 24-byte `Rc` around each fan-out's
+/// payload would read 4 B per event, one more 160-byte buffer per first
+/// receipt 23.
+const BYTES_PER_EVENT_BOUND: u64 = 2;
 
 #[test]
 fn a_flood_on_a_warm_arena_allocates_per_first_receipt_only() {

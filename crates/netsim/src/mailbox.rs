@@ -36,8 +36,11 @@ pub enum Effect<M> {
     /// Send `message` to every overlay neighbour not in `excluded`.
     ///
     /// Kept as a first-class effect (rather than expanded to `Send`s by the
-    /// handler) so drivers can exploit fan-out sharing: the simulator
-    /// queues one reference-counted payload for the whole fan-out.
+    /// handler) so a driver copies the payload only for the targets it
+    /// actually queues: the simulator clones it `t − 1` times at send time
+    /// for `t` queued targets (even for one that churn later drops) and
+    /// moves the original into the last. A payload that is expensive to
+    /// clone should make cloning cheap itself.
     Broadcast {
         /// The message payload.
         message: M,

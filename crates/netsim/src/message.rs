@@ -10,9 +10,11 @@
 /// Metadata the simulator needs from every protocol message.
 ///
 /// Implementations are expected to be cheap to clone. A point-to-point
-/// send moves its payload; the copies of a fan-out share one
-/// reference-counted payload, cloned at delivery for every recipient but
-/// the last.
+/// send moves its payload; a fan-out to `t` queued targets clones it
+/// `t − 1` times at send time and moves the original into the last, so
+/// every in-flight copy owns its payload — a copy that churn later drops
+/// was cloned all the same. A payload that is expensive to clone should
+/// make cloning cheap itself, e.g. by keeping its bulk behind an `Rc`.
 pub trait Payload: Clone + std::fmt::Debug + Send + 'static {
     /// A short, static label identifying the message type, used to group
     /// counters in [`crate::metrics::Metrics`] (e.g. `"flood"`,

@@ -57,7 +57,6 @@ use crate::time::SimTime;
 use crate::wheel::{self, TimeWheel, WheelItem};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::rc::Rc;
 
 /// Configuration of a simulation run.
 #[derive(Clone, Debug)]
@@ -78,6 +77,8 @@ pub struct SimConfig {
     /// count. `fnp_adversary::AdversaryView` reads nothing else.
     pub record_receipts: bool,
     /// Hard cap on processed events, guarding against runaway protocols.
+    /// The run stops at the cap; the events still queued are dropped and
+    /// counted under the `"dropped-max-events"` counter.
     pub max_events: u64,
     /// Hard cap on simulated time; a message or timer scheduled later is
     /// dropped and counted under the `"dropped-late"` counter (a dropped
@@ -247,11 +248,13 @@ impl<'a, M> Context<'a, M> {
     /// Sends `message` to every overlay neighbour except those in
     /// `excluded`.
     ///
-    /// The payload is *shared* between the in-flight copies: the simulator
-    /// queues one reference-counted instance and only clones it at delivery
-    /// time when a recipient other than the last needs ownership, so a
-    /// degree-`d` fan-out costs `d − 1` clones instead of `d` and keeps a
-    /// single copy in the event queue.
+    /// Every queued copy owns its message: the simulator clones `message`
+    /// at send time for each target but the last, which gets the original,
+    /// so `t` queued copies cost `t − 1` clones. An excluded target, or one
+    /// past [`SimConfig::max_time`], costs none; a copy whose recipient is
+    /// offline when it arrives was still cloned. A payload that is
+    /// expensive to clone should make cloning cheap itself (an `Rc` or
+    /// `Arc` around its bulk).
     pub fn send_to_neighbors_except(&mut self, message: M, excluded: &[NodeId]) {
         self.out.broadcast(message, excluded);
     }
@@ -315,46 +318,18 @@ pub trait ProtocolNode: Sized {
     }
 }
 
-/// An in-flight payload: owned for point-to-point sends, reference-counted
-/// for fan-outs so the queue holds one copy regardless of the target count.
-#[derive(Debug)]
-enum PayloadSlot<M> {
-    Owned(M),
-    Shared(Rc<M>),
-}
-
-impl<M: Clone> PayloadSlot<M> {
-    /// The payload, wherever it lives.
-    fn payload(&self) -> &M {
-        match self {
-            PayloadSlot::Owned(message) => message,
-            PayloadSlot::Shared(shared) => shared,
-        }
-    }
-
-    /// Takes ownership of the payload, cloning only when other in-flight
-    /// copies still share it (the last recipient gets the original).
-    fn into_message(self) -> M {
-        match self {
-            PayloadSlot::Owned(message) => message,
-            PayloadSlot::Shared(shared) => {
-                Rc::try_unwrap(shared).unwrap_or_else(|shared| (*shared).clone())
-            }
-        }
-    }
-}
-
-/// What a queued event does. A delivery carries the message and nothing
-/// derived from it: its kind and size are pure functions of the payload
-/// ([`Payload::kind`], [`Payload::size_bytes`]), wanted only by a recording
-/// run, so `step` asks the message for them there instead of every queued
-/// event carrying 24 bytes of them through every bucket copy and sort.
+/// What a queued event does. A delivery owns its copy of the message and
+/// nothing derived from it: its kind and size are pure functions of the
+/// payload ([`Payload::kind`], [`Payload::size_bytes`]), wanted only by a
+/// recording run, so `step` asks the message for them there instead of
+/// every queued event carrying 24 bytes of them through every bucket copy
+/// and sort.
 #[derive(Debug)]
 enum EventKind<M> {
     Deliver {
         from: NodeId,
         to: NodeId,
-        message: PayloadSlot<M>,
+        message: M,
     },
     Timer {
         node: NodeId,
@@ -367,6 +342,13 @@ struct Event<M> {
     at: SimTime,
     seq: u64,
     kind: EventKind<M>,
+}
+
+impl<M> Event<M> {
+    fn deliver(at: SimTime, seq: u64, from: NodeId, to: NodeId, message: M) -> Self {
+        let kind = EventKind::Deliver { from, to, message };
+        Self { at, seq, kind }
+    }
 }
 
 impl<M> PartialEq for Event<M> {
@@ -603,15 +585,7 @@ impl<N: ProtocolNode> Simulator<N> {
                         .record_send(message.kind(), message.size_bytes());
                     if at <= self.config.max_time {
                         let seq = self.next_seq();
-                        self.push_event(Event {
-                            at,
-                            seq,
-                            kind: EventKind::Deliver {
-                                from: node,
-                                to,
-                                message: PayloadSlot::Owned(message),
-                            },
-                        });
+                        self.push_event(Event::deliver(at, seq, node, to, message));
                     } else {
                         self.metrics.record_counter("dropped-late", 1);
                     }
@@ -619,7 +593,6 @@ impl<N: ProtocolNode> Simulator<N> {
                 Effect::Broadcast { message, excluded } => {
                     let bytes = message.size_bytes();
                     let kind_id = self.metrics.intern_kind(message.kind());
-                    let shared = Rc::new(message);
                     // The loop iterates the neighbor slice in place (the
                     // whole point is not to allocate a target list), which
                     // keeps `self.graph` borrowed — so `&mut self` helpers
@@ -631,6 +604,11 @@ impl<N: ProtocolNode> Simulator<N> {
                     // hoists the wheel's bucket-routing threshold out of
                     // the per-neighbor path.
                     let mut batch = self.queue.bulk();
+                    // Each queued copy is pushed once the next one is known
+                    // to exist, with a clone; the last gets the original.
+                    // `t` queued copies cost `t − 1` clones, and a target
+                    // that is excluded or cut off by `max_time` none.
+                    let mut held: Option<(SimTime, u64, NodeId)> = None;
                     for &to in self.graph.neighbors(node) {
                         if excluded.contains(&to) {
                             continue;
@@ -641,18 +619,15 @@ impl<N: ProtocolNode> Simulator<N> {
                         if at <= self.config.max_time {
                             let seq = self.seq;
                             self.seq += 1;
-                            batch.push(Event {
-                                at,
-                                seq,
-                                kind: EventKind::Deliver {
-                                    from: node,
-                                    to,
-                                    message: PayloadSlot::Shared(Rc::clone(&shared)),
-                                },
-                            });
+                            if let Some((at, seq, to)) = held.replace((at, seq, to)) {
+                                batch.push(Event::deliver(at, seq, node, to, message.clone()));
+                            }
                         } else {
                             self.metrics.record_counter("dropped-late", 1);
                         }
+                    }
+                    if let Some((at, seq, to)) = held {
+                        batch.push(Event::deliver(at, seq, node, to, message));
                     }
                 }
                 Effect::SetTimer { delay, tag } => {
@@ -694,6 +669,13 @@ impl<N: ProtocolNode> Simulator<N> {
     pub fn step(&mut self) -> bool {
         self.ensure_initialized();
         if self.metrics.events_processed >= self.config.max_events {
+            // What is still queued will never run: count it once, drop it.
+            let left = self.queue.len();
+            if left > 0 {
+                self.metrics
+                    .record_counter("dropped-max-events", left as u64);
+                self.queue.clear();
+            }
             return false;
         }
         let Some(event) = self.queue.pop() else {
@@ -709,7 +691,7 @@ impl<N: ProtocolNode> Simulator<N> {
                     return true;
                 }
                 if self.config.record_receipts {
-                    let kind = message.payload().kind();
+                    let kind = message.kind();
                     self.metrics.note_receipt(to, from, self.now, kind);
                     if self.config.record_trace {
                         self.metrics.trace.push(TraceEntry {
@@ -717,11 +699,10 @@ impl<N: ProtocolNode> Simulator<N> {
                             from,
                             to,
                             kind,
-                            bytes: message.payload().size_bytes(),
+                            bytes: message.size_bytes(),
                         });
                     }
                 }
-                let message = message.into_message();
                 self.dispatch(to, |node, ctx| node.on_message(from, message, ctx));
             }
             EventKind::Timer { node, tag } => {
@@ -890,8 +871,15 @@ mod tests {
         };
         start_flood(&mut sim, NodeId::new(0));
         let metrics = sim.run();
-        assert!(metrics.events_processed <= 50);
+        assert_eq!(metrics.events_processed, 50);
         assert!(metrics.delivered_count() < 200);
+        // Every message sent was queued (no `max_time`, no timers): those
+        // not processed by the cap are counted as dropped, once.
+        let left = metrics.messages_sent - 50;
+        assert!(left > 0);
+        assert_eq!(metrics.counter("dropped-max-events"), left);
+        assert!(!sim.step());
+        assert_eq!(sim.run().counter("dropped-max-events"), left);
     }
 
     #[test]
@@ -959,6 +947,131 @@ mod tests {
         };
         assert_eq!(run(999), (3, 4, 0, 0));
         assert_eq!(run(1000), (3, 0, 4, 4));
+    }
+
+    thread_local! {
+        /// `Counted::clone` calls on this thread (tests run in parallel).
+        static CLONES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// A payload that counts its clones.
+    #[derive(Debug)]
+    struct Counted;
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            CLONES.with(|clones| clones.set(clones.get() + 1));
+            Counted
+        }
+    }
+
+    impl Payload for Counted {
+        fn kind(&self) -> &'static str {
+            "counted"
+        }
+    }
+
+    struct Sink;
+
+    impl ProtocolNode for Sink {
+        type Message = Counted;
+        fn on_message(&mut self, _: NodeId, _: Counted, ctx: &mut Context<'_, Counted>) {
+            ctx.record("arrived");
+        }
+    }
+
+    /// Lets node 0 of a complete graph on six nodes `emit`, runs to
+    /// quiescence, and returns (payload clones, messages arrived,
+    /// messages dropped late).
+    fn clones_of(
+        config: SimConfig,
+        emit: impl FnOnce(&mut Context<'_, Counted>),
+    ) -> (u64, u64, u64) {
+        let mut sim = Simulator::new(
+            topology::complete(6).unwrap(),
+            (0..6).map(|_| Sink).collect(),
+            config,
+        );
+        CLONES.with(|clones| clones.set(0));
+        sim.trigger(NodeId::new(0), |_, ctx| emit(ctx));
+        let metrics = sim.run();
+        (
+            CLONES.with(std::cell::Cell::get),
+            metrics.counter("arrived"),
+            metrics.counter("dropped-late"),
+        )
+    }
+
+    #[test]
+    fn a_fan_out_to_t_targets_clones_t_minus_one_times() {
+        let all = |ctx: &mut Context<'_, Counted>| ctx.send_to_neighbors_except(Counted, &[]);
+        assert_eq!(clones_of(SimConfig::default(), all), (4, 5, 0));
+        // A copy that churn drops on arrival was cloned at send time.
+        let mut churn = ChurnSchedule::none();
+        churn.add(NodeId::new(5), 0, SimTime::MAX);
+        let config = SimConfig {
+            churn,
+            ..SimConfig::default()
+        };
+        assert_eq!(clones_of(config, all), (4, 4, 0));
+    }
+
+    #[test]
+    fn an_excluded_target_costs_no_clone() {
+        let some = |ctx: &mut Context<'_, Counted>| {
+            ctx.send_to_neighbors_except(Counted, &[NodeId::new(2), NodeId::new(5)]);
+        };
+        assert_eq!(clones_of(SimConfig::default(), some), (2, 3, 0));
+    }
+
+    #[test]
+    fn a_target_past_max_time_costs_no_clone() {
+        let all = |ctx: &mut Context<'_, Counted>| ctx.send_to_neighbors_except(Counted, &[]);
+        let late = SimConfig {
+            latency: LatencyModel::Constant { delay: 1000 },
+            max_time: 999,
+            ..SimConfig::default()
+        };
+        assert_eq!(clones_of(late, all), (0, 0, 5));
+        // Some targets late, some not, whichever comes last: the queued
+        // ones still cost one clone fewer than there are of them.
+        let mixed = (0..8).map(|seed| {
+            clones_of(
+                SimConfig {
+                    latency: LatencyModel::Uniform { min: 0, max: 2000 },
+                    max_time: 1000,
+                    seed,
+                    ..SimConfig::default()
+                },
+                all,
+            )
+        });
+        let mut split = 0;
+        for (clones, arrived, late) in mixed {
+            assert_eq!(arrived + late, 5);
+            assert_eq!(clones, arrived.saturating_sub(1));
+            split += u64::from(arrived > 0 && late > 0);
+        }
+        assert!(split > 0, "no seed split the fan-out");
+    }
+
+    #[test]
+    fn a_point_to_point_send_never_clones() {
+        let three = |ctx: &mut Context<'_, Counted>| {
+            for to in 1..4 {
+                ctx.send(NodeId::new(to), Counted);
+            }
+        };
+        assert_eq!(clones_of(SimConfig::default(), three), (0, 3, 0));
+    }
+
+    #[test]
+    fn a_fully_excluded_broadcast_clones_nothing() {
+        let none = |ctx: &mut Context<'_, Counted>| {
+            let everyone = ctx.neighbors().to_vec();
+            ctx.send_to_neighbors_except(Counted, &everyone);
+        };
+        assert_eq!(clones_of(SimConfig::default(), none), (0, 0, 0));
     }
 
     #[test]
@@ -1101,7 +1214,7 @@ mod tests {
         // `FloodMessage` is a `u64` transaction id; its events are what a
         // million-node flood copies, sorts and moves by the million — with
         // room to spare: time, sequence number, the two node ids and the
-        // payload slot, and nothing that can be read off the payload.
+        // payload itself, and nothing that can be read off the payload.
         #[derive(Clone, Debug)]
         struct TxId(#[allow(dead_code)] u64);
         impl Payload for TxId {
