@@ -14,7 +14,6 @@ use crate::keycache::group_memberships;
 use crate::message::{PHASE1_KINDS, PHASE2_KINDS, PHASE3_KINDS};
 use crate::node::{FlexNode, GroupMembership};
 use fnp_crypto::dh::KeyPair;
-use fnp_dcnet::RoundScratch;
 use fnp_diffusion::{AdParams, AdaptiveDiffusionNode};
 use fnp_gossip::{DandelionParams, StemLine};
 use fnp_groups::{form_groups, FormationError};
@@ -22,9 +21,7 @@ use fnp_netsim::{Graph, Metrics, NodeId, SimConfig, Simulator, TrialArena};
 use fnp_proto::SimDriver;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::cell::RefCell;
 use std::fmt;
-use std::rc::Rc;
 
 /// Result of one flexible-protocol broadcast.
 #[derive(Clone, Debug)]
@@ -137,16 +134,13 @@ fn check_origin(origin: NodeId, nodes: usize) -> Result<(), HarnessError> {
 /// The one group set-up: partitions an `n`-node overlay into DC-net groups
 /// (setup RNG `seed ^ 0xD1F7_BEEF`), derives every group's memberships
 /// under key seed `seed` and yields one configured [`FlexNode`] per node,
-/// in node order. All of them draw their DC-round slot buffers from
-/// `scratch`; callers pass a fresh pool, so that it lives exactly as long
-/// as the nodes that share it.
+/// in node order.
 ///
 /// `config` must already be validated.
 fn flex_nodes(
     n: usize,
     config: FlexConfig,
     seed: u64,
-    scratch: Rc<RefCell<RoundScratch>>,
 ) -> Result<impl Iterator<Item = FlexNode>, HarnessError> {
     let mut setup_rng = StdRng::seed_from_u64(seed ^ 0xD1F7_BEEF);
     let all_nodes: Vec<NodeId> = (0..n).map(NodeId::new).collect();
@@ -160,7 +154,7 @@ fn flex_nodes(
     }
     Ok(memberships
         .into_iter()
-        .map(move |membership| FlexNode::with_scratch(config, membership, Rc::clone(&scratch))))
+        .map(move |membership| FlexNode::new(config, membership)))
 }
 
 /// Sets up and runs one flexible-protocol broadcast of `payload` from
@@ -212,7 +206,7 @@ pub fn run_flexible_broadcast_in(
     check_origin(origin, n)?;
 
     let mut nodes: Vec<SimDriver<FlexNode>> = arena.take_nodes();
-    nodes.extend(flex_nodes(n, config, sim_config.seed, Rc::default())?.map(SimDriver::new));
+    nodes.extend(flex_nodes(n, config, sim_config.seed)?.map(SimDriver::new));
     let origin_group = nodes[origin.index()].core().group_members().to_vec();
 
     let mut recorded = sim_config;
@@ -235,9 +229,7 @@ pub fn run_flexible_broadcast_in(
 ///
 /// The group formation and pairwise-key derivation are those of
 /// [`run_flexible_broadcast_in`], so a steady-state trial sees exactly the
-/// group landscape a single-broadcast trial at the same seed would. The
-/// prototypes and every instance spawned from them share one slot-buffer
-/// pool, which is freed with the last of them.
+/// group landscape a single-broadcast trial at the same seed would.
 ///
 /// `arena` is unused: set-up keeps nothing between trials. The parameter
 /// stays because the frozen `benchmark/src/api.rs` calls this signature;
@@ -254,7 +246,7 @@ pub fn flex_steady_prototypes_in(
     seed: u64,
 ) -> Result<Vec<FlexNode>, HarnessError> {
     config.validate()?;
-    Ok(flex_nodes(n, config, seed, Rc::default())?.collect())
+    Ok(flex_nodes(n, config, seed)?.collect())
 }
 
 /// The four dissemination strategies the experiments compare.
@@ -609,41 +601,6 @@ mod tests {
         assert!(matches!(err, HarnessError::Config(_)), "{err}");
     }
 
-    /// One flexible broadcast over nodes that draw from `scratch`.
-    fn broadcast_over(scratch: &Rc<RefCell<RoundScratch>>, graph: &Graph) -> Metrics {
-        let config = FlexConfig::default();
-        let nodes = flex_nodes(graph.node_count(), config, 9, Rc::clone(scratch))
-            .unwrap()
-            .map(SimDriver::new)
-            .collect();
-        let mut sim = Simulator::new(graph.clone(), nodes, SimConfig::default());
-        sim.trigger(NodeId::new(4), |driver, ctx| {
-            driver.drive(ctx, |node, view, out| {
-                node.start_broadcast(b"tx".to_vec(), view, out);
-            });
-        });
-        sim.run();
-        sim.into_parts().1
-    }
-
-    #[test]
-    fn slot_buffer_pool_is_a_fixed_point_across_broadcasts() {
-        let graph = overlay(60, 9);
-        let scratch = Rc::new(RefCell::new(RoundScratch::new()));
-        let first = broadcast_over(&scratch, &graph);
-        let after_first = scratch.borrow().pooled();
-        let second = broadcast_over(&scratch, &graph);
-        assert_eq!(first.coverage(), 1.0);
-        assert!(first.messages_of_kind("flex-dc") > 0);
-        assert_eq!(second.messages_sent, first.messages_sent);
-        assert!(after_first > 0, "resolved rounds recycle their buffers");
-        // What the pool hands out is what it gets back: a second identical
-        // broadcast finds every buffer it needs parked and adds none. (A
-        // pool that is also handed the senders' private copies grows by
-        // k − 1 buffers per node per DC round.)
-        assert_eq!(scratch.borrow().pooled(), after_first);
-    }
-
     #[test]
     fn steady_flexible_broadcasts_overlap_and_cover() {
         use fnp_proto::steady::{run_steady_in, Arrival};
@@ -667,26 +624,19 @@ mod tests {
                 origin: NodeId::new(33),
             },
         ];
-        let scratch = Rc::new(RefCell::new(RoundScratch::new()));
-        let mut session = || {
-            let prototypes = flex_nodes(n, FlexConfig::default(), 8, Rc::clone(&scratch))
-                .unwrap()
-                .collect();
-            let ran = run_steady_in(
-                &mut arena,
-                graph.clone(),
-                prototypes,
-                &arrivals,
-                &[NodeId::new(5)],
-                3,
-                SimConfig {
-                    seed: 8,
-                    ..SimConfig::default()
-                },
-            );
-            (ran, scratch.borrow().pooled())
-        };
-        let ((metrics, report), pooled) = session();
+        let prototypes = flex_nodes(n, FlexConfig::default(), 8).unwrap().collect();
+        let (metrics, report) = run_steady_in(
+            &mut arena,
+            graph,
+            prototypes,
+            &arrivals,
+            &[NodeId::new(5)],
+            3,
+            SimConfig {
+                seed: 8,
+                ..SimConfig::default()
+            },
+        );
         for (tx, outcome) in report.per_tx.iter().enumerate() {
             assert_eq!(
                 outcome.delivered_count, n,
@@ -699,13 +649,6 @@ mod tests {
         // Each transaction pays its own DC-net phase: at least two rounds'
         // worth of contributions crossed the wire.
         assert!(metrics.messages_of_kind("flex-dc") > 0);
-
-        // The overlapping transactions' instances share one slot-buffer
-        // pool; a second identical session adds nothing to it.
-        assert!(pooled > 0, "resolved rounds recycle their buffers");
-        let ((again, _), pooled_again) = session();
-        assert_eq!(again.messages_sent, metrics.messages_sent);
-        assert_eq!(pooled_again, pooled);
     }
 
     #[test]

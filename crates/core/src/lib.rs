@@ -21,7 +21,8 @@
 //!
 //! * [`config`] — the `k`/`d` knobs of the privacy–efficiency trade-off.
 //! * [`message`] — the protocol messages with per-phase kind labels.
-//! * [`node`] — the [`FlexNode`] per-node state machine.
+//! * [`node`] — the [`FlexNode`] per-node state machine, pacing phase 1's
+//!   `fnp_dcnet::RoundEngine` with its timer.
 //! * [`harness`] — group formation, key setup, one-call experiment runners
 //!   and the [`ProtocolKind`] abstraction for baseline comparisons.
 //! * [`keycache`] — [`group_memberships`], the symmetric derivation of one

@@ -6,6 +6,7 @@
 //! per-kind counters.
 
 use fnp_netsim::Payload;
+use std::sync::Arc;
 
 /// Fixed framing overhead added to payload-carrying messages when reporting
 /// wire sizes (headers, transaction id, signatures).
@@ -23,8 +24,9 @@ pub enum FlexMessage {
         round: u64,
         /// Group-internal index of the contributing member.
         member_index: usize,
-        /// The padded contribution (exactly the group's slot length).
-        data: Vec<u8>,
+        /// The padded contribution (exactly the group's slot length),
+        /// shared by the copies sent to every other member.
+        data: Arc<[u8]>,
     },
     /// Phase 2: infects a node with the transaction (adaptive diffusion).
     AdInfect {
@@ -124,7 +126,7 @@ mod tests {
             FlexMessage::DcContribution {
                 round: 0,
                 member_index: 1,
-                data: vec![0; 10],
+                data: vec![0; 10].into(),
             },
             FlexMessage::AdInfect {
                 round: 1,
@@ -165,7 +167,7 @@ mod tests {
         let message = FlexMessage::DcContribution {
             round: 0,
             member_index: 0,
-            data: vec![0; 300],
+            data: vec![0; 300].into(),
         };
         assert_eq!(message.size_bytes(), 340);
     }

@@ -25,15 +25,12 @@ use crate::config::FlexConfig;
 use crate::message::FlexMessage;
 use fnp_crypto::identity::{elect_virtual_source_index, Identity};
 use fnp_crypto::sha256::Sha256;
-use fnp_dcnet::keyed::{combine_contributions_into, KeyedParticipant};
+use fnp_dcnet::keyed::KeyedParticipant;
 use fnp_dcnet::slot::SlotOutcome;
-use fnp_dcnet::RoundScratch;
+use fnp_dcnet::{ReceiveError, RoundEngine};
 use fnp_diffusion::{AdMessage, InfectionTree, Round, Token, Wire};
 use fnp_netsim::NodeId;
 use fnp_proto::{Input, Mailbox, NodeView, ProtocolCore, SteadyProtocol};
-use rand::Rng;
-use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 /// Timer tag for DC-net round pacing.
@@ -70,28 +67,6 @@ pub struct GroupMembership {
     pub participant: Rc<KeyedParticipant>,
 }
 
-/// State of the phase-1 DC-net engine on one node.
-#[derive(Debug, Default)]
-struct DcState {
-    /// Payload waiting to be injected into a round.
-    pending_payload: Option<Vec<u8>>,
-    /// Whether the pending payload should skip the next round (collision
-    /// back-off).
-    backoff: bool,
-    /// Round number of the next round this node will start, which is also
-    /// the number of rounds it has started so far.
-    next_round: u64,
-    /// Contributions received per round, keyed by round → member index.
-    /// A round's entry is removed (and its buffers recycled into the
-    /// node's scratch pool) as soon as the round resolves, so this map
-    /// only holds in-flight rounds.
-    received: BTreeMap<u64, BTreeMap<usize, Vec<u8>>>,
-    /// Rounds whose outcome has already been resolved.
-    resolved: BTreeSet<u64>,
-    /// Whether this node injected its payload into the given round.
-    injected_in: Option<u64>,
-}
-
 /// Phase 2's wire for the shared virtual-source engine: adaptive diffusion
 /// under `flex-` names, its infections carrying the transaction payload (an
 /// empty one from a node that does not know it yet). Borrows only the
@@ -117,16 +92,14 @@ impl Wire for FlexWire<'_> {
 }
 
 /// A node running the flexible three-phase broadcast protocol.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct FlexNode {
     config: FlexConfig,
     group: Option<GroupMembership>,
-    dc: DcState,
-    /// Pool the DC-round slot buffers (own contributions, the copies sent
-    /// to peers, combine accumulators) are drawn from and return to. The
-    /// harness shares one pool between all nodes of a trial; it is freed
-    /// with them.
-    scratch: Rc<RefCell<RoundScratch>>,
+    /// Phase-1 state, created the first time this node queues, starts or
+    /// receives a DC-net round: a node that only relays phases 2 and 3 —
+    /// every steady instance outside the originator's group — carries none.
+    dc: Option<Box<RoundEngine>>,
     /// The transaction payload once this node knows it. Presence is
     /// mirrored in the hot seen lane; handlers test [`HotLanes::seen`](fnp_proto::HotLanes::seen)
     /// instead of probing this option.
@@ -144,32 +117,19 @@ impl FlexNode {
     /// Creates a node. `group` is `None` for nodes that are not part of any
     /// DC-net group in this experiment (they still relay phases 2 and 3).
     pub fn new(config: FlexConfig, group: Option<GroupMembership>) -> Self {
-        Self::with_scratch(config, group, Rc::new(RefCell::new(RoundScratch::new())))
-    }
-
-    /// Like [`FlexNode::new`], but drawing DC-round slot buffers from
-    /// `scratch` — a pool the caller shares between all nodes that can
-    /// exchange DC-net contributions, since a received contribution is
-    /// recycled into the receiver's pool.
-    pub fn with_scratch(
-        config: FlexConfig,
-        group: Option<GroupMembership>,
-        scratch: Rc<RefCell<RoundScratch>>,
-    ) -> Self {
         Self {
             config,
             group,
-            dc: DcState::default(),
-            scratch,
+            dc: None,
             payload: None,
             ad: InfectionTree::default(),
             is_origin: false,
         }
     }
 
-    /// Whether this node has learned the transaction.
-    pub fn has_payload(&self) -> bool {
-        self.payload.is_some()
+    /// The transaction, once this node has learned it.
+    pub fn payload(&self) -> Option<&[u8]> {
+        self.payload.as_deref()
     }
 
     /// Whether this node originated the broadcast.
@@ -197,6 +157,11 @@ impl FlexNode {
     /// injected into the next DC-net round of the node's group; if the node
     /// belongs to no group it falls back to flood-and-prune directly (no
     /// anonymity, but delivery is preserved).
+    ///
+    /// # Panics
+    ///
+    /// If the node is in a group and `payload` does not fit the configured
+    /// DC-net slot.
     pub fn start_broadcast(
         &mut self,
         payload: Vec<u8>,
@@ -207,9 +172,10 @@ impl FlexNode {
         view.set_seen();
         self.payload = Some(payload.clone());
         out.deliver();
-        if self.group.is_some() {
+        if let Some((_, dc)) = self.engine() {
             out.record("flex-origin-queued");
-            self.dc.pending_payload = Some(payload);
+            dc.queue(payload)
+                .expect("the payload fits the configured DC-net slot");
         } else {
             // Degenerate fallback: no group, no anonymity — flood directly.
             out.record("flex-origin-no-group");
@@ -237,167 +203,58 @@ impl FlexNode {
     // Phase 1: DC-net rounds
     // ------------------------------------------------------------------
 
-    /// Starts the next DC-net round: computes this node's contribution and
-    /// sends it to every other group member.
+    /// The node's group and its phase-1 engine, created on first use;
+    /// `None` outside any group.
+    fn engine(&mut self) -> Option<(&GroupMembership, &mut RoundEngine)> {
+        let group = self.group.as_ref()?;
+        let slot_len = self.config.slot_len;
+        let new = || Box::new(RoundEngine::new(Rc::clone(&group.participant), slot_len));
+        Some((group, self.dc.get_or_insert_with(new)))
+    }
+
+    /// Starts the next DC-net round while the budget lasts: sends this
+    /// node's contribution to every other group member and re-arms the
+    /// round timer.
     fn run_dc_round(&mut self, view: &mut impl NodeView, out: &mut Mailbox<FlexMessage>) {
-        let Some(group) = self.group.as_ref() else {
+        let (budget, interval) = (self.config.max_dc_rounds, self.config.dc_round_interval);
+        let Some((group, dc)) = self.engine().filter(|(_, dc)| dc.rounds_started() < budget) else {
             return;
         };
-        if self.dc.next_round >= self.config.max_dc_rounds {
-            return;
-        }
-        let round = self.dc.next_round;
-        self.dc.next_round += 1;
-
-        // Decide whether to inject the pending payload this round.
-        let inject = match (&self.dc.pending_payload, self.dc.backoff) {
-            (Some(_), false) => true,
-            (Some(_), true) => {
-                // Skip one round, then become eligible again.
-                self.dc.backoff = false;
-                false
-            }
-            (None, _) => false,
+        let round = dc.rounds_started();
+        let (data, resolved) = dc.start_round(view.rng());
+        let member_index = group.own_index;
+        let message = FlexMessage::DcContribution {
+            round,
+            member_index,
+            data,
         };
-        let payload = if inject {
-            self.dc.injected_in = Some(round);
-            self.dc.pending_payload.clone()
-        } else {
-            None
-        };
-
-        // Build the contribution in a pooled buffer: the pads are XORed
-        // straight into the encoded slot, with no per-pad allocation.
-        let mut contribution = self.scratch.borrow_mut().checkout();
-        group
-            .participant
-            .contribute_into(
-                round,
-                self.config.slot_len,
-                payload.as_deref(),
-                &mut contribution,
-            )
-            .expect("slot length validated by FlexConfig::validate");
-
-        // Send a pooled copy to every other member — the receiver recycles
-        // it into this same pool when its round resolves, so the pool must
-        // be where it came from — then record our own contribution (moving
-        // its buffer into the received map; it returns to the pool when
-        // the round resolves).
-        let own_index = group.own_index;
         for (index, member) in group.members.iter().enumerate() {
-            if index == own_index {
-                continue;
+            if index != member_index {
+                out.send(*member, message.clone());
             }
-            let mut data = self.scratch.borrow_mut().checkout();
-            data.extend_from_slice(&contribution);
-            out.send(
-                *member,
-                FlexMessage::DcContribution {
-                    round,
-                    member_index: own_index,
-                    data,
-                },
-            );
         }
-        self.dc
-            .received
-            .entry(round)
-            .or_default()
-            .insert(own_index, contribution);
         out.record("flex-dc-rounds");
-
-        // Schedule the next round while the budget lasts.
-        if self.dc.next_round < self.config.max_dc_rounds {
-            out.set_timer(self.config.dc_round_interval, TIMER_DC_ROUND);
+        if round + 1 < budget {
+            out.set_timer(interval, TIMER_DC_ROUND);
         }
-        self.try_resolve_round(round, view, out);
+        if let Some(outcome) = resolved {
+            self.on_round_resolved(outcome, view, out);
+        }
     }
 
-    /// Stores a received contribution and resolves the round once complete.
-    fn on_dc_contribution(
+    /// Counts a resolved round; a message is learned and triggers the
+    /// virtual-source election.
+    fn on_round_resolved(
         &mut self,
-        round: u64,
-        member_index: usize,
-        data: Vec<u8>,
+        outcome: SlotOutcome,
         view: &mut impl NodeView,
         out: &mut Mailbox<FlexMessage>,
     ) {
-        let Some(group) = self.group.as_ref() else {
-            return;
-        };
-        if member_index >= group.members.len() || data.len() != self.config.slot_len {
-            out.record("flex-dc-malformed");
-            return;
-        }
-        self.dc
-            .received
-            .entry(round)
-            .or_default()
-            .insert(member_index, data);
-        self.try_resolve_round(round, view, out);
-    }
-
-    /// Combines a round once all contributions are present.
-    fn try_resolve_round(
-        &mut self,
-        round: u64,
-        view: &mut impl NodeView,
-        out: &mut Mailbox<FlexMessage>,
-    ) {
-        let Some(group) = self.group.as_ref() else {
-            return;
-        };
-        if self.dc.resolved.contains(&round) {
-            return;
-        }
-        match self.dc.received.get(&round) {
-            Some(contributions) if contributions.len() >= group.members.len() => {}
-            _ => return,
-        }
-        // The round is complete: combine the contributions in place (the
-        // BTreeMap iterates members in ascending order, and XOR commutes,
-        // so borrowing beats the former clone-and-collect byte for byte),
-        // then recycle every buffer of the round into the shared pool.
-        let contributions = self
-            .dc
-            .received
-            .remove(&round)
-            .expect("presence checked above");
-        let mut scratch = self.scratch.borrow_mut();
-        let mut combined = scratch.checkout();
-        let outcome =
-            combine_contributions_into(contributions.values().map(Vec::as_slice), &mut combined)
-                .unwrap_or(SlotOutcome::Collision);
-        scratch.recycle(combined);
-        for contribution in contributions.into_values() {
-            scratch.recycle(contribution);
-        }
-        drop(scratch);
-        self.dc.resolved.insert(round);
-
         match outcome {
-            SlotOutcome::Silence => {
-                out.record("flex-dc-silent-rounds");
-            }
-            SlotOutcome::Collision => {
-                out.record("flex-dc-collisions");
-                // If we injected into this round, back off for one round and
-                // retry (the payload stays pending).
-                if self.dc.injected_in == Some(round) && view.rng().gen_bool(0.5) {
-                    self.dc.backoff = true;
-                }
-                self.dc.injected_in = None;
-            }
+            SlotOutcome::Silence => out.record("flex-dc-silent-rounds"),
+            SlotOutcome::Collision => out.record("flex-dc-collisions"),
             SlotOutcome::Message(message) => {
                 out.record("flex-dc-delivered-rounds");
-                // The round succeeded; if it was ours, the payload is on its way.
-                if self.dc.injected_in == Some(round) {
-                    if self.dc.pending_payload.as_deref() == Some(message.as_slice()) {
-                        self.dc.pending_payload = None;
-                    }
-                    self.dc.injected_in = None;
-                }
                 self.learn_payload(&message, view, out);
                 self.maybe_become_virtual_source(&message, view, out);
             }
@@ -548,15 +405,9 @@ impl ProtocolCore for FlexNode {
     }
 }
 
+/// A per-transaction instance clones the never-polled prototype: it shares
+/// the group tables and pad keys and runs its own DC-net rounds.
 impl SteadyProtocol for FlexNode {
-    /// A per-transaction instance shares the node's group tables, keyed
-    /// participant and slot scratch pool, and starts with DC-round state of
-    /// its own: each in-flight transaction runs its own DC-net rounds at
-    /// the same group position, on the same pad keys.
-    fn per_tx_instance(&self) -> Self {
-        FlexNode::with_scratch(self.config, self.group.clone(), Rc::clone(&self.scratch))
-    }
-
     /// Injects the transaction id as the anonymous payload.
     fn start_tx(&mut self, tx: u64, view: &mut impl NodeView, out: &mut Mailbox<FlexMessage>) {
         self.start_broadcast(tx.to_le_bytes().to_vec(), view, out);
@@ -586,7 +437,26 @@ impl FlexNode {
                 member_index,
                 data,
             } => {
-                self.on_dc_contribution(round, member_index, data, view, out);
+                let Some((group, dc)) = self.engine() else {
+                    return;
+                };
+                // The claimed position must be the sender's own; a refused
+                // contribution is counted under its reason.
+                let received = if group.members.get(member_index) == Some(&from) {
+                    dc.receive(member_index, round, data, view.rng())
+                } else {
+                    Err(ReceiveError::NonMember)
+                };
+                match received {
+                    Ok(Some(outcome)) => self.on_round_resolved(outcome, view, out),
+                    Ok(None) => {}
+                    Err(error) => out.record(match error {
+                        ReceiveError::NonMember => "flex-dc-non-member",
+                        ReceiveError::Duplicate => "flex-dc-duplicate",
+                        ReceiveError::WrongLength { .. } => "flex-dc-wrong-length",
+                        ReceiveError::Stale => "flex-dc-stale",
+                    }),
+                }
             }
             FlexMessage::AdInfect { payload, .. } => {
                 // An already-informed node ignores repeated infections.
@@ -681,7 +551,7 @@ mod tests {
     #[test]
     fn accessors_on_a_fresh_node() {
         let node = FlexNode::new(FlexConfig::default(), None);
-        assert!(!node.has_payload());
+        assert!(node.payload().is_none());
         assert!(!node.is_origin());
         assert!(!node.holds_token());
         assert!(node.group_members().is_empty());
@@ -764,7 +634,7 @@ mod tests {
         );
         assert_eq!(effects, [count("flex-spread-before-payload")]);
         assert!(!env.round_seen(1), "a dropped wave must not count as seen");
-        assert!(!node.has_payload());
+        assert!(node.payload().is_none());
     }
 
     #[test]
@@ -866,7 +736,4 @@ mod tests {
         // A stray timer afterwards voids the token and sends nothing.
         assert_eq!(poll(&mut node, &mut env, AD_TIMER), []);
     }
-
-    // End-to-end behaviour with groups is exercised by the harness tests in
-    // `crate::harness` and the cross-crate integration tests.
 }

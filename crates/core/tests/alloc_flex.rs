@@ -1,18 +1,18 @@
 //! Allocation and live-heap wall for the flexible protocol: a trial leaves
-//! nothing behind for the next one, and a steady session's heap traffic
-//! per transaction does not depend on how long the session runs.
+//! nothing behind for the next one, a steady session's heap traffic per
+//! transaction does not depend on how long the session runs, and the node
+//! core every instance-table slot holds stays small.
 //!
-//! The flexible protocol's set-up keeps no state between trials, and the
-//! DC-round slot buffers live in a pool shared by, and freed with, the
-//! nodes of one trial. So on one reused [`TrialArena`] — which pools the
-//! simulator's storage only — the eighth trial must request about what the
-//! second did (the first warms the arena) and the heap must be no larger
-//! after it. A pool that outlives its trial and is handed every sender's
-//! private copy of a contribution fails the second bound by `k − 1` slot
-//! buffers per node per DC round per trial: 5.8 MB here, against 64 KB of
-//! slack. Likewise a steady session over a 100 times longer horizon — 100
-//! times the transactions at the same arrival rate, so the same number
-//! live at any time — must request no more bytes *per transaction*.
+//! The flexible protocol's set-up keeps no state between trials, and a
+//! node's DC-round contributions are `Arc`s it shares with the copies it
+//! sends, freed once the last member has resolved the round. So on one
+//! reused [`TrialArena`] — which pools the simulator's storage only — the
+//! eighth trial must request about what the second did (the first warms
+//! the arena) and the heap must be no larger after it. Likewise a steady
+//! session over a 100 times longer horizon — 100 times the transactions at
+//! the same arrival rate, so the same number live at any time — must
+//! request no more bytes *per transaction*, and no more than a bound that
+//! one heap copy of each contribution per peer exceeds.
 //!
 //! A counting [`GlobalAlloc`] wraps the system allocator and keeps, for
 //! the measuring thread only (libtest's own threads allocate whenever they
@@ -21,7 +21,7 @@
 //! time wheel carries a shadow heap whose growth the bounds would measure
 //! instead.
 
-use fnp_core::{flex_steady_prototypes_in, run_protocol_in, FlexConfig, ProtocolKind};
+use fnp_core::{flex_steady_prototypes_in, run_protocol_in, FlexConfig, FlexNode, ProtocolKind};
 use fnp_netsim::{topology, Graph, NodeId, SimConfig, SimTime, TrialArena, SECOND};
 use fnp_proto::steady::{run_steady_in, Arrival};
 use rand::rngs::StdRng;
@@ -186,14 +186,14 @@ fn session(arena: &mut TrialArena, graph: &Graph, transactions: u64) -> u64 {
     requested / transactions
 }
 
-/// Bytes a long session may request per transaction. Measured: 52.4 KB
+/// Bytes a long session may request per transaction. Measured: 28.5 KB
 /// over 100 nodes — the payload copy in every infection and flood message,
-/// a payload and diffusion state per node, latency samples — the short
-/// session's fixed costs (instance tables, the slot-buffer pool filling to
-/// its peak) being amortised away by then. One heap copy of the 300-byte
-/// contribution per peer per DC round, in place of a pooled one, reads
-/// 82.5 KB.
-const BYTES_PER_TX_BOUND: u64 = 60_000;
+/// a payload and diffusion state per node, one round engine and one
+/// contribution per member of the originator's group, latency samples —
+/// the short session's fixed costs (instance tables) being amortised away
+/// by then. One heap copy of the 300-byte contribution per peer per DC
+/// round, in place of a shared one, reads 54.0 KB.
+const BYTES_PER_TX_BOUND: u64 = 40_000;
 
 #[test]
 fn a_hundred_times_longer_flexible_session_requests_no_more_per_transaction() {
@@ -213,4 +213,16 @@ fn a_hundred_times_longer_flexible_session_requests_no_more_per_transaction() {
         long <= BYTES_PER_TX_BOUND,
         "{long} B per transaction (bound {BYTES_PER_TX_BOUND})"
     );
+}
+
+/// The size of a node core: the simulator holds one per overlay node and a
+/// steady session one per instance-table slot. Measured: 208 B, phase 1
+/// being one boxed engine that only the originator's group creates. The
+/// same engine held inline reads 360 B.
+#[test]
+#[cfg(target_pointer_width = "64")]
+fn a_flex_node_keeps_its_round_engine_behind_one_pointer() {
+    const BOUND: usize = 256;
+    let size = size_of::<FlexNode>();
+    assert!(size <= BOUND, "FlexNode is {size} B (bound {BOUND})");
 }

@@ -332,18 +332,6 @@ impl ExplicitParticipant {
         Ok(())
     }
 
-    /// Step 8: the final exchange messages `T ⊕ t_i`, available once all
-    /// accumulations have arrived.
-    pub fn final_messages(&self) -> Option<Vec<(usize, Vec<u8>)>> {
-        let t = self.t_value.as_ref()?;
-        Some(
-            self.received_accumulations
-                .iter()
-                .map(|(&peer, accumulation)| (peer, xor(t, accumulation)))
-                .collect(),
-        )
-    }
-
     /// Absorbs a final-exchange value (step 8 at the receiving side).
     pub fn receive_final(&mut self, from: usize, value: Vec<u8>) -> Result<(), ExplicitRoundError> {
         self.check_peer(from)?;
@@ -379,22 +367,11 @@ impl ExplicitParticipant {
         Some(slot::decode(&recovered))
     }
 
-    /// The raw recovered slot (`T ⊕ S`), for auditing and blame procedures.
-    pub fn recovered_slot(&self) -> Option<Vec<u8>> {
-        Some(xor(self.t_value.as_ref()?, self.s_value.as_ref()?))
-    }
-
     /// The shares this member generated in step 1 (recipient → share).
     /// Exposed for the blame protocol, which asks members to reveal their
     /// round state when misbehaviour is suspected.
     pub fn revealed_shares(&self) -> &BTreeMap<usize, Vec<u8>> {
         &self.outgoing_shares
-    }
-
-    /// The shares this member received in step 3 (sender → share), exposed
-    /// for the blame protocol.
-    pub fn received_share_map(&self) -> &BTreeMap<usize, Vec<u8>> {
-        &self.received_shares
     }
 
     /// The framed slot this member contributed (all zeros when silent),

@@ -281,11 +281,10 @@ pub fn combine_contributions(contributions: &[Vec<u8>]) -> Result<SlotOutcome, K
 /// Combines borrowed contribution slices into the round outcome, using
 /// `combined` as the XOR accumulator (cleared first, capacity reused).
 ///
-/// Allocation-free core of [`combine_contributions`]: the simulator's
-/// resolve path feeds contribution slices straight out of its receive map
-/// and keeps the accumulator pooled across rounds, so nothing is cloned or
-/// allocated to combine a round (the recovered message itself is the one
-/// exception, and only on message rounds).
+/// Allocation-free core of [`combine_contributions`]: a caller that keeps
+/// its contributions and the accumulator across rounds clones and
+/// allocates nothing to combine a round (the recovered message itself is
+/// the one exception, and only on message rounds).
 ///
 /// # Errors
 ///
@@ -332,7 +331,7 @@ where
 ///
 /// This is the convenience entry point used by examples, tests and the
 /// in-memory experiments; the simulator-integrated protocol in `fnp-core`
-/// drives [`KeyedParticipant`]s directly instead.
+/// runs one [`RoundEngine`](crate::round::RoundEngine) per member instead.
 pub struct KeyedDcGroup {
     participants: Vec<KeyedParticipant>,
     slot_len: usize,

@@ -16,14 +16,17 @@
 //! * [`keyed`] — the pad-based variant over pre-established pairwise keys
 //!   (one contribution per member per round), used by the simulator-scale
 //!   protocol in `fnp-core`.
+//! * [`round`] — [`RoundEngine`], one member's keyed rounds as `fnp-core`'s
+//!   `FlexNode` runs and paces them, refusing with a typed [`ReceiveError`]
+//!   what no honest peer sends.
 //! * [`reservation`] — the §V-A length-announcement optimisation: a 32-bit
 //!   reservation round followed by an exactly-sized payload round, plus the
 //!   byte-cost model of experiment E9.
 //! * [`blame`] — the von-Ahn-style misbehaviour investigation discussed in
 //!   §V-C, and the cheaper "dissolve the group" policy.
-//! * [`scratch`] — a buffer pool ([`RoundScratch`]) that the round drivers
-//!   above draw their per-round slot and share buffers from, so simulations
-//!   running millions of rounds reuse a bounded set of allocations.
+//! * [`scratch`] — a buffer pool ([`RoundScratch`]) the in-memory round
+//!   drivers draw their per-round slot and share buffers from, so
+//!   experiments running millions of rounds reuse a bounded set of them.
 //!
 //! # Example: one anonymous transmission within a group of five
 //!
@@ -58,6 +61,7 @@ pub mod blame;
 pub mod explicit;
 pub mod keyed;
 pub mod reservation;
+pub mod round;
 pub mod scratch;
 pub mod slot;
 
@@ -76,6 +80,7 @@ pub use reservation::{
     encode_announcement, interpret_reservation, payload_slot_len, ReservationCostModel,
     ReservationOutcome, RESERVATION_SLOT_LEN,
 };
+pub use round::{ReceiveError, RoundEngine};
 pub use scratch::RoundScratch;
 pub use slot::SlotOutcome;
 

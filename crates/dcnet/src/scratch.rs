@@ -8,12 +8,6 @@
 //! out, fill them, and recycle them when the round is over, so consecutive
 //! rounds reuse the same allocations.
 //!
-//! **Precondition: recycle only buffers this pool handed out.** The pool
-//! cannot tell, and every foreign buffer it is given is one it keeps for
-//! good. A buffer that crosses to another owner — a contribution sent to a
-//! peer that will recycle it into a pool shared with the sender — is
-//! therefore checked out by the sender and filled, not cloned.
-//!
 //! Buffers are cleared on recycle and zero-filled on
 //! [`RoundScratch::checkout_zeroed`], so no bytes ever leak from one round
 //! into the next. Capacity is retained for as long as the pool lives; the
@@ -24,10 +18,8 @@
 ///
 /// Checkout either returns a pooled buffer (cleared, capacity retained) or
 /// an empty fresh one; [`RoundScratch::recycle`] clears a buffer and
-/// returns it to the pool. Given the precondition in the
-/// [module documentation](self), the pool only grows as large as the peak
-/// number of simultaneously checked-out buffers, because every checkout
-/// pops.
+/// returns it to the pool. Recycling only buffers it handed out, the pool
+/// grows only as large as the peak number of buffers checked out at once.
 #[derive(Debug, Default)]
 pub struct RoundScratch {
     free: Vec<Vec<u8>>,

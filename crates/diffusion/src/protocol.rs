@@ -229,10 +229,6 @@ impl ProtocolCore for AdaptiveDiffusionNode {
 }
 
 impl SteadyProtocol for AdaptiveDiffusionNode {
-    fn per_tx_instance(&self) -> Self {
-        AdaptiveDiffusionNode::new(self.params)
-    }
-
     fn start_tx(&mut self, _tx: u64, view: &mut impl NodeView, out: &mut Mailbox<AdMessage>) {
         // Adaptive diffusion messages deliberately carry no transaction id
         // (source obfuscation); the steady-state wrapper's tag does the

@@ -250,13 +250,6 @@ impl ProtocolCore for DandelionNode {
 }
 
 impl SteadyProtocol for DandelionNode {
-    /// A fresh per-transaction instance keeps the node's stem successor:
-    /// the stem line is an epoch-level routing decision shared by every
-    /// transaction relayed within the epoch.
-    fn per_tx_instance(&self) -> Self {
-        DandelionNode::new(self.params, self.stem_successor)
-    }
-
     fn start_tx(&mut self, tx: u64, view: &mut impl NodeView, out: &mut Mailbox<DandelionMessage>) {
         self.start_broadcast(tx, view, out);
     }

@@ -98,10 +98,6 @@ impl ProtocolCore for FloodNode {
 }
 
 impl SteadyProtocol for FloodNode {
-    fn per_tx_instance(&self) -> Self {
-        FloodNode::new()
-    }
-
     fn start_tx(&mut self, tx: u64, view: &mut impl NodeView, out: &mut Mailbox<FloodMessage>) {
         self.start_broadcast(tx, view, out);
     }

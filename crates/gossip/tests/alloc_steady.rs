@@ -76,11 +76,10 @@ const GAP: SimTime = 150 * MILLISECOND;
 /// Bytes a warm session may request per transaction. A flood over 100
 /// nodes inherently costs 100 first receipts (a 4-byte exclusion list
 /// each), 100 latency samples and one outcome record, the last two in
-/// doubling `Vec`s: 3.3 KB, to the byte on every run. The bound dates from
-/// when each fan-out also boxed its payload in an `Rc` (6.3–6.4 KB); one
-/// more table entry per node per transaction (about 3.1 KB) now fits under
-/// it, so it catches a per-event cost, not that one.
-const BYTES_PER_TX_BOUND: u64 = 7_500;
+/// doubling `Vec`s: 3.3 KB, to the byte on every run. One more table entry
+/// per node per transaction — instance tables indexed by transaction
+/// instead of by slot — reads 7.8 KB.
+const BYTES_PER_TX_BOUND: u64 = 4_500;
 
 /// What one measured session requested and held.
 struct Measured {

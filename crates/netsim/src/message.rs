@@ -14,7 +14,8 @@
 /// `t − 1` times at send time and moves the original into the last, so
 /// every in-flight copy owns its payload — a copy that churn later drops
 /// was cloned all the same. A payload that is expensive to clone should
-/// make cloning cheap itself, e.g. by keeping its bulk behind an `Rc`.
+/// make cloning cheap itself, e.g. by keeping its bulk behind an `Arc`
+/// (not an `Rc`: payloads must be `Send`).
 pub trait Payload: Clone + std::fmt::Debug + Send + 'static {
     /// A short, static label identifying the message type, used to group
     /// counters in [`crate::metrics::Metrics`] (e.g. `"flood"`,

@@ -12,8 +12,8 @@
 //! * [`Tagged`] wraps the core's message type with a transaction id, so
 //!   concurrent broadcasts share the wire but never each other's handlers.
 //! * [`SteadyProtocol`] is the small adapter trait a core implements to
-//!   become multiplexable: spawn a fresh per-transaction instance, and
-//!   start a broadcast for a given transaction id.
+//!   become multiplexable: start a broadcast for a given transaction id.
+//!   Per-transaction instances are clones of a never-polled prototype.
 //! * [`SteadyNode`] is the per-overlay-node multiplexer: it owns one lazy
 //!   [`ProtocolCore`] instance per transaction the node has touched, routes
 //!   each tagged input to the right instance, and rewrites the emitted
@@ -88,17 +88,10 @@ impl<M: Payload> Payload for Tagged<M> {
 }
 
 /// Adapter trait a single-broadcast [`ProtocolCore`] implements to become
-/// multiplexable by a [`SteadyNode`].
-pub trait SteadyProtocol: ProtocolCore + Sized {
-    /// Spawns a fresh per-transaction instance of this core.
-    ///
-    /// Called on the *prototype* instance a node was constructed with
-    /// (which is never polled itself); the spawn must preserve the node's
-    /// per-node configuration — parameters, stem successor, group
-    /// membership, shared scratch pools — while starting from pristine
-    /// protocol state.
-    fn per_tx_instance(&self) -> Self;
-
+/// multiplexable by a [`SteadyNode`], which spawns each per-transaction
+/// instance as a clone of the node's never-polled *prototype* core: its
+/// configuration (parameters, stem successor, group) and pristine state.
+pub trait SteadyProtocol: ProtocolCore + Clone {
     /// Starts broadcasting transaction `tx` from this node, exactly like
     /// the core's single-broadcast entry point.
     fn start_tx(&mut self, tx: u64, view: &mut impl NodeView, out: &mut Mailbox<Self::Message>);
@@ -331,7 +324,7 @@ impl<C: SteadyProtocol> SteadyNode<C> {
     /// Builds the multiplexer for one overlay node.
     ///
     /// `prototype` is the node's configured single-broadcast core; it is
-    /// never polled, only [`SteadyProtocol::per_tx_instance`]d. `arrivals`
+    /// never polled, only cloned into per-transaction instances. `arrivals`
     /// are the injections scheduled on this node.
     pub fn new(
         prototype: C,
@@ -397,13 +390,13 @@ impl<C: SteadyProtocol> SteadyNode<C> {
         let mut lane_view = LaneView { lane, node, view };
         match event {
             TxEvent::Arrival => {
-                let (_, instance, _) = entry.insert((tx, self.prototype.per_tx_instance(), true));
+                let (_, instance, _) = entry.insert((tx, self.prototype.clone(), true));
                 instance.poll(Input::Init, &mut lane_view, &mut self.inner);
                 instance.start_tx(tx, &mut lane_view, &mut self.inner);
             }
             TxEvent::Message { from, message } => {
                 let (_, instance, inited) =
-                    entry.get_or_insert_with(|| (tx, self.prototype.per_tx_instance(), false));
+                    entry.get_or_insert_with(|| (tx, self.prototype.clone(), false));
                 if !*inited && C::wants_init(&message) {
                     instance.poll(Input::Init, &mut lane_view, &mut self.inner);
                     *inited = true;
@@ -775,10 +768,6 @@ mod tests {
     }
 
     impl SteadyProtocol for MiniFlood {
-        fn per_tx_instance(&self) -> Self {
-            MiniFlood
-        }
-
         fn start_tx(&mut self, _tx: u64, view: &mut impl NodeView, out: &mut Mailbox<Ping>) {
             if view.set_seen() {
                 return;
@@ -980,7 +969,7 @@ mod tests {
 
     /// A core whose per-instance state is observable: it reports how many
     /// times it has been entered through the `entries` counter.
-    #[derive(Debug, Default)]
+    #[derive(Clone, Debug, Default)]
     struct EntryCounter {
         entries: u64,
     }
@@ -997,10 +986,6 @@ mod tests {
     }
 
     impl SteadyProtocol for EntryCounter {
-        fn per_tx_instance(&self) -> Self {
-            Self::default()
-        }
-
         fn start_tx(&mut self, _tx: u64, _: &mut impl NodeView, out: &mut Mailbox<Ping>) {
             self.entries += 1;
             out.send(NodeId::new(1), Ping);
