@@ -105,25 +105,6 @@ pub fn first_spy(view: &AdversaryView) -> Estimate {
     Estimate::from_scores(scores)
 }
 
-/// A first-spy variant that spreads suspicion over every honest node that
-/// was the *first relayer* seen by some adversarial observer, weighted by
-/// how early that observation happened. Less brittle than pure first-spy on
-/// protocols that randomise the initial relays.
-pub fn weighted_first_relayers(view: &AdversaryView) -> Estimate {
-    let mut scores: BTreeMap<NodeId, f64> = BTreeMap::new();
-    let Some(first) = view.first_observation() else {
-        return Estimate::from_scores(scores);
-    };
-    let earliest = first.at.max(1);
-    for observation in &view.observations {
-        // Earlier observations carry exponentially more weight.
-        let delay = observation.at.saturating_sub(earliest) as f64 / earliest as f64;
-        let weight = (-delay).exp();
-        *scores.entry(observation.relayed_by).or_insert(0.0) += weight;
-    }
-    Estimate::from_scores(scores)
-}
-
 /// The Jordan-centre / rumour-centrality style estimator: every honest node
 /// is scored by how well its BFS distances to the adversary's observers
 /// match the observed arrival order, blaming nodes "in the centre" of the
@@ -220,17 +201,6 @@ mod tests {
         assert!(estimate.convicts(NodeId::new(2)));
         assert_eq!(estimate.anonymity_set_size(), 1);
         assert_eq!(estimate.entropy_bits(), 0.0);
-    }
-
-    #[test]
-    fn weighted_first_relayers_spreads_mass() {
-        let estimate =
-            weighted_first_relayers(&view(vec![obs(5, 1, 100), obs(6, 2, 100), obs(7, 1, 200)]));
-        // Nodes 1 and 2 both relayed early; node 1 also relayed late.
-        assert!(estimate.probability_of(NodeId::new(1)) > estimate.probability_of(NodeId::new(2)));
-        assert!(estimate.anonymity_set_size() >= 2);
-        let total: f64 = estimate.posterior.values().sum();
-        assert!((total - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -13,14 +13,6 @@
 //! * [`metrics`] — aggregation of detection probability, anonymity-set
 //!   size and posterior entropy over many attacked broadcasts (the rows of
 //!   experiments E1, E2, E3 and E7).
-//! * [`timing`] — the Biryukov-style maximum-likelihood timing estimator
-//!   that correlates arrival times at many observation points.
-//! * [`eavesdropper`] — passive link-level observers (the "intelligence
-//!   agency" attacker of §I), up to a global passive adversary.
-//! * [`insider`] — coalitions inside the Phase-1 DC-net group and the
-//!   analytic ℓ-anonymity floor of §V-B.
-//! * [`precision`] — precision/recall accounting over whole attack
-//!   campaigns, the reporting style of the Dandelion analysis.
 //!
 //! # Example
 //!
@@ -56,20 +48,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod eavesdropper;
 pub mod estimators;
-pub mod insider;
 pub mod metrics;
 pub mod observer;
-pub mod precision;
-pub mod timing;
 
-pub use eavesdropper::{first_sender, traffic_volume, LinkId, LinkObserver};
-pub use estimators::{first_spy, jordan_center, weighted_first_relayers, Estimate};
-pub use insider::{
-    degradation_table, honest_member_count, insider_posterior, phase1_detection_probability,
-};
+pub use estimators::{first_spy, jordan_center, Estimate};
 pub use metrics::{AttackOutcome, PrivacyExperiment, PrivacySummary};
 pub use observer::{AdversarySet, AdversaryView, Observation};
-pub use precision::{Classification, ConfusionCounts};
-pub use timing::{infer_per_hop_latency, timing_ml};

@@ -55,21 +55,6 @@ impl AdversarySet {
         }
     }
 
-    /// Number of colluding nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True if the adversary controls no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Total network size the set was drawn from.
-    pub fn network_size(&self) -> usize {
-        self.network_size
-    }
-
     /// Fraction of the network the adversary controls.
     pub fn fraction(&self) -> f64 {
         if self.network_size == 0 {
@@ -156,11 +141,6 @@ impl AdversaryView {
             .iter()
             .min_by_key(|obs| (obs.at, obs.observer))
     }
-
-    /// Number of adversarial nodes that observed the broadcast.
-    pub fn observer_count(&self) -> usize {
-        self.observations.len()
-    }
 }
 
 #[cfg(test)]
@@ -173,10 +153,8 @@ mod tests {
     fn random_fraction_selects_expected_count() {
         let mut rng = StdRng::seed_from_u64(1);
         let set = AdversarySet::random_fraction(100, 0.2, &[], &mut rng);
-        assert_eq!(set.len(), 20);
-        assert_eq!(set.network_size(), 100);
+        assert_eq!(set.nodes().count(), 20);
         assert!((set.fraction() - 0.2).abs() < 1e-12);
-        assert!(!set.is_empty());
     }
 
     #[test]
@@ -187,7 +165,7 @@ mod tests {
             let set = AdversarySet::random_fraction(10, 0.8, &protected, &mut rng);
             assert!(!set.contains(NodeId::new(0)));
             assert!(!set.contains(NodeId::new(1)));
-            assert!(set.len() <= 8);
+            assert!(set.nodes().count() <= 8);
         }
     }
 
@@ -195,9 +173,9 @@ mod tests {
     fn fraction_is_clamped() {
         let mut rng = StdRng::seed_from_u64(3);
         let all = AdversarySet::random_fraction(10, 2.0, &[], &mut rng);
-        assert_eq!(all.len(), 10);
+        assert_eq!(all.fraction(), 1.0);
         let none = AdversarySet::random_fraction(10, -0.5, &[], &mut rng);
-        assert!(none.is_empty());
+        assert_eq!(none.nodes().count(), 0);
         assert_eq!(none.fraction(), 0.0);
     }
 
@@ -227,7 +205,7 @@ mod tests {
         }
         let adversaries = AdversarySet::from_nodes(4, [NodeId::new(2), NodeId::new(3)]);
         let view = AdversaryView::from_metrics(&metrics, &adversaries);
-        assert_eq!(view.observer_count(), 2);
+        assert_eq!(view.observations.len(), 2);
         let first = view.first_observation().unwrap();
         assert_eq!(first.observer, NodeId::new(2));
         assert_eq!(first.at, 10);
@@ -242,7 +220,7 @@ mod tests {
         metrics.note_receipt(NodeId::new(1), NodeId::new(0), 5, "flood");
         let adversaries = AdversarySet::from_nodes(3, [NodeId::new(2)]);
         let view = AdversaryView::from_metrics(&metrics, &adversaries);
-        assert_eq!(view.observer_count(), 0);
+        assert!(view.observations.is_empty());
         assert!(view.first_observation().is_none());
     }
 

@@ -166,3 +166,62 @@ fn usage_errors_exit_2_and_help_exits_0_with_the_same_table() {
         assert_eq!(stderr, format!("error: {message}\n\n{table}"), "{args:?}");
     }
 }
+
+/// The backticked names in `text` that sit outside parentheses.
+fn top_level_code_spans(text: &str) -> Vec<&str> {
+    let mut spans = Vec::new();
+    let mut depth = 0usize;
+    let mut open = None;
+    for (index, c) in text.char_indices() {
+        match (c, open) {
+            ('`', Some(start)) => {
+                if depth == 0 {
+                    spans.push(&text[start..index]);
+                }
+                open = None;
+            }
+            ('`', None) => open = Some(index + 1),
+            ('(', None) => depth += 1,
+            (')', None) => depth = depth.saturating_sub(1),
+            _ => {}
+        }
+    }
+    spans
+}
+
+#[test]
+fn architecture_crate_map_names_only_modules_that_exist() {
+    // docs/ARCHITECTURE.md's crate map lists each crate's key modules; a
+    // module deleted from `src/` must leave the map with it.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let docs = std::fs::read_to_string(root.join("docs/ARCHITECTURE.md"))
+        .expect("docs/ARCHITECTURE.md is readable");
+    let rows: Vec<&str> = docs
+        .lines()
+        .skip_while(|line| !line.starts_with("| Paper concept | Crate | Key modules |"))
+        .skip(2)
+        .take_while(|line| line.starts_with('|'))
+        .collect();
+    assert!(!rows.is_empty(), "docs/ARCHITECTURE.md has no crate map");
+    for row in rows {
+        // The concept cell may hold a `|` (`k ≤ |G| ≤ 2k−1`); the last two
+        // cells do not.
+        let mut cells = row.trim_end_matches('|').rsplitn(3, '|');
+        let modules = cells.next().expect("a key-modules cell");
+        let krate = cells.next().expect("a crate cell").trim().trim_matches('`');
+        if modules.contains("see below") {
+            continue;
+        }
+        let dir = krate
+            .strip_prefix("fnp-")
+            .expect("crate names start with fnp-");
+        let src = root.join("crates").join(dir).join("src");
+        for module in top_level_code_spans(modules) {
+            assert!(
+                src.join(format!("{module}.rs")).is_file()
+                    || src.join(module).join("mod.rs").is_file(),
+                "the crate map names `{module}` for {krate}, which has no such module"
+            );
+        }
+    }
+}

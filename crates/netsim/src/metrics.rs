@@ -10,8 +10,8 @@
 //! when, of which kind — which is all the `fnp-adversary` node estimators
 //! consume: n entries however many messages the run sent. The optional
 //! [`TraceEntry`] log ([`SimConfig::record_trace`]) is the full transmission
-//! trace on top of that table, for the link-level eavesdropper, the
-//! determinism tests and debugging.
+//! trace on top of that table, for the benchmark's traced `paper_grid` leg,
+//! the determinism tests, the receipt oracle and debugging.
 //!
 //! [`SimConfig::record_receipts`]: crate::SimConfig::record_receipts
 //! [`SimConfig::record_trace`]: crate::SimConfig::record_trace
@@ -35,12 +35,14 @@ use std::collections::BTreeMap;
 
 /// One transmitted message, as seen by an omniscient observer.
 ///
-/// The log of these is what a link-level eavesdropper
-/// (`fnp_adversary::LinkObserver`) filters down to its tapped links. Colluding
-/// *nodes* need far less — see [`Receipt`]. Either way the simulator records
-/// for every node alike and the adversary picks its own afterwards, which
-/// keeps the protocols oblivious to the attacker, mirroring the
-/// honest-but-curious model of §IV-A.
+/// The log of these is read by the determinism tests (`determinism.rs`,
+/// `driver_tracing.rs`), by `receipt_oracle.rs` as the reference the
+/// first-receipt table must match, by the benchmark's traced `paper_grid`
+/// leg and when debugging. Colluding *nodes* need far less — see
+/// [`Receipt`]. Either way the simulator records for every node alike and
+/// the adversary picks its own afterwards, which keeps the protocols
+/// oblivious to the attacker, mirroring the honest-but-curious model of
+/// §IV-A.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceEntry {
     /// Time the message was *received*.

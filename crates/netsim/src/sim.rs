@@ -67,9 +67,10 @@ pub struct SimConfig {
     pub seed: u64,
     /// Whether to record the full transmission trace, one
     /// [`TraceEntry`] per delivered message — memory proportional to the
-    /// message count. Wanted by the link-level eavesdropper
-    /// (`fnp_adversary::LinkObserver`), the determinism tests and debugging;
-    /// the node-level adversary estimators need only
+    /// message count. Wanted by the benchmark's traced `paper_grid` leg,
+    /// the determinism tests (`determinism.rs`, `driver_tracing.rs`), the
+    /// receipt oracle (`receipt_oracle.rs`) and debugging; the adversary
+    /// estimators need only
     /// [`record_receipts`](Self::record_receipts), which this implies.
     pub record_trace: bool,
     /// Whether to record each node's first receipt

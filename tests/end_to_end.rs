@@ -2,7 +2,7 @@
 //! group formation through DC-net, adaptive diffusion and flooding, checked
 //! against the delivery and determinism guarantees the paper relies on.
 
-use fnp_core::{run_flexible_broadcast, run_protocol, FlexConfig, ProtocolKind};
+use fnp_core::{run_flexible_broadcast, run_protocol, ElectionStrategy, FlexConfig, ProtocolKind};
 use fnp_diffusion::AdParams;
 use fnp_gossip::DandelionParams;
 use fnp_netsim::{topology, NodeId, SimConfig, Topology};
@@ -185,4 +185,27 @@ fn phase_breakdown_accounts_for_all_messages() {
         report.phase1_bytes + report.phase2_bytes + report.phase3_bytes,
         report.metrics.bytes_sent,
     );
+}
+
+#[test]
+fn ablated_election_still_delivers_to_everyone() {
+    // The ablation only changes *who* becomes the virtual source, not the
+    // delivery machinery; coverage must stay at 100 % for both strategies.
+    for strategy in [
+        ElectionStrategy::HashBased,
+        ElectionStrategy::OriginatorAsSource,
+    ] {
+        let config = FlexConfig::default().with_election(strategy);
+        let metrics = run_protocol(
+            ProtocolKind::Flexible(config),
+            overlay(200, 8, 7),
+            NodeId::new(33),
+            SimConfig {
+                seed: 7,
+                ..SimConfig::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(metrics.coverage(), 1.0, "{strategy:?} lost coverage");
+    }
 }

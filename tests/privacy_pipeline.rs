@@ -5,8 +5,8 @@
 //! originator even from an adversary that observes most of the overlay.
 
 use fnp_adversary::{first_spy, AdversarySet, AdversaryView, AttackOutcome, PrivacyExperiment};
-use fnp_core::{run_flexible_broadcast, run_protocol, FlexConfig, ProtocolKind};
-use fnp_netsim::{topology, NodeId, SimConfig};
+use fnp_core::{run_flexible_broadcast, run_protocol, FlexConfig, ProtocolKind, PHASE1_KINDS};
+use fnp_netsim::{topology, Metrics, NodeId, SimConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -117,6 +117,7 @@ fn detection_probability_grows_with_adversary_fraction() {
             )
             .unwrap();
             let adversaries = AdversarySet::random_fraction(N, fraction, &[origin], &mut rng);
+            assert_eq!(adversaries.fraction(), fraction);
             let view = AdversaryView::from_metrics(&metrics, &adversaries);
             experiment.record(AttackOutcome {
                 origin,
@@ -131,6 +132,50 @@ fn detection_probability_grows_with_adversary_fraction() {
         detection[0],
         detection[1]
     );
+}
+
+/// Sender of the earliest `(at, from, to)` trace entry whose kind is not
+/// exempt: whom an eavesdropper on every link blames.
+fn first_wire_sender(metrics: &Metrics, exempt: &[&str]) -> Option<NodeId> {
+    metrics
+        .trace
+        .iter()
+        .filter(|entry| !exempt.contains(&entry.kind))
+        .min_by_key(|entry| (entry.at, entry.from, entry.to))
+        .map(|entry| entry.from)
+}
+
+#[test]
+fn the_first_message_on_the_wire_names_the_flood_origin_only() {
+    // The paper's premise (§I): network traffic reveals who sent a
+    // transaction. Under flooding the earliest message on any link comes
+    // from the originator, every time. Under the flexible protocol the
+    // DC-net shares are exempt (every group member sends one each round,
+    // payload or not), and the earliest remaining message comes from the
+    // elected virtual source in the origin's group: the origin itself only
+    // when the election picks it (seed 4). Pinned per seed.
+    const FLEXIBLE_SENDERS: [usize; 8] = [112, 90, 26, 85, 69, 141, 80, 10];
+    for (seed, expected) in (0..).zip(FLEXIBLE_SENDERS) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let graph = topology::random_regular(N, 8, &mut rng).unwrap();
+        let origin = NodeId::new(rng.gen_range(0..N));
+        let traced = |kind| {
+            let config = SimConfig {
+                seed,
+                record_trace: true,
+                ..SimConfig::default()
+            };
+            run_protocol(kind, graph.clone(), origin, config).unwrap()
+        };
+        let flood = traced(ProtocolKind::Flood);
+        assert_eq!(first_wire_sender(&flood, &[]), Some(origin), "seed {seed}");
+        let flexible = traced(ProtocolKind::Flexible(FlexConfig::default()));
+        assert_eq!(
+            first_wire_sender(&flexible, PHASE1_KINDS),
+            Some(NodeId::new(expected)),
+            "seed {seed}"
+        );
+    }
 }
 
 #[test]
