@@ -60,14 +60,8 @@ pub fn dcnet_cost_with(
         let k = ks[index];
         let mut rng = StdRng::seed_from_u64(derive_seed(seed, k as u64));
         let payloads = vec![None; k];
-        // The pooled explicit round is byte-identical to the fresh-buffer
-        // one (asserted by the fnp-dcnet scratch-reuse suite), so the JSON
-        // rows are unchanged while the 4·k·(k−1)+k share buffers come from
-        // one reusable pool.
-        let mut scratch = fnp_dcnet::RoundScratch::new();
         let explicit =
-            fnp_dcnet::run_explicit_round_in(&payloads, slot_len, &mut rng, &mut scratch)
-                .expect("explicit round");
+            fnp_dcnet::run_explicit_round(&payloads, slot_len, &mut rng).expect("explicit round");
         let mut keyed_group =
             fnp_dcnet::KeyedDcGroup::new(k, slot_len, &mut rng).expect("keyed group");
         let keyed = keyed_group.run_round(0, &payloads).expect("keyed round");

@@ -24,7 +24,6 @@
 //! size `k`, i.e. `3·k·(k−1)` messages per round in total — the O(k²) cost
 //! the paper discusses in §V-A and that experiment E4 measures.
 
-use crate::scratch::RoundScratch;
 use crate::slot::{self, SlotOutcome};
 use fnp_crypto::prg::{xor, xor_into};
 use rand::Rng;
@@ -151,52 +150,23 @@ impl ExplicitParticipant {
         payload: Option<&[u8]>,
         rng: &mut R,
     ) -> Result<Self, ExplicitRoundError> {
-        let mut scratch = RoundScratch::new();
-        Self::new_in(index, size, slot_len, payload, rng, &mut scratch)
-    }
-
-    /// Like [`ExplicitParticipant::new`], but drawing the slot and share
-    /// buffers from `scratch` instead of allocating them fresh.
-    ///
-    /// The RNG fill sequence is identical to the unpooled constructor (the
-    /// same number of same-length fills in the same order), so pooled and
-    /// fresh participants are byte-for-byte interchangeable for any seed.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ExplicitParticipant::new`].
-    pub fn new_in<R: Rng + ?Sized>(
-        index: usize,
-        size: usize,
-        slot_len: usize,
-        payload: Option<&[u8]>,
-        rng: &mut R,
-        scratch: &mut RoundScratch,
-    ) -> Result<Self, ExplicitRoundError> {
         if size < 2 {
             return Err(ExplicitRoundError::GroupTooSmall { size });
         }
         if index >= size {
             return Err(ExplicitRoundError::MemberOutOfRange { index, size });
         }
-        let mut own_slot = scratch.checkout();
-        match payload {
-            Some(payload) => {
-                if let Err(e) = slot::encode_into(payload, slot_len, &mut own_slot) {
-                    scratch.recycle(own_slot);
-                    return Err(e.into());
-                }
-            }
-            None => slot::silence_into(slot_len, &mut own_slot),
-        }
-        // Step 1: one share per *other* member, XORing to the slot. This
-        // mirrors `fnp_crypto::prg::random_shares` with pooled buffers: the
-        // first `size − 2` shares are uniform, the last is the accumulator.
-        let mut accumulator = scratch.checkout();
-        accumulator.extend_from_slice(&own_slot);
+        let own_slot = match payload {
+            Some(payload) => slot::encode(payload, slot_len)?,
+            None => slot::silence(slot_len),
+        };
+        // Step 1: one share per *other* member, XORing to the slot, as
+        // `fnp_crypto::prg::random_shares` splits it: the first `size − 2`
+        // shares are uniform, the last is the accumulator.
+        let mut accumulator = own_slot.clone();
         let mut shares: Vec<Vec<u8>> = Vec::with_capacity(size - 1);
         for _ in 0..size - 2 {
-            let mut share = scratch.checkout_zeroed(own_slot.len());
+            let mut share = vec![0u8; own_slot.len()];
             rng.fill(share.as_mut_slice());
             xor_into(&mut accumulator, &share);
             shares.push(share);
@@ -366,40 +336,6 @@ impl ExplicitParticipant {
         }
         Some(slot::decode(&recovered))
     }
-
-    /// The shares this member generated in step 1 (recipient → share).
-    /// Exposed for the blame protocol, which asks members to reveal their
-    /// round state when misbehaviour is suspected.
-    pub fn revealed_shares(&self) -> &BTreeMap<usize, Vec<u8>> {
-        &self.outgoing_shares
-    }
-
-    /// The framed slot this member contributed (all zeros when silent),
-    /// exposed for the blame protocol.
-    pub fn contributed_slot(&self) -> &[u8] {
-        &self.own_slot
-    }
-
-    /// Returns this participant's pooled buffers to `scratch` once the
-    /// round is over, so that consecutive rounds of any group size reuse
-    /// the same allocations. The `S`/`T` accumulators are dropped instead:
-    /// they are created outside the pool, and recycling them would grow it
-    /// without bound.
-    fn recycle_into(self, scratch: &mut RoundScratch) {
-        scratch.recycle(self.own_slot);
-        for buf in self.outgoing_shares.into_values() {
-            scratch.recycle(buf);
-        }
-        for buf in self.received_shares.into_values() {
-            scratch.recycle(buf);
-        }
-        for buf in self.received_accumulations.into_values() {
-            scratch.recycle(buf);
-        }
-        for buf in self.received_finals.into_values() {
-            scratch.recycle(buf);
-        }
-    }
 }
 
 /// Aggregate report of one in-memory explicit DC-net round.
@@ -438,57 +374,30 @@ pub fn run_explicit_round<R: Rng + ?Sized>(
     slot_len: usize,
     rng: &mut R,
 ) -> Result<ExplicitRoundReport, ExplicitRoundError> {
-    let mut scratch = RoundScratch::new();
-    run_explicit_round_in(payloads, slot_len, rng, &mut scratch)
-}
-
-/// Like [`run_explicit_round`], but drawing every slot, share and message
-/// buffer from `scratch` and recycling them all when the round completes.
-///
-/// An explicit round moves `4·k·(k−1) + k` buffers of `slot_len` bytes;
-/// with a warm scratch none of them is allocated. The report is
-/// byte-for-byte identical to the unpooled driver for the same RNG seed
-/// (the fill sequence is preserved exactly), which is what lets the
-/// experiment harnesses pool buffers across trials without perturbing any
-/// published figure.
-///
-/// # Errors
-///
-/// Same conditions as [`run_explicit_round`].
-pub fn run_explicit_round_in<R: Rng + ?Sized>(
-    payloads: &[Option<Vec<u8>>],
-    slot_len: usize,
-    rng: &mut R,
-    scratch: &mut RoundScratch,
-) -> Result<ExplicitRoundReport, ExplicitRoundError> {
     let size = payloads.len();
     let mut members: Vec<ExplicitParticipant> = Vec::with_capacity(size);
     for (index, payload) in payloads.iter().enumerate() {
-        members.push(ExplicitParticipant::new_in(
+        members.push(ExplicitParticipant::new(
             index,
             size,
             slot_len,
             payload.as_deref(),
             rng,
-            scratch,
         )?);
     }
 
     let mut messages_sent = 0u64;
     let mut bytes_sent = 0u64;
 
-    // One flat delivery list reused for all three exchanges; the message
-    // payloads are pooled copies, which the recipients keep and recycle at
-    // the end of the round via `recycle_into`.
+    // One flat delivery list reused for all three exchanges; the recipients
+    // keep the messages they are sent.
     let mut deliveries: Vec<(usize, usize, Vec<u8>)> =
         Vec::with_capacity(size.saturating_sub(1) * size);
 
     // Step 2 → 3.
     for member in &members {
         for (&recipient, share) in &member.outgoing_shares {
-            let mut message = scratch.checkout();
-            message.extend_from_slice(share);
-            deliveries.push((member.index, recipient, message));
+            deliveries.push((member.index, recipient, share.clone()));
         }
     }
     for (sender, recipient, share) in deliveries.drain(..) {
@@ -501,10 +410,7 @@ pub fn run_explicit_round_in<R: Rng + ?Sized>(
     for member in &members {
         let s = member.s_value.as_ref().expect("all shares delivered");
         for (&recipient, share) in &member.received_shares {
-            let mut message = scratch.checkout();
-            message.extend_from_slice(s);
-            xor_into(&mut message, share);
-            deliveries.push((member.index, recipient, message));
+            deliveries.push((member.index, recipient, xor(s, share)));
         }
     }
     for (sender, recipient, accumulation) in deliveries.drain(..) {
@@ -520,10 +426,7 @@ pub fn run_explicit_round_in<R: Rng + ?Sized>(
             .as_ref()
             .expect("all accumulations delivered");
         for (&recipient, accumulation) in &member.received_accumulations {
-            let mut message = scratch.checkout();
-            message.extend_from_slice(t);
-            xor_into(&mut message, accumulation);
-            deliveries.push((member.index, recipient, message));
+            deliveries.push((member.index, recipient, xor(t, accumulation)));
         }
     }
     for (sender, recipient, value) in deliveries.drain(..) {
@@ -536,9 +439,6 @@ pub fn run_explicit_round_in<R: Rng + ?Sized>(
         .iter()
         .map(|m| m.outcome().expect("round completed"))
         .collect();
-    for member in members {
-        member.recycle_into(scratch);
-    }
     Ok(ExplicitRoundReport {
         outcomes,
         messages_sent,
@@ -693,11 +593,20 @@ mod tests {
         let mut rng = rng(10);
         let p = ExplicitParticipant::new(1, 4, 64, Some(b"msg"), &mut rng).unwrap();
         assert!(p.is_sender());
-        assert_eq!(p.revealed_shares().len(), 3);
         assert_eq!(p.group_size(), 4);
         assert_eq!(p.index(), 1);
+        // One share per other member, and together they reveal the slot.
+        let shares = p.share_messages();
         assert_eq!(
-            slot::decode(p.contributed_slot()),
+            shares.iter().map(|(peer, _)| *peer).collect::<Vec<_>>(),
+            [0, 2, 3]
+        );
+        let mut slot_bytes = vec![0u8; 64];
+        for (_, share) in &shares {
+            xor_into(&mut slot_bytes, share);
+        }
+        assert_eq!(
+            slot::decode(&slot_bytes),
             SlotOutcome::Message(b"msg".to_vec())
         );
     }

@@ -58,6 +58,13 @@ pub enum KeyedDcError {
         /// Expected length.
         expected: usize,
     },
+    /// A round was given a payload list whose length is not the group size.
+    WrongPayloadCount {
+        /// Number of payloads given.
+        received: usize,
+        /// Group size.
+        expected: usize,
+    },
     /// Not every member has contributed yet.
     MissingContributions {
         /// Number of contributions received so far.
@@ -84,6 +91,12 @@ impl fmt::Display for KeyedDcError {
                 write!(
                     f,
                     "contribution of {received} bytes, expected {expected} bytes"
+                )
+            }
+            KeyedDcError::WrongPayloadCount { received, expected } => {
+                write!(
+                    f,
+                    "{received} payloads given for a group of {expected} members"
                 )
             }
             KeyedDcError::MissingContributions { received, expected } => {
@@ -426,7 +439,7 @@ impl KeyedDcGroup {
         payloads: &[Option<Vec<u8>>],
     ) -> Result<KeyedRoundReport, KeyedDcError> {
         if payloads.len() != self.participants.len() {
-            return Err(KeyedDcError::MissingContributions {
+            return Err(KeyedDcError::WrongPayloadCount {
                 received: payloads.len(),
                 expected: self.participants.len(),
             });
@@ -593,10 +606,20 @@ mod tests {
     #[test]
     fn payload_length_mismatch_rejected() {
         let mut group = KeyedDcGroup::new(3, 64, &mut rng(6)).unwrap();
-        assert!(matches!(
-            group.run_round(0, &[None, None]),
-            Err(KeyedDcError::MissingContributions { .. })
-        ));
+        for (payloads, message) in [
+            (2, "2 payloads given for a group of 3 members"),
+            (4, "4 payloads given for a group of 3 members"),
+        ] {
+            let error = group.run_round(0, &vec![None; payloads]).unwrap_err();
+            assert_eq!(
+                error,
+                KeyedDcError::WrongPayloadCount {
+                    received: payloads,
+                    expected: 3
+                }
+            );
+            assert_eq!(error.to_string(), message);
+        }
     }
 
     #[test]
@@ -795,6 +818,10 @@ mod tests {
             KeyedDcError::WrongSlotLength {
                 received: 1,
                 expected: 2,
+            },
+            KeyedDcError::WrongPayloadCount {
+                received: 7,
+                expected: 5,
             },
             KeyedDcError::MissingContributions {
                 received: 1,

@@ -1,12 +1,11 @@
-//! Reusable buffer pool for DC-net round hot paths.
+//! Reusable buffer pool for the in-memory keyed DC-net group.
 //!
-//! Every DC-net round moves `O(k)` (keyed) to `O(k²)` (explicit) byte
-//! buffers of `slot_len` bytes. Allocating them fresh per round dominated
-//! the profile of the in-memory experiments once the pad generation itself
-//! was fused (see `fnp-crypto`'s multi-block ChaCha20). [`RoundScratch`] is
-//! a simple free list of `Vec<u8>` buffers: round drivers check buffers
-//! out, fill them, and recycle them when the round is over, so consecutive
-//! rounds reuse the same allocations.
+//! A keyed round moves one `slot_len`-byte contribution per member plus a
+//! combine accumulator. [`RoundScratch`] is a simple free list of `Vec<u8>`
+//! buffers: [`KeyedDcGroup`](crate::keyed::KeyedDcGroup) checks its buffers
+//! out once and recycles the accumulator after every round, so consecutive
+//! rounds reuse the same allocations. (The explicit Fig. 4 round, run once
+//! per experiment row, allocates its buffers plainly.)
 //!
 //! Buffers are cleared on recycle and zero-filled on
 //! [`RoundScratch::checkout_zeroed`], so no bytes ever leak from one round

@@ -7,13 +7,13 @@
 //! frames variable-length payloads into fixed-size slots:
 //!
 //! ```text
-//! | length: u32 LE | payload … | zero padding … | crc32(length‖payload‖padding-len?) |
+//! | length: u32 LE | payload … | zero padding … | crc32(length‖payload‖padding) |
 //! ```
 //!
-//! Concretely a slot of size `S` holds `4 + payload + padding + 4` bytes;
-//! the CRC covers the length prefix and the payload, so any bit flip — or
-//! the XOR of two valid frames — fails verification with probability
-//! ≈ 1 − 2⁻³².
+//! Concretely a slot of size `S` holds `4 + payload + padding + 4` bytes,
+//! so `S` is at least [`SLOT_OVERHEAD`]; the CRC covers everything before
+//! it, so any bit flip — or the XOR of two valid frames — fails
+//! verification with probability ≈ 1 − 2⁻³².
 
 use fnp_crypto::crc32::crc32;
 use std::fmt;
@@ -73,7 +73,8 @@ pub fn capacity(slot_len: usize) -> usize {
 ///
 /// # Errors
 ///
-/// Returns [`PayloadTooLargeError`] if the payload does not fit.
+/// Returns [`PayloadTooLargeError`] if the payload does not fit, which
+/// includes any slot shorter than [`SLOT_OVERHEAD`].
 pub fn encode(payload: &[u8], slot_len: usize) -> Result<Vec<u8>, PayloadTooLargeError> {
     let mut slot = Vec::with_capacity(slot_len);
     encode_into(payload, slot_len, &mut slot)?;
@@ -97,7 +98,7 @@ pub fn encode_into(
 ) -> Result<(), PayloadTooLargeError> {
     let cap = capacity(slot_len);
     out.clear();
-    if payload.len() > cap {
+    if payload.len() > cap || slot_len < SLOT_OVERHEAD {
         return Err(PayloadTooLargeError {
             payload_len: payload.len(),
             capacity: cap,
@@ -228,6 +229,22 @@ mod tests {
         // from silence, which is what the reservation round exploits.
         let slot = encode(b"", 8).unwrap();
         assert_eq!(decode(&slot), SlotOutcome::Message(vec![]));
+    }
+
+    #[test]
+    fn slots_shorter_than_the_overhead_refuse_every_payload() {
+        for slot_len in 0..SLOT_OVERHEAD {
+            assert_eq!(
+                encode(b"", slot_len),
+                Err(PayloadTooLargeError {
+                    payload_len: 0,
+                    capacity: 0
+                }),
+                "slot of {slot_len} B"
+            );
+        }
+        let framed = encode(b"", SLOT_OVERHEAD).unwrap();
+        assert_eq!(decode(&framed), SlotOutcome::Message(vec![]));
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! the order, each [`ReceiveError`] refuses what it names and changes
 //! nothing, and a member's own contribution is rewritten in place once no
 //! peer holds it. `round_model.rs` checks the engine against the code it
-//! replaced on random schedules.
+//! replaced on random schedules. One five-member case shows what the engine
+//! cannot do: tell a disruptor from an honest collision.
 
 use fnp_crypto::dh::{KeyPair, PublicKey};
 use fnp_dcnet::keyed::KeyedParticipant;
@@ -18,8 +19,13 @@ const SLOT: usize = 64;
 
 /// The engines of a three-member group, and an rng.
 fn group() -> (Vec<RoundEngine>, StdRng) {
-    let mut rng = StdRng::seed_from_u64(5);
-    let keys: Vec<KeyPair> = (0..3).map(|_| KeyPair::generate(&mut rng)).collect();
+    group_of(3, 5)
+}
+
+/// The engines of a `k`-member group, and an rng seeded with `seed`.
+fn group_of(k: usize, seed: u64) -> (Vec<RoundEngine>, StdRng) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let keys: Vec<KeyPair> = (0..k).map(|_| KeyPair::generate(&mut rng)).collect();
     let publics: Vec<PublicKey> = keys.iter().map(KeyPair::public_key).collect();
     let engines = keys
         .iter()
@@ -139,6 +145,88 @@ fn the_own_contribution_is_rewritten_in_place_once_no_peer_holds_it() {
     };
     let first = round(&mut engines);
     assert_eq!(round(&mut engines), first, "no peer kept a copy");
+}
+
+/// Runs `rounds` full rounds: every member starts each round, then every
+/// contribution reaches every peer, member `garbler`'s (if any) XORed with
+/// a fixed pattern on the way out. Returns each member's outcome per round.
+fn run_rounds(
+    engines: &mut [RoundEngine],
+    rng: &mut StdRng,
+    rounds: u64,
+    garbler: Option<usize>,
+) -> Vec<Vec<SlotOutcome>> {
+    let mut outcomes = vec![Vec::new(); engines.len()];
+    for round in 0..rounds {
+        let sent: Vec<Arc<[u8]>> = engines
+            .iter_mut()
+            .map(|engine| {
+                let (contribution, outcome) = engine.start_round(rng);
+                assert_eq!(outcome, None, "no peer has contributed yet");
+                contribution
+            })
+            .enumerate()
+            .map(|(from, contribution)| match garbler {
+                Some(garbler) if garbler == from => {
+                    contribution.iter().map(|byte| byte ^ 0xA5).collect()
+                }
+                _ => contribution,
+            })
+            .collect();
+        for (to, engine) in engines.iter_mut().enumerate() {
+            for (from, contribution) in sent.iter().enumerate().filter(|(from, _)| *from != to) {
+                let outcome = engine
+                    .receive(from, round, Arc::clone(contribution), rng)
+                    .unwrap();
+                if let Some(outcome) = outcome {
+                    outcomes[to].push(outcome);
+                }
+            }
+        }
+    }
+    outcomes
+}
+
+#[test]
+fn a_garbling_member_reads_as_a_collision_every_round_and_no_engine_names_it() {
+    const K: usize = 5;
+    const ROUNDS: u64 = 4;
+    const SEED: u64 = 29;
+    let payload = b"member 1 pays".to_vec();
+
+    // Member 3 XORs a fixed pattern into everything it sends: every engine
+    // but its own sees a garbled slot in every round, and member 1's payload
+    // never goes out.
+    let (mut engines, mut rng) = group_of(K, SEED);
+    engines[1].queue(payload.clone()).unwrap();
+    let garbled = run_rounds(&mut engines, &mut rng, ROUNDS, Some(3));
+    for (member, seen) in garbled.iter().enumerate().filter(|(m, _)| *m != 3) {
+        assert_eq!(seen.len() as u64, ROUNDS, "member {member}");
+        assert!(
+            seen.iter()
+                .all(|outcome| *outcome == SlotOutcome::Collision),
+            "member {member}: {seen:?}"
+        );
+    }
+    assert_eq!(engines[1].pending(), Some(payload.as_slice()));
+
+    // Round 0 of two honest senders resolves to the very same outcome.
+    let (mut engines, mut rng) = group_of(K, SEED);
+    engines[1].queue(payload.clone()).unwrap();
+    engines[2].queue(b"member 2 pays".to_vec()).unwrap();
+    let honest = run_rounds(&mut engines, &mut rng, 1, None);
+    for seen in &honest {
+        assert_eq!(seen[0], garbled[0][0]);
+    }
+
+    // Without the garbler the same schedule delivers within the rounds.
+    let (mut engines, mut rng) = group_of(K, SEED);
+    engines[1].queue(payload.clone()).unwrap();
+    let clean = run_rounds(&mut engines, &mut rng, ROUNDS, None);
+    for seen in &clean {
+        assert!(seen.contains(&SlotOutcome::Message(payload.clone())));
+    }
+    assert_eq!(engines[1].pending(), None);
 }
 
 #[test]
