@@ -1,13 +1,12 @@
 //! Dense u64-word bitsets for the simulator's hot membership lanes.
 //!
-//! BFS visited tracking, the flood coverage ("seen") lane and the CSR
-//! graph's edge tombstones are all membership tests over a dense index
-//! space. A `Vec<bool>` answers them one byte per element; a [`BitSet`]
-//! packs 64 elements per word, so the whole lane of a 10⁶-node overlay is
-//! ~122 KiB — small enough to stay cache-resident through an entire
-//! breadth-first sweep, where the byte-per-flag layout thrashes. Population
-//! counts (`count_ones`) come from the hardware popcount instead of a
-//! byte-wise scan.
+//! BFS visited tracking and the flood coverage ("seen") lane are
+//! membership tests over a dense node index space. A `Vec<bool>` answers
+//! them one byte per element; a [`BitSet`] packs 64 elements per word, so
+//! the whole lane of a 10⁶-node overlay is ~122 KiB — small enough to stay
+//! cache-resident through an entire breadth-first sweep, where the
+//! byte-per-flag layout thrashes. Population counts (`count_ones`) come
+//! from the hardware popcount instead of a byte-wise scan.
 //!
 //! Trailing bits beyond [`BitSet::len`] are kept zero at all times, so the
 //! derived `PartialEq` compares sets by contents regardless of how they
@@ -92,33 +91,10 @@ impl BitSet {
         previous
     }
 
-    /// Clears the bit at `index`, returning the previous value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= len`.
-    pub fn clear(&mut self, index: usize) -> bool {
-        assert!(
-            index < self.len,
-            "bit index {index} out of range {}",
-            self.len
-        );
-        let word = &mut self.words[index >> WORD_SHIFT];
-        let mask = 1u64 << (index & (WORD_BITS - 1));
-        let previous = *word & mask != 0;
-        *word &= !mask;
-        previous
-    }
-
     /// Number of set bits, via per-word popcount.
     #[must_use]
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Zeroes every bit, keeping the current length and allocation.
-    pub fn clear_all(&mut self) {
-        self.words.fill(0);
     }
 }
 
@@ -147,9 +123,8 @@ mod tests {
         set.set(69);
         assert!(set.get(69));
         assert!(!set.get(68));
-        assert!(set.clear(69));
-        assert!(!set.clear(69));
-        assert!(!set.get(69));
+        set.reset(70);
+        assert!(!set.get(69), "reset clears every bit");
     }
 
     #[test]
@@ -163,16 +138,6 @@ mod tests {
         assert_eq!(grown, BitSet::new(65));
         grown.set(64);
         assert_eq!(grown.count_ones(), 1);
-    }
-
-    #[test]
-    fn clear_all_keeps_length() {
-        let mut set = BitSet::new(100);
-        set.set(3);
-        set.set(99);
-        set.clear_all();
-        assert_eq!(set.len(), 100);
-        assert_eq!(set.count_ones(), 0);
     }
 
     #[test]

@@ -725,24 +725,6 @@ impl<N: ProtocolNode> Simulator<N> {
         self.metrics.finished_at = self.now;
         &self.metrics
     }
-
-    /// Runs the simulation until simulated time `deadline` (inclusive),
-    /// leaving later events queued.
-    pub fn run_until(&mut self, deadline: SimTime) -> &Metrics {
-        self.ensure_initialized();
-        loop {
-            match self.queue.next_at() {
-                Some(at) if at <= deadline => {
-                    if !self.step() {
-                        break;
-                    }
-                }
-                _ => break,
-            }
-        }
-        self.metrics.finished_at = self.now;
-        &self.metrics
-    }
 }
 
 #[cfg(test)]
@@ -1073,28 +1055,6 @@ mod tests {
             ctx.send_to_neighbors_except(Counted, &everyone);
         };
         assert_eq!(clones_of(SimConfig::default(), none), (0, 0, 0));
-    }
-
-    #[test]
-    fn run_until_pauses_and_resumes() {
-        let graph = topology::line(10).unwrap();
-        let nodes = (0..10).map(|_| FloodNode::default()).collect();
-        let mut sim = Simulator::new(
-            graph,
-            nodes,
-            SimConfig {
-                latency: LatencyModel::Constant { delay: 100 },
-                ..SimConfig::default()
-            },
-        );
-        start_flood(&mut sim, NodeId::new(0));
-        let mid = sim.run_until(450).delivered_count();
-        assert!(
-            mid < 10,
-            "only part of the line should be covered, got {mid}"
-        );
-        let full = sim.run().delivered_count();
-        assert_eq!(full, 10);
     }
 
     #[test]

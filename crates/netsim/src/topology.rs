@@ -17,7 +17,7 @@ use crate::graph::{Graph, GraphBuilder};
 use crate::node::NodeId;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -227,11 +227,17 @@ pub fn tree(n: usize, arity: usize) -> Result<Graph, GenerateTopologyError> {
     }
     let mut builder = GraphBuilder::new(n);
     for i in 0..n {
-        for c in 1..=arity {
-            let child = arity * i + c;
-            if child < n {
-                builder.add_edge(NodeId::new(i), NodeId::new(child));
-            }
+        // Children are numbered in parent order, so once a node has none
+        // (or its first child index overflows) every later node is a leaf.
+        let Some(first) = arity
+            .checked_mul(i)
+            .and_then(|base| base.checked_add(1))
+            .filter(|&first| first < n)
+        else {
+            break;
+        };
+        for child in first..first.saturating_add(arity).min(n) {
+            builder.add_edge(NodeId::new(i), NodeId::new(child));
         }
     }
     Ok(builder.finalize())
@@ -627,7 +633,7 @@ fn random_regular_attempts<R: Rng + ?Sized>(
         // `build_from_pairs` validation re-checks simplicity and reports a
         // failed attempt rather than a corrupt graph if it were ever
         // violated).
-        if graph.build_from_pairs(n, edges, false, threads) && graph.is_connected() {
+        if graph.build_from_pairs(n, edges, threads) && graph.is_connected() {
             return Ok(());
         }
     }
@@ -654,6 +660,9 @@ pub fn watts_strogatz<R: Rng + ?Sized>(
             "lattice neighbour count k = {k} must be even"
         )));
     }
+    if k == 0 && n > 1 {
+        return Err(invalid("lattice neighbour count 0 cannot be connected"));
+    }
     if k >= n {
         return Err(invalid(format!("k = {k} must be smaller than n = {n}")));
     }
@@ -663,18 +672,18 @@ pub fn watts_strogatz<R: Rng + ?Sized>(
         )));
     }
 
+    // Edges as `(low, high)` index pairs, rewired in the set and laid out
+    // as a graph once per attempt.
+    let pair = |a: usize, b: usize| (a.min(b), a.max(b));
     const ATTEMPTS: usize = 50;
     for _ in 0..ATTEMPTS {
-        // Start from the ring lattice (finalized in one pass; the rewiring
-        // below mutates the CSR graph through its tombstone machinery).
-        let mut builder = GraphBuilder::new(n);
+        // Start from the ring lattice.
+        let mut edges = BTreeSet::new();
         for i in 0..n {
             for offset in 1..=(k / 2) {
-                let j = (i + offset) % n;
-                builder.add_edge(NodeId::new(i), NodeId::new(j));
+                edges.insert(pair(i, (i + offset) % n));
             }
         }
-        let mut g = builder.finalize();
         // Rewire each lattice edge (i, i+offset) with the given probability.
         for i in 0..n {
             for offset in 1..=(k / 2) {
@@ -683,15 +692,20 @@ pub fn watts_strogatz<R: Rng + ?Sized>(
                     continue;
                 }
                 // Pick a new endpoint distinct from i and not already adjacent.
-                let candidate = NodeId::new(rng.gen_range(0..n));
-                if candidate.index() == i || g.has_edge(NodeId::new(i), candidate) {
+                let candidate = rng.gen_range(0..n);
+                if candidate == i || edges.contains(&pair(i, candidate)) {
                     continue;
                 }
-                if g.remove_edge(NodeId::new(i), NodeId::new(j)) {
-                    g.add_edge(NodeId::new(i), candidate);
+                if edges.remove(&pair(i, j)) {
+                    edges.insert(pair(i, candidate));
                 }
             }
         }
+        let mut builder = GraphBuilder::new(n);
+        for &(a, b) in &edges {
+            builder.add_edge(NodeId::new(a), NodeId::new(b));
+        }
+        let g = builder.finalize();
         if g.is_connected() {
             return Ok(g);
         }
@@ -736,7 +750,7 @@ pub fn barabasi_albert<R: Rng + ?Sized>(
     for new_node in seed..n {
         // BTreeSet: edge insertion order must be deterministic for a given
         // RNG seed (HashSet iteration order is randomized per process).
-        let mut targets = std::collections::BTreeSet::new();
+        let mut targets = BTreeSet::new();
         let mut guard = 0usize;
         while targets.len() < attachment && guard < 10_000 {
             guard += 1;
@@ -887,6 +901,14 @@ mod tests {
     }
 
     #[test]
+    fn tree_with_a_huge_arity_is_a_star() {
+        // Only node 0 has children; the loop must stop there instead of
+        // walking `arity` candidate children per node.
+        assert_eq!(tree(5, usize::MAX).unwrap(), star(5).unwrap());
+        assert_eq!(tree(1000, 1 << 40).unwrap(), star(1000).unwrap());
+    }
+
+    #[test]
     fn tree_rejects_zero_arity() {
         assert!(matches!(
             tree(5, 0),
@@ -971,6 +993,30 @@ mod tests {
         assert!(watts_strogatz(10, 3, 0.1, &mut r).is_err(), "odd k");
         assert!(watts_strogatz(10, 10, 0.1, &mut r).is_err(), "k >= n");
         assert!(watts_strogatz(10, 4, 1.2, &mut r).is_err(), "p > 1");
+        assert!(
+            matches!(
+                watts_strogatz(10, 0, 0.1, &mut r),
+                Err(GenerateTopologyError::InvalidParameters { .. })
+            ),
+            "k = 0 with n > 1"
+        );
+        assert_eq!(watts_strogatz(1, 0, 0.1, &mut r).unwrap().node_count(), 1);
+    }
+
+    #[test]
+    fn watts_strogatz_edges_are_pinned_under_a_fixed_seed() {
+        // Any change to the rewiring's RNG draws or acceptance rule shows
+        // up as a different edge list.
+        let g = watts_strogatz(16, 4, 0.3, &mut rng(7)).unwrap();
+        let edges: Vec<_> = g.edges().map(|(a, b)| (a.index(), b.index())).collect();
+        #[rustfmt::skip]
+        let expected = [
+            (0, 2), (0, 4), (0, 10), (0, 14), (0, 15), (1, 2), (1, 3), (2, 3),
+            (2, 4), (3, 4), (3, 5), (3, 11), (4, 6), (4, 9), (4, 13), (4, 15),
+            (5, 7), (5, 15), (6, 8), (6, 11), (7, 8), (7, 9), (8, 9), (8, 10),
+            (9, 10), (9, 11), (10, 15), (11, 13), (12, 13), (12, 14), (13, 15), (14, 15),
+        ];
+        assert_eq!(edges, expected);
     }
 
     #[test]

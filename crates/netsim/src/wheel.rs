@@ -429,19 +429,6 @@ impl<T: WheelItem> TimeWheel<T> {
         }
     }
 
-    /// The scheduled time of the next event, without removing it.
-    pub(crate) fn next_at(&mut self) -> Option<SimTime> {
-        self.ensure_ready();
-        let bucket_head = self.current.last();
-        let incoming_head = self.incoming.peek().map(|Reverse(item)| item);
-        match (bucket_head, incoming_head) {
-            (Some(b), Some(i)) => Some(b.0.at().min(i.0.at())),
-            (Some(b), None) => Some(b.0.at()),
-            (None, Some(i)) => Some(i.0.at()),
-            (None, None) => None,
-        }
-    }
-
     /// Removes and returns the event with the smallest `(at, seq)` key.
     pub(crate) fn pop(&mut self) -> Option<T> {
         self.ensure_ready();
@@ -694,19 +681,6 @@ mod tests {
             wheel.push((SimTime::MAX, seq + extra));
         }
         assert_eq!(drain_sorted(&mut wheel).len(), 2 * CHUNK + 2);
-    }
-
-    #[test]
-    fn next_at_previews_without_removing() {
-        let mut wheel = TimeWheel::empty();
-        wheel.reset(10);
-        assert_eq!(wheel.next_at(), None);
-        wheel.push((70, 0));
-        wheel.push((30, 1));
-        assert_eq!(wheel.next_at(), Some(30));
-        assert_eq!(wheel.len(), 2);
-        assert_eq!(wheel.pop(), Some((30, 1)));
-        assert_eq!(wheel.next_at(), Some(70));
     }
 
     #[test]

@@ -42,8 +42,8 @@ fn families(seed: u64) -> Vec<(&'static str, Graph)> {
 }
 
 /// Byte-level fingerprint of a graph: the `Debug` rendering covers the CSR
-/// arrays themselves (offsets, live counts, targets, tombstones), so two
-/// equal fingerprints mean the same *layout*, not just the same edge set.
+/// arrays themselves (offsets and targets), so two equal fingerprints mean
+/// the same *layout*, not just the same edge set.
 fn fingerprint(graph: &Graph) -> String {
     format!("{graph:?}")
 }
