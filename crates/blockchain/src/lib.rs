@@ -16,10 +16,6 @@
 //!   into stable identifiers with the `fnp-crypto` SHA-256.
 //! * [`mempool`] — a fee-rate-ordered memory pool with capacity eviction,
 //!   the structure miners draw from when building blocks.
-//! * [`block`] — blocks, block hashing and reward accounting (subsidy plus
-//!   fees).
-//! * [`chain`] — an append-only validated chain with per-miner earnings and
-//!   transaction-inclusion queries.
 //! * [`miner`] — a set of miners with hash-rate shares and an exponential
 //!   block-interval race model (the standard Poisson model of proof-of-work).
 //! * [`fairness`] — Jain's fairness index and Gini coefficient over fee
@@ -31,6 +27,10 @@
 //! * [`steady`] — the sustained-load counterpart of [`scenario`]: replay a
 //!   whole stream of miner deliveries against an exponential block process
 //!   and report mempool occupancy, eviction and inclusion delays.
+//!
+//! A block exists here only as a race outcome: which miner found it, when,
+//! and which transactions [`Mempool::select_for_block`] put in it. No
+//! experiment validates a chain of blocks, so the crate keeps none.
 //!
 //! The experiment binaries in `fnp-bench` (experiment E12/tab7) combine this
 //! crate with `fnp-core::run_protocol` to quantify the latency-fairness cost
@@ -54,8 +54,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod block;
-pub mod chain;
 pub mod fairness;
 pub mod mempool;
 pub mod miner;
@@ -63,8 +61,6 @@ pub mod scenario;
 pub mod steady;
 pub mod transaction;
 
-pub use block::{Block, BlockHeader, BLOCK_SUBSIDY};
-pub use chain::{Blockchain, ChainError};
 pub use fairness::{gini_coefficient, jain_fairness_index, FairnessReport};
 pub use mempool::{Mempool, MempoolError};
 pub use miner::{Miner, MinerSet, MinerSetError};

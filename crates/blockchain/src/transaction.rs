@@ -21,12 +21,6 @@ impl TxId {
         &self.0
     }
 
-    /// Constructs an identifier from raw digest bytes (used by tests and by
-    /// the protocol harness when it only carries opaque payload hashes).
-    pub fn from_bytes(bytes: [u8; 32]) -> Self {
-        Self(bytes)
-    }
-
     /// A short hexadecimal prefix for human-readable output.
     pub fn short_hex(&self) -> String {
         self.0[..4].iter().map(|b| format!("{b:02x}")).collect()

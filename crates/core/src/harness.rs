@@ -85,6 +85,13 @@ pub enum HarnessError {
         /// Number of overlay nodes.
         nodes: usize,
     },
+    /// The payload does not fit the configured DC-net slot.
+    PayloadTooLarge {
+        /// Payload length in bytes.
+        len: usize,
+        /// Payload capacity of the slot in bytes.
+        capacity: usize,
+    },
 }
 
 impl fmt::Display for HarnessError {
@@ -94,6 +101,12 @@ impl fmt::Display for HarnessError {
             HarnessError::Formation(inner) => write!(f, "{inner}"),
             HarnessError::OriginOutOfRange { origin, nodes } => {
                 write!(f, "origin {origin} outside overlay of {nodes} nodes")
+            }
+            HarnessError::PayloadTooLarge { len, capacity } => {
+                write!(
+                    f,
+                    "payload of {len} bytes exceeds the {capacity}-byte DC-net slot capacity"
+                )
             }
         }
     }
@@ -168,7 +181,9 @@ fn flex_nodes(
 /// # Errors
 ///
 /// Returns a [`HarnessError`] if the configuration is invalid, the origin
-/// is out of range or groups cannot be formed (network smaller than `k`).
+/// is out of range, the payload exceeds the slot capacity
+/// ([`HarnessError::PayloadTooLarge`]) or groups cannot be formed (network
+/// smaller than `k`).
 pub fn run_flexible_broadcast(
     graph: Graph,
     origin: NodeId,
@@ -204,6 +219,13 @@ pub fn run_flexible_broadcast_in(
     config.validate()?;
     let n = graph.node_count();
     check_origin(origin, n)?;
+    let capacity = fnp_dcnet::slot::capacity(config.slot_len);
+    if payload.len() > capacity {
+        return Err(HarnessError::PayloadTooLarge {
+            len: payload.len(),
+            capacity,
+        });
+    }
 
     let mut nodes: Vec<SimDriver<FlexNode>> = arena.take_nodes();
     nodes.extend(flex_nodes(n, config, sim_config.seed)?.map(SimDriver::new));
@@ -445,6 +467,32 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, HarnessError::Formation(_)));
         assert!(!err.to_string().is_empty());
+    }
+
+    #[test]
+    fn an_oversize_payload_is_an_error_and_a_full_slot_still_delivers() {
+        let capacity = fnp_dcnet::slot::capacity(FlexConfig::default().slot_len);
+        assert_eq!(capacity, 292);
+        let broadcast = |len: usize| {
+            run_flexible_broadcast(
+                overlay(100, 4),
+                NodeId::new(0),
+                vec![7; len],
+                FlexConfig::default(),
+                SimConfig {
+                    seed: 4,
+                    ..SimConfig::default()
+                },
+            )
+        };
+        assert_eq!(
+            broadcast(1000).unwrap_err(),
+            HarnessError::PayloadTooLarge {
+                len: 1000,
+                capacity: 292
+            }
+        );
+        assert_eq!(broadcast(capacity).unwrap().coverage(), 1.0);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! members transmitting in the same round — are detected: the XOR of two
 //! valid messages almost never carries a valid checksum. The same protection
 //! guards the 32-bit length announcements of the reservation optimisation
-//! (§V-A).
+//! (§V-A). `fnp_dcnet::slot` frames every slot with [`crc32`].
 //!
 //! # Examples
 //!
@@ -79,35 +79,6 @@ pub fn crc32(data: &[u8]) -> u32 {
     crc.finalize()
 }
 
-/// Appends a little-endian CRC-32 trailer to `payload`.
-///
-/// This is the framing used by DC-net slots: the slot content is
-/// `payload || crc32(payload)`, allowing any group member to detect that a
-/// recovered slot is garbled (most likely by a collision).
-pub fn append_crc(payload: &[u8]) -> Vec<u8> {
-    let mut framed = Vec::with_capacity(payload.len() + 4);
-    framed.extend_from_slice(payload);
-    framed.extend_from_slice(&crc32(payload).to_le_bytes());
-    framed
-}
-
-/// Verifies and strips a little-endian CRC-32 trailer.
-///
-/// Returns the payload without the trailer if the checksum matches, `None`
-/// otherwise (including when the input is shorter than four bytes).
-pub fn verify_and_strip_crc(framed: &[u8]) -> Option<&[u8]> {
-    if framed.len() < 4 {
-        return None;
-    }
-    let (payload, trailer) = framed.split_at(framed.len() - 4);
-    let expected = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
-    if crc32(payload) == expected {
-        Some(payload)
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,42 +111,5 @@ mod tests {
         crc.update(&data[..100]);
         crc.update(&data[100..]);
         assert_eq!(crc.finalize(), crc32(&data));
-    }
-
-    #[test]
-    fn frame_round_trip() {
-        let payload = b"spend 2 tokens";
-        let framed = append_crc(payload);
-        assert_eq!(framed.len(), payload.len() + 4);
-        assert_eq!(verify_and_strip_crc(&framed), Some(payload.as_slice()));
-    }
-
-    #[test]
-    fn corrupted_frame_rejected() {
-        let mut framed = append_crc(b"spend 2 tokens");
-        framed[3] ^= 0x01;
-        assert_eq!(verify_and_strip_crc(&framed), None);
-    }
-
-    #[test]
-    fn short_frame_rejected() {
-        assert_eq!(verify_and_strip_crc(&[1, 2, 3]), None);
-    }
-
-    #[test]
-    fn xor_of_two_framed_messages_is_detected_as_collision() {
-        // This is exactly the DC-net collision scenario: two senders XOR
-        // their framed messages together on the shared channel.
-        let a = append_crc(b"first transaction payload!");
-        let b = append_crc(b"second transaction payload");
-        assert_eq!(a.len(), b.len());
-        let collided: Vec<u8> = a.iter().zip(b.iter()).map(|(x, y)| x ^ y).collect();
-        assert_eq!(verify_and_strip_crc(&collided), None);
-    }
-
-    #[test]
-    fn empty_payload_frame_round_trips() {
-        let framed = append_crc(b"");
-        assert_eq!(verify_and_strip_crc(&framed), Some(b"".as_slice()));
     }
 }

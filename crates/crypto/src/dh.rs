@@ -9,9 +9,10 @@
 //!
 //! The group is the multiplicative group modulo a verified 62-bit safe
 //! prime. **This parameter size is a deliberate simulation substitution**
-//! (documented in `DESIGN.md`): the protocol logic — who shares a pad with
-//! whom, and that pads cancel — is completely independent of the group
-//! size, and 62-bit arithmetic keeps multi-thousand-node simulations cheap.
+//! (documented in `docs/ARCHITECTURE.md`'s crate map): the protocol
+//! logic — who shares a pad with whom, and that pads cancel — is completely
+//! independent of the group size, and 62-bit arithmetic keeps
+//! multi-thousand-node simulations cheap.
 //! Do not reuse this module for real deployments.
 //!
 //! # Examples

@@ -68,12 +68,6 @@ impl Hkdf {
         Self { prk }
     }
 
-    /// Constructs an HKDF instance directly from a pseudorandom key, skipping
-    /// the extract step (RFC 5869 §3.3).
-    pub fn from_prk(prk: [u8; DIGEST_LEN]) -> Self {
-        Self { prk }
-    }
-
     /// HKDF-Expand: fills `okm` with output keying material bound to `info`.
     ///
     /// # Errors
@@ -193,16 +187,6 @@ mod tests {
         let a: [u8; 32] = hkdf.derive_key(b"fnp/dcnet/pad").unwrap();
         let b: [u8; 32] = hkdf.derive_key(b"fnp/dcnet/nonce").unwrap();
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn from_prk_matches_extract_then_expand() {
-        let prk = hmac_sha256(b"salt", b"ikm");
-        let a = Hkdf::from_prk(prk);
-        let b = Hkdf::extract(Some(b"salt"), b"ikm");
-        let ka: [u8; 16] = a.derive_key(b"x").unwrap();
-        let kb: [u8; 16] = b.derive_key(b"x").unwrap();
-        assert_eq!(ka, kb);
     }
 
     #[test]

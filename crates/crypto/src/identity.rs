@@ -67,11 +67,6 @@ impl Identity {
         Self::new(format!("fnp-node-{index}").into_bytes())
     }
 
-    /// Creates an identity from a Diffie–Hellman public key.
-    pub fn from_public_key(key: &crate::dh::PublicKey) -> Self {
-        Self::new(key.0.to_le_bytes().to_vec())
-    }
-
     /// Returns the raw identifier bytes.
     pub fn id(&self) -> &[u8] {
         &self.id
@@ -239,13 +234,5 @@ mod tests {
         let dbg = format!("{id:?}");
         assert!(dbg.starts_with("Identity("));
         assert!(dbg.len() < 24);
-    }
-
-    #[test]
-    fn identity_from_public_key() {
-        let kp = crate::dh::KeyPair::from_secret(12345);
-        let a = Identity::from_public_key(&kp.public_key());
-        let b = Identity::from_public_key(&kp.public_key());
-        assert_eq!(a, b);
     }
 }

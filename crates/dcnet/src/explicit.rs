@@ -207,11 +207,6 @@ impl ExplicitParticipant {
         self.phase
     }
 
-    /// Whether this member transmitted a payload this round.
-    pub fn is_sender(&self) -> bool {
-        self.sent_payload
-    }
-
     /// Step 2: the shares to send, one per other member.
     pub fn share_messages(&self) -> Vec<(usize, Vec<u8>)> {
         self.outgoing_shares
@@ -396,8 +391,8 @@ pub fn run_explicit_round<R: Rng + ?Sized>(
 
     // Step 2 → 3.
     for member in &members {
-        for (&recipient, share) in &member.outgoing_shares {
-            deliveries.push((member.index, recipient, share.clone()));
+        for (to, share) in member.share_messages() {
+            deliveries.push((member.index, to, share));
         }
     }
     for (sender, recipient, share) in deliveries.drain(..) {
@@ -408,9 +403,11 @@ pub fn run_explicit_round<R: Rng + ?Sized>(
 
     // Step 5 → 6.
     for member in &members {
-        let s = member.s_value.as_ref().expect("all shares delivered");
-        for (&recipient, share) in &member.received_shares {
-            deliveries.push((member.index, recipient, xor(s, share)));
+        let accumulations = member
+            .accumulation_messages()
+            .expect("all shares delivered");
+        for (to, accumulation) in accumulations {
+            deliveries.push((member.index, to, accumulation));
         }
     }
     for (sender, recipient, accumulation) in deliveries.drain(..) {
@@ -592,7 +589,7 @@ mod tests {
     fn sender_flag_and_reveals_are_exposed() {
         let mut rng = rng(10);
         let p = ExplicitParticipant::new(1, 4, 64, Some(b"msg"), &mut rng).unwrap();
-        assert!(p.is_sender());
+        assert!(p.sent_payload);
         assert_eq!(p.group_size(), 4);
         assert_eq!(p.index(), 1);
         // One share per other member, and together they reveal the slot.

@@ -7,8 +7,7 @@
 //! rounds reuse the same allocations. (The explicit Fig. 4 round, run once
 //! per experiment row, allocates its buffers plainly.)
 //!
-//! Buffers are cleared on recycle and zero-filled on
-//! [`RoundScratch::checkout_zeroed`], so no bytes ever leak from one round
+//! Buffers are cleared on recycle, so no bytes ever leak from one round
 //! into the next. Capacity is retained for as long as the pool lives; the
 //! pool is intended for fixed-slot-size simulation workloads where that is
 //! exactly the point.
@@ -33,16 +32,6 @@ impl RoundScratch {
     /// Checks out an empty buffer, reusing pooled capacity when available.
     pub fn checkout(&mut self) -> Vec<u8> {
         self.free.pop().unwrap_or_default()
-    }
-
-    /// Checks out a buffer of `len` zero bytes.
-    ///
-    /// Performs no heap allocation once the pool holds a buffer of at
-    /// least `len` bytes of capacity.
-    pub fn checkout_zeroed(&mut self, len: usize) -> Vec<u8> {
-        let mut buf = self.checkout();
-        buf.resize(len, 0);
-        buf
     }
 
     /// Returns a buffer this pool handed out: contents cleared, capacity
@@ -80,27 +69,13 @@ mod tests {
     }
 
     #[test]
-    fn checkout_zeroed_never_leaks_previous_contents() {
-        let mut scratch = RoundScratch::new();
-        let mut buf = scratch.checkout_zeroed(16);
-        buf.iter_mut().for_each(|b| *b = 0xFF);
-        scratch.recycle(buf);
-
-        let clean = scratch.checkout_zeroed(8);
-        assert_eq!(clean, vec![0u8; 8]);
-        // Shrinking below the previous length must also come back zeroed
-        // when grown again.
-        scratch.recycle(clean);
-        let grown = scratch.checkout_zeroed(16);
-        assert_eq!(grown, vec![0u8; 16]);
-    }
-
-    #[test]
     fn pool_grows_only_to_peak_concurrent_checkouts() {
         let mut scratch = RoundScratch::new();
         for _ in 0..100 {
-            let a = scratch.checkout_zeroed(32);
-            let b = scratch.checkout_zeroed(32);
+            let mut a = scratch.checkout();
+            let mut b = scratch.checkout();
+            a.resize(32, 0);
+            b.resize(32, 0);
             scratch.recycle(a);
             scratch.recycle(b);
         }

@@ -24,7 +24,7 @@
 
 use crate::alpha::AlphaSchedule;
 use crate::engine::{InfectionTree, Round, Token, Wire};
-use fnp_netsim::{NodeId, Payload, SimTime, MILLISECOND};
+use fnp_netsim::{Payload, SimTime, MILLISECOND};
 use fnp_proto::{Input, Mailbox, NodeView, ProtocolCore, SteadyProtocol};
 
 /// Timer tag used by the virtual source to pace rounds.
@@ -142,12 +142,6 @@ impl AdaptiveDiffusionNode {
         }
     }
 
-    /// Whether this node has received the message: it started the broadcast
-    /// or some node infected it.
-    pub fn is_infected(&self) -> bool {
-        self.is_origin || self.tree.parent.is_some()
-    }
-
     /// Whether this node was the broadcast origin.
     pub fn is_origin(&self) -> bool {
         self.is_origin
@@ -156,11 +150,6 @@ impl AdaptiveDiffusionNode {
     /// Whether this node currently holds the virtual-source token.
     pub fn holds_token(&self) -> bool {
         self.tree.token.is_some()
-    }
-
-    /// The node that infected this node, if any (the infection-tree parent).
-    pub fn infection_parent(&self) -> Option<NodeId> {
-        self.tree.parent
     }
 
     /// Starts a broadcast from this node. Under the simulator, call through
@@ -240,7 +229,7 @@ impl SteadyProtocol for AdaptiveDiffusionNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fnp_netsim::{topology, LatencyModel, SimConfig, Simulator};
+    use fnp_netsim::{topology, LatencyModel, NodeId, SimConfig, Simulator};
     use fnp_proto::SimDriver;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -450,10 +439,8 @@ mod tests {
     #[test]
     fn node_accessors() {
         let node = AdaptiveDiffusionNode::new(AdParams::default());
-        assert!(!node.is_infected());
         assert!(!node.is_origin());
         assert!(!node.holds_token());
-        assert_eq!(node.infection_parent(), None);
     }
 
     #[test]

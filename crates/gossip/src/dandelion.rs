@@ -14,8 +14,8 @@
 //! The anonymity comes from the stem: an adversary observing the fluff sees
 //! the last stem node, not the originator, and along the stem every honest
 //! predecessor is an equally plausible source. To limit topology-learning
-//! attacks the line graph is re-randomised every epoch
-//! ([`StemLine::rerandomize`]).
+//! attacks the line graph is re-randomised every epoch: a new epoch draws a
+//! fresh line with [`StemLine::random`].
 
 use fnp_netsim::{Graph, Metrics, NodeId, Payload, SimConfig, Simulator, TrialArena};
 use fnp_proto::{Input, Mailbox, NodeView, ProtocolCore, SimDriver, SteadyProtocol};
@@ -94,11 +94,6 @@ impl StemLine {
     /// The stem successor of `node`.
     pub fn successor(&self, node: NodeId) -> NodeId {
         self.successor[node.index()]
-    }
-
-    /// Re-randomises the line (start of a new epoch).
-    pub fn rerandomize<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        *self = Self::random(self.successor.len(), rng);
     }
 
     /// Walks the stem from `origin` for `hops` steps and returns the node
@@ -406,16 +401,6 @@ mod tests {
         }
         assert_eq!(current, NodeId::new(0));
         assert_eq!(visited.len(), 50);
-    }
-
-    #[test]
-    fn rerandomize_changes_the_line() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut line = StemLine::random(100, &mut rng);
-        let before = line.clone();
-        line.rerandomize(&mut rng);
-        assert_ne!(before, line);
-        assert_eq!(line.len(), 100);
     }
 
     #[test]

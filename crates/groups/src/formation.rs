@@ -6,10 +6,7 @@
 //! * **Partitioning the network into DC-net groups.** The simulator needs a
 //!   way to assign every node to a group of size between `k` and `2k − 1`
 //!   before a broadcast starts. [`form_groups`] produces such a partition
-//!   (random or trust-aware), and [`assign_with_trust`] models the paper's
-//!   observation that a "well designed join operation can improve the
-//!   privacy of participants by allowing them to select known or
-//!   trustworthy nodes".
+//!   by a random shuffle.
 //! * **Manager-based membership (Reiter).** The paper points to Reiter's
 //!   secure group membership protocol, which tolerates up to one third of
 //!   malicious members, as a first solution for group creation. We model
@@ -99,130 +96,6 @@ pub fn form_groups<R: Rng + ?Sized>(
         index += take;
     }
     Ok(groups)
-}
-
-/// A symmetric trust relation: `trusts[a]` is the set of nodes `a` knows
-/// personally and prefers to share a DC-net group with (Herd-style
-/// "anonymity providers", as referenced by the paper).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct TrustGraph {
-    trusts: Vec<BTreeSet<NodeId>>,
-}
-
-impl TrustGraph {
-    /// Creates a trust graph over `n` nodes with no trust edges.
-    pub fn new(n: usize) -> Self {
-        Self {
-            trusts: vec![BTreeSet::new(); n],
-        }
-    }
-
-    /// Number of nodes covered.
-    pub fn len(&self) -> usize {
-        self.trusts.len()
-    }
-
-    /// True if the trust graph covers no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.trusts.is_empty()
-    }
-
-    /// Records mutual trust between `a` and `b`.
-    pub fn add_trust(&mut self, a: NodeId, b: NodeId) {
-        if a == b {
-            return;
-        }
-        self.trusts[a.index()].insert(b);
-        self.trusts[b.index()].insert(a);
-    }
-
-    /// The nodes `node` trusts.
-    pub fn trusted_by(&self, node: NodeId) -> &BTreeSet<NodeId> {
-        &self.trusts[node.index()]
-    }
-
-    /// Number of members of `group` that `node` trusts.
-    pub fn trusted_members_in(&self, node: NodeId, group: &Group) -> usize {
-        group
-            .members()
-            .filter(|member| self.trusts[node.index()].contains(member))
-            .count()
-    }
-}
-
-/// Forms groups preferring trusted peers: each group is seeded with a random
-/// unassigned node and grown by repeatedly admitting the unassigned node
-/// that the current members trust the most (ties broken randomly).
-///
-/// Compared with [`form_groups`], a node that curated its trust edges ends
-/// up with more personally known members in its group — the paper's defence
-/// against an attacker who tries to surround a victim inside a DC-net group
-/// with colluding nodes.
-///
-/// # Errors
-///
-/// Same conditions as [`form_groups`].
-pub fn assign_with_trust<R: Rng + ?Sized>(
-    nodes: &[NodeId],
-    k: usize,
-    trust: &TrustGraph,
-    rng: &mut R,
-) -> Result<Vec<Group>, FormationError> {
-    if k < 2 {
-        return Err(FormationError::Group(GroupError::InvalidPrivacyParameter {
-            k,
-        }));
-    }
-    if nodes.len() < k {
-        return Err(FormationError::NetworkTooSmall {
-            nodes: nodes.len(),
-            k,
-        });
-    }
-    let mut unassigned: Vec<NodeId> = nodes.to_vec();
-    unassigned.shuffle(rng);
-    let mut groups: Vec<Vec<NodeId>> = Vec::new();
-
-    while !unassigned.is_empty() {
-        let remaining = unassigned.len();
-        let take = if remaining < 2 * k { remaining } else { k };
-        let seed = unassigned.pop().expect("non-empty checked above");
-        let mut members = vec![seed];
-        while members.len() < take && !unassigned.is_empty() {
-            // Choose the unassigned node with the highest trust connectivity
-            // to the current members.
-            let (best_index, _) = unassigned
-                .iter()
-                .enumerate()
-                .map(|(index, candidate)| {
-                    let score: usize = members
-                        .iter()
-                        .filter(|member| trust.trusted_by(**member).contains(candidate))
-                        .count();
-                    (index, score)
-                })
-                .max_by_key(|(_, score)| *score)
-                .expect("unassigned is non-empty");
-            members.push(unassigned.swap_remove(best_index));
-        }
-        groups.push(members);
-    }
-
-    // A final stub smaller than k is merged into the previous group.
-    if let Some(last) = groups.last() {
-        if last.len() < k && groups.len() >= 2 {
-            let stub = groups.pop().expect("checked non-empty");
-            groups
-                .last_mut()
-                .expect("at least one group remains")
-                .extend(stub);
-        }
-    }
-
-    groups
-        .into_iter()
-        .map(|members| Group::new(k, members).map_err(FormationError::from))
-        .collect()
 }
 
 /// Outcome of a Reiter-style membership vote.
@@ -391,60 +264,6 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 53);
-    }
-
-    #[test]
-    fn trust_graph_basics() {
-        let mut trust = TrustGraph::new(5);
-        assert_eq!(trust.len(), 5);
-        assert!(!trust.is_empty());
-        trust.add_trust(NodeId::new(0), NodeId::new(1));
-        trust.add_trust(NodeId::new(0), NodeId::new(0)); // ignored self-trust
-        assert!(trust.trusted_by(NodeId::new(0)).contains(&NodeId::new(1)));
-        assert!(trust.trusted_by(NodeId::new(1)).contains(&NodeId::new(0)));
-        assert_eq!(trust.trusted_by(NodeId::new(0)).len(), 1);
-    }
-
-    #[test]
-    fn trust_aware_assignment_groups_friends_together() {
-        // Nodes 0–4 form a clique of mutual trust; with k = 5 and 20 nodes we
-        // expect them to land in the same group far more often than chance.
-        let nodes = all_nodes(20);
-        let mut trust = TrustGraph::new(20);
-        for a in 0..5 {
-            for b in (a + 1)..5 {
-                trust.add_trust(NodeId::new(a), NodeId::new(b));
-            }
-        }
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut together = 0;
-        let trials = 30;
-        for _ in 0..trials {
-            let groups = assign_with_trust(&nodes, 5, &trust, &mut rng).unwrap();
-            // Find the group containing node 0 and count trusted members.
-            let group = groups
-                .iter()
-                .find(|g| g.contains(NodeId::new(0)))
-                .expect("node 0 is assigned");
-            together += trust.trusted_members_in(NodeId::new(0), group);
-        }
-        let average = together as f64 / trials as f64;
-        // Random assignment would give ≈ 4 · 4/19 ≈ 0.84 trusted members on
-        // average; trust-aware assignment should do clearly better.
-        assert!(average > 2.0, "average trusted co-members {average}");
-    }
-
-    #[test]
-    fn trust_aware_assignment_respects_bounds() {
-        let nodes = all_nodes(37);
-        let trust = TrustGraph::new(37);
-        let mut rng = StdRng::seed_from_u64(5);
-        let groups = assign_with_trust(&nodes, 4, &trust, &mut rng).unwrap();
-        let total: usize = groups.iter().map(|g| g.len()).sum();
-        assert_eq!(total, 37);
-        for group in groups {
-            assert!(group.len() >= 4 && group.len() <= 7, "size {}", group.len());
-        }
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //!   invariant, splitting at `2k` and merging after churn.
 //! * [`overlap`] — overlapping groups and the origin-probability smoothing
 //!   of the paper's A/B/C example (experiment E8).
-//! * [`formation`] — partitioning a whole network into groups (randomly or
-//!   preferring trusted peers) and the Reiter-style manager-based
-//!   membership agreement tolerating up to one third of malicious members.
+//! * [`formation`] — partitioning a whole network into random groups and
+//!   the Reiter-style manager-based membership agreement tolerating up to
+//!   one third of malicious members.
 //!
 //! # Example
 //!
@@ -37,8 +37,6 @@ pub mod formation;
 pub mod membership;
 pub mod overlap;
 
-pub use formation::{
-    assign_with_trust, form_groups, FormationError, ManagedGroup, MembershipDecision, TrustGraph,
-};
+pub use formation::{form_groups, FormationError, ManagedGroup, MembershipDecision};
 pub use membership::{Group, GroupError};
 pub use overlap::{GroupSelectionPolicy, OverlappingGroups};

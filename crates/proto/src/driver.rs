@@ -110,11 +110,6 @@ impl<C: ProtocolCore, T: PollTrace<C::Message>> SimDriver<C, T> {
         &self.core
     }
 
-    /// Mutable access to the wrapped core.
-    pub fn core_mut(&mut self) -> &mut C {
-        &mut self.core
-    }
-
     /// Unwraps the adapter, returning the core.
     pub fn into_core(self) -> C {
         self.core

@@ -28,8 +28,8 @@
 //!   message, with per-message recognition tags so senders can locate their
 //!   slot without revealing themselves.
 //! * [`cost`] — the startup latency and traffic cost model reproducing the
-//!   "30 seconds for 8–12 members" observation (experiment E11 of
-//!   `DESIGN.md`).
+//!   "30 seconds for 8–12 members" observation (experiment E11,
+//!   `fnp-bench tab5_dissent_startup`).
 //!
 //! The attacker model matches the paper's honest-but-curious setting: members
 //! follow the protocol but try to link published plaintexts to their

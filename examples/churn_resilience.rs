@@ -6,7 +6,8 @@
 //! flood phase is underway and reports the coverage among the nodes that
 //! stayed up, plus the messages dropped against offline peers. (Crashes
 //! *during* phase 2 can instead take the virtual-source token down and stall
-//! the broadcast — see `tests/churn_failure_injection.rs` and DESIGN.md §8.)
+//! the broadcast — see `tests/churn_failure_injection.rs` and the open
+//! "virtual-source token survives its holder" item in ROADMAP.md.)
 //!
 //! Run with:
 //!

@@ -8,8 +8,7 @@
 //! ```
 
 use fnp_groups::{
-    assign_with_trust, form_groups, Group, GroupSelectionPolicy, ManagedGroup, MembershipDecision,
-    OverlappingGroups, TrustGraph,
+    form_groups, Group, GroupSelectionPolicy, ManagedGroup, MembershipDecision, OverlappingGroups,
 };
 use fnp_netsim::NodeId;
 use rand::rngs::StdRng;
@@ -52,23 +51,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("after merging a sibling: size {}", group.len());
     let (left, right) = group.split()?;
     println!("split into {} + {} members", left.len(), right.len());
-
-    println!("\n== trust-aware formation ==");
-    let mut trust = TrustGraph::new(100);
-    for a in 0..6 {
-        for b in (a + 1)..6 {
-            trust.add_trust(NodeId::new(a), NodeId::new(b));
-        }
-    }
-    let trusted_groups = assign_with_trust(&nodes, 5, &trust, &mut rng)?;
-    let home = trusted_groups
-        .iter()
-        .find(|g| g.contains(NodeId::new(0)))
-        .expect("node 0 is assigned");
-    println!(
-        "node n0 trusts 5 peers; its group contains {} of them",
-        trust.trusted_members_in(NodeId::new(0), home)
-    );
 
     println!("\n== overlapping groups: the A/B/C probability-skew example ==");
     let mut overlapping = OverlappingGroups::new();

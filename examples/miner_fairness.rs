@@ -9,11 +9,9 @@
 //! cargo run --release --example miner_fairness
 //! ```
 
-use fnp_blockchain::{
-    Block, BlockHeader, Blockchain, InclusionRace, Mempool, MinerSet, RaceConfig, Transaction,
-};
+use fnp_blockchain::{InclusionRace, Mempool, MinerSet, RaceConfig, Transaction};
 use fnp_core::{run_protocol, FlexConfig, ProtocolKind};
-use fnp_netsim::{topology, NodeId, SimConfig, SECOND};
+use fnp_netsim::{as_millis, topology, NodeId, SimConfig, SECOND};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -24,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let graph = topology::random_regular(n, 8, &mut rng)?;
     let miners = MinerSet::uniform(miner_count)?;
 
-    println!("== part 1: one transaction, one chain ==\n");
+    println!("== part 1: one transaction, one block race ==\n");
 
     // A wallet (a non-miner node) creates and broadcasts a transaction with
     // the flexible protocol; the first miner to both know it and win a block
@@ -55,33 +53,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         max_blocks: 200,
     };
     let outcome = fnp_blockchain::race_transaction(&metrics, &miners, race_config, &mut rng);
-    let mut chain = Blockchain::new(NodeId::new(0));
     if let fnp_blockchain::RaceOutcome::Included {
         miner,
         at,
         blocks_waited,
     } = outcome
     {
-        let block = Block::new(
-            BlockHeader {
-                height: 1,
-                parent: chain.tip().hash(),
-                miner,
-                found_at: at,
-            },
-            mempool.select_for_block(1_000_000),
-        );
-        chain.append(block)?;
+        // The winning miner fills its block from the mempool by fee rate.
+        let block = mempool.select_for_block(1_000_000);
+        let fees: u64 = block.iter().map(Transaction::fee).sum();
         println!(
-            "miner {} included tx {} after {} block(s); fee income so far: {:?}",
+            "miner {} included tx {} after {} block(s) at {:.0} ms and earned {} in fees\n",
             miner.index(),
             tx.id(),
             blocks_waited,
-            chain.fees_by_miner()
-        );
-        println!(
-            "inclusion recorded at height {:?}\n",
-            chain.inclusion_height(&tx.id())
+            as_millis(at),
+            fees
         );
     } else {
         println!("the transaction was orphaned within the race budget\n");

@@ -115,7 +115,8 @@ fn early_churn_can_stall_the_diffusion_phase() {
     // final-spread path) down with it, in which case the switch to
     // flood-and-prune never happens and coverage stays partial. The paper
     // does not address recovery from a lost token — this test documents the
-    // limitation (see DESIGN.md §8) rather than hiding it.
+    // limitation (see the "virtual-source token survives its holder" item in
+    // ROADMAP.md) rather than hiding it.
     let n = 250;
     let origin = NodeId::new(42);
     let mut rng = StdRng::seed_from_u64(2);
