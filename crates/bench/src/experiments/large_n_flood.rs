@@ -1,17 +1,16 @@
 //! The large-n flood: overlay build → diameter estimate → one untraced
 //! flood over an `--n`-node overlay (default one million).
 //!
-//! This is the only production caller of the intra-trial threaded paths —
-//! the overlay's CSR finalize and the diameter BFS fan out over `--threads`
-//! scoped workers inside the single trial — and the repo's evidence that a
-//! million-node trial completes on commodity hardware. Every field of the
-//! row is deterministic and identical at any thread count; how fast the
-//! same path runs is `benchmark/`'s `flood_large` workload, not this.
+//! This is the repo's evidence that a million-node trial completes on
+//! commodity hardware. It is one trial, and one trial runs on one thread,
+//! so `--threads` changes nothing here; every field of the row is
+//! deterministic. How fast the same path runs is `benchmark/`'s
+//! `flood_large` workload, not this.
 
 use super::Experiment;
 use crate::cli::{with_report, BinArgs};
 use crate::json::{Json, ToJson};
-use crate::{overlay_on_threads, sim_config, TrialArena};
+use crate::{sim_config, standard_overlay_in, TrialArena};
 use fnp_netsim::NodeId;
 
 /// The outcome of the large-n flood.
@@ -43,18 +42,17 @@ impl ToJson for LargeNFloodRow {
 }
 
 /// Builds the standard `n`-node overlay, estimates its diameter and floods
-/// it once from node 0, untraced, with the overlay finalize and the
-/// diameter BFS split across `threads` workers.
+/// it once from node 0, untraced.
 ///
 /// # Panics
 ///
 /// Panics if the overlay cannot be generated or is not connected, which
 /// for degree-8 overlays does not happen in practice.
-pub fn large_n_flood(n: usize, seed: u64, threads: usize) -> LargeNFloodRow {
+pub fn large_n_flood(n: usize, seed: u64) -> LargeNFloodRow {
     let mut arena = TrialArena::new();
-    let graph = overlay_on_threads(&mut arena, n, seed, threads);
+    let graph = standard_overlay_in(&mut arena, n, seed);
     let (diameter, estimator) = graph
-        .diameter_estimate_with_threads(threads)
+        .diameter_estimate()
         .expect("standard overlays are connected");
     let metrics = fnp_gossip::run_flood_in(&mut arena, graph, NodeId::new(0), 1, sim_config(seed));
     LargeNFloodRow {
@@ -82,7 +80,7 @@ fn run(args: &BinArgs) {
     );
     let params = Json::obj([("n", Json::from(n)), ("base_seed", Json::from(base_seed))]);
     let rows = with_report(args, EXPERIMENT.name, params, || {
-        vec![large_n_flood(n, base_seed, args.runner().threads())]
+        vec![large_n_flood(n, base_seed)]
     });
     for row in &rows {
         println!("diameter : {} ({} estimator)", row.diameter, row.estimator);

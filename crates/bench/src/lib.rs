@@ -88,24 +88,10 @@ pub const PAPER_NETWORK_SIZE: usize = 1_000;
 /// Panics if the random-regular generator fails, which for degree-8 graphs
 /// of the sizes used here does not happen in practice.
 pub fn standard_overlay_in(arena: &mut TrialArena, n: usize, seed: u64) -> Graph {
-    overlay_on_threads(arena, n, seed, 1)
-}
-
-/// [`standard_overlay_in`] with the CSR finalize (the per-span neighbour
-/// sort) split across `threads` scoped workers, for the single-trial
-/// `large_n_flood` where no trial-level parallelism is available. The
-/// overlay is byte-identical at any thread count: threads only parallelise
-/// sorts of independent spans, whose result is unique.
-pub(crate) fn overlay_on_threads(
-    arena: &mut TrialArena,
-    n: usize,
-    seed: u64,
-    threads: usize,
-) -> Graph {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut graph = arena.graph(0);
     let mut scratch = arena.regular_scratch();
-    topology::random_regular_into_with_threads(&mut graph, n, 8, &mut rng, &mut scratch, threads)
+    topology::random_regular_into(&mut graph, n, 8, &mut rng, &mut scratch)
         .expect("degree-8 overlay generation");
     arena.store_regular_scratch(scratch);
     graph

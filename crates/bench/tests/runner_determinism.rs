@@ -107,51 +107,6 @@ fn group_overlap_and_dissent_are_identical_across_thread_counts() {
 }
 
 #[test]
-fn threaded_overlay_and_diameter_are_identical_across_thread_counts() {
-    // `large_n_flood` has no trial-level parallelism, so it threads
-    // *within* the trial instead: the overlay's CSR finalize and the
-    // double-sweep diameter BFS split across workers. Both must stay
-    // byte-identical to their sequential variants. n is above the
-    // exact-diameter cutoff (2048) so the double sweep actually runs.
-    use rand::SeedableRng;
-    let mut arena = fnp_bench::TrialArena::new();
-    let n = 3000;
-    let sequential = fnp_bench::standard_overlay_in(&mut arena, n, 21);
-    let sequential_diameter = sequential.diameter_estimate();
-    let sequential_flood = fnp_bench::large_n_flood(n, 21, 1);
-    for threads in THREAD_COUNTS {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
-        let mut overlay = arena.graph(0);
-        let mut scratch = arena.regular_scratch();
-        fnp_netsim::topology::random_regular_into_with_threads(
-            &mut overlay,
-            n,
-            8,
-            &mut rng,
-            &mut scratch,
-            threads,
-        )
-        .expect("degree-8 overlay generation");
-        arena.store_regular_scratch(scratch);
-        assert_eq!(
-            format!("{overlay:?}"),
-            format!("{sequential:?}"),
-            "standard overlay diverged at {threads} threads"
-        );
-        assert_eq!(
-            overlay.diameter_estimate_with_threads(threads),
-            sequential_diameter,
-            "diameter estimate diverged at {threads} threads"
-        );
-        assert_eq!(
-            fnp_bench::large_n_flood(n, 21, threads),
-            sequential_flood,
-            "large_n_flood row diverged at {threads} threads"
-        );
-    }
-}
-
-#[test]
 fn json_reports_are_identical_across_thread_counts() {
     use fnp_bench::json::Json;
     let render = |runner: &TrialRunner| {

@@ -154,7 +154,7 @@ impl TrialArena {
 
     /// Checks out the pooled scratch buffers of the configuration-model
     /// overlay generator (see
-    /// [`random_regular_into_with`](crate::topology::random_regular_into_with)).
+    /// [`random_regular_into`](crate::topology::random_regular_into)).
     /// The generator clears them before use, so a dirty checkout is
     /// indistinguishable from [`RegularScratch::new`].
     #[must_use]

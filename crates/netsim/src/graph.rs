@@ -45,13 +45,6 @@ pub const EXACT_DIAMETER_MAX_NODES: usize = 2048;
 /// refinement of [`Graph::diameter_estimate`].
 const DIAMETER_ECCENTRICITY_SAMPLES: usize = 8;
 
-/// Smallest BFS frontier worth splitting across worker threads; below this
-/// the spawn/join overhead dominates the expansion work.
-const PARALLEL_FRONTIER_MIN: usize = 4096;
-
-/// Smallest span-sort workload worth splitting across worker threads.
-const PARALLEL_SORT_MIN_SLOTS: usize = 1 << 12;
-
 /// Which algorithm produced a [`Graph::diameter_estimate`] figure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DiameterEstimator {
@@ -209,17 +202,11 @@ impl Graph {
     /// source, reusing the existing allocations.
     ///
     /// Each pair is one undirected edge; order and orientation are
-    /// irrelevant. `threads` parallelises the per-span sort; the sorted
-    /// result is identical at any thread count.
+    /// irrelevant.
     ///
     /// Returns `false` (leaving the graph empty over `n` nodes) if the
     /// list contains a self-loop or duplicate edge.
-    pub(crate) fn build_from_pairs(
-        &mut self,
-        n: usize,
-        pairs: &[(u32, u32)],
-        threads: usize,
-    ) -> bool {
+    pub(crate) fn build_from_pairs(&mut self, n: usize, pairs: &[(u32, u32)]) -> bool {
         self.reset(n);
         // Pass 1: count node `i`'s degree into `offsets[i + 1]`, then
         // prefix-sum, so `offsets[i]` is the start of span `i`.
@@ -245,8 +232,10 @@ impl Graph {
         }
         self.offsets.copy_within(0..n, 1);
         self.offsets[0] = 0;
-        // Pass 3: sort each span (optionally across threads).
-        sort_spans(&self.offsets, &mut self.targets, threads);
+        // Pass 3: sort each span.
+        for i in 0..n {
+            self.targets[self.offsets[i] as usize..self.offsets[i + 1] as usize].sort_unstable();
+        }
         // Validate simplicity: sorted spans make duplicates adjacent.
         let simple = self.nodes().all(|node| {
             let span = self.neighbors(node);
@@ -265,7 +254,7 @@ impl Graph {
     /// Unreachable nodes get `None`.
     pub fn bfs_distances(&self, source: NodeId) -> Vec<Option<usize>> {
         let mut scratch = BfsScratch::default();
-        self.bfs_levels(source, 1, &mut scratch);
+        self.bfs_levels(source, &mut scratch);
         scratch
             .dist
             .iter()
@@ -281,7 +270,7 @@ impl Graph {
             return true;
         }
         let mut scratch = BfsScratch::default();
-        let (reached, _) = self.bfs_levels(NodeId::new(0), 1, &mut scratch);
+        let (reached, _) = self.bfs_levels(NodeId::new(0), &mut scratch);
         reached == self.node_count()
     }
 
@@ -293,7 +282,7 @@ impl Graph {
     }
 
     fn eccentricity_with(&self, node: NodeId, scratch: &mut BfsScratch) -> Option<usize> {
-        let (reached, levels) = self.bfs_levels(node, 1, scratch);
+        let (reached, levels) = self.bfs_levels(node, scratch);
         (reached == self.node_count()).then_some(levels)
     }
 
@@ -327,23 +316,6 @@ impl Graph {
     /// lower bound on the true diameter at O(1) BFS passes instead of
     /// O(n), and `None` for disconnected (or empty) graphs either way.
     pub fn diameter_estimate(&self) -> Option<(usize, DiameterEstimator)> {
-        self.diameter_estimate_with_threads(1)
-    }
-
-    /// [`Graph::diameter_estimate`] with the double-sweep BFS frontiers
-    /// split across `threads` worker threads (level-synchronous expansion,
-    /// deterministic per-chunk merge order).
-    ///
-    /// The reported figure is byte-identical at any thread count: frontier
-    /// chunks only *read* the shared visited set during expansion, and the
-    /// merge consumes their candidate buffers in chunk order, which
-    /// reproduces the sequential discovery order exactly. `threads == 0`
-    /// and `threads == 1` both mean sequential; the exact small-n path
-    /// ignores the thread count.
-    pub fn diameter_estimate_with_threads(
-        &self,
-        threads: usize,
-    ) -> Option<(usize, DiameterEstimator)> {
         let n = self.node_count();
         if n == 0 {
             return None;
@@ -355,29 +327,37 @@ impl Graph {
         // Double sweep: the farthest node from an arbitrary start sits on
         // the periphery, so its eccentricity approximates the diameter
         // from below (exactly, on trees).
-        let (u, _) = self.farthest_from(NodeId::new(0), threads, &mut scratch)?;
-        let (w, mut best) = self.farthest_from(u, threads, &mut scratch)?;
+        let (u, _) = self.farthest_from(NodeId::new(0), &mut scratch)?;
+        let (w, mut best) = self.farthest_from(u, &mut scratch)?;
         // Sampled-eccentricity refinement: more sources can only raise the
         // lower bound. The probe set (second sweep's endpoint plus a fixed
         // stride over node indices) is deterministic, so repeated calls on
         // the same graph report the same figure.
         let stride = (n / DIAMETER_ECCENTRICITY_SAMPLES).max(1);
         for probe in std::iter::once(w).chain((0..n).step_by(stride).map(NodeId::new)) {
-            let (_, eccentricity) = self.farthest_from(probe, threads, &mut scratch)?;
+            let (_, eccentricity) = self.farthest_from(probe, &mut scratch)?;
             best = best.max(eccentricity);
         }
         Some((best, DiameterEstimator::DoubleSweep))
     }
 
+    /// Forwards to [`Graph::diameter_estimate`]; `threads` is ignored.
+    ///
+    /// A trial runs on one thread, so the sweep has no thread count. This
+    /// forwarder stays only because the benchmark crate's `flood_large`
+    /// workload calls it; it goes when that crate's imports are narrowed
+    /// (ROADMAP item 1d).
+    pub fn diameter_estimate_with_threads(
+        &self,
+        _threads: usize,
+    ) -> Option<(usize, DiameterEstimator)> {
+        self.diameter_estimate()
+    }
+
     /// The node farthest from `source` (lowest index on ties) and its BFS
     /// distance, or `None` if any node is unreachable.
-    fn farthest_from(
-        &self,
-        source: NodeId,
-        threads: usize,
-        scratch: &mut BfsScratch,
-    ) -> Option<(NodeId, usize)> {
-        let (reached, _) = self.bfs_levels(source, threads, scratch);
+    fn farthest_from(&self, source: NodeId, scratch: &mut BfsScratch) -> Option<(NodeId, usize)> {
+        let (reached, _) = self.bfs_levels(source, scratch);
         if reached != self.node_count() {
             return None;
         }
@@ -392,19 +372,7 @@ impl Graph {
 
     /// Level-synchronous BFS from `source` into `scratch.dist`
     /// (`u32::MAX` = unreached). Returns `(reached nodes, max distance)`.
-    ///
-    /// With `threads > 1`, frontiers at least [`PARALLEL_FRONTIER_MIN`]
-    /// long are split into contiguous chunks expanded concurrently. The
-    /// visited bitset is frozen during expansion (threads only read it and
-    /// write thread-private candidate buffers) and the merge walks the
-    /// buffers in chunk order, so the next frontier — and the distances —
-    /// come out identical to the sequential sweep at any thread count.
-    fn bfs_levels(
-        &self,
-        source: NodeId,
-        threads: usize,
-        scratch: &mut BfsScratch,
-    ) -> (usize, usize) {
+    fn bfs_levels(&self, source: NodeId, scratch: &mut BfsScratch) -> (usize, usize) {
         let n = self.node_count();
         scratch.dist.clear();
         scratch.dist.resize(n, UNREACHED);
@@ -420,15 +388,11 @@ impl Graph {
 
         while !scratch.frontier.is_empty() {
             scratch.next.clear();
-            if threads > 1 && scratch.frontier.len() >= PARALLEL_FRONTIER_MIN {
-                self.expand_frontier_parallel(threads, scratch);
-            } else {
-                for i in 0..scratch.frontier.len() {
-                    let u = scratch.frontier[i];
-                    for &v in self.neighbors(u) {
-                        if !scratch.visited.set(v.index()) {
-                            scratch.next.push(v);
-                        }
+            for i in 0..scratch.frontier.len() {
+                let u = scratch.frontier[i];
+                for &v in self.neighbors(u) {
+                    if !scratch.visited.set(v.index()) {
+                        scratch.next.push(v);
                     }
                 }
             }
@@ -443,41 +407,6 @@ impl Graph {
             std::mem::swap(&mut scratch.frontier, &mut scratch.next);
         }
         (reached, level as usize)
-    }
-
-    /// One parallel frontier expansion: split `scratch.frontier` into
-    /// `threads` contiguous chunks, expand each into a thread-private
-    /// candidate buffer against the frozen visited set, then merge the
-    /// buffers in chunk order (deduplicating via the visited set) into
-    /// `scratch.next`.
-    fn expand_frontier_parallel(&self, threads: usize, scratch: &mut BfsScratch) {
-        let frontier = &scratch.frontier;
-        let visited = &scratch.visited;
-        let chunk_len = frontier.len().div_ceil(threads);
-        scratch.candidates.resize_with(threads, Vec::new);
-        let mut buffers = std::mem::take(&mut scratch.candidates);
-        std::thread::scope(|scope| {
-            for (chunk, buffer) in frontier.chunks(chunk_len).zip(buffers.iter_mut()) {
-                scope.spawn(move || {
-                    buffer.clear();
-                    for &u in chunk {
-                        for &v in self.neighbors(u) {
-                            if !visited.get(v.index()) {
-                                buffer.push(v);
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        for buffer in &buffers {
-            for &v in buffer {
-                if !scratch.visited.set(v.index()) {
-                    scratch.next.push(v);
-                }
-            }
-        }
-        scratch.candidates = buffers;
     }
 
     /// Minimum and maximum degree; `None` for the empty graph.
@@ -500,57 +429,13 @@ impl Graph {
 const UNREACHED: u32 = u32::MAX;
 
 /// Reusable breadth-first-search working storage: the distance lane, the
-/// visited bitset, the current/next frontier buffers and the per-thread
-/// candidate buffers of the parallel expansion.
+/// visited bitset and the current/next frontier buffers.
 #[derive(Debug, Default)]
 struct BfsScratch {
     dist: Vec<u32>,
     visited: BitSet,
     frontier: Vec<NodeId>,
     next: Vec<NodeId>,
-    candidates: Vec<Vec<NodeId>>,
-}
-
-/// Sorts every span, splitting the node range across `threads` scoped
-/// worker threads when the workload is large enough. The result is the
-/// unique sorted order per span, so thread count cannot change it.
-fn sort_spans(offsets: &[u32], targets: &mut [NodeId], threads: usize) {
-    let n = offsets.len() - 1;
-    if threads <= 1 || targets.len() < PARALLEL_SORT_MIN_SLOTS {
-        for i in 0..n {
-            targets[offsets[i] as usize..offsets[i + 1] as usize].sort_unstable();
-        }
-        return;
-    }
-    // Cut the node range so each worker gets a similar number of slots,
-    // then hand each worker the disjoint sub-slice holding its spans.
-    let total = targets.len();
-    let mut cuts = Vec::with_capacity(threads + 1);
-    cuts.push(0usize);
-    for t in 1..threads {
-        let goal = to_u32(total * t / threads);
-        let cut = offsets.partition_point(|&o| o < goal).min(n);
-        cuts.push(cut.max(*cuts.last().expect("cuts is non-empty")));
-    }
-    cuts.push(n);
-    std::thread::scope(|scope| {
-        let mut rest: &mut [NodeId] = targets;
-        let mut consumed = 0usize;
-        for window in cuts.windows(2) {
-            let (lo, hi) = (window[0], window[1]);
-            let end_slot = offsets[hi] as usize;
-            let (chunk, tail) = rest.split_at_mut(end_slot - consumed);
-            rest = tail;
-            let base = consumed;
-            consumed = end_slot;
-            scope.spawn(move || {
-                for i in lo..hi {
-                    chunk[offsets[i] as usize - base..offsets[i + 1] as usize - base]
-                        .sort_unstable();
-                }
-            });
-        }
-    });
 }
 
 /// Accumulates an edge list and finalizes it into a [`Graph`] in one
@@ -619,7 +504,7 @@ impl GraphBuilder {
     pub fn finalize(self) -> Graph {
         let mut graph = Graph::new(self.n);
         assert!(
-            graph.build_from_pairs(self.n, &self.pairs, 1),
+            graph.build_from_pairs(self.n, &self.pairs),
             "edge list contains a duplicate edge"
         );
         graph
@@ -760,6 +645,11 @@ mod tests {
             cycle.diameter_estimate(),
             Some((n / 2, DiameterEstimator::DoubleSweep))
         );
+        // And on a star it finds the two-hop leaf-to-leaf paths.
+        assert_eq!(
+            crate::topology::star(6000).unwrap().diameter_estimate(),
+            Some((2, DiameterEstimator::DoubleSweep))
+        );
         // Large and disconnected still reports None.
         let mut split = GraphBuilder::new(n);
         for i in (1..n).filter(|&i| i != 18) {
@@ -770,11 +660,12 @@ mod tests {
 
     #[test]
     fn diameter_estimate_is_thread_count_invariant() {
+        // The forwarder ignores its thread count.
         let n = EXACT_DIAMETER_MAX_NODES + 1000;
         let mut cycle = path_graph(n);
         cycle.add_edge(NodeId::new(n - 1), NodeId::new(0));
         let sequential = cycle.diameter_estimate();
-        for threads in [2, 4] {
+        for threads in [0, 1, 4] {
             assert_eq!(cycle.diameter_estimate_with_threads(threads), sequential);
         }
     }
@@ -857,27 +748,6 @@ mod tests {
     fn builder_rejects_self_loops_immediately() {
         let mut builder = GraphBuilder::new(3);
         builder.add_edge(NodeId::new(1), NodeId::new(1));
-    }
-
-    #[test]
-    fn parallel_span_sort_matches_sequential() {
-        // Star-ish graph with very uneven span lengths exercises the
-        // slot-balanced node cuts.
-        let n = 3000;
-        let mut pairs = Vec::new();
-        for i in 1..n {
-            pairs.push((0u32, to_u32(i)));
-        }
-        for i in (1..n - 1).rev() {
-            pairs.push((to_u32(i), to_u32(i + 1)));
-        }
-        let mut sequential = Graph::new(n);
-        assert!(sequential.build_from_pairs(n, &pairs, 1));
-        for threads in [2, 3, 8] {
-            let mut parallel = Graph::new(n);
-            assert!(parallel.build_from_pairs(n, &pairs, threads));
-            assert_eq!(parallel, sequential);
-        }
     }
 
     #[test]

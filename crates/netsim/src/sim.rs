@@ -198,23 +198,6 @@ impl ContextView<'_> {
     pub fn set_counter_lane(&mut self, value: u32) {
         self.hot.set_counter(self.node, value);
     }
-
-    /// Whether a spread wave of `round` (or a later one) was already
-    /// processed on this node.
-    ///
-    /// Wave-dedup protocols store the highest processed round in the
-    /// counter lane encoded as `round + 1` (`0` = none yet); this helper
-    /// and [`ContextView::mark_round_seen`] single-source that encoding so
-    /// call sites cannot drift off by one.
-    pub fn round_seen(&self, round: u32) -> bool {
-        self.counter_lane() > round
-    }
-
-    /// Records `round` as the highest spread-wave round processed on this
-    /// node (see [`ContextView::round_seen`] for the encoding).
-    pub fn mark_round_seen(&mut self, round: u32) {
-        self.set_counter_lane(round + 1);
-    }
 }
 
 impl<'a, M> std::ops::Deref for Context<'a, M> {
@@ -403,21 +386,17 @@ pub struct Simulator<N: ProtocolNode> {
 }
 
 impl<N: ProtocolNode> Simulator<N> {
-    /// Creates a simulator over `graph` with one state machine per node.
+    /// Creates a simulator over `graph` with one state machine per node,
+    /// on a fresh [`TrialArena`] (which allocates what the run needs).
     ///
     /// # Panics
     ///
     /// Panics if `nodes.len()` differs from the number of graph nodes.
-    pub fn new(graph: Graph, nodes: Vec<N>, config: SimConfig) -> Self {
-        let n = graph.node_count();
-        Self::assemble(
-            graph,
-            nodes,
-            HotState::new(n),
-            TimeWheel::empty(),
-            Metrics::new(n),
-            config,
-        )
+    pub fn new(graph: Graph, nodes: Vec<N>, config: SimConfig) -> Self
+    where
+        N::Message: 'static,
+    {
+        Self::new_in(&mut TrialArena::new(), graph, nodes, config)
     }
 
     /// Creates a simulator like [`Simulator::new`], checking the event
@@ -430,23 +409,15 @@ impl<N: ProtocolNode> Simulator<N> {
     /// # Panics
     ///
     /// Panics if `nodes.len()` differs from the number of graph nodes.
-    pub fn new_in(arena: &mut TrialArena, graph: Graph, nodes: Vec<N>, config: SimConfig) -> Self
+    pub fn new_in(
+        arena: &mut TrialArena,
+        graph: Graph,
+        nodes: Vec<N>,
+        mut config: SimConfig,
+    ) -> Self
     where
         N::Message: 'static,
     {
-        let n = graph.node_count();
-        let queue = arena.take_queue::<Event<N::Message>>();
-        Self::assemble(graph, nodes, arena.hot(n), queue, arena.metrics(n), config)
-    }
-
-    fn assemble(
-        graph: Graph,
-        nodes: Vec<N>,
-        hot: HotState,
-        mut queue: TimeWheel<Event<N::Message>>,
-        mut metrics: Metrics,
-        mut config: SimConfig,
-    ) -> Self {
         assert_eq!(
             graph.node_count(),
             nodes.len(),
@@ -457,6 +428,10 @@ impl<N: ProtocolNode> Simulator<N> {
         if let Err(error) = config.latency.validate() {
             panic!("{error}");
         }
+        let n = graph.node_count();
+        let hot = arena.hot(n);
+        let mut queue = arena.take_queue::<Event<N::Message>>();
+        let mut metrics = arena.metrics(n);
         queue.reset(wheel::width_for(config.latency.max_delay()));
         let rng = StdRng::seed_from_u64(config.seed);
         // The log implies the table, so a delivery tests one flag.

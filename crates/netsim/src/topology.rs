@@ -279,7 +279,7 @@ pub fn random_regular<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<Graph, GenerateTopologyError> {
     let mut graph = Graph::new(0);
-    random_regular_into(&mut graph, n, degree, rng)?;
+    random_regular_into(&mut graph, n, degree, rng, &mut RegularScratch::new())?;
     Ok(graph)
 }
 
@@ -333,7 +333,7 @@ const SCRATCH_CLAMP_FACTOR: usize = 4;
 
 /// Reusable scratch buffers of the configuration-model generator.
 ///
-/// One [`random_regular_into_with`] call for an `n`-node degree-`d` overlay
+/// One [`random_regular_into`] call for an `n`-node degree-`d` overlay
 /// fills an `n·d`-element stub list, an `n·d/2`-element edge list and a
 /// counting-sort multiplicity snapshot of the same order — tens of
 /// megabytes of transient allocations per trial at n = 10⁶. Pooling the
@@ -408,49 +408,20 @@ impl RegularScratch {
     }
 }
 
-/// Like [`random_regular`], but regenerates into `graph`, reusing its
-/// adjacency allocations (the overlay checkout path of a
+/// Like [`random_regular`], but regenerates into `graph` with the
+/// caller's pooled [`RegularScratch`] buffers, reusing the adjacency and
+/// scratch allocations of earlier calls (the overlay checkout path of a
 /// [`TrialArena`](crate::TrialArena)).
 ///
 /// Consumes the RNG exactly as [`random_regular`] does, so the generated
-/// overlay is byte-identical regardless of which variant (or which recycled
-/// graph) is used. On error `graph` is left cleared.
+/// overlay is byte-identical regardless of which entry point (or which
+/// recycled graph and scratch) is used. On error `graph` is left cleared.
 pub fn random_regular_into<R: Rng + ?Sized>(
     graph: &mut Graph,
     n: usize,
     degree: usize,
     rng: &mut R,
-) -> Result<(), GenerateTopologyError> {
-    random_regular_into_with(graph, n, degree, rng, &mut RegularScratch::new())
-}
-
-/// Like [`random_regular_into`], additionally reusing the caller's pooled
-/// [`RegularScratch`] buffers — same RNG consumption, same overlay,
-/// no per-call scratch allocations.
-pub fn random_regular_into_with<R: Rng + ?Sized>(
-    graph: &mut Graph,
-    n: usize,
-    degree: usize,
-    rng: &mut R,
     scratch: &mut RegularScratch,
-) -> Result<(), GenerateTopologyError> {
-    random_regular_into_with_threads(graph, n, degree, rng, scratch, 1)
-}
-
-/// Like [`random_regular_into_with`], with the CSR finalize (per-span
-/// neighbour sort) split across `threads` scoped worker threads.
-///
-/// The RNG consumption and the generated overlay are byte-identical at any
-/// thread count — threads only parallelise the sort of independent spans,
-/// whose result is unique. Intended for single-trial large-n legs where no
-/// trial-level parallelism is available; `0` and `1` both mean sequential.
-pub fn random_regular_into_with_threads<R: Rng + ?Sized>(
-    graph: &mut Graph,
-    n: usize,
-    degree: usize,
-    rng: &mut R,
-    scratch: &mut RegularScratch,
-    threads: usize,
 ) -> Result<(), GenerateTopologyError> {
     graph.reset(0);
     require_nodes(n)?;
@@ -470,7 +441,7 @@ pub fn random_regular_into_with_threads<R: Rng + ?Sized>(
         return Ok(());
     }
 
-    let result = random_regular_attempts(graph, n, degree, rng, scratch, threads);
+    let result = random_regular_attempts(graph, n, degree, rng, scratch);
     // Capacity clamp: a pooled scratch must not pin the footprint of the
     // largest overlay it ever generated (the n = 10⁶ leg would otherwise
     // leave ~100 MB parked in every worker arena for the rest of the
@@ -480,14 +451,13 @@ pub fn random_regular_into_with_threads<R: Rng + ?Sized>(
 }
 
 /// The retry loop of the configuration-model generator; see
-/// [`random_regular_into_with_threads`] for the contract.
+/// [`random_regular_into`] for the contract.
 fn random_regular_attempts<R: Rng + ?Sized>(
     graph: &mut Graph,
     n: usize,
     degree: usize,
     rng: &mut R,
     scratch: &mut RegularScratch,
-    threads: usize,
 ) -> Result<(), GenerateTopologyError> {
     const ATTEMPTS: usize = 50;
     for _ in 0..ATTEMPTS {
@@ -633,7 +603,7 @@ fn random_regular_attempts<R: Rng + ?Sized>(
         // `build_from_pairs` validation re-checks simplicity and reports a
         // failed attempt rather than a corrupt graph if it were ever
         // violated).
-        if graph.build_from_pairs(n, edges, threads) && graph.is_connected() {
+        if graph.build_from_pairs(n, edges) && graph.is_connected() {
             return Ok(());
         }
     }
@@ -798,7 +768,7 @@ mod tests {
 
         let mut graph = Graph::new(0);
         let (n, degree) = (100, 8);
-        random_regular_into_with(&mut graph, n, degree, &mut rng(3), &mut scratch).unwrap();
+        random_regular_into(&mut graph, n, degree, &mut rng(3), &mut scratch).unwrap();
         assert!(graph.is_connected());
         let need = n * degree;
         assert!(
@@ -814,7 +784,7 @@ mod tests {
 
         // Growing again after the clamp still works, and a right-sized
         // large trial retains its capacity for reuse.
-        random_regular_into_with(&mut graph, 2_000, degree, &mut rng(4), &mut scratch).unwrap();
+        random_regular_into(&mut graph, 2_000, degree, &mut rng(4), &mut scratch).unwrap();
         assert!(graph.is_connected());
         assert!(scratch.stub_capacity() >= 2_000 * degree);
         assert!(scratch.stub_capacity() <= SCRATCH_CLAMP_FACTOR * 2_000 * degree);
@@ -826,12 +796,13 @@ mod tests {
         // same overlay, even when regenerating into a dirty recycled graph.
         let fresh = random_regular(60, 4, &mut rng(9)).unwrap();
         let mut recycled = complete(10).unwrap();
-        random_regular_into(&mut recycled, 60, 4, &mut rng(9)).unwrap();
+        let mut scratch = RegularScratch::new();
+        random_regular_into(&mut recycled, 60, 4, &mut rng(9), &mut scratch).unwrap();
         assert_eq!(fresh, recycled);
 
         // Errors clear the target graph.
         let mut target = complete(5).unwrap();
-        assert!(random_regular_into(&mut target, 7, 3, &mut rng(1)).is_err());
+        assert!(random_regular_into(&mut target, 7, 3, &mut rng(1), &mut scratch).is_err());
         assert_eq!(target.node_count(), 0);
     }
 
@@ -843,14 +814,14 @@ mod tests {
         let fresh = random_regular(60, 4, &mut rng(9)).unwrap();
         let mut scratch = RegularScratch::new();
         let mut graph = Graph::new(0);
-        random_regular_into_with(&mut graph, 200, 6, &mut rng(3), &mut scratch).unwrap();
-        random_regular_into_with(&mut graph, 60, 4, &mut rng(9), &mut scratch).unwrap();
+        random_regular_into(&mut graph, 200, 6, &mut rng(3), &mut scratch).unwrap();
+        random_regular_into(&mut graph, 60, 4, &mut rng(9), &mut scratch).unwrap();
         assert_eq!(fresh, graph);
         // And the RNG stream continues identically after either variant.
         let mut r1 = rng(9);
         let mut r2 = rng(9);
         random_regular(60, 4, &mut r1).unwrap();
-        random_regular_into_with(&mut graph, 60, 4, &mut r2, &mut scratch).unwrap();
+        random_regular_into(&mut graph, 60, 4, &mut r2, &mut scratch).unwrap();
         assert_eq!(r1.gen_range(0..u64::MAX), r2.gen_range(0..u64::MAX));
     }
 
