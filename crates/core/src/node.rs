@@ -29,8 +29,8 @@ use fnp_dcnet::keyed::KeyedParticipant;
 use fnp_dcnet::slot::SlotOutcome;
 use fnp_dcnet::{ReceiveError, RoundEngine};
 use fnp_diffusion::{AdMessage, InfectionTree, Round, Token, Wire};
-use fnp_netsim::NodeId;
-use fnp_proto::{Input, Mailbox, NodeView, ProtocolCore, SteadyProtocol};
+use fnp_netsim::{ContextView, NodeId};
+use fnp_proto::{Input, Mailbox, ProtocolCore, SteadyProtocol};
 use std::rc::Rc;
 
 /// Timer tag for DC-net round pacing.
@@ -101,7 +101,7 @@ pub struct FlexNode {
     /// every steady instance outside the originator's group — carries none.
     dc: Option<Box<RoundEngine>>,
     /// The transaction payload once this node knows it. Presence is
-    /// mirrored in the hot seen lane; handlers test [`HotLanes::seen`](fnp_proto::HotLanes::seen)
+    /// mirrored in the hot seen lane; handlers test [`ContextView::seen`]
     /// instead of probing this option.
     payload: Option<Vec<u8>>,
     /// Phase-2 state: this node's links in the infection tree and the
@@ -165,7 +165,7 @@ impl FlexNode {
     pub fn start_broadcast(
         &mut self,
         payload: Vec<u8>,
-        view: &mut impl NodeView,
+        view: &mut ContextView<'_>,
         out: &mut Mailbox<FlexMessage>,
     ) {
         self.is_origin = true;
@@ -188,7 +188,7 @@ impl FlexNode {
     fn learn_payload(
         &mut self,
         payload: &[u8],
-        view: &mut impl NodeView,
+        view: &mut ContextView<'_>,
         out: &mut Mailbox<FlexMessage>,
     ) -> bool {
         if view.set_seen() {
@@ -215,7 +215,7 @@ impl FlexNode {
     /// Starts the next DC-net round while the budget lasts: sends this
     /// node's contribution to every other group member and re-arms the
     /// round timer.
-    fn run_dc_round(&mut self, view: &mut impl NodeView, out: &mut Mailbox<FlexMessage>) {
+    fn run_dc_round(&mut self, view: &mut ContextView<'_>, out: &mut Mailbox<FlexMessage>) {
         let (budget, interval) = (self.config.max_dc_rounds, self.config.dc_round_interval);
         let Some((group, dc)) = self.engine().filter(|(_, dc)| dc.rounds_started() < budget) else {
             return;
@@ -247,7 +247,7 @@ impl FlexNode {
     fn on_round_resolved(
         &mut self,
         outcome: SlotOutcome,
-        view: &mut impl NodeView,
+        view: &mut ContextView<'_>,
         out: &mut Mailbox<FlexMessage>,
     ) {
         match outcome {
@@ -269,7 +269,7 @@ impl FlexNode {
     fn maybe_become_virtual_source(
         &mut self,
         message: &[u8],
-        view: &mut impl NodeView,
+        view: &mut ContextView<'_>,
         out: &mut Mailbox<FlexMessage>,
     ) {
         let Some(group) = self.group.as_ref() else {
@@ -332,7 +332,7 @@ impl FlexNode {
 
     /// One virtual-source round (the engine's keep-or-pass) of at most `d`,
     /// then the switch to phase 3.
-    fn on_ad_timer(&mut self, view: &mut impl NodeView, out: &mut Mailbox<FlexMessage>) {
+    fn on_ad_timer(&mut self, view: &mut ContextView<'_>, out: &mut Mailbox<FlexMessage>) {
         if view.phase() == PHASE_FLOODING {
             // Phase 2 is over on this node; a token it still holds is void.
             self.ad.token = None;
@@ -364,7 +364,7 @@ impl FlexNode {
     /// its overlay neighbours (except `exclude`).
     fn start_flooding(
         &mut self,
-        view: &mut impl NodeView,
+        view: &mut ContextView<'_>,
         out: &mut Mailbox<FlexMessage>,
         exclude: Option<NodeId>,
     ) {
@@ -380,10 +380,10 @@ impl FlexNode {
 impl ProtocolCore for FlexNode {
     type Message = FlexMessage;
 
-    fn poll<V: NodeView>(
+    fn poll(
         &mut self,
         input: Input<FlexMessage>,
-        view: &mut V,
+        view: &mut ContextView<'_>,
         out: &mut Mailbox<FlexMessage>,
     ) {
         match input {
@@ -409,7 +409,7 @@ impl ProtocolCore for FlexNode {
 /// the group tables and pad keys and runs its own DC-net rounds.
 impl SteadyProtocol for FlexNode {
     /// Injects the transaction id as the anonymous payload.
-    fn start_tx(&mut self, tx: u64, view: &mut impl NodeView, out: &mut Mailbox<FlexMessage>) {
+    fn start_tx(&mut self, tx: u64, view: &mut ContextView<'_>, out: &mut Mailbox<FlexMessage>) {
         self.start_broadcast(tx.to_le_bytes().to_vec(), view, out);
     }
 
@@ -428,7 +428,7 @@ impl FlexNode {
         &mut self,
         from: NodeId,
         message: FlexMessage,
-        view: &mut impl NodeView,
+        view: &mut ContextView<'_>,
         out: &mut Mailbox<FlexMessage>,
     ) {
         match message {
@@ -559,7 +559,7 @@ mod tests {
 
     // Phase-2 edges, one poll at a time on a stand-alone environment: node 0
     // of five, neighbours 1, 2 and 3, in no group.
-    use fnp_proto::{Effect, HotLanes, StandaloneEnv};
+    use fnp_proto::{Effect, StandaloneEnv};
 
     const D: u32 = 2;
 
@@ -575,7 +575,7 @@ mod tests {
         input: Input<FlexMessage>,
     ) -> Vec<Effect<FlexMessage>> {
         let mut out = Mailbox::new();
-        node.poll(input, env, &mut out);
+        node.poll(input, &mut env.view(), &mut out);
         out.drain().collect()
     }
 
@@ -633,7 +633,10 @@ mod tests {
             message(1, FlexMessage::AdSpread { round: 1 }),
         );
         assert_eq!(effects, [count("flex-spread-before-payload")]);
-        assert!(!env.round_seen(1), "a dropped wave must not count as seen");
+        assert!(
+            !env.view().round_seen(1),
+            "a dropped wave must not count as seen"
+        );
         assert!(node.payload().is_none());
     }
 
@@ -664,7 +667,7 @@ mod tests {
                 excluded: vec![NodeId::new(3)]
             }]
         );
-        assert_eq!(env.phase(), PHASE_FLOODING);
+        assert_eq!(env.view().phase(), PHASE_FLOODING);
         assert!(
             node.holds_token(),
             "the token is still there until the timer"

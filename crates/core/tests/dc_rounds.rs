@@ -18,7 +18,7 @@ fn poll(
     input: Input<FlexMessage>,
 ) -> Vec<Effect<FlexMessage>> {
     let mut out = Mailbox::new();
-    node.poll(input, env, &mut out);
+    node.poll(input, &mut env.view(), &mut out);
     out.drain().collect()
 }
 

@@ -346,13 +346,6 @@ pub struct ExplicitRoundReport {
     pub slot_len: usize,
 }
 
-impl ExplicitRoundReport {
-    /// True if every member observed the same outcome.
-    pub fn is_unanimous(&self) -> bool {
-        self.outcomes.windows(2).all(|w| w[0] == w[1])
-    }
-}
-
 /// Runs a complete explicit DC-net round in memory.
 ///
 /// `payloads[i]` is the payload member `i` wants to transmit this round
@@ -469,7 +462,6 @@ mod tests {
         let payloads = vec![None; 5];
         let report = run_explicit_round(&payloads, 64, &mut rng(1)).unwrap();
         assert!(report.outcomes.iter().all(|o| *o == SlotOutcome::Silence));
-        assert!(report.is_unanimous());
         assert_eq!(report.messages_sent, expected_message_count(5));
     }
 

@@ -91,7 +91,6 @@ proptest! {
             &mut rng,
         )
         .unwrap();
-        prop_assert!(report.is_unanimous());
         prop_assert_eq!(report.outcomes.len(), k);
         for outcome in &report.outcomes {
             prop_assert_eq!(outcome, &SlotOutcome::Message(payload.clone()));

@@ -15,8 +15,8 @@
 
 use crate::alpha::AlphaSchedule;
 use crate::protocol::AdMessage;
-use fnp_netsim::NodeId;
-use fnp_proto::{Mailbox, NodeView};
+use fnp_netsim::{ContextView, NodeId};
+use fnp_proto::Mailbox;
 use rand::Rng;
 
 /// What a protocol running the engine puts on the wire and in the counters.
@@ -74,7 +74,7 @@ impl Token {
 /// One node's infection-tree links and, while it holds it, the token.
 ///
 /// Cold state: the hot companion is the driver's
-/// [`counter` lane](fnp_proto::HotLanes::counter_lane), which holds the
+/// [`counter` lane](fnp_netsim::ContextView::counter_lane), which holds the
 /// highest spread-wave round already processed. The "children" relation can
 /// contain cycles on general graphs, so without that check a wave could
 /// circulate forever.
@@ -125,7 +125,7 @@ impl InfectionTree {
         wire: &W,
         round: u32,
         excluded: Option<NodeId>,
-        view: &impl NodeView,
+        view: &ContextView<'_>,
         out: &mut Mailbox<W::Message>,
     ) {
         for &target in view.neighbors() {
@@ -164,7 +164,7 @@ impl InfectionTree {
         wire: &W,
         round: u32,
         excluded: Option<NodeId>,
-        view: &mut impl NodeView,
+        view: &mut ContextView<'_>,
         out: &mut Mailbox<W::Message>,
     ) {
         view.mark_round_seen(round);
@@ -179,7 +179,7 @@ impl InfectionTree {
         wire: &W,
         round: u32,
         from: NodeId,
-        view: &mut impl NodeView,
+        view: &mut ContextView<'_>,
         out: &mut Mailbox<W::Message>,
     ) {
         if !view.round_seen(round) {
@@ -196,7 +196,7 @@ impl InfectionTree {
         wire: &W,
         schedule: AlphaSchedule,
         max_rounds: u32,
-        view: &mut impl NodeView,
+        view: &mut ContextView<'_>,
         out: &mut Mailbox<W::Message>,
     ) -> Option<Round> {
         let mut token = self.token.take()?;

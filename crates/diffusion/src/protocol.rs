@@ -24,8 +24,8 @@
 
 use crate::alpha::AlphaSchedule;
 use crate::engine::{InfectionTree, Round, Token, Wire};
-use fnp_netsim::{Payload, SimTime, MILLISECOND};
-use fnp_proto::{Input, Mailbox, NodeView, ProtocolCore, SteadyProtocol};
+use fnp_netsim::{ContextView, Payload, SimTime, MILLISECOND};
+use fnp_proto::{Input, Mailbox, ProtocolCore, SteadyProtocol};
 
 /// Timer tag used by the virtual source to pace rounds.
 const ROUND_TIMER: u64 = 1;
@@ -125,7 +125,7 @@ pub struct AdaptiveDiffusionNode {
     params: AdParams,
     /// This node's tree links and token; all empty until it is infected.
     /// Whether it is lives in the driver's
-    /// [`seen` lane](fnp_proto::HotLanes::seen), so a duplicate infection —
+    /// [`seen` lane](fnp_netsim::ContextView::seen), so a duplicate infection —
     /// the hottest branch of the protocol — never loads this cold state.
     tree: InfectionTree,
     /// Set when this node was the true origin of the broadcast.
@@ -159,7 +159,7 @@ impl AdaptiveDiffusionNode {
     /// Following Fanti et al., the origin infects one random neighbour and
     /// immediately hands it the virtual-source token, so the origin itself
     /// never acts as the centre of the spread.
-    pub fn start_broadcast(&mut self, view: &mut impl NodeView, out: &mut Mailbox<AdMessage>) {
+    pub fn start_broadcast(&mut self, view: &mut ContextView<'_>, out: &mut Mailbox<AdMessage>) {
         if view.set_seen() {
             return;
         }
@@ -175,10 +175,10 @@ impl AdaptiveDiffusionNode {
 impl ProtocolCore for AdaptiveDiffusionNode {
     type Message = AdMessage;
 
-    fn poll<V: NodeView>(
+    fn poll(
         &mut self,
         input: Input<AdMessage>,
-        view: &mut V,
+        view: &mut ContextView<'_>,
         out: &mut Mailbox<AdMessage>,
     ) {
         match input {
@@ -218,7 +218,7 @@ impl ProtocolCore for AdaptiveDiffusionNode {
 }
 
 impl SteadyProtocol for AdaptiveDiffusionNode {
-    fn start_tx(&mut self, _tx: u64, view: &mut impl NodeView, out: &mut Mailbox<AdMessage>) {
+    fn start_tx(&mut self, _tx: u64, view: &mut ContextView<'_>, out: &mut Mailbox<AdMessage>) {
         // Adaptive diffusion messages deliberately carry no transaction id
         // (source obfuscation); the steady-state wrapper's tag does the
         // demultiplexing.

@@ -11,7 +11,7 @@
 
 use fnp_diffusion::{AdMessage, AdWire, AlphaSchedule, InfectionTree, Round, Token, Wire};
 use fnp_netsim::{topology, Graph, NodeId};
-use fnp_proto::{Effect, HotLanes, Mailbox, StandaloneEnv};
+use fnp_proto::{Effect, Mailbox, StandaloneEnv};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
@@ -94,6 +94,7 @@ fn step<W: Wire>(
     out: &mut Mailbox<W::Message>,
 ) -> Option<Round> {
     let Node { tree, env } = node;
+    let env = &mut env.view();
     match *event {
         Event::Deliver {
             from, ref message, ..
@@ -146,7 +147,7 @@ fn lockstep(graph: &Graph, seed: u64, schedule: AlphaSchedule, budget: u32, seen
     let mut bare_out = Mailbox::new();
     let mut carrying_out = Mailbox::new();
     for nodes in [&mut bare_nodes, &mut carrying_nodes] {
-        nodes[0].env.set_seen();
+        nodes[0].env.view().set_seen();
     }
     bare_nodes[0]
         .tree

@@ -17,8 +17,8 @@
 //! attacks the line graph is re-randomised every epoch: a new epoch draws a
 //! fresh line with [`StemLine::random`].
 
-use fnp_netsim::{Graph, Metrics, NodeId, Payload, SimConfig, Simulator, TrialArena};
-use fnp_proto::{Input, Mailbox, NodeView, ProtocolCore, SimDriver, SteadyProtocol};
+use fnp_netsim::{ContextView, Graph, Metrics, NodeId, Payload, SimConfig, Simulator, TrialArena};
+use fnp_proto::{Input, Mailbox, ProtocolCore, SimDriver, SteadyProtocol};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -129,7 +129,7 @@ impl Default for DandelionParams {
 /// A node executing Dandelion, as a sans-IO [`ProtocolCore`].
 ///
 /// The hot per-event seen flag lives in the driver's
-/// [`seen` lane](fnp_proto::HotLanes::seen); this struct keeps only the
+/// [`seen` lane](fnp_netsim::ContextView::seen); this struct keeps only the
 /// cold fields (successor, origin/fluff markers) that are read at most
 /// once per run.
 #[derive(Clone, Debug)]
@@ -167,7 +167,7 @@ impl DandelionNode {
     pub fn start_broadcast(
         &mut self,
         tx_id: u64,
-        view: &mut impl NodeView,
+        view: &mut ContextView<'_>,
         out: &mut Mailbox<DandelionMessage>,
     ) {
         if view.set_seen() {
@@ -184,7 +184,7 @@ impl DandelionNode {
         &mut self,
         tx_id: u64,
         remaining_hops: u32,
-        view: &mut impl NodeView,
+        view: &mut ContextView<'_>,
         out: &mut Mailbox<DandelionMessage>,
     ) {
         let continue_stem =
@@ -208,10 +208,10 @@ impl DandelionNode {
 impl ProtocolCore for DandelionNode {
     type Message = DandelionMessage;
 
-    fn poll<V: NodeView>(
+    fn poll(
         &mut self,
         input: Input<DandelionMessage>,
-        view: &mut V,
+        view: &mut ContextView<'_>,
         out: &mut Mailbox<DandelionMessage>,
     ) {
         let Input::Message { from, message } = input else {
@@ -245,7 +245,12 @@ impl ProtocolCore for DandelionNode {
 }
 
 impl SteadyProtocol for DandelionNode {
-    fn start_tx(&mut self, tx: u64, view: &mut impl NodeView, out: &mut Mailbox<DandelionMessage>) {
+    fn start_tx(
+        &mut self,
+        tx: u64,
+        view: &mut ContextView<'_>,
+        out: &mut Mailbox<DandelionMessage>,
+    ) {
         self.start_broadcast(tx, view, out);
     }
 }

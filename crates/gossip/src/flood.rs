@@ -9,8 +9,8 @@
 //! the deanonymisation attacks of Biryukov et al. exploit (the paper's
 //! Fig. 2 and experiment E2).
 
-use fnp_netsim::{Graph, Metrics, NodeId, Payload, SimConfig, Simulator, TrialArena};
-use fnp_proto::{Input, Mailbox, NodeView, ProtocolCore, SimDriver, SteadyProtocol};
+use fnp_netsim::{ContextView, Graph, Metrics, NodeId, Payload, SimConfig, Simulator, TrialArena};
+use fnp_proto::{Input, Mailbox, ProtocolCore, SimDriver, SteadyProtocol};
 
 /// Wire size reported for a flooded transaction.
 const TX_BYTES: usize = 256;
@@ -38,7 +38,7 @@ impl Payload for FloodMessage {
 /// A node executing flood-and-prune, as a sans-IO [`ProtocolCore`].
 ///
 /// The per-event "have I relayed this already?" flag lives in the driver's
-/// hot [`seen` lane](fnp_proto::HotLanes::seen) (struct-of-arrays storage
+/// hot [`seen` lane](fnp_netsim::ContextView::seen) (struct-of-arrays storage
 /// under the simulator), not in this struct — the struct only keeps the
 /// cold origin marker.
 #[derive(Clone, Debug, Default)]
@@ -63,7 +63,7 @@ impl FloodNode {
     pub fn start_broadcast(
         &mut self,
         tx_id: u64,
-        view: &mut impl NodeView,
+        view: &mut ContextView<'_>,
         out: &mut Mailbox<FloodMessage>,
     ) {
         if view.set_seen() {
@@ -79,10 +79,10 @@ impl ProtocolCore for FloodNode {
     type Message = FloodMessage;
 
     #[inline] // see `SimDriver::dispatch`
-    fn poll<V: NodeView>(
+    fn poll(
         &mut self,
         input: Input<FloodMessage>,
-        view: &mut V,
+        view: &mut ContextView<'_>,
         out: &mut Mailbox<FloodMessage>,
     ) {
         let Input::Message { from, message } = input else {
@@ -98,7 +98,7 @@ impl ProtocolCore for FloodNode {
 }
 
 impl SteadyProtocol for FloodNode {
-    fn start_tx(&mut self, tx: u64, view: &mut impl NodeView, out: &mut Mailbox<FloodMessage>) {
+    fn start_tx(&mut self, tx: u64, view: &mut ContextView<'_>, out: &mut Mailbox<FloodMessage>) {
         self.start_broadcast(tx, view, out);
     }
 }

@@ -70,7 +70,8 @@ impl BitSet {
             "bit index {index} out of range {}",
             self.len
         );
-        self.words[index >> WORD_SHIFT] & (1u64 << (index & (WORD_BITS - 1))) != 0
+        let (word, mask) = locate(index);
+        self.words[word] & mask != 0
     }
 
     /// Sets the bit at `index`, returning the previous value.
@@ -84,11 +85,14 @@ impl BitSet {
             "bit index {index} out of range {}",
             self.len
         );
-        let word = &mut self.words[index >> WORD_SHIFT];
-        let mask = 1u64 << (index & (WORD_BITS - 1));
-        let previous = *word & mask != 0;
-        *word |= mask;
-        previous
+        let (word, mask) = locate(index);
+        set_in(&mut self.words[word], mask)
+    }
+
+    /// The storage words, for lending one bit's word without the set (see
+    /// [`HotState::slot`](crate::HotState::slot)).
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
     }
 
     /// Number of set bits, via per-word popcount.
@@ -96,6 +100,18 @@ impl BitSet {
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
+}
+
+/// The word holding bit `index`, and the bit's mask within it.
+pub(crate) fn locate(index: usize) -> (usize, u64) {
+    (index >> WORD_SHIFT, 1u64 << (index & (WORD_BITS - 1)))
+}
+
+/// Sets the `mask` bit of `word`, returning its previous value.
+pub(crate) fn set_in(word: &mut u64, mask: u64) -> bool {
+    let previous = *word & mask != 0;
+    *word |= mask;
+    previous
 }
 
 #[cfg(test)]

@@ -13,12 +13,14 @@
 //! by the [`Simulator`](crate::Simulator): one u64-word [`BitSet`] of seen
 //! flags (64 nodes per cache word — the whole lane of a 10⁶-node overlay
 //! fits in L2), one `Vec<u8>` of phase tags and one `Vec<u32>` of per-node
-//! counters, indexed by [`NodeId::index`]. Protocols read and write *their own*
-//! node's slots through the [`Context`](crate::Context) accessors
-//! ([`ContextView::seen`](crate::ContextView::seen) and friends), preserving the
-//! distributed-system abstraction: no state machine can peek at another
+//! counters, indexed by [`NodeId::index`]. A handler gets *its own* node's
+//! slots as one [`LaneSlot`] inside its [`ContextView`](crate::ContextView)
+//! and reads and writes them through the view's accessors
+//! ([`ContextView::seen`](crate::ContextView::seen) and friends), preserving
+//! the distributed-system abstraction: no state machine can reach another
 //! node's lanes mid-run. After a run the whole layout is inspectable via
-//! [`Simulator::hot`](crate::Simulator::hot).
+//! [`Simulator::hot`](crate::Simulator::hot). A driver that runs a single
+//! node keeps its slots inline in a [`NodeLanes`] instead.
 //!
 //! The lanes are pure storage — moving a flag into a lane must not change
 //! a single event, which the cross-crate determinism suites assert
@@ -112,6 +114,56 @@ impl HotState {
     #[must_use]
     pub fn seen_count(&self) -> usize {
         self.seen.count_ones()
+    }
+
+    /// Lends `node`'s slot of every lane, for a
+    /// [`ContextView`](crate::ContextView) of `node`.
+    pub fn slot(&mut self, node: NodeId) -> LaneSlot<'_> {
+        debug_assert!(node.index() < self.len(), "{node:?} has no lane slot");
+        LaneSlot {
+            seen: self.seen.words_mut(),
+            phase: &mut self.phase,
+            counter: &mut self.counter,
+            index: node.index(),
+        }
+    }
+}
+
+/// One node's slot in each hot lane: the seen flag, phase tag and counter a
+/// [`ContextView`](crate::ContextView) reads and writes as its own.
+///
+/// Lent by [`HotState::slot`] for a node of a simulated overlay and by
+/// [`NodeLanes::slot`] for a driver that runs one node. It holds the lanes
+/// and the slot's index, so lending one copies pointers and checks nothing;
+/// each access through the view checks its own bound. Only the slot's own
+/// entries are reachable through it.
+#[derive(Debug)]
+pub struct LaneSlot<'a> {
+    pub(crate) seen: &'a mut [u64],
+    pub(crate) phase: &'a mut [u8],
+    pub(crate) counter: &'a mut [u32],
+    pub(crate) index: usize,
+}
+
+/// The hot lanes of a single node, held inline: the storage of a driver
+/// that runs one node outside the simulator, which a one-node
+/// [`HotState`] would put on the heap.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct NodeLanes {
+    seen: u64,
+    phase: u8,
+    counter: u32,
+}
+
+impl NodeLanes {
+    /// Lends the node's slot of every lane.
+    pub fn slot(&mut self) -> LaneSlot<'_> {
+        LaneSlot {
+            seen: std::slice::from_mut(&mut self.seen),
+            phase: std::slice::from_mut(&mut self.phase),
+            counter: std::slice::from_mut(&mut self.counter),
+            index: 0,
+        }
     }
 }
 

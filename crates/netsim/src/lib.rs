@@ -113,7 +113,7 @@ pub use arrival::{poisson_arrivals, validate_rate, ArrivalRateError};
 pub use bits::BitSet;
 pub use churn::{ChurnSchedule, NodeOutage};
 pub use graph::{DiameterEstimator, Graph, GraphBuilder, EXACT_DIAMETER_MAX_NODES};
-pub use hot::HotState;
+pub use hot::{HotState, LaneSlot, NodeLanes};
 pub use lanes::LanePool;
 pub use latency::{InvalidLatencyModel, LatencyModel, EXPONENTIAL_JITTER_CAP};
 pub use mailbox::{Effect, Mailbox};

@@ -45,9 +45,10 @@
 //! ```
 
 use crate::arena::TrialArena;
+use crate::bits;
 use crate::churn::ChurnSchedule;
 use crate::graph::Graph;
-use crate::hot::HotState;
+use crate::hot::{HotState, LaneSlot};
 use crate::latency::LatencyModel;
 use crate::mailbox::{Effect, Mailbox};
 use crate::message::Payload;
@@ -56,7 +57,7 @@ use crate::node::NodeId;
 use crate::time::SimTime;
 use crate::wheel::{self, TimeWheel, WheelItem};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Configuration of a simulation run.
 #[derive(Clone, Debug)]
@@ -120,9 +121,13 @@ pub struct Context<'a, M> {
 }
 
 /// The read side of a [`Context`]: everything a handler may look at, and
-/// this node's hot lanes. Obtained from [`Context::split`], which is how a
-/// sans-IO core is polled under the simulator — the view is its
-/// environment, the other half its outbox.
+/// this node's hot lanes.
+///
+/// This is the one environment a sans-IO protocol core reads. Under the
+/// simulator it comes from [`Context::split`] — the view is the core's
+/// environment, the other half its outbox; a driver that runs one node
+/// outside the simulator, or replays a recorded run, assembles one with
+/// [`ContextView::new`].
 #[derive(Debug)]
 pub struct ContextView<'a> {
     node: NodeId,
@@ -130,10 +135,46 @@ pub struct ContextView<'a> {
     neighbors: &'a [NodeId],
     node_count: usize,
     rng: &'a mut StdRng,
-    hot: &'a mut HotState,
+    lanes: LaneSlot<'a>,
 }
 
-impl ContextView<'_> {
+impl<'a> ContextView<'a> {
+    /// The environment of `node` at time `now`: its sorted `neighbors` in
+    /// an overlay of `node_count` nodes, the run's `rng`, and its own slot
+    /// of the hot lanes.
+    #[must_use]
+    pub fn new(
+        node: NodeId,
+        now: SimTime,
+        neighbors: &'a [NodeId],
+        node_count: usize,
+        rng: &'a mut StdRng,
+        lanes: LaneSlot<'a>,
+    ) -> Self {
+        Self {
+            node,
+            now,
+            neighbors,
+            node_count,
+            rng,
+            lanes,
+        }
+    }
+
+    /// This view, reborrowed with its hot lanes redirected to this node's
+    /// slot of `lanes` — how a multiplexer polls one transaction's
+    /// instance against that transaction's own lane set.
+    pub fn with_lanes<'b>(&'b mut self, lanes: &'b mut HotState) -> ContextView<'b> {
+        ContextView {
+            node: self.node,
+            now: self.now,
+            neighbors: self.neighbors,
+            node_count: self.node_count,
+            rng: self.rng,
+            lanes: lanes.slot(self.node),
+        }
+    }
+
     /// The node this handler is running on.
     pub fn node_id(&self) -> NodeId {
         self.node
@@ -162,13 +203,27 @@ impl ContextView<'_> {
         self.rng
     }
 
+    /// Draws a uniformly random neighbour other than `excluded` — one
+    /// `gen_range` over the eligible count, no allocation — or returns
+    /// `None`, leaving the RNG untouched, when there is none.
+    pub fn random_neighbor_except(&mut self, excluded: Option<NodeId>) -> Option<NodeId> {
+        let eligible = |neighbor: &&NodeId| Some(**neighbor) != excluded;
+        let count = self.neighbors.iter().filter(eligible).count();
+        if count == 0 {
+            return None;
+        }
+        let pick = self.rng.gen_range(0..count);
+        self.neighbors.iter().filter(eligible).nth(pick).copied()
+    }
+
     /// This node's seen flag (hot lane; see [`HotState`]).
     ///
     /// Protocols use this for the duplicate-suppression check at the top of
     /// their message handlers — the hottest read of the whole event loop —
     /// so it lives in a dense slice instead of the node struct.
     pub fn seen(&self) -> bool {
-        self.hot.seen(self.node)
+        let (word, mask) = bits::locate(self.lanes.index);
+        self.lanes.seen[word] & mask != 0
     }
 
     /// Sets this node's seen flag, returning the previous value.
@@ -176,27 +231,45 @@ impl ContextView<'_> {
     /// `if ctx.set_seen() { return; }` is the idiomatic prune check: it
     /// marks and tests in one lane access.
     pub fn set_seen(&mut self) -> bool {
-        self.hot.set_seen(self.node)
+        let (word, mask) = bits::locate(self.lanes.index);
+        bits::set_in(&mut self.lanes.seen[word], mask)
     }
 
     /// This node's phase tag (hot lane; see [`HotState`]).
     pub fn phase(&self) -> u8 {
-        self.hot.phase(self.node)
+        self.lanes.phase[self.lanes.index]
     }
 
     /// Sets this node's phase tag.
     pub fn set_phase(&mut self, phase: u8) {
-        self.hot.set_phase(self.node, phase);
+        self.lanes.phase[self.lanes.index] = phase;
     }
 
     /// This node's hot counter slot (see [`HotState`]).
     pub fn counter_lane(&self) -> u32 {
-        self.hot.counter(self.node)
+        self.lanes.counter[self.lanes.index]
     }
 
     /// Sets this node's hot counter slot.
     pub fn set_counter_lane(&mut self, value: u32) {
-        self.hot.set_counter(self.node, value);
+        self.lanes.counter[self.lanes.index] = value;
+    }
+
+    /// Whether a spread wave of `round` (or a later one) was already
+    /// processed on this node.
+    ///
+    /// Wave-dedup protocols store the highest processed round in the
+    /// counter lane encoded as `round + 1` (`0` = none yet); this method
+    /// and [`ContextView::mark_round_seen`] hold that encoding in one place
+    /// so call sites cannot drift off by one.
+    pub fn round_seen(&self, round: u32) -> bool {
+        self.counter_lane() > round
+    }
+
+    /// Records `round` as the highest spread-wave round processed on this
+    /// node (see [`ContextView::round_seen`] for the encoding).
+    pub fn mark_round_seen(&mut self, round: u32) {
+        self.set_counter_lane(round + 1);
     }
 }
 
@@ -530,14 +603,14 @@ impl<N: ProtocolNode> Simulator<N> {
         F: FnOnce(&mut N, &mut Context<'_, N::Message>),
     {
         let mut ctx = Context {
-            view: ContextView {
+            view: ContextView::new(
                 node,
-                now: self.now,
-                neighbors: self.graph.neighbors(node),
-                node_count: self.graph.node_count(),
-                rng: &mut self.rng,
-                hot: &mut self.hot,
-            },
+                self.now,
+                self.graph.neighbors(node),
+                self.graph.node_count(),
+                &mut self.rng,
+                self.hot.slot(node),
+            ),
             out: &mut self.mailbox,
         };
         f(&mut self.nodes[node.index()], &mut ctx);
@@ -707,6 +780,38 @@ mod tests {
     use super::*;
     use crate::message::TestPayload;
     use crate::topology;
+
+    #[test]
+    fn a_lent_view_touches_only_its_own_slot() {
+        let node = NodeId::new(3);
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut hot = HotState::new(6);
+        let mut view = ContextView::new(node, 0, &[], 6, &mut rng, hot.slot(node));
+        assert!(!view.set_seen());
+        view.set_phase(7);
+        view.set_counter_lane(9);
+        let mut expected = HotState::new(6);
+        expected.set_seen(node);
+        expected.set_phase(node, 7);
+        expected.set_counter(node, 9);
+        assert_eq!(hot, expected, "only slot 3 changed");
+
+        // A view reborrowed onto a leased lane set writes there alone.
+        let mut leased = HotState::new(6);
+        let mut view = ContextView::new(node, 0, &[], 6, &mut rng, hot.slot(node));
+        let mut lane_view = view.with_lanes(&mut leased);
+        assert!(!lane_view.set_seen(), "the leased lanes start unseen");
+        lane_view.set_phase(2);
+        lane_view.mark_round_seen(4);
+        assert_eq!((lane_view.phase(), lane_view.counter_lane()), (2, 5));
+        assert_eq!(view.phase(), 7, "the view's own slot is untouched");
+        assert_eq!(hot, expected, "the simulator's lanes are untouched");
+        let mut written = HotState::new(6);
+        written.set_seen(node);
+        written.set_phase(node, 2);
+        written.set_counter(node, 5);
+        assert_eq!(leased, written);
+    }
 
     /// A flooding node used to exercise the simulator machinery itself.
     #[derive(Default)]

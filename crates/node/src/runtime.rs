@@ -8,7 +8,7 @@
 use crate::wire::{self, Event, WireError};
 use fnp_gossip::FloodNode;
 use fnp_netsim::NodeId;
-use fnp_proto::{Effect, Input, Mailbox, NodeView, ProtocolCore, StandaloneEnv};
+use fnp_proto::{Effect, Input, Mailbox, ProtocolCore, StandaloneEnv};
 
 /// What the caller should do after handling an event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -74,7 +74,7 @@ impl NodeRuntime {
                 };
                 running
                     .core
-                    .poll(Input::Init, &mut running.env, &mut running.mailbox);
+                    .poll(Input::Init, &mut running.env.view(), &mut running.mailbox);
                 out.push(wire::init_ok_line(node));
                 running.drain(out);
                 self.state = Some(running);
@@ -85,7 +85,7 @@ impl NodeRuntime {
                 running.env.advance_to(at);
                 running
                     .core
-                    .start_broadcast(tx_id, &mut running.env, &mut running.mailbox);
+                    .start_broadcast(tx_id, &mut running.env.view(), &mut running.mailbox);
                 running.drain(out);
                 Ok(Disposition::Continue)
             }
@@ -94,7 +94,7 @@ impl NodeRuntime {
                 running.env.advance_to(at);
                 running.core.poll(
                     Input::Message { from, message },
-                    &mut running.env,
+                    &mut running.env.view(),
                     &mut running.mailbox,
                 );
                 running.drain(out);
@@ -105,7 +105,7 @@ impl NodeRuntime {
                 running.env.advance_to(at);
                 running.core.poll(
                     Input::TimerFired { tag },
-                    &mut running.env,
+                    &mut running.env.view(),
                     &mut running.mailbox,
                 );
                 running.drain(out);
@@ -113,7 +113,10 @@ impl NodeRuntime {
             }
             Event::Shutdown => {
                 let running = self.running()?;
-                out.push(wire::done_line(running.env.node_id(), running.delivered));
+                out.push(wire::done_line(
+                    running.env.view().node_id(),
+                    running.delivered,
+                ));
                 Ok(Disposition::Exit)
             }
         }
@@ -160,22 +163,23 @@ impl Running {
     /// the excluded peers. `SetTimer` delays become absolute `timer`
     /// requests against the current event-time clock.
     fn drain(&mut self, out: &mut Vec<String>) {
+        let view = self.env.view();
         for effect in self.mailbox.drain() {
             match effect {
                 Effect::Send { to, message } => out.push(wire::send_line(to, &message)),
                 Effect::Broadcast { message, excluded } => {
-                    for &neighbor in self.env.neighbors() {
+                    for &neighbor in view.neighbors() {
                         if !excluded.contains(&neighbor) {
                             out.push(wire::send_line(neighbor, &message));
                         }
                     }
                 }
                 Effect::SetTimer { delay, tag } => {
-                    out.push(wire::timer_line(self.env.now() + delay, tag));
+                    out.push(wire::timer_line(view.now() + delay, tag));
                 }
                 Effect::Deliver => {
                     self.delivered = true;
-                    out.push(wire::delivered_line(self.env.now()));
+                    out.push(wire::delivered_line(view.now()));
                 }
                 Effect::Counter { name, amount } => out.push(wire::counter_line(name, amount)),
             }

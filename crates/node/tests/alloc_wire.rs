@@ -161,3 +161,25 @@ fn a_first_receipt_requests_one_buffer_per_line_and_the_cores_own() {
         "core {core:?} + lines {lines:?}"
     );
 }
+
+#[test]
+fn init_requests_only_its_reply_line() {
+    // The node's environment, its hot lanes included, lives inline in the
+    // runtime: past the event's own neighbour list, `init` asks the heap
+    // for nothing but the `init_ok` line.
+    let init = r#"{"type":"init","node":0,"node_count":9,"neighbors":[1,2,3,4,5,6,7,8],"seed":1}"#;
+    let event = parse_event(init).unwrap();
+    let mut runtime = NodeRuntime::new();
+    let mut out = Vec::with_capacity(16);
+    let cost = requested(|| {
+        runtime.handle(event, &mut out).unwrap();
+    });
+    assert_eq!(out, [r#"{"type":"init_ok","node":0}"#]);
+    assert_eq!(
+        cost,
+        Requests {
+            calls: 1,
+            bytes: out[0].capacity() as u64,
+        }
+    );
+}

@@ -1,14 +1,13 @@
 //! The sans-IO protocol core trait.
 
 use crate::mailbox::{Input, Mailbox};
-use crate::view::NodeView;
-use fnp_netsim::Payload;
+use fnp_netsim::{ContextView, Payload};
 
 /// A pure, driver-agnostic protocol state machine.
 ///
 /// A core holds only the protocol's own per-node state. It is fed one
 /// [`Input`] at a time — `Init`, an incoming `Message`, or a `TimerFired` —
-/// reads its environment through a [`NodeView`], and responds by pushing
+/// reads its environment through a [`ContextView`], and responds by pushing
 /// effects into the [`Mailbox`]. It never performs IO: the driver that owns
 /// it (the discrete-event [`Simulator`](fnp_netsim::Simulator) via
 /// [`SimDriver`](crate::SimDriver), the `fnp-node` line-delimited JSON event
@@ -19,7 +18,8 @@ use fnp_netsim::Payload;
 ///
 /// ```
 /// use fnp_netsim::{Graph, NodeId, Payload, SimConfig, Simulator};
-/// use fnp_proto::{Input, Mailbox, NodeView, ProtocolCore, SimDriver};
+/// use fnp_netsim::ContextView;
+/// use fnp_proto::{Input, Mailbox, ProtocolCore, SimDriver};
 ///
 /// #[derive(Clone, Debug)]
 /// struct Ping;
@@ -30,10 +30,10 @@ use fnp_netsim::Payload;
 /// struct Node;
 /// impl ProtocolCore for Node {
 ///     type Message = Ping;
-///     fn poll<V: NodeView>(
+///     fn poll(
 ///         &mut self,
 ///         input: Input<Ping>,
-///         _view: &mut V,
+///         _view: &mut ContextView<'_>,
 ///         out: &mut Mailbox<Ping>,
 ///     ) {
 ///         if let Input::Message { .. } = input {
@@ -65,10 +65,10 @@ pub trait ProtocolCore {
     /// Effect order matters: drivers apply effects in emission order, and
     /// downstream randomness (latency sampling, fan-out iteration) consumes
     /// the driver RNG in that order, so reordering emissions changes runs.
-    fn poll<V: NodeView>(
+    fn poll(
         &mut self,
         input: Input<Self::Message>,
-        view: &mut V,
+        view: &mut ContextView<'_>,
         out: &mut Mailbox<Self::Message>,
     );
 }

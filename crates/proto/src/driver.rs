@@ -4,7 +4,7 @@
 //! The adapter is deliberately thin so the sans-IO split costs nothing, in
 //! behaviour or in memory: each simulator event is translated to one
 //! [`Input`] and the core is polled on the two halves of the live
-//! [`Context`] — its [`ContextView`] as the [`NodeView`], and the
+//! [`Context`] — its [`ContextView`] as the environment, and the
 //! simulator's own [`Mailbox`] as the outbox. There is no buffer between
 //! the core and the simulator and no per-node driver state; the simulator
 //! applies the effects after the handler returns, in emission order —
@@ -16,57 +16,7 @@
 use crate::core::ProtocolCore;
 use crate::mailbox::{Input, Mailbox};
 use crate::trace::{PollTrace, TraceHandle, Untraced};
-use crate::view::{HotLanes, NodeView};
-use fnp_netsim::{Context, ContextView, NodeId, ProtocolNode, SimTime};
-use rand::rngs::StdRng;
-
-impl HotLanes for ContextView<'_> {
-    fn seen(&self) -> bool {
-        ContextView::seen(self)
-    }
-
-    fn set_seen(&mut self) -> bool {
-        ContextView::set_seen(self)
-    }
-
-    fn phase(&self) -> u8 {
-        ContextView::phase(self)
-    }
-
-    fn set_phase(&mut self, phase: u8) {
-        ContextView::set_phase(self, phase);
-    }
-
-    fn counter_lane(&self) -> u32 {
-        ContextView::counter_lane(self)
-    }
-
-    fn set_counter_lane(&mut self, value: u32) {
-        ContextView::set_counter_lane(self, value);
-    }
-}
-
-impl NodeView for ContextView<'_> {
-    fn node_id(&self) -> NodeId {
-        ContextView::node_id(self)
-    }
-
-    fn now(&self) -> SimTime {
-        ContextView::now(self)
-    }
-
-    fn neighbors(&self) -> &[NodeId] {
-        ContextView::neighbors(self)
-    }
-
-    fn node_count(&self) -> usize {
-        ContextView::node_count(self)
-    }
-
-    fn rng(&mut self) -> &mut StdRng {
-        ContextView::rng(self)
-    }
-}
+use fnp_netsim::{Context, ContextView, NodeId, ProtocolNode};
 
 /// Adapter running a sans-IO [`ProtocolCore`] under the simulator.
 ///
@@ -108,11 +58,6 @@ impl<C: ProtocolCore, T: PollTrace<C::Message>> SimDriver<C, T> {
     /// The wrapped core.
     pub fn core(&self) -> &C {
         &self.core
-    }
-
-    /// Unwraps the adapter, returning the core.
-    pub fn into_core(self) -> C {
-        self.core
     }
 
     /// Runs an out-of-band protocol entry point (such as "start a

@@ -8,19 +8,21 @@
 //! * [`ProtocolCore`] — the protocol trait. One method,
 //!   [`poll`](ProtocolCore::poll): take an [`Input`]
 //!   (`Init` / `Message` / `TimerFired`), read the environment through a
-//!   [`NodeView`], push [`Effect`]s into a [`Mailbox`]. No IO, no clock,
-//!   no global state.
+//!   [`ContextView`], push [`Effect`]s into a [`Mailbox`]. No IO, no
+//!   clock, no global state.
 //! * [`Mailbox`] / [`Effect`] — the outbox: `Send`, `Broadcast`,
 //!   `SetTimer`, `Deliver`, `Counter`, applied by the driver in emission
 //!   order.
-//! * [`HotLanes`] / [`NodeView`] — the read side: identity, neighbours,
-//!   clock, RNG, and this node's hot lanes (seen/phase/counter), so the
-//!   simulator keeps its struct-of-arrays storage while cores stay pure.
+//! * [`ContextView`] — the read side, `fnp-netsim`'s one environment
+//!   type: identity, neighbours, clock, RNG, and this node's slot of the
+//!   hot lanes (seen/phase/counter), so the simulator keeps its
+//!   struct-of-arrays storage while cores stay pure.
 //! * [`SimDriver`] — the simulator driver: adapts any core to
 //!   [`fnp_netsim::ProtocolNode`], byte-identical to the pre-sans-IO
 //!   in-simulator implementations.
-//! * [`StandaloneEnv`] — a single-node view for real-transport drivers
-//!   (the `fnp-node` binary's line-delimited JSON event loop).
+//! * [`StandaloneEnv`] — the storage of a single node's environment for
+//!   real-transport drivers (the `fnp-node` binary's line-delimited JSON
+//!   event loop), lent to cores as a [`ContextView`].
 //! * [`steady`] — heavy-traffic multiplexing: wrap any single-broadcast
 //!   core in a [`SteadyNode`] and many Poisson-injected transactions share
 //!   one overlay, each with its own hot lanes and protocol instance.
@@ -30,6 +32,8 @@
 //!
 //! See [`ProtocolCore`] for a worked minimal example, and
 //! `docs/ARCHITECTURE.md` for how the pieces map onto the drivers.
+//!
+//! [`ContextView`]: fnp_netsim::ContextView
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,7 +45,6 @@ mod mailbox;
 mod standalone;
 pub mod steady;
 mod trace;
-mod view;
 
 pub use crate::core::ProtocolCore;
 pub use driver::SimDriver;
@@ -51,7 +54,5 @@ pub use steady::{
     Arrival, SteadyNode, SteadyProtocol, SteadyReport, SteadySession, Tagged, TxOutcome,
 };
 pub use trace::{
-    replay_trace, PollTrace, ReplayMismatch, ReplayView, TraceEvent, TraceHandle, TracedInput,
-    Untraced,
+    replay_trace, PollTrace, ReplayMismatch, TraceEvent, TraceHandle, TracedInput, Untraced,
 };
-pub use view::{HotLanes, NodeView};

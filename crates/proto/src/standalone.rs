@@ -1,13 +1,13 @@
-//! A self-contained [`NodeView`] for drivers outside the simulator.
+//! A self-contained environment for drivers outside the simulator.
 //!
 //! Real-transport drivers such as the `fnp-node` binary own exactly one
-//! node; [`StandaloneEnv`] packages that node's identity, neighbour list,
-//! clock, RNG and hot-lane slots into a view the sans-IO cores can run
-//! against. Time only moves when the driver advances it (event-time
-//! semantics: set it to the timestamp of the input being processed).
+//! node; [`StandaloneEnv`] holds that node's identity, neighbour list,
+//! clock, RNG and hot-lane slots, and lends them to the sans-IO cores as a
+//! [`ContextView`] — the same environment type the simulator hands them.
+//! Time only moves when the driver advances it (event-time semantics: set
+//! it to the timestamp of the input being processed).
 
-use crate::view::{HotLanes, NodeView};
-use fnp_netsim::{NodeId, SimTime};
+use fnp_netsim::{ContextView, NodeId, NodeLanes, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -19,9 +19,7 @@ pub struct StandaloneEnv {
     neighbors: Vec<NodeId>,
     now: SimTime,
     rng: StdRng,
-    seen: bool,
-    phase: u8,
-    counter: u32,
+    lanes: NodeLanes,
 }
 
 impl StandaloneEnv {
@@ -38,9 +36,7 @@ impl StandaloneEnv {
             neighbors,
             now: 0,
             rng: StdRng::seed_from_u64(seed),
-            seen: false,
-            phase: 0,
-            counter: 0,
+            lanes: NodeLanes::default(),
         }
     }
 
@@ -48,53 +44,17 @@ impl StandaloneEnv {
     pub fn advance_to(&mut self, at: SimTime) {
         self.now = self.now.max(at);
     }
-}
 
-impl HotLanes for StandaloneEnv {
-    fn seen(&self) -> bool {
-        self.seen
-    }
-
-    fn set_seen(&mut self) -> bool {
-        std::mem::replace(&mut self.seen, true)
-    }
-
-    fn phase(&self) -> u8 {
-        self.phase
-    }
-
-    fn set_phase(&mut self, phase: u8) {
-        self.phase = phase;
-    }
-
-    fn counter_lane(&self) -> u32 {
-        self.counter
-    }
-
-    fn set_counter_lane(&mut self, value: u32) {
-        self.counter = value;
-    }
-}
-
-impl NodeView for StandaloneEnv {
-    fn node_id(&self) -> NodeId {
-        self.node
-    }
-
-    fn now(&self) -> SimTime {
-        self.now
-    }
-
-    fn neighbors(&self) -> &[NodeId] {
-        &self.neighbors
-    }
-
-    fn node_count(&self) -> usize {
-        self.node_count
-    }
-
-    fn rng(&mut self) -> &mut StdRng {
-        &mut self.rng
+    /// Lends the environment to a core as a [`ContextView`].
+    pub fn view(&mut self) -> ContextView<'_> {
+        ContextView::new(
+            self.node,
+            self.now,
+            &self.neighbors,
+            self.node_count,
+            &mut self.rng,
+            self.lanes.slot(),
+        )
     }
 }
 
@@ -104,15 +64,16 @@ mod tests {
 
     #[test]
     fn neighbors_are_sorted_and_deduplicated() {
-        let env = StandaloneEnv::new(
+        let mut env = StandaloneEnv::new(
             NodeId::new(2),
             5,
             vec![NodeId::new(4), NodeId::new(1), NodeId::new(4)],
             7,
         );
-        assert_eq!(env.neighbors(), &[NodeId::new(1), NodeId::new(4)]);
-        assert_eq!(env.node_id(), NodeId::new(2));
-        assert_eq!(env.node_count(), 5);
+        let view = env.view();
+        assert_eq!(view.neighbors(), &[NodeId::new(1), NodeId::new(4)]);
+        assert_eq!(view.node_id(), NodeId::new(2));
+        assert_eq!(view.node_count(), 5);
     }
 
     #[test]
@@ -120,7 +81,7 @@ mod tests {
         let mut env = StandaloneEnv::new(NodeId::new(0), 1, vec![], 0);
         env.advance_to(10);
         env.advance_to(5);
-        assert_eq!(env.now(), 10);
+        assert_eq!(env.view().now(), 10);
     }
 
     #[test]
@@ -131,29 +92,35 @@ mod tests {
         let mut reference = env.clone();
         let eligible = ids(&[1, 3, 8]);
         for _ in 0..50 {
-            let expected = eligible[reference.rng().gen_range(0..eligible.len())];
-            let drawn = env.random_neighbor_except(Some(NodeId::new(5)));
+            let expected = eligible[reference.view().rng().gen_range(0..eligible.len())];
+            let drawn = env.view().random_neighbor_except(Some(NodeId::new(5)));
             assert_eq!(drawn, Some(expected));
         }
 
         // No eligible neighbour: `None`, and no draw is consumed.
         let mut lone = StandaloneEnv::new(NodeId::new(0), 2, ids(&[1]), 3);
-        let untouched = lone.clone().rng().gen_range(0..u64::MAX);
-        assert_eq!(lone.random_neighbor_except(Some(NodeId::new(1))), None);
-        assert_eq!(lone.rng().gen_range(0..u64::MAX), untouched);
+        let untouched = lone.clone().view().rng().gen_range(0..u64::MAX);
+        let mut view = lone.view();
+        assert_eq!(view.random_neighbor_except(Some(NodeId::new(1))), None);
+        assert_eq!(view.rng().gen_range(0..u64::MAX), untouched);
     }
 
     #[test]
     fn hot_lanes_roundtrip() {
         let mut env = StandaloneEnv::new(NodeId::new(0), 1, vec![], 0);
-        assert!(!env.set_seen());
-        assert!(env.set_seen());
-        env.set_phase(3);
-        assert_eq!(env.phase(), 3);
-        assert!(!env.round_seen(0));
-        env.mark_round_seen(4);
-        assert!(env.round_seen(4));
-        assert!(!env.round_seen(5));
-        assert_eq!(env.counter_lane(), 5);
+        let mut view = env.view();
+        assert!(!view.set_seen());
+        assert!(view.set_seen());
+        view.set_phase(3);
+        assert_eq!(view.phase(), 3);
+        assert!(!view.round_seen(0));
+        view.mark_round_seen(4);
+        assert!(view.round_seen(4));
+        assert!(!view.round_seen(5));
+        assert_eq!(view.counter_lane(), 5);
+        // The lanes outlive the view that wrote them.
+        let view = env.view();
+        assert!(view.seen());
+        assert_eq!((view.phase(), view.counter_lane()), (3, 5));
     }
 }

@@ -51,11 +51,10 @@
 use crate::core::ProtocolCore;
 use crate::driver::SimDriver;
 use crate::mailbox::{Effect, Input, Mailbox};
-use crate::view::{HotLanes, NodeView};
 use fnp_netsim::{
-    Graph, HotState, LanePool, Metrics, NodeId, Payload, SimConfig, SimTime, Simulator, TrialArena,
+    ContextView, Graph, HotState, LanePool, Metrics, NodeId, Payload, SimConfig, SimTime,
+    Simulator, TrialArena,
 };
-use rand::rngs::StdRng;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -94,7 +93,7 @@ impl<M: Payload> Payload for Tagged<M> {
 pub trait SteadyProtocol: ProtocolCore + Clone {
     /// Starts broadcasting transaction `tx` from this node, exactly like
     /// the core's single-broadcast entry point.
-    fn start_tx(&mut self, tx: u64, view: &mut impl NodeView, out: &mut Mailbox<Self::Message>);
+    fn start_tx(&mut self, tx: u64, view: &mut ContextView<'_>, out: &mut Mailbox<Self::Message>);
 
     /// Whether a receiver-side instance whose first contact with the
     /// transaction is `message` needs [`Input::Init`] polled before the
@@ -349,11 +348,11 @@ impl<C: SteadyProtocol> SteadyNode<C> {
         self.instances.iter().flatten().count()
     }
 
-    fn handle<V: NodeView>(
+    fn handle(
         &mut self,
         tx: u64,
         event: TxEvent<C::Message>,
-        view: &mut V,
+        view: &mut ContextView<'_>,
         out: &mut Mailbox<Tagged<C::Message>>,
     ) {
         let node = view.node_id();
@@ -387,7 +386,7 @@ impl<C: SteadyProtocol> SteadyNode<C> {
         // Poll the transaction's instance against its own lanes, borrowed
         // in place (the inner core cannot reach the session).
         debug_assert!(self.inner.is_empty());
-        let mut lane_view = LaneView { lane, node, view };
+        let mut lane_view = view.with_lanes(lane);
         match event {
             TxEvent::Arrival => {
                 let (_, instance, _) = entry.insert((tx, self.prototype.clone(), true));
@@ -468,10 +467,10 @@ fn encode_timer(tx: u64, tag: u64) -> u64 {
 impl<C: SteadyProtocol> ProtocolCore for SteadyNode<C> {
     type Message = Tagged<C::Message>;
 
-    fn poll<V: NodeView>(
+    fn poll(
         &mut self,
         input: Input<Self::Message>,
-        view: &mut V,
+        view: &mut ContextView<'_>,
         out: &mut Mailbox<Self::Message>,
     ) {
         match input {
@@ -505,62 +504,6 @@ impl<C: SteadyProtocol> ProtocolCore for SteadyNode<C> {
                 self.handle(tx, event, view, out);
             }
         }
-    }
-}
-
-/// A [`NodeView`] that redirects the hot lanes to one transaction's lane
-/// set while forwarding everything else to the underlying view.
-struct LaneView<'a, V> {
-    lane: &'a mut HotState,
-    node: NodeId,
-    view: &'a mut V,
-}
-
-impl<V> HotLanes for LaneView<'_, V> {
-    fn seen(&self) -> bool {
-        self.lane.seen(self.node)
-    }
-
-    fn set_seen(&mut self) -> bool {
-        self.lane.set_seen(self.node)
-    }
-
-    fn phase(&self) -> u8 {
-        self.lane.phase(self.node)
-    }
-
-    fn set_phase(&mut self, phase: u8) {
-        self.lane.set_phase(self.node, phase);
-    }
-
-    fn counter_lane(&self) -> u32 {
-        self.lane.counter(self.node)
-    }
-
-    fn set_counter_lane(&mut self, value: u32) {
-        self.lane.set_counter(self.node, value);
-    }
-}
-
-impl<V: NodeView> NodeView for LaneView<'_, V> {
-    fn node_id(&self) -> NodeId {
-        self.node
-    }
-
-    fn now(&self) -> SimTime {
-        self.view.now()
-    }
-
-    fn neighbors(&self) -> &[NodeId] {
-        self.view.neighbors()
-    }
-
-    fn node_count(&self) -> usize {
-        self.view.node_count()
-    }
-
-    fn rng(&mut self) -> &mut StdRng {
-        self.view.rng()
     }
 }
 
@@ -745,7 +688,12 @@ mod tests {
     impl ProtocolCore for MiniFlood {
         type Message = Ping;
 
-        fn poll<V: NodeView>(&mut self, input: Input<Ping>, view: &mut V, out: &mut Mailbox<Ping>) {
+        fn poll(
+            &mut self,
+            input: Input<Ping>,
+            view: &mut ContextView<'_>,
+            out: &mut Mailbox<Ping>,
+        ) {
             match input {
                 Input::Init => {}
                 Input::Message { from, message } => {
@@ -768,7 +716,7 @@ mod tests {
     }
 
     impl SteadyProtocol for MiniFlood {
-        fn start_tx(&mut self, _tx: u64, view: &mut impl NodeView, out: &mut Mailbox<Ping>) {
+        fn start_tx(&mut self, _tx: u64, view: &mut ContextView<'_>, out: &mut Mailbox<Ping>) {
             if view.set_seen() {
                 return;
             }
@@ -891,7 +839,7 @@ mod tests {
         prototypes: Vec<C>,
         arrivals: &[Arrival],
         seed: u64,
-    ) -> (Vec<SteadyNode<C>>, Rc<RefCell<SteadySession>>) {
+    ) -> (Vec<SimDriver<SteadyNode<C>>>, Rc<RefCell<SteadySession>>) {
         let n = graph.node_count();
         let session = Rc::new(RefCell::new(SteadySession::new(n, arrivals, &[], 0)));
         let mut per_node = vec![Vec::new(); n];
@@ -912,14 +860,12 @@ mod tests {
         let mut sim = Simulator::new(graph, nodes, config);
         sim.run();
         let (nodes, _) = sim.into_parts();
-        (
-            nodes.into_iter().map(SimDriver::into_core).collect(),
-            session,
-        )
+        (nodes, session)
     }
 
     #[test]
     fn random_schedules_leak_no_lane_slot_or_instance() {
+        use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut recycled = false;
         let mut overlapped = false;
@@ -977,7 +923,7 @@ mod tests {
     impl ProtocolCore for EntryCounter {
         type Message = Ping;
 
-        fn poll<V: NodeView>(&mut self, input: Input<Ping>, _: &mut V, out: &mut Mailbox<Ping>) {
+        fn poll(&mut self, input: Input<Ping>, _: &mut ContextView<'_>, out: &mut Mailbox<Ping>) {
             if !matches!(input, Input::Init) {
                 self.entries += 1;
                 out.record_many("entries", self.entries);
@@ -986,7 +932,7 @@ mod tests {
     }
 
     impl SteadyProtocol for EntryCounter {
-        fn start_tx(&mut self, _tx: u64, _: &mut impl NodeView, out: &mut Mailbox<Ping>) {
+        fn start_tx(&mut self, _tx: u64, _: &mut ContextView<'_>, out: &mut Mailbox<Ping>) {
             self.entries += 1;
             out.send(NodeId::new(1), Ping);
         }
@@ -1010,7 +956,7 @@ mod tests {
         let (mut relay, mut relay_env) = node(1);
         let mut out = Mailbox::new();
         let mut effects = |node: &mut SteadyNode<EntryCounter>, env: &mut StandaloneEnv, input| {
-            node.poll(input, env, &mut out);
+            node.poll(input, &mut env.view(), &mut out);
             out.drain().collect::<Vec<_>>()
         };
         let arrive = |tx: u64| Input::TimerFired {

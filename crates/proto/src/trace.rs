@@ -5,15 +5,14 @@
 //! order: which node was polled, at what time, with which input, the exact
 //! RNG state before the poll, and the effects the core emitted.
 //! [`replay_trace`] then feeds the same inputs through a *fresh* set of
-//! cores — no simulator, no `Context`, just a [`ReplayView`] over recorded
+//! cores — no simulator, no `Context`, just a [`ContextView`] over recorded
 //! state — and checks the emitted effects match event for event. This is
 //! the determinism gate that keeps the sans-IO cores from silently
 //! diverging from the simulator path.
 
 use crate::core::ProtocolCore;
 use crate::mailbox::{Effect, Input, Mailbox};
-use crate::view::{HotLanes, NodeView};
-use fnp_netsim::{Graph, HotState, NodeId, SimTime};
+use fnp_netsim::{ContextView, Graph, HotState, NodeId, SimTime};
 use rand::rngs::StdRng;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -155,67 +154,6 @@ impl<M> TraceHandle<M> {
     }
 }
 
-/// A [`NodeView`] reconstructed from a recorded trace event: per-node hot
-/// lanes evolve exactly as in the original run because the same polls
-/// mutate them in the same order, while the RNG is injected per event.
-#[derive(Debug)]
-pub struct ReplayView<'a> {
-    node: NodeId,
-    now: SimTime,
-    neighbors: &'a [NodeId],
-    node_count: usize,
-    rng: &'a mut StdRng,
-    hot: &'a mut HotState,
-}
-
-impl HotLanes for ReplayView<'_> {
-    fn seen(&self) -> bool {
-        self.hot.seen(self.node)
-    }
-
-    fn set_seen(&mut self) -> bool {
-        self.hot.set_seen(self.node)
-    }
-
-    fn phase(&self) -> u8 {
-        self.hot.phase(self.node)
-    }
-
-    fn set_phase(&mut self, phase: u8) {
-        self.hot.set_phase(self.node, phase);
-    }
-
-    fn counter_lane(&self) -> u32 {
-        self.hot.counter(self.node)
-    }
-
-    fn set_counter_lane(&mut self, value: u32) {
-        self.hot.set_counter(self.node, value);
-    }
-}
-
-impl NodeView for ReplayView<'_> {
-    fn node_id(&self) -> NodeId {
-        self.node
-    }
-
-    fn now(&self) -> SimTime {
-        self.now
-    }
-
-    fn neighbors(&self) -> &[NodeId] {
-        self.neighbors
-    }
-
-    fn node_count(&self) -> usize {
-        self.node_count
-    }
-
-    fn rng(&mut self) -> &mut StdRng {
-        self.rng
-    }
-}
-
 /// A divergence found by [`replay_trace`].
 #[derive(Debug)]
 pub struct ReplayMismatch {
@@ -247,10 +185,12 @@ impl std::error::Error for ReplayMismatch {}
 /// `cores` must be fresh cores in the same initial state as the recorded
 /// run's, indexed by [`NodeId::index`]; `graph` the same overlay. Each
 /// recorded event is fed to the owning core with the recorded RNG state
-/// injected; [`TracedInput::External`] events (origin triggers) are handed
-/// to `on_external`, which must invoke the same entry point the original
-/// driver ran. Returns the first divergence between recorded and emitted
-/// effects, if any.
+/// injected into a [`ContextView`] of the event's node, whose hot lanes
+/// evolve exactly as in the original run because the same polls mutate
+/// them in the same order; [`TracedInput::External`] events (origin
+/// triggers) are handed to `on_external`, which must invoke the same entry
+/// point the original driver ran. Returns the first divergence between
+/// recorded and emitted effects, if any.
 ///
 /// # Errors
 ///
@@ -264,20 +204,20 @@ pub fn replay_trace<C, F>(
 ) -> Result<(), ReplayMismatch>
 where
     C: ProtocolCore,
-    F: FnMut(&mut C, &mut ReplayView<'_>, &mut Mailbox<C::Message>),
+    F: FnMut(&mut C, &mut ContextView<'_>, &mut Mailbox<C::Message>),
 {
     let mut hot = HotState::new(cores.len());
     let mut out = Mailbox::new();
     for (index, event) in trace.iter().enumerate() {
         let mut rng = event.rng_before.clone();
-        let mut view = ReplayView {
-            node: event.node,
-            now: event.now,
-            neighbors: graph.neighbors(event.node),
-            node_count: graph.node_count(),
-            rng: &mut rng,
-            hot: &mut hot,
-        };
+        let mut view = ContextView::new(
+            event.node,
+            event.now,
+            graph.neighbors(event.node),
+            graph.node_count(),
+            &mut rng,
+            hot.slot(event.node),
+        );
         let core = &mut cores[event.node.index()];
         match &event.input {
             TracedInput::Input(input) => core.poll(input.clone(), &mut view, &mut out),
