@@ -78,65 +78,42 @@ impl fmt::Debug for KeyPair {
     }
 }
 
-/// Modular multiplication via 128-bit intermediates.
+/// `2^62 mod p`: the fold constant of the reduction below, since
+/// `p = 2^62 - 10565`.
+const FOLD: u64 = (1 << 62) - MODULUS;
+
+/// The low 62 bits of a word.
+const LOW_62: u64 = (1 << 62) - 1;
+
+/// `a * b mod p` for any `a`, `b`, without a division.
+///
+/// Writing a value as `hi * 2^62 + lo` and using `2^62 ≡ FOLD (mod p)`,
+/// two folds take the product below `2^62 + 2^32 < 2^63`, which is below
+/// `2p`, so one conditional subtract finishes the reduction.
 #[inline]
-#[allow(clippy::cast_possible_truncation)] // the % reduces below the u64 modulus
-fn mul_mod(a: u64, b: u64, modulus: u64) -> u64 {
-    ((a as u128 * b as u128) % modulus as u128) as u64
+#[allow(clippy::cast_possible_truncation)] // `once >> 62` is below 2^19; `once as u64` is masked
+fn mul_mod_p(a: u64, b: u64) -> u64 {
+    let product = u128::from(a) * u128::from(b);
+    let once = (product >> 62) * u128::from(FOLD) + (product & u128::from(LOW_62));
+    let twice = (once >> 62) as u64 * FOLD + (once as u64 & LOW_62);
+    if twice >= MODULUS {
+        twice - MODULUS
+    } else {
+        twice
+    }
 }
 
-/// Modular exponentiation by repeated squaring.
-pub fn pow_mod(mut base: u64, mut exponent: u64, modulus: u64) -> u64 {
-    if modulus == 1 {
-        return 0;
-    }
-    let mut result = 1u64;
-    base %= modulus;
+/// `base^exponent mod p` by square-and-multiply on [`mul_mod_p`].
+fn pow_mod_p(mut base: u64, mut exponent: u64) -> u64 {
+    let mut result = 1;
     while exponent > 0 {
         if exponent & 1 == 1 {
-            result = mul_mod(result, base, modulus);
+            result = mul_mod_p(result, base);
         }
-        base = mul_mod(base, base, modulus);
+        base = mul_mod_p(base, base);
         exponent >>= 1;
     }
     result
-}
-
-/// Deterministic Miller–Rabin primality test, exact for all `u64` inputs
-/// when run with the standard 12-base witness set.
-pub fn is_prime(n: u64) -> bool {
-    if n < 2 {
-        return false;
-    }
-    for p in [2u64, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37] {
-        if n == p {
-            return true;
-        }
-        if n % p == 0 {
-            return false;
-        }
-    }
-    // Write n - 1 = d * 2^r with d odd.
-    let mut d = n - 1;
-    let mut r = 0u32;
-    while d % 2 == 0 {
-        d /= 2;
-        r += 1;
-    }
-    'witness: for a in [2u64, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37] {
-        let mut x = pow_mod(a, d, n);
-        if x == 1 || x == n - 1 {
-            continue;
-        }
-        for _ in 0..r - 1 {
-            x = mul_mod(x, x, n);
-            if x == n - 1 {
-                continue 'witness;
-            }
-        }
-        return false;
-    }
-    true
 }
 
 impl KeyPair {
@@ -156,7 +133,7 @@ impl KeyPair {
     pub fn from_secret(secret: u64) -> Self {
         let q = (MODULUS - 1) / 2;
         let secret = 2 + (secret % (q - 2));
-        let public = PublicKey(pow_mod(GENERATOR, secret, MODULUS));
+        let public = PublicKey(pow_mod_p(GENERATOR, secret));
         Self { secret, public }
     }
 
@@ -171,7 +148,7 @@ impl KeyPair {
     /// The raw group element is domain-separated and hashed so that the
     /// output is uniformly distributed regardless of group structure.
     pub fn shared_secret(&self, peer: &PublicKey) -> [u8; 32] {
-        let element = pow_mod(peer.0, self.secret, MODULUS);
+        let element = pow_mod_p(peer.0, self.secret);
         crate::sha256::Sha256::digest_chunks([
             b"fnp/dh/shared-secret/v1".as_slice(),
             &element.to_le_bytes(),
@@ -191,9 +168,9 @@ pub fn pairwise_pad_key(own: &KeyPair, peer: &PublicKey) -> [u8; 32] {
         (peer.0, own.public_key().0)
     };
     let hkdf = crate::hkdf::Hkdf::extract(Some(b"fnp/dcnet/pad-key"), &shared);
-    let mut info = Vec::with_capacity(16);
-    info.extend_from_slice(&lo.to_le_bytes());
-    info.extend_from_slice(&hi.to_le_bytes());
+    let mut info = [0u8; 16];
+    info[..8].copy_from_slice(&lo.to_le_bytes());
+    info[8..].copy_from_slice(&hi.to_le_bytes());
     hkdf.derive_key::<32>(&info)
         .expect("32-byte output is within HKDF limits")
 }
@@ -201,8 +178,112 @@ pub fn pairwise_pad_key(own: &KeyPair, peer: &PublicKey) -> [u8; 32] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Modular multiplication via 128-bit intermediates: the oracle for
+    /// [`mul_mod_p`].
+    #[allow(clippy::cast_possible_truncation)] // the % reduces below the u64 modulus
+    fn mul_mod(a: u64, b: u64, modulus: u64) -> u64 {
+        ((a as u128 * b as u128) % modulus as u128) as u64
+    }
+
+    /// Modular exponentiation by repeated squaring: the oracle for
+    /// [`pow_mod_p`].
+    fn pow_mod(mut base: u64, mut exponent: u64, modulus: u64) -> u64 {
+        if modulus == 1 {
+            return 0;
+        }
+        let mut result = 1u64;
+        base %= modulus;
+        while exponent > 0 {
+            if exponent & 1 == 1 {
+                result = mul_mod(result, base, modulus);
+            }
+            base = mul_mod(base, base, modulus);
+            exponent >>= 1;
+        }
+        result
+    }
+
+    /// Deterministic Miller–Rabin primality test, exact for all `u64` inputs
+    /// when run with the standard 12-base witness set.
+    fn is_prime(n: u64) -> bool {
+        if n < 2 {
+            return false;
+        }
+        for p in [2u64, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37] {
+            if n == p {
+                return true;
+            }
+            if n.is_multiple_of(p) {
+                return false;
+            }
+        }
+        // Write n - 1 = d * 2^r with d odd.
+        let mut d = n - 1;
+        let mut r = 0u32;
+        while d.is_multiple_of(2) {
+            d /= 2;
+            r += 1;
+        }
+        'witness: for a in [2u64, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37] {
+            let mut x = pow_mod(a, d, n);
+            if x == 1 || x == n - 1 {
+                continue;
+            }
+            for _ in 0..r - 1 {
+                x = mul_mod(x, x, n);
+                if x == n - 1 {
+                    continue 'witness;
+                }
+            }
+            return false;
+        }
+        true
+    }
+
+    #[test]
+    fn pow_mod_p_matches_generic_on_edges() {
+        let q = (MODULUS - 1) / 2;
+        for base in [0, 1, MODULUS - 1, MODULUS, u64::MAX] {
+            for exponent in [0, 1, q - 1, u64::MAX] {
+                assert_eq!(
+                    pow_mod_p(base, exponent),
+                    pow_mod(base, exponent, MODULUS),
+                    "{base}^{exponent}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        #[test]
+        fn pow_mod_p_matches_generic(base in any::<u64>(), exponent in any::<u64>()) {
+            prop_assert_eq!(pow_mod_p(base, exponent), pow_mod(base, exponent, MODULUS));
+            prop_assert_eq!(pow_mod_p(base % MODULUS, exponent), pow_mod(base, exponent, MODULUS));
+        }
+    }
+
+    #[test]
+    fn pairwise_pad_key_known_answer() {
+        let a = KeyPair::from_secret(0x0123_4567_89ab_cdef);
+        let b = KeyPair::from_secret(0xfedc_ba98_7654_3210);
+        assert_eq!(a.public_key(), PublicKey(0x3d05_27be_2fb6_b638));
+        assert_eq!(b.public_key(), PublicKey(0x3dc7_2fb7_371b_a9b9));
+        let expected = "7994707d7272e223e0295fd62ccd4f4cbd23460cb66f454b6c717cb75d1a3ceb";
+        assert_eq!(
+            crate::hex::encode(&pairwise_pad_key(&a, &b.public_key())),
+            expected
+        );
+        assert_eq!(
+            crate::hex::encode(&pairwise_pad_key(&b, &a.public_key())),
+            expected
+        );
+    }
 
     #[test]
     fn modulus_is_a_safe_prime() {

@@ -66,7 +66,7 @@ pub fn encode(bytes: &[u8]) -> String {
 /// [`DecodeHexError::InvalidCharacter`] if a non-hex character is found.
 pub fn decode(text: &str) -> Result<Vec<u8>, DecodeHexError> {
     let bytes = text.as_bytes();
-    if bytes.len() % 2 != 0 {
+    if !bytes.len().is_multiple_of(2) {
         return Err(DecodeHexError::OddLength { len: bytes.len() });
     }
     let mut out = Vec::with_capacity(bytes.len() / 2);

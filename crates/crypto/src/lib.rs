@@ -24,6 +24,12 @@
 //! All primitives are validated against official test vectors (FIPS 180-4,
 //! RFC 4231, RFC 5869, RFC 8439, CRC-32/ISO-HDLC) in their unit tests.
 //!
+//! The crate is safe Rust except for one `unsafe` call: [`sha256`]'s
+//! compression dispatches at compile time to a kernel on the x86 SHA
+//! extensions when the build targets them, and calling that
+//! `#[target_feature]` function is `unsafe`. `unsafe_code` is therefore
+//! denied crate-wide and allowed on that one call only.
+//!
 //! # Quick example: establishing a DC-net pad between two nodes
 //!
 //! ```
@@ -45,7 +51,7 @@
 //! assert_eq!(pad_a, pad_b);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 // Keystream generation and digest packing cast between integer widths on

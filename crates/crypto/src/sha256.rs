@@ -9,9 +9,19 @@
 //! * as the compression function behind [`crate::hmac`] and
 //!   [`crate::hkdf`], which derive the pairwise DC-net pad keys.
 //!
-//! The implementation is pure safe Rust, allocation-free for the streaming
-//! interface, and validated against the official FIPS/NIST test vectors in
-//! the unit tests below.
+//! The compression function has two kernels, chosen at compile time:
+//!
+//! * on `x86_64` builds whose target has the SHA extensions and SSE4.1
+//!   (the repo's `target-cpu=native` on such a CPU), a kernel on the
+//!   `sha256rnds2` / `sha256msg1` / `sha256msg2` instructions;
+//! * everywhere else, the portable rounds in plain Rust, which also serve
+//!   as the test oracle for the first kernel.
+//!
+//! Calling the SHA-NI kernel is the crate's one `unsafe` operation, because
+//! it is a `#[target_feature]` function; the same `cfg` that compiles the
+//! call proves the features are enabled for the whole build. The streaming
+//! interface allocates nothing, and both kernels are validated against the
+//! official FIPS/NIST test vectors in the unit tests below.
 //!
 //! # Examples
 //!
@@ -187,51 +197,153 @@ impl Sha256 {
 
     /// SHA-256 compression function over one 64-byte block.
     fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        #[cfg(all(
+            target_arch = "x86_64",
+            target_feature = "sha",
+            target_feature = "sse4.1"
+        ))]
+        #[allow(unsafe_code)]
+        // SAFETY: `sha_ni::compress` is unsafe to call only because it is a
+        // `#[target_feature(enable = "sha,sse4.1")]` function. This call is
+        // compiled only when the cfg above holds, that is when the whole
+        // build targets a CPU with both features, so they are present.
+        unsafe {
+            sha_ni::compress(&mut self.state, block);
         }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
+        #[cfg(not(all(
+            target_arch = "x86_64",
+            target_feature = "sha",
+            target_feature = "sse4.1"
+        )))]
+        compress_portable(&mut self.state, block);
+    }
+}
+
+/// The portable compression function: every target without the x86 SHA
+/// extensions runs it, and the SHA-NI kernel's tests use it as the oracle.
+#[cfg(any(
+    test,
+    not(all(
+        target_arch = "x86_64",
+        target_feature = "sha",
+        target_feature = "sse4.1"
+    ))
+))]
+fn compress_portable(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+    let mut w = [0u32; 64];
+    for (i, chunk) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ ((!e) & g);
+        let temp1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let temp2 = s0.wrapping_add(maj);
+
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(temp1);
+        d = c;
+        c = b;
+        b = a;
+        a = temp1.wrapping_add(temp2);
+    }
+
+    for (word, add) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *word = word.wrapping_add(add);
+    }
+}
+
+/// The compression function on the x86 SHA extensions.
+///
+/// `sha256rnds2` runs two rounds on the working variables held as two
+/// registers, (A, B, E, F) and (C, D, G, H), highest lane first;
+/// `sha256msg1` / `sha256msg2` extend the message schedule four words at a
+/// time. Words go in with `_mm_set_epi32` and come out with
+/// `_mm_extract_epi32`, so no pointer is cast.
+#[cfg(all(
+    target_arch = "x86_64",
+    target_feature = "sha",
+    target_feature = "sse4.1"
+))]
+mod sha_ni {
+    use super::{BLOCK_LEN, K};
+    use core::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_extract_epi32, _mm_set_epi32,
+        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+    };
+
+    /// Packs four words into one register, `words[0]` in the lowest lane.
+    #[inline]
+    #[target_feature(enable = "sse4.1")]
+    fn lanes(words: [u32; 4]) -> __m128i {
+        let [w0, w1, w2, w3] = words.map(u32::cast_signed);
+        _mm_set_epi32(w3, w2, w1, w0)
+    }
+
+    #[target_feature(enable = "sha,sse4.1")]
+    pub(super) fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+        let [a, b, c, d, e, f, g, h] = *state;
+        let mut abef = lanes([f, e, b, a]);
+        let mut cdgh = lanes([h, g, d, c]);
+        let (abef_in, cdgh_in) = (abef, cdgh);
+
+        let word = |t: usize| {
+            u32::from_be_bytes([
+                block[4 * t],
+                block[4 * t + 1],
+                block[4 * t + 2],
+                block[4 * t + 3],
+            ])
+        };
+        // msg[q % 4] holds message words 4q..4q + 4; the slot is overwritten
+        // once its words have been read for the last time.
+        let mut msg: [__m128i; 4] =
+            core::array::from_fn(|q| lanes(core::array::from_fn(|j| word(4 * q + j))));
+        for q in 0..16 {
+            if q >= 4 {
+                // W[t] = σ1(W[t-2]) + W[t-7] + σ0(W[t-15]) + W[t-16].
+                let w16_15 = _mm_sha256msg1_epu32(msg[q % 4], msg[(q + 1) % 4]);
+                let w7 = _mm_alignr_epi8(msg[(q + 3) % 4], msg[(q + 2) % 4], 4);
+                msg[q % 4] = _mm_sha256msg2_epu32(_mm_add_epi32(w16_15, w7), msg[(q + 3) % 4]);
+            }
+            let k = lanes([K[4 * q], K[4 * q + 1], K[4 * q + 2], K[4 * q + 3]]);
+            let wk = _mm_add_epi32(msg[q % 4], k);
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
         }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ ((!e) & g);
-            let temp1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let temp2 = s0.wrapping_add(maj);
-
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(temp1);
-            d = c;
-            c = b;
-            b = a;
-            a = temp1.wrapping_add(temp2);
-        }
-
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        let abef = _mm_add_epi32(abef, abef_in);
+        let cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        *state = [
+            _mm_extract_epi32(abef, 3),
+            _mm_extract_epi32(abef, 2),
+            _mm_extract_epi32(cdgh, 3),
+            _mm_extract_epi32(cdgh, 2),
+            _mm_extract_epi32(abef, 1),
+            _mm_extract_epi32(abef, 0),
+            _mm_extract_epi32(cdgh, 1),
+            _mm_extract_epi32(cdgh, 0),
+        ]
+        .map(i32::cast_unsigned);
     }
 }
 
@@ -239,6 +351,51 @@ impl Sha256 {
 mod tests {
     use super::*;
     use crate::hex;
+
+    /// The SHA-NI kernel (reached through `Sha256::compress` on this build)
+    /// against the portable compression, from the same (state, block).
+    #[cfg(all(
+        target_arch = "x86_64",
+        target_feature = "sha",
+        target_feature = "sse4.1"
+    ))]
+    mod sha_ni_matches_portable {
+        use super::super::*;
+        use proptest::prelude::*;
+
+        fn assert_kernels_agree(state: [u32; 8], block: &[u8; BLOCK_LEN]) {
+            let mut hasher = Sha256::new();
+            hasher.state = state;
+            hasher.compress(block);
+            let mut portable = state;
+            compress_portable(&mut portable, block);
+            assert_eq!(
+                hasher.state, portable,
+                "state {state:08x?}, block {block:02x?}"
+            );
+        }
+
+        #[test]
+        fn on_constant_blocks() {
+            for fill in [0x00u8, 0xff] {
+                for state in [H0, [0; 8], [u32::MAX; 8]] {
+                    assert_kernels_agree(state, &[fill; BLOCK_LEN]);
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+            #[test]
+            fn on_random_state_and_block(state in any::<[u8; 32]>(), block in any::<[u8; 64]>()) {
+                let state = core::array::from_fn(|i| {
+                    u32::from_le_bytes([state[4 * i], state[4 * i + 1], state[4 * i + 2], state[4 * i + 3]])
+                });
+                assert_kernels_agree(state, &block);
+            }
+        }
+    }
 
     fn hex_digest(data: &[u8]) -> String {
         hex::encode(&Sha256::digest(data))

@@ -433,7 +433,7 @@ pub fn random_regular_into<R: Rng + ?Sized>(
             "degree {degree} must be smaller than n = {n}"
         )));
     }
-    if (n * degree) % 2 != 0 {
+    if !(n * degree).is_multiple_of(2) {
         return Err(invalid(format!("n * degree = {} must be even", n * degree)));
     }
     if n == 1 {
@@ -625,7 +625,7 @@ pub fn watts_strogatz<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<Graph, GenerateTopologyError> {
     require_nodes(n)?;
-    if k % 2 != 0 {
+    if !k.is_multiple_of(2) {
         return Err(invalid(format!(
             "lattice neighbour count k = {k} must be even"
         )));
