@@ -14,10 +14,9 @@
 //! request no more bytes *per transaction*, and no more than a bound that
 //! one heap copy of each contribution per peer exceeds.
 //!
-//! A counting [`GlobalAlloc`] wraps the system allocator and keeps, for
-//! the measuring thread only (libtest's own threads allocate whenever they
-//! are scheduled), the bytes requested so far and the bytes live now. CI
-//! runs this binary in release mode as its own step: in a debug build the
+//! The shared counting allocator (`tests/support/counting_alloc.rs`)
+//! keeps, for the measuring thread, the bytes requested so far and the
+//! bytes live now. CI runs this wall in release mode: in a debug build the
 //! time wheel carries a shadow heap whose growth the bounds would measure
 //! instead.
 
@@ -26,69 +25,9 @@ use fnp_netsim::{topology, Graph, NodeId, SimConfig, SimTime, TrialArena, SECOND
 use fnp_proto::steady::{run_steady_in, Arrival};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-/// What the measuring thread has asked of the heap.
-#[derive(Clone, Copy, Default)]
-struct Heap {
-    /// Bytes requested so far (every `alloc`, every `realloc`'s new size).
-    requested: u64,
-    /// Bytes allocated and not yet freed.
-    live: i64,
-}
-
-thread_local! {
-    /// `Some` while this thread is measuring. Const-initialised and without
-    /// a destructor, so reading it from inside the allocator neither
-    /// allocates nor touches a torn-down slot.
-    static HEAP: Cell<Option<Heap>> = const { Cell::new(None) };
-}
-
-/// Counts a request of `requested` bytes that changes the live heap by
-/// `delta` against the calling thread, if it is measuring.
-fn count(requested: usize, delta: i64) {
-    HEAP.with(|armed| {
-        armed.set(armed.get().map(|heap| Heap {
-            requested: heap.requested + requested as u64,
-            live: heap.live + delta,
-        }));
-    });
-}
-
-/// The measuring thread's counters now.
-fn heap() -> Heap {
-    HEAP.with(Cell::get).expect("the test armed the counters")
-}
-
-struct CountingAllocator;
-
-// SAFETY: every operation is forwarded verbatim to the system allocator,
-// which upholds the `GlobalAlloc` contract; the only addition is a
-// thread-local counter update with no effect on the returned memory.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size(), layout.size() as i64);
-        // SAFETY: forwarded under the caller's own `alloc` contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        count(0, -(layout.size() as i64));
-        // SAFETY: `ptr` was returned by this allocator (which delegates to
-        // `System`) with the same `layout`, as the caller guarantees.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size, new_size as i64 - layout.size() as i64);
-        // SAFETY: forwarded under the caller's own `realloc` contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 fn overlay(n: usize) -> Graph {
     topology::random_regular(n, 8, &mut StdRng::seed_from_u64(3)).expect("overlay")
@@ -105,13 +44,13 @@ fn the_eighth_trial_on_an_arena_costs_what_the_second_did() {
 
     // Armed for the whole test: a buffer allocated in one trial and freed
     // in a later one must leave the live count as it found it.
-    HEAP.with(|armed| armed.set(Some(Heap::default())));
+    counting_alloc::arm();
     let graph = overlay(NODES);
     let mut arena = TrialArena::new();
     let trials: Vec<(u64, i64)> = (1..=8u64)
         .map(|seed| {
             let graph = graph.clone();
-            let before = heap().requested;
+            let before = counting_alloc::heap().requested;
             let metrics = run_protocol_in(
                 &mut arena,
                 ProtocolKind::Flexible(FlexConfig::default()),
@@ -125,10 +64,11 @@ fn the_eighth_trial_on_an_arena_costs_what_the_second_did() {
             .expect("valid config and origin");
             assert_eq!(metrics.coverage(), 1.0, "seed {seed} did not cover");
             arena.recycle_metrics(metrics);
-            (heap().requested - before, heap().live)
+            let heap = counting_alloc::heap();
+            (heap.requested - before, heap.live)
         })
         .collect();
-    HEAP.with(|armed| armed.set(None));
+    counting_alloc::disarm();
 
     let (second, eighth) = (trials[1], trials[7]);
     assert!(
@@ -165,7 +105,7 @@ fn session(arena: &mut TrialArena, graph: &Graph, transactions: u64) -> u64 {
     // amortise it and hide a per-transaction cost that grows.
     let prototypes =
         flex_steady_prototypes_in(arena, n, FlexConfig::default(), 5).expect("valid config");
-    HEAP.with(|armed| armed.set(Some(Heap::default())));
+    counting_alloc::arm();
     let (metrics, report) = run_steady_in(
         arena,
         graph,
@@ -176,8 +116,7 @@ fn session(arena: &mut TrialArena, graph: &Graph, transactions: u64) -> u64 {
         SimConfig::default(),
     );
     arena.recycle_metrics(metrics);
-    let requested = heap().requested;
-    HEAP.with(|armed| armed.set(None));
+    let requested = counting_alloc::disarm().requested;
 
     for (tx, outcome) in report.per_tx.iter().enumerate() {
         assert_eq!(outcome.delivered_count, n, "tx {tx} did not cover");

@@ -12,8 +12,9 @@
 //! * [`slot`] — CRC-protected slot framing, so collisions (two members
 //!   transmitting in the same round) are detected, as required by Fig. 4.
 //! * [`explicit`] — the nine-step share-splitting round of Fig. 4, with the
-//!   exact `3·k·(k−1)` message cost the paper's §V-A discusses; the
-//!   experiments only price it, the protocol runs the keyed variant.
+//!   exact `3·k·(k−1)` message cost the paper's §V-A discusses (step 8's
+//!   audit exchange is counted, not built); the experiments only price it,
+//!   the protocol runs the keyed variant.
 //! * [`keyed`] — the pad-based variant over pre-established pairwise keys
 //!   (one contribution per member per round), used by the simulator-scale
 //!   protocol in `fnp-core`.
@@ -68,7 +69,7 @@ pub mod round;
 pub mod scratch;
 pub mod slot;
 
-pub use explicit::{run_explicit_round, ExplicitParticipant, ExplicitRoundReport};
+pub use explicit::{run_explicit_round, ExplicitRoundReport};
 pub use keyed::{
     combine_contributions, combine_contributions_into, KeyedDcGroup, KeyedParticipant,
     KeyedRoundReport,

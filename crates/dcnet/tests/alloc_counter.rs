@@ -1,72 +1,19 @@
 //! Proves the keyed DC-net round path is allocation-free in steady state.
 //!
-//! A counting [`GlobalAlloc`] wraps the system allocator; after a short
-//! warm-up that provisions the pooled contribution buffers, further silent
-//! rounds must not touch the heap at all. This pins the ISSUE-7
-//! acceptance requirement ("zero heap allocations per round in the
-//! steady-state contribute path") as a test rather than a one-off
+//! The shared counting allocator (`tests/support/counting_alloc.rs`)
+//! counts the measuring thread's heap requests; after a short warm-up that
+//! provisions the pooled contribution buffers, further silent rounds must
+//! not touch the heap at all. This pins "zero heap allocations per round
+//! in the steady-state contribute path" as a test rather than a one-off
 //! measurement.
-//!
-//! Only the measuring thread is counted, and only while it has armed its
-//! thread-local flag: the allocator is process-wide, and libtest's own
-//! threads allocate whenever the host schedules them inside the window.
 
 use fnp_dcnet::keyed::KeyedDcGroup;
 use fnp_dcnet::slot::SlotOutcome;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-thread_local! {
-    /// `Some(count)` while this thread is measuring. Const-initialised and
-    /// without a destructor, so reading it from inside the allocator
-    /// neither allocates nor touches a torn-down slot.
-    static ALLOCATIONS: Cell<Option<u64>> = const { Cell::new(None) };
-}
-
-/// Counts one heap request against the calling thread, if it is measuring.
-fn count_allocation() {
-    ALLOCATIONS.with(|armed| armed.set(armed.get().map(|count| count + 1)));
-}
-
-struct CountingAllocator;
-
-// SAFETY: every operation is forwarded verbatim to the system allocator,
-// which upholds the `GlobalAlloc` contract; the only addition is a
-// thread-local counter update with no effect on the returned memory.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
-        // SAFETY: forwarded under the caller's own `alloc` contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was returned by this allocator (which delegates to
-        // `System`) with the same `layout`, as the caller guarantees.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_allocation();
-        // SAFETY: forwarded under the caller's own `realloc` contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-/// Runs `measured` and returns how often this thread asked for heap memory
-/// while it ran.
-fn allocations_during(measured: impl FnOnce()) -> u64 {
-    ALLOCATIONS.with(|armed| armed.set(Some(0)));
-    measured();
-    ALLOCATIONS
-        .with(|armed| armed.take())
-        .expect("armed just above")
-}
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 #[test]
 fn steady_state_keyed_rounds_do_not_allocate() {
@@ -84,14 +31,15 @@ fn steady_state_keyed_rounds_do_not_allocate() {
             group.run_round(round, &payloads).expect("warm-up round");
         }
 
-        let allocated = allocations_during(|| {
+        let allocated = counting_alloc::measure(|| {
             for round in 3..3 + rounds {
                 let report = group
                     .run_round(round, &payloads)
                     .expect("steady-state round");
                 assert_eq!(report.outcome, SlotOutcome::Silence);
             }
-        });
+        })
+        .calls;
         assert_eq!(
             allocated, 0,
             "steady-state contribute/combine path touched the heap {allocated} times \

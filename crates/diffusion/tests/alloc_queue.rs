@@ -11,10 +11,9 @@
 //! next seed, whose waves fall differently; one that draws fixed chunks
 //! from a shared free list requests what a wave needs, once.
 //!
-//! A counting [`GlobalAlloc`] wraps the system allocator and keeps, for
-//! the measuring thread only (libtest's own threads allocate whenever they
-//! are scheduled), the bytes requested so far and the bytes live now. CI
-//! runs this binary in release mode as its own step: in a debug build the
+//! The shared counting allocator (`tests/support/counting_alloc.rs`)
+//! keeps, for the measuring thread, the bytes requested so far and the
+//! bytes live now. CI runs this wall in release mode: in a debug build the
 //! time wheel carries a shadow heap whose growth the bounds would measure
 //! instead.
 
@@ -23,69 +22,9 @@ use fnp_netsim::{topology, Graph, Metrics, NodeId, SimConfig, Simulator, TrialAr
 use fnp_proto::SimDriver;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-/// What the measuring thread has asked of the heap.
-#[derive(Clone, Copy, Default)]
-struct Heap {
-    /// Bytes requested so far (every `alloc`, every `realloc`'s new size).
-    requested: u64,
-    /// Bytes allocated and not yet freed.
-    live: i64,
-}
-
-thread_local! {
-    /// `Some` while this thread is measuring. Const-initialised and without
-    /// a destructor, so reading it from inside the allocator neither
-    /// allocates nor touches a torn-down slot.
-    static HEAP: Cell<Option<Heap>> = const { Cell::new(None) };
-}
-
-/// Counts a request of `requested` bytes that changes the live heap by
-/// `delta` against the calling thread, if it is measuring.
-fn count(requested: usize, delta: i64) {
-    HEAP.with(|armed| {
-        armed.set(armed.get().map(|heap| Heap {
-            requested: heap.requested + requested as u64,
-            live: heap.live + delta,
-        }));
-    });
-}
-
-/// The measuring thread's counters now.
-fn heap() -> Heap {
-    HEAP.with(Cell::get).expect("the test armed the counters")
-}
-
-struct CountingAllocator;
-
-// SAFETY: every operation is forwarded verbatim to the system allocator,
-// which upholds the `GlobalAlloc` contract; the only addition is a
-// thread-local counter update with no effect on the returned memory.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size(), layout.size() as i64);
-        // SAFETY: forwarded under the caller's own `alloc` contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        count(0, -(layout.size() as i64));
-        // SAFETY: `ptr` was returned by this allocator (which delegates to
-        // `System`) with the same `layout`, as the caller guarantees.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size, new_size as i64 - layout.size() as i64);
-        // SAFETY: forwarded under the caller's own `realloc` contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 /// The paper grid's overlay size and degree.
 const NODES: usize = 1000;
@@ -138,24 +77,23 @@ fn an_adaptive_diffusion_trial_requests_what_its_waves_need_once() {
     let graph = topology::random_regular(NODES, 8, &mut StdRng::seed_from_u64(3)).expect("overlay");
     // Armed for the whole test, so the live count sees a buffer allocated
     // by one trial and freed by the next.
-    HEAP.with(|armed| armed.set(Some(Heap::default())));
+    counting_alloc::arm();
     let mut arena = TrialArena::new();
     let trials: Vec<u64> = [2u64, 3, 4]
         .into_iter()
         .map(|seed| {
             let graph = graph.clone();
-            let before = heap().requested;
+            let before = counting_alloc::heap().requested;
             let metrics = trial(&mut arena, graph, seed);
             assert_eq!(metrics.coverage(), 1.0, "seed {seed} did not cover");
             // 288 086, 242 550 and 318 909 messages: no trial is small
             // beside the one that warmed the arena.
             assert!(metrics.messages_sent > 200_000);
             arena.recycle_metrics(metrics);
-            heap().requested - before
+            counting_alloc::heap().requested - before
         })
         .collect();
-    let held = heap().live;
-    HEAP.with(|armed| armed.set(None));
+    let held = counting_alloc::disarm().live;
 
     assert!(
         trials[0] <= COLD_BOUND,

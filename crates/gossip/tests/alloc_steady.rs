@@ -12,11 +12,10 @@
 //! rather than per live transaction costs the same few bytes early and
 //! late, so the per-transaction figure is also held to an absolute bound.)
 //!
-//! A counting [`GlobalAlloc`] wraps the system allocator, counting the
-//! measuring thread only (libtest's own threads allocate whenever they are
-//! scheduled). CI runs this binary in release mode as its own step: in a
-//! debug build the time wheel carries a shadow heap whose growth the bound
-//! would measure instead.
+//! The shared counting allocator (`tests/support/counting_alloc.rs`)
+//! counts the measuring thread's requests. CI runs this wall in release
+//! mode: in a debug build the time wheel carries a shadow heap whose growth
+//! the bound would measure instead.
 
 use fnp_gossip::FloodNode;
 use fnp_netsim::{topology, Graph, NodeId, SimConfig, SimTime, Simulator, TrialArena, MILLISECOND};
@@ -24,49 +23,11 @@ use fnp_proto::steady::{Arrival, SteadyNode, SteadySession};
 use fnp_proto::SimDriver;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::rc::Rc;
 
-thread_local! {
-    /// `Some(bytes)` while this thread is measuring. Const-initialised and
-    /// without a destructor, so reading it from inside the allocator
-    /// neither allocates nor touches a torn-down slot.
-    static REQUESTED: Cell<Option<u64>> = const { Cell::new(None) };
-}
-
-/// Counts `bytes` against the calling thread, if it is measuring.
-fn count_request(bytes: usize) {
-    REQUESTED.with(|armed| armed.set(armed.get().map(|total| total + bytes as u64)));
-}
-
-struct CountingAllocator;
-
-// SAFETY: every operation is forwarded verbatim to the system allocator,
-// which upholds the `GlobalAlloc` contract; the only addition is a
-// thread-local counter update with no effect on the returned memory.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_request(layout.size());
-        // SAFETY: forwarded under the caller's own `alloc` contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was returned by this allocator (which delegates to
-        // `System`) with the same `layout`, as the caller guarantees.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_request(new_size);
-        // SAFETY: forwarded under the caller's own `realloc` contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 const NODES: usize = 100;
 /// One arrival every 150 ms against a flood that takes about half a
@@ -100,7 +61,7 @@ fn session(arena: &mut TrialArena, graph: &Graph, transactions: u64) -> Measured
         .collect();
     let graph = graph.clone();
 
-    REQUESTED.with(|armed| armed.set(Some(0)));
+    counting_alloc::arm();
     let session = Rc::new(RefCell::new(SteadySession::new(NODES, &arrivals, &[], 0)));
     let mut per_node = vec![Vec::new(); NODES];
     for (tx, arrival) in arrivals.iter().enumerate() {
@@ -127,9 +88,7 @@ fn session(arena: &mut TrialArena, graph: &Graph, transactions: u64) -> Measured
     let session = Rc::try_unwrap(session).expect("nodes dropped").into_inner();
     let free_slots = session.free_slots();
     let report = session.into_report();
-    let bytes = REQUESTED
-        .with(|armed| armed.take())
-        .expect("armed just above");
+    let bytes = counting_alloc::disarm().requested;
 
     assert_eq!(free_slots, report.peak_concurrent, "a slot is still out");
     for (tx, outcome) in report.per_tx.iter().enumerate() {

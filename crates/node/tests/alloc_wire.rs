@@ -8,18 +8,15 @@
 //! must request one buffer per emitted line plus what the protocol core
 //! itself asks for, nothing from the codec.
 //!
-//! A counting [`GlobalAlloc`] wraps the system allocator, counting the
-//! measuring thread only (libtest's own threads allocate whenever they are
-//! scheduled). CI runs this binary in release mode as its own step, the
-//! build `fnp-node` ships in.
+//! The shared counting allocator (`tests/support/counting_alloc.rs`)
+//! counts the measuring thread's requests. CI runs this wall in release
+//! mode, the build `fnp-node` ships in.
 
 use fnp_gossip::FloodMessage;
 use fnp_netsim::NodeId;
 use fnp_node::wire::parse_event;
 use fnp_node::NodeRuntime;
 use fnp_proto::Effect;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::mem::size_of;
 
 /// Heap requests of the measuring thread: how many, and for how many bytes.
@@ -29,59 +26,16 @@ struct Requests {
     bytes: u64,
 }
 
-thread_local! {
-    /// `Some(tally)` while this thread is measuring. Const-initialised and
-    /// without a destructor, so reading it from inside the allocator
-    /// neither allocates nor touches a torn-down slot.
-    static REQUESTED: Cell<Option<Requests>> = const { Cell::new(None) };
-}
-
-/// Counts one request of `bytes` against the calling thread, if it is
-/// measuring.
-fn count_request(bytes: usize) {
-    REQUESTED.with(|armed| {
-        armed.set(armed.get().map(|tally| Requests {
-            calls: tally.calls + 1,
-            bytes: tally.bytes + bytes as u64,
-        }));
-    });
-}
-
-struct CountingAllocator;
-
-// SAFETY: every operation is forwarded verbatim to the system allocator,
-// which upholds the `GlobalAlloc` contract; the only addition is a
-// thread-local counter update with no effect on the returned memory.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_request(layout.size());
-        // SAFETY: forwarded under the caller's own `alloc` contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was returned by this allocator (which delegates to
-        // `System`) with the same `layout`, as the caller guarantees.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_request(new_size);
-        // SAFETY: forwarded under the caller's own `realloc` contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 /// What `work` requested from the heap on this thread.
 fn requested(work: impl FnOnce()) -> Requests {
-    REQUESTED.with(|armed| armed.set(Some(Requests::default())));
-    work();
-    REQUESTED
-        .with(|armed| armed.replace(None))
-        .expect("armed above")
+    let heap = counting_alloc::measure(work);
+    Requests {
+        calls: heap.calls,
+        bytes: heap.requested,
+    }
 }
 
 const NEIGHBORS: usize = 8;
