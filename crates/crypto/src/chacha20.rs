@@ -37,9 +37,22 @@
 //!   slot size, including the one-block slot the single-key engine cannot
 //!   vectorise.
 //!
+//! On a build that targets AVX-512F, [`PeerKeys`] has a 16-lane pass on
+//! `__m512i` rows (`mod avx512`, selected at compile time like the SHA-NI
+//! kernel in [`crate::sha256`]) and runs it whenever the slot needs more
+//! than one eight-lane pass. Lane `l` is peer `l % W` at block offset
+//! `l / W`, where the fold width `W` is the highest occupied lane rounded
+//! up to a power of two, so one pass yields `16 / W` folded blocks. The
+//! lanes of absent peers are masked to zero, and each `W`-lane group is
+//! XOR-folded in register while the rows are transposed into blocks. The
+//! portable eight-lane pass stays the fallback on every other build, the
+//! pass for one-pass slots, and the 16-lane pass's test oracle.
+//!
 //! The scalar single-block path is retained as the reference oracle and
 //! the sub-block tail; equivalence property tests pin both engines against
-//! it over arbitrary lengths, chunkings, lane occupancies and counters.
+//! it over arbitrary lengths, chunkings, lane occupancies and counters, and
+//! a known-answer test pins [`PeerKeys`]' output to fixed digests, so both
+//! of its passes give the same bytes on every host.
 //!
 //! # Keystream exhaustion
 //!
@@ -450,7 +463,8 @@ impl ChaCha20 {
 /// that into the destination — the sum of the peers' pads, without any
 /// single pad ever being stored. With four, two or one peers the idle
 /// lanes carry the following blocks of the same keys instead, so a pass
-/// yields two, four or eight folded blocks.
+/// yields two, four or eight folded blocks (twice as many in the 16-lane
+/// pass of an AVX-512F build; see the module docs).
 #[derive(Clone, Default)]
 pub struct PeerKeys {
     /// `words[w][lane]` is key word `w` of the peer in `lane`.
@@ -513,9 +527,29 @@ impl PeerKeys {
         self.xor_keystreams_into(&round_nonce(round), 0, dst);
     }
 
-    /// [`PeerKeys::xor_keystreams_into`] at fold width `W`: lane `l` is
-    /// peer `l % W` at block offset `l / W`.
+    /// [`PeerKeys::xor_keystreams_into`] at fold width `W`: the 16-lane
+    /// AVX-512F pass when the build targets it and `dst` needs more than one
+    /// 8-lane pass, the portable 8-lane pass otherwise.
     fn fold<const W: usize>(&self, nonce: &[u8; NONCE_LEN], counter: u32, dst: &mut [u8]) {
+        #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+        if dst.len() > PEER_LANES / W * BLOCK_LEN {
+            #[allow(unsafe_code)]
+            // SAFETY: `avx512::fold` is unsafe to call only because it is a
+            // `#[target_feature(enable = "avx512f")]` function. This call is
+            // compiled only when the cfg above holds, that is when the whole
+            // build targets a CPU with AVX-512F, so the feature is present.
+            unsafe {
+                avx512::fold::<W>(self, nonce, counter, dst);
+            }
+            return;
+        }
+        self.fold_portable::<W>(nonce, counter, dst);
+    }
+
+    /// The portable 8-lane pass at fold width `W`: lane `l` is peer `l % W`
+    /// at block offset `l / W`. Every build without AVX-512F runs it, and
+    /// the 16-lane kernel's tests use it as the oracle.
+    fn fold_portable<const W: usize>(&self, nonce: &[u8; NONCE_LEN], counter: u32, dst: &mut [u8]) {
         let mut init: Rows<PEER_LANES> = [[0; PEER_LANES]; 16];
         for (row, word) in init.iter_mut().zip(CONSTANTS) {
             *row = [word; PEER_LANES];
@@ -553,6 +587,196 @@ impl PeerKeys {
             }
             xor_into(chunk, &folded[..chunk.len()]);
             init[12] = init[12].map(|block| block.wrapping_add(blocks_per_pass));
+        }
+    }
+}
+
+/// The 16-lane [`PeerKeys`] pass on AVX-512F.
+///
+/// Row `i` of the working state is one `__m512i` holding word `i` of
+/// sixteen lanes. Lane `l` is peer `l % W` at block offset `l / W`, so one
+/// pass yields `16 / W` folded blocks. The feed-forward add zeroes the lanes
+/// of absent peers, [`fold_transpose`] XORs each `W`-lane group together in
+/// register while it turns the rows into blocks, and only the folded blocks
+/// leave the registers.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+mod avx512 {
+    use super::{
+        le_words, PeerKeys, BLOCK_LEN, CONSTANTS, EXHAUSTED, MAX_KEYSTREAM_BLOCKS, NONCE_LEN,
+    };
+    use crate::prg::xor_into;
+    use core::arch::x86_64::{
+        __m512i, _mm512_add_epi32, _mm512_maskz_add_epi32, _mm512_rol_epi32, _mm512_set1_epi32,
+        _mm512_set_epi32, _mm512_shuffle_i32x4, _mm512_unpackhi_epi32, _mm512_unpackhi_epi64,
+        _mm512_unpacklo_epi32, _mm512_unpacklo_epi64, _mm512_xor_si512,
+    };
+
+    /// Lanes of one pass.
+    const LANES: usize = 16;
+
+    /// Sixteen vectors: the rows of the working state, or the blocks of a
+    /// pass.
+    type Vectors = [__m512i; 16];
+
+    /// Packs sixteen words into one vector, `words[0]` in the lowest lane.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn lanes(words: [u32; LANES]) -> __m512i {
+        let [w0, w1, w2, w3, w4, w5, w6, w7, w8, w9, w10, w11, w12, w13, w14, w15] =
+            words.map(u32::cast_signed);
+        _mm512_set_epi32(
+            w15, w14, w13, w12, w11, w10, w9, w8, w7, w6, w5, w4, w3, w2, w1, w0,
+        )
+    }
+
+    /// The same word in every lane.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn splat(word: u32) -> __m512i {
+        _mm512_set1_epi32(word.cast_signed())
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn quarter_round(v: &mut Vectors, a: usize, b: usize, c: usize, d: usize) {
+        v[a] = _mm512_add_epi32(v[a], v[b]);
+        v[d] = _mm512_rol_epi32::<16>(_mm512_xor_si512(v[d], v[a]));
+        v[c] = _mm512_add_epi32(v[c], v[d]);
+        v[b] = _mm512_rol_epi32::<12>(_mm512_xor_si512(v[b], v[c]));
+        v[a] = _mm512_add_epi32(v[a], v[b]);
+        v[d] = _mm512_rol_epi32::<8>(_mm512_xor_si512(v[d], v[a]));
+        v[c] = _mm512_add_epi32(v[c], v[d]);
+        v[b] = _mm512_rol_epi32::<7>(_mm512_xor_si512(v[b], v[c]));
+    }
+
+    /// Interleaves `a` and `b` at stage `stage` of [`fold_transpose`]:
+    /// 32-bit words, 64-bit pairs, then twice 128-bit quarters.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn interleave(stage: usize, a: __m512i, b: __m512i) -> (__m512i, __m512i) {
+        match stage {
+            0 => (_mm512_unpacklo_epi32(a, b), _mm512_unpackhi_epi32(a, b)),
+            1 => (_mm512_unpacklo_epi64(a, b), _mm512_unpackhi_epi64(a, b)),
+            _ => (
+                _mm512_shuffle_i32x4::<0b10_00_10_00>(a, b),
+                _mm512_shuffle_i32x4::<0b11_01_11_01>(a, b),
+            ),
+        }
+    }
+
+    /// Turns the sixteen rows of a pass into its `16 / W` folded blocks:
+    /// lane `i` of block `g` is word `i` of the XOR of lanes `g·W` to
+    /// `g·W + W − 1`.
+    ///
+    /// It is a 16 × 16 transpose that folds as it goes. Each of four stages
+    /// pairs the vectors that differ in one row bit (bit 0 first) and
+    /// interleaves each pair, which moves that row bit into the lane index
+    /// and moves lane bit 1, 0, 2 or 3 (in stage order) out of it: the bit
+    /// now says which of the pair's two outputs a word is in. A lane bit
+    /// below `log₂ W` is summed out by XORing the two outputs into one, so
+    /// log₂ W of the stages fold; any other becomes the top bit of the
+    /// vector index.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn fold_transpose<const W: usize>(rows: Vectors) -> Vectors {
+        const LANE_BIT: [u32; 4] = [1, 0, 2, 3];
+        let mut v = rows;
+        let mut len = 16;
+        for (stage, lane_bit) in LANE_BIT.into_iter().enumerate() {
+            let half = len / 2;
+            let fold = lane_bit < W.trailing_zeros();
+            let mut next = v;
+            for pair in 0..half {
+                let (lo, hi) = interleave(stage, v[2 * pair], v[2 * pair + 1]);
+                if fold {
+                    next[pair] = _mm512_xor_si512(lo, hi);
+                } else {
+                    next[pair] = lo;
+                    next[pair + half] = hi;
+                }
+            }
+            v = next;
+            if fold {
+                len = half;
+            }
+        }
+        if W == 1 {
+            // Nothing folded: lane bit 1 left before lane bit 0, so blocks
+            // 1 and 2 of every four are swapped.
+            for quad in v.chunks_exact_mut(4) {
+                quad.swap(1, 2);
+            }
+        }
+        v
+    }
+
+    /// [`PeerKeys::xor_keystreams_into`] at fold width `W`, sixteen lanes
+    /// to a pass.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn fold<const W: usize>(
+        keys: &PeerKeys,
+        nonce: &[u8; NONCE_LEN],
+        counter: u32,
+        dst: &mut [u8],
+    ) {
+        let mut init: Vectors = [splat(0); 16];
+        for (row, word) in init.iter_mut().zip(CONSTANTS) {
+            *row = splat(word);
+        }
+        for (row, words) in init[4..12].iter_mut().zip(&keys.words) {
+            let mut lane_words = [0; LANES];
+            for (lane, word) in lane_words.iter_mut().enumerate() {
+                *word = words[lane % W];
+            }
+            *row = lanes(lane_words);
+        }
+        let mut counters = [0; LANES];
+        for (offset, lanes) in (0u32..).zip(counters.chunks_exact_mut(W)) {
+            lanes.fill(counter.wrapping_add(offset));
+        }
+        init[12] = lanes(counters);
+        for (row, word) in init[13..].iter_mut().zip(le_words::<3>(nonce)) {
+            *row = splat(word);
+        }
+        // Bit `l` is set in the lanes whose peer exists.
+        let live = (0..LANES)
+            .filter(|lane| keys.occupied >> (lane % W) & 1 == 1)
+            .fold(0u16, |mask, lane| mask | 1 << lane);
+        let blocks_per_pass = LANES / W;
+        let step = splat(u32::try_from(blocks_per_pass).expect("at most sixteen"));
+
+        let mut blocks_used = u64::from(counter);
+        for chunk in dst.chunks_mut(blocks_per_pass * BLOCK_LEN) {
+            // Lanes past the chunk's last block may wrap their counter:
+            // their output is not used.
+            blocks_used += chunk.len().div_ceil(BLOCK_LEN) as u64;
+            assert!(blocks_used <= MAX_KEYSTREAM_BLOCKS, "{EXHAUSTED}");
+            let mut v = init;
+            for _ in 0..10 {
+                quarter_round(&mut v, 0, 4, 8, 12);
+                quarter_round(&mut v, 1, 5, 9, 13);
+                quarter_round(&mut v, 2, 6, 10, 14);
+                quarter_round(&mut v, 3, 7, 11, 15);
+                quarter_round(&mut v, 0, 5, 10, 15);
+                quarter_round(&mut v, 1, 6, 11, 12);
+                quarter_round(&mut v, 2, 7, 8, 13);
+                quarter_round(&mut v, 3, 4, 9, 14);
+            }
+            for (row, start) in v.iter_mut().zip(&init) {
+                // The feed-forward add leaves the lanes of absent peers zero.
+                *row = _mm512_maskz_add_epi32(live, *row, *start);
+            }
+            let blocks = fold_transpose::<W>(v);
+            for (out, block) in chunk.chunks_mut(BLOCK_LEN).zip(blocks) {
+                #[allow(unsafe_code)]
+                // SAFETY: `__m512i` and `[u8; 64]` are both 64 bytes of plain
+                // integers, and every bit pattern is a valid value of either.
+                // On x86-64 the bytes are each word's little-endian bytes, the
+                // keystream's byte order.
+                let block = unsafe { core::mem::transmute::<__m512i, [u8; BLOCK_LEN]>(block) };
+                xor_into(out, &block[..out.len()]);
+            }
+            init[12] = _mm512_add_epi32(init[12], step);
         }
     }
 }
@@ -851,6 +1075,68 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "keystream exhausted")]
+    fn peer_keys_past_counter_wrap_panic_after_a_whole_pass() {
+        // Four blocks at fold width 8 take more than one 8-lane pass, so an
+        // AVX-512F build runs the 16-lane pass: its first two blocks are
+        // the last legal ones, its next two would reuse counters 0 and 1.
+        let keys: Vec<(usize, [u8; 32])> = (0..8)
+            .map(|lane| (lane, [u8::try_from(lane).unwrap(); 32]))
+            .collect();
+        peer_keys(&keys).xor_keystreams_into(&[0u8; 12], u32::MAX - 1, &mut [0u8; 256]);
+    }
+
+    /// SHA-256 of the multi-key engine's output at each fold width (lanes
+    /// left empty inside the width included), at slots of one pass and of
+    /// several, and at a counter a few blocks below the wrap. The digests
+    /// were taken from the portable 8-lane pass; the 16-lane AVX-512F pass
+    /// must give the same bytes, so these pin both to one answer on every
+    /// host.
+    #[test]
+    fn peer_keys_known_answer_digests() {
+        let cases: [(&[usize], &str); 4] = [
+            (
+                &[0],
+                "777d6ea00568b8346ca76a49180b8fe0eb69250c6c5b905018d64f55b65072e0",
+            ),
+            (
+                &[0, 1],
+                "5b926dce07e176b6bade63a6488fca1b583239f752bfea6eba4e415141c7438e",
+            ),
+            (
+                &[0, 2, 3],
+                "5ec94b7d3277bf6fe5044fdeb2f41253688b11ca208a9b64d15a1a7732b9a530",
+            ),
+            (
+                &[0, 1, 2, 3, 5, 6],
+                "513194df21775ecda173d74d704535ce6e266bc9c26b2c83d1a66206fa6aea9e",
+            ),
+        ];
+        for (lanes, expected) in cases {
+            let keys: Vec<(usize, [u8; 32])> = lanes
+                .iter()
+                .map(|&lane| {
+                    let key =
+                        core::array::from_fn(|i| u8::try_from((i * 7 + lane * 31) % 256).unwrap());
+                    (lane, key)
+                })
+                .collect();
+            let peers = peer_keys(&keys);
+            let mut digest = crate::sha256::Sha256::new();
+            for len in [64usize, 300, 512, 1100] {
+                let base: Vec<u8> = (0..len).map(|i| u8::try_from(i % 251).unwrap()).collect();
+                let mut out = base.clone();
+                peers.xor_round_pads_into(0x0123_4567_89AB_CDEF, &mut out);
+                digest.update(&out);
+                let mut out = base;
+                peers.xor_keystreams_into(&[0x5Cu8; 12], u32::MAX - 20, &mut out);
+                digest.update(&out);
+            }
+            assert_eq!(hex::encode(&digest.finalize()), expected, "lanes {lanes:?}");
+        }
+    }
+
+    #[test]
     fn chacha20_debug_prints_no_key_byte_run() {
         let mut cipher = ChaCha20::for_round(&crate::tests::distinct_key(), 7);
         cipher.keystream(10);
@@ -909,15 +1195,23 @@ mod tests {
 
         /// The multi-key engine is byte-identical to the single-key streams
         /// XORed in one by one, for any set of occupied lanes, any length
-        /// (whole passes, whole blocks, a partial last block) and counter.
+        /// (whole passes, whole blocks, a partial last block) and counter,
+        /// up to the last block before the counter wraps.
         #[test]
         fn prop_peer_keys_match_streams_one_by_one(
             lanes in any::<u8>(),
             seed in any::<[u8; 32]>(),
             nonce in any::<[u8; 12]>(),
-            counter in 0u32..1024,
+            near_wrap in any::<bool>(),
+            offset in 0u32..1024,
             len in 0usize..=1100,
         ) {
+            // Near the wrap, `offset + 1` blocks are left before it.
+            let (counter, len) = if near_wrap {
+                (u32::MAX - offset, len.min((offset as usize + 1) * BLOCK_LEN))
+            } else {
+                (offset, len)
+            };
             let keys: Vec<(usize, [u8; 32])> = (0..PeerKeys::LANES)
                 .filter(|lane| lanes >> lane & 1 == 1)
                 .map(|lane| (lane, seed.map(|byte| byte ^ u8::try_from(lane * 31).unwrap())))
@@ -926,6 +1220,58 @@ mod tests {
             let mut got = base.clone();
             peer_keys(&keys).xor_keystreams_into(&nonce, counter, &mut got);
             prop_assert_eq!(got, xor_streams_one_by_one(&keys, &nonce, counter, &base));
+        }
+    }
+
+    /// The 16-lane pass against the portable 8-lane pass at every fold
+    /// width, including the one-pass lengths `fold` leaves to the latter.
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+    mod avx512_matches_portable {
+        use super::super::*;
+        use proptest::prelude::*;
+
+        fn both_passes<const W: usize>(
+            peers: &PeerKeys,
+            nonce: &[u8; NONCE_LEN],
+            counter: u32,
+            base: &[u8],
+        ) -> (Vec<u8>, Vec<u8>) {
+            let mut portable = base.to_vec();
+            peers.fold_portable::<W>(nonce, counter, &mut portable);
+            let mut kernel = base.to_vec();
+            #[allow(unsafe_code)]
+            // SAFETY: this module is compiled only when the build targets
+            // AVX-512F, the kernel's one target feature.
+            unsafe {
+                avx512::fold::<W>(peers, nonce, counter, &mut kernel);
+            }
+            (kernel, portable)
+        }
+
+        proptest! {
+            #[test]
+            fn prop_at_every_width_and_length(
+                lanes in any::<u8>(),
+                seed in any::<[u8; 32]>(),
+                nonce in any::<[u8; 12]>(),
+                counter in 0u32..1024,
+                len in 0usize..=1100,
+            ) {
+                let mut peers = PeerKeys::default();
+                for lane in (0..PeerKeys::LANES).filter(|lane| lanes >> lane & 1 == 1) {
+                    peers.set(lane, &seed.map(|byte| byte ^ u8::try_from(lane).unwrap()));
+                }
+                let base: Vec<u8> = (0..len).map(|i| u8::try_from(i % 251).unwrap()).collect();
+                // Each width reads only its own lanes, occupied or not.
+                let (kernel, portable) = both_passes::<1>(&peers, &nonce, counter, &base);
+                prop_assert_eq!(kernel, portable);
+                let (kernel, portable) = both_passes::<2>(&peers, &nonce, counter, &base);
+                prop_assert_eq!(kernel, portable);
+                let (kernel, portable) = both_passes::<4>(&peers, &nonce, counter, &base);
+                prop_assert_eq!(kernel, portable);
+                let (kernel, portable) = both_passes::<8>(&peers, &nonce, counter, &base);
+                prop_assert_eq!(kernel, portable);
+            }
         }
     }
 }

@@ -24,11 +24,20 @@
 //! All primitives are validated against official test vectors (FIPS 180-4,
 //! RFC 4231, RFC 5869, RFC 8439, CRC-32/ISO-HDLC) in their unit tests.
 //!
-//! The crate is safe Rust except for one `unsafe` call: [`sha256`]'s
-//! compression dispatches at compile time to a kernel on the x86 SHA
-//! extensions when the build targets them, and calling that
-//! `#[target_feature]` function is `unsafe`. `unsafe_code` is therefore
-//! denied crate-wide and allowed on that one call only.
+//! The crate is safe Rust except for two compile-time-selected kernels.
+//! `unsafe_code` is denied crate-wide and allowed, each with a SAFETY
+//! comment, at three sites only:
+//!
+//! * [`sha256`]'s compression calls the kernel on the x86 SHA extensions
+//!   when the build targets them;
+//! * [`PeerKeys`]' fold calls the 16-lane kernel when the build targets
+//!   AVX-512F ([`chacha20`]);
+//! * that kernel reads each folded `__m512i` block out as its 64 bytes.
+//!
+//! Calling a `#[target_feature]` function is what makes the two calls
+//! `unsafe`; the `cfg` that compiles each call proves the features are
+//! enabled for the whole build. The 16-lane kernel's tests call it once
+//! more, directly, under the same `cfg`.
 //!
 //! # Quick example: establishing a DC-net pad between two nodes
 //!

@@ -17,8 +17,8 @@
 //! * everywhere else, the portable rounds in plain Rust, which also serve
 //!   as the test oracle for the first kernel.
 //!
-//! Calling the SHA-NI kernel is the crate's one `unsafe` operation, because
-//! it is a `#[target_feature]` function; the same `cfg` that compiles the
+//! Calling the SHA-NI kernel is `unsafe`, because it is a
+//! `#[target_feature]` function; the same `cfg` that compiles the
 //! call proves the features are enabled for the whole build. The streaming
 //! interface allocates nothing, and both kernels are validated against the
 //! official FIPS/NIST test vectors in the unit tests below.

@@ -25,7 +25,9 @@
 //! [`KeyedParticipant::contribute_into`] is "encode the slot, one kernel
 //! call per batch": the peers are the SIMD lanes of one ChaCha20 pass
 //! (consecutive blocks fill the lanes a short batch leaves free) and the
-//! lanes are folded before anything is stored.
+//! lanes are folded before anything is stored. On an AVX-512F build a pass
+//! has sixteen lanes, so a batch of eight peers carries two consecutive
+//! blocks per pass; the batch is still eight peers.
 
 use crate::scratch::RoundScratch;
 use crate::slot::{self, SlotOutcome};
