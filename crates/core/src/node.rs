@@ -6,8 +6,9 @@
 //!    keyed dining-cryptographers rounds (one padded contribution per member
 //!    per round, full mesh). The originator injects its transaction into a
 //!    round; afterwards every group member knows the transaction but not who
-//!    sent it. Collisions (two members injecting in the same round) are
-//!    detected via the CRC framing and resolved by randomised back-off.
+//!    sent it. Collisions (two or more members injecting in the same round)
+//!    are detected via the slot's check trailer and resolved by randomised
+//!    back-off.
 //! 2. **Adaptive diffusion for `d` rounds.** The group member whose hashed
 //!    identity is closest to the hash of the transaction becomes the initial
 //!    virtual source — a decision every member reaches independently from

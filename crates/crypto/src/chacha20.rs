@@ -636,6 +636,7 @@ mod avx512 {
         _mm512_set1_epi32(word.cast_signed())
     }
 
+    /// One quarter-round position applied to all sixteen lanes.
     #[inline]
     #[target_feature(enable = "avx512f")]
     fn quarter_round(v: &mut Vectors, a: usize, b: usize, c: usize, d: usize) {

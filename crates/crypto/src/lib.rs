@@ -6,13 +6,12 @@
 //! (Mödinger, Kopp, Kargl, Hauck — ICDCS 2018):
 //!
 //! * [`sha256`] — the hash used to fingerprint node identities and
-//!   transactions, and to perform the verifiable virtual-source election at
-//!   the phase 1 → phase 2 transition.
+//!   transactions, to perform the verifiable virtual-source election at
+//!   the phase 1 → phase 2 transition, and to check DC-net slots for
+//!   collisions (Fig. 4).
 //! * [`hmac`] / [`hkdf`] — key derivation for the pairwise DC-net channels.
 //! * [`chacha20`] — the stream cipher realising pairwise encrypted channels
 //!   and the pseudorandom pads of the dining-cryptographers rounds.
-//! * [`mod@crc32`] — the collision-detection checksum the paper attaches to
-//!   DC-net slots (Fig. 4) and length announcements (§V-A).
 //! * [`dh`] — finite-field Diffie–Hellman key agreement establishing the
 //!   pairwise secrets (simulation-strength parameters; see the module docs).
 //! * [`identity`] — node identities, the XOR hash-distance metric and the
@@ -22,7 +21,7 @@
 //! * [`hex`] — encoding helpers for fingerprints and test vectors.
 //!
 //! All primitives are validated against official test vectors (FIPS 180-4,
-//! RFC 4231, RFC 5869, RFC 8439, CRC-32/ISO-HDLC) in their unit tests.
+//! RFC 4231, RFC 5869, RFC 8439) in their unit tests.
 //!
 //! The crate is safe Rust except for two compile-time-selected kernels.
 //! `unsafe_code` is denied crate-wide and allowed, each with a SAFETY
@@ -70,7 +69,6 @@
 #![warn(clippy::cast_sign_loss)]
 
 pub mod chacha20;
-pub mod crc32;
 pub mod dh;
 pub mod hex;
 pub mod hkdf;
@@ -80,7 +78,6 @@ pub mod prg;
 pub mod sha256;
 
 pub use chacha20::{ChaCha20, PeerKeys};
-pub use crc32::{crc32, Crc32};
 pub use dh::{pairwise_pad_key, KeyPair, PublicKey};
 pub use hkdf::{hkdf_sha256, Hkdf};
 pub use hmac::{hmac_sha256, HmacSha256};
@@ -125,7 +122,6 @@ mod tests {
         assert_send_sync::<Sha256>();
         assert_send_sync::<ChaCha20>();
         assert_send_sync::<PeerKeys>();
-        assert_send_sync::<Crc32>();
         assert_send_sync::<KeyPair>();
         assert_send_sync::<PublicKey>();
         assert_send_sync::<Identity>();

@@ -1,13 +1,15 @@
 //! A from-scratch implementation of the SHA-256 cryptographic hash function
 //! (FIPS 180-4).
 //!
-//! The flexible broadcast protocol uses SHA-256 in two places:
+//! The flexible broadcast protocol uses SHA-256 in three places:
 //!
 //! * hashing node identities and messages for the verifiable, message-free
 //!   virtual-source election at the phase 1 → phase 2 transition
-//!   (`argmin_i dist(H(id_i), H(m))`), and
+//!   (`argmin_i dist(H(id_i), H(m))`),
 //! * as the compression function behind [`crate::hmac`] and
-//!   [`crate::hkdf`], which derive the pairwise DC-net pad keys.
+//!   [`crate::hkdf`], which derive the pairwise DC-net pad keys, and
+//! * as the collision check of a DC-net slot: `fnp_dcnet::slot` ends every
+//!   frame with the first four bytes of its digest.
 //!
 //! The compression function has two kernels, chosen at compile time:
 //!

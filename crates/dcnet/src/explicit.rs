@@ -19,11 +19,9 @@
 //!
 //! If nobody sent, `T ⊕ S` is the all-zero slot; if exactly one member sent,
 //! every *other* member recovers that member's framed message (the sender
-//! recovers zero and already knows its own message); if two members sent,
-//! the CRC of the framed slot fails and the round is reported as a
-//! collision (see [`crate::slot`]). CRC-32 is affine, so the XOR of an odd
-//! number of equal-length frames keeps a valid checksum: three senders can
-//! read as a message none of them sent.
+//! recovers zero and already knows its own message); if two or more members
+//! sent, the check trailer of the framed slot fails and the round is
+//! reported as a collision (see [`crate::slot`]).
 //!
 //! Each member transmits `3·(k−1)` point-to-point messages for a group of
 //! size `k`, i.e. `3·k·(k−1)` messages per round in total — the O(k²) cost
@@ -312,13 +310,12 @@ mod tests {
         assert_eq!(next, 0x29e8_e172_5bf3_fa1a);
         assert_eq!((report.messages_sent, report.bytes_sent), (126, 12_096));
         // Each sender reads its own payload. The silent members read the
-        // XOR of the three frames, and CRC-32 is affine: an odd number of
-        // equal-length frames XORs to a frame whose checksum holds, here
-        // "tx from 5", which nobody sent.
+        // XOR of the three frames, which fails its check. A CRC-32 trailer,
+        // being affine, would let it read as "tx from 5", which nobody sent.
         for (member, outcome) in report.outcomes.iter().enumerate() {
             match member {
                 0 | 3 | 6 => assert_eq!(*outcome, SlotOutcome::Message(tx(member))),
-                _ => assert_eq!(*outcome, SlotOutcome::Message(tx(5))),
+                _ => assert_eq!(*outcome, SlotOutcome::Collision),
             }
         }
     }
@@ -401,13 +398,10 @@ mod tests {
             }
             let senders: Vec<usize> = (0..size).filter(|&m| payloads[m].is_some()).collect();
             let silent = slot::decode(&all);
-            // Three or more senders are held to the XOR alone: see
-            // `known_answer_three_senders_k7`.
             match senders.as_slice() {
                 [] => prop_assert_eq!(&silent, &SlotOutcome::Silence),
                 [sender] => prop_assert_eq!(&silent, &SlotOutcome::Message(tx(*sender))),
-                [_, _] => prop_assert_eq!(&silent, &SlotOutcome::Collision),
-                _ => {}
+                _ => prop_assert_eq!(&silent, &SlotOutcome::Collision),
             }
             for (member, outcome) in report.outcomes.iter().enumerate() {
                 match &payloads[member] {

@@ -9,7 +9,7 @@
 //!
 //! This crate implements that phase's constructions:
 //!
-//! * [`slot`] — CRC-protected slot framing, so collisions (two members
+//! * [`slot`] — checksummed slot framing, so collisions (two or more members
 //!   transmitting in the same round) are detected, as required by Fig. 4.
 //! * [`explicit`] — the nine-step share-splitting round of Fig. 4, with the
 //!   exact `3·k·(k−1)` message cost the paper's §V-A discusses (step 8's

@@ -12,7 +12,7 @@
 //! > integer needs to be protected by CRC bits or similar mechanisms.
 //!
 //! This module implements that two-step schedule: a tiny *reservation*
-//! round carrying a CRC-protected 32-bit length announcement, followed —
+//! round carrying a checksummed 32-bit length announcement, followed —
 //! only when the announcement was non-zero and collision-free — by a
 //! *payload* round sized exactly for the announced message. It also
 //! provides the cost model experiment E9 reports (bytes per idle round with

@@ -7,19 +7,29 @@
 //! frames variable-length payloads into fixed-size slots:
 //!
 //! ```text
-//! | length: u32 LE | payload … | zero padding … | crc32(length‖payload‖padding) |
+//! | length: u32 LE | payload … | zero padding … | SHA-256(length‖payload‖padding)[..4] |
 //! ```
 //!
 //! Concretely a slot of size `S` holds `4 + payload + padding + 4` bytes,
-//! so `S` is at least [`SLOT_OVERHEAD`]; the CRC covers everything before
-//! it, so any bit flip — or the XOR of two valid frames — fails
-//! verification with probability ≈ 1 − 2⁻³².
+//! so `S` is at least [`SLOT_OVERHEAD`]; the check covers everything before
+//! it. SHA-256 is not linear over XOR, so a bit flip, or the XOR of any two
+//! or more valid frames (a collision of any number of senders), passes
+//! verification with probability about 2⁻³². A CRC would not do: CRC-32 is
+//! affine, so the XOR of an odd number of equal-length frames carries a
+//! valid CRC, and three senders would read as a message none of them sent.
 
-use fnp_crypto::crc32::crc32;
+use fnp_crypto::sha256::Sha256;
 use std::fmt;
 
-/// Length prefix (4 bytes) plus CRC trailer (4 bytes).
+/// Length prefix (4 bytes) plus check trailer (4 bytes).
 pub const SLOT_OVERHEAD: usize = 8;
+
+/// The trailer over a frame's `body` (length‖payload‖padding): the first
+/// four bytes of its SHA-256 digest.
+fn check(body: &[u8]) -> [u8; 4] {
+    let digest = Sha256::digest(body);
+    [digest[0], digest[1], digest[2], digest[3]]
+}
 
 /// Outcome of decoding a recovered DC-net slot.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -109,8 +119,8 @@ pub fn encode_into(
     out.extend_from_slice(&declared.to_le_bytes());
     out.extend_from_slice(payload);
     out.resize(slot_len - 4, 0);
-    let checksum = crc32(out);
-    out.extend_from_slice(&checksum.to_le_bytes());
+    let trailer = check(out);
+    out.extend_from_slice(&trailer);
     debug_assert_eq!(out.len(), slot_len);
     Ok(())
 }
@@ -141,8 +151,7 @@ pub fn decode(slot: &[u8]) -> SlotOutcome {
         return SlotOutcome::Collision;
     }
     let (body, trailer) = slot.split_at(slot.len() - 4);
-    let expected = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
-    if crc32(body) != expected {
+    if trailer != check(body) {
         return SlotOutcome::Collision;
     }
     let declared = u32::from_le_bytes([body[0], body[1], body[2], body[3]]) as usize;
@@ -150,7 +159,7 @@ pub fn decode(slot: &[u8]) -> SlotOutcome {
         return SlotOutcome::Collision;
     }
     // Padding must be zero; non-zero padding means the frame was tampered
-    // with in a way that happened to keep the CRC valid over a prefix.
+    // with in a way that happened to keep the check valid.
     if body[4 + declared..].iter().any(|&b| b != 0) {
         return SlotOutcome::Collision;
     }
@@ -261,6 +270,15 @@ mod tests {
     }
 
     #[test]
+    fn xor_of_three_frames_is_collision() {
+        // Equal lengths, so the length prefixes XOR to a valid one: only
+        // the check trailer can tell.
+        let frames = [b"tx from 0", b"tx from 3", b"tx from 6"].map(|m| encode(m, 96).unwrap());
+        let collided = xor(&xor(&frames[0], &frames[1]), &frames[2]);
+        assert_eq!(decode(&collided), SlotOutcome::Collision);
+    }
+
+    #[test]
     fn bit_flip_is_collision() {
         let mut slot = encode(b"payload", 64).unwrap();
         slot[10] ^= 0x40;
@@ -274,12 +292,12 @@ mod tests {
 
     #[test]
     fn declared_length_beyond_body_is_collision() {
-        // Hand-craft a frame with an absurd length prefix but valid CRC.
+        // Hand-craft a frame with an absurd length prefix but a valid check.
         let mut body = vec![0u8; 60];
         body[..4].copy_from_slice(&1000u32.to_le_bytes());
-        let crc = crc32(&body);
+        let trailer = check(&body);
         let mut slot = body;
-        slot.extend_from_slice(&crc.to_le_bytes());
+        slot.extend_from_slice(&trailer);
         assert_eq!(decode(&slot), SlotOutcome::Collision);
     }
 
@@ -290,9 +308,9 @@ mod tests {
         body[4] = b'h';
         body[5] = b'i';
         body[30] = 0xFF; // padding byte that should be zero
-        let crc = crc32(&body);
+        let trailer = check(&body);
         let mut slot = body;
-        slot.extend_from_slice(&crc.to_le_bytes());
+        slot.extend_from_slice(&trailer);
         assert_eq!(decode(&slot), SlotOutcome::Collision);
     }
 

@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const SLOT_LEN: usize = 64;
-/// Slot framing (length prefix + CRC) claims part of the slot.
+/// Slot framing (length prefix + check trailer) claims part of the slot.
 const MAX_PAYLOAD: usize = 48;
 
 fn payloads_with_one_sender(k: usize, sender: usize, payload: &[u8]) -> Vec<Option<Vec<u8>>> {

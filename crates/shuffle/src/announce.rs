@@ -264,7 +264,7 @@ impl DissentSession {
         let mut messages_sent = announcement.messages_sent;
         let mut bytes_sent = announcement.bytes_sent;
         for (len, tag) in &schedule {
-            // CRC framing in the DC slot needs a little slack on top of the
+            // Slot framing in the DC slot needs a little slack on top of the
             // announced payload length.
             let slot_len = *len as usize + 8;
             let mut group = KeyedDcGroup::new(self.size, slot_len, rng)?;

@@ -57,8 +57,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n== part 2: two wallets collide inside one DC-net group ==\n");
 
     // Two members of the same 6-member group try to send in the same round.
-    // The CRC framing detects the collision; with the back-off rule one of
-    // them retries in a later round and both transactions eventually go out.
+    // The slot's check trailer detects the collision; with the back-off rule
+    // one of them retries in a later round and both transactions eventually
+    // go out.
     let mut rng = StdRng::seed_from_u64(99);
     let mut group = KeyedDcGroup::new(6, 256, &mut rng)?;
     let tx_a = b"wallet-a pays cafe 0.002".to_vec();
