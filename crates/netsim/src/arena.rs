@@ -17,16 +17,36 @@
 //!
 //! The event-queue and node-vector pools are type-erased (`Box<dyn Any>`)
 //! because their element types are protocol-specific; a checkout under a
-//! different type simply falls back to a fresh allocation. Arenas are
-//! intentionally *not* `Send`: each worker thread builds its own and never
-//! shares it.
+//! different type simply falls back to a fresh allocation. The wheel's
+//! sort-key buffers hold plain `u64`s, so the arena keeps them apart from
+//! the typed wheel and lends them to whichever wheel it checks out; and
+//! since a [`TrialRunner`](crate::TrialRunner) builds every worker a fresh
+//! arena per batch, a dropped arena leaves them in a process-wide pool for
+//! the next arena to draw, so that a sweep of batches grows them once, not
+//! once per batch. Arenas are intentionally *not* `Send`: each worker
+//! thread builds its own and never shares it.
 
 use crate::graph::Graph;
 use crate::hot::HotState;
 use crate::metrics::Metrics;
 use crate::topology::RegularScratch;
-use crate::wheel::{TimeWheel, WheelItem};
+use crate::wheel::{SortKeys, TimeWheel, WheelItem};
 use std::any::Any;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Sort-key buffers of dropped arenas; see the [module documentation](self).
+/// It holds at most as many entries as arenas were ever alive at once, each
+/// clamped by `TimeWheel::reset` against the last trial it served.
+static DROPPED_WHEEL_KEYS: Mutex<Vec<SortKeys>> = Mutex::new(Vec::new());
+
+/// Locks [`DROPPED_WHEEL_KEYS`]. Every access is one `push` or `pop`, so a
+/// panic while the lock was held cannot have left the list half-updated,
+/// and a poisoned lock is used as it is.
+fn dropped_wheel_keys() -> MutexGuard<'static, Vec<SortKeys>> {
+    DROPPED_WHEEL_KEYS
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Reusable per-worker storage for simulation trials.
 ///
@@ -42,6 +62,11 @@ pub struct TrialArena {
     /// Cleared event-queue time-wheel of the previous trial, type-erased
     /// (`TimeWheel<Event<M>>` for whatever `M` ran last).
     queue: Option<Box<dyn Any>>,
+    /// The time wheel's sort-key buffers, kept apart from `queue` so that
+    /// a protocol switch, which drops the typed wheel, keeps them; drawn
+    /// from [`DROPPED_WHEEL_KEYS`] at the first checkout and left there on
+    /// drop.
+    wheel_keys: SortKeys,
     /// Cleared node-state vector of the previous trial, type-erased
     /// (`Vec<N>` for whatever protocol ran last).
     nodes: Option<Box<dyn Any>>,
@@ -117,9 +142,10 @@ impl TrialArena {
     /// re-arms the wheel (bucket width, window) for its latency model
     /// before use, so a pooled wheel contributes its allocations and
     /// nothing else — all of them, unless the previous trial left them
-    /// several times oversized (see `TimeWheel::reset`).
+    /// several times oversized (see `TimeWheel::reset`). Whatever the
+    /// event type, the wheel gets the pooled sort-key buffers.
     pub(crate) fn take_queue<T: WheelItem + 'static>(&mut self) -> TimeWheel<T> {
-        match self.queue.take() {
+        let mut wheel = match self.queue.take() {
             Some(boxed) => match boxed.downcast::<TimeWheel<T>>() {
                 Ok(wheel) => {
                     debug_assert_eq!(wheel.len(), 0, "pooled wheels are stored cleared");
@@ -128,7 +154,12 @@ impl TrialArena {
                 Err(_) => TimeWheel::empty(),
             },
             None => TimeWheel::empty(),
+        };
+        if self.wheel_keys.capacity() == 0 {
+            self.wheel_keys = dropped_wheel_keys().pop().unwrap_or_default();
         }
+        wheel.lend_keys(std::mem::take(&mut self.wheel_keys));
+        wheel
     }
 
     /// Returns an event-queue time-wheel to the pool (cleared here; any
@@ -136,6 +167,7 @@ impl TrialArena {
     /// dropped).
     pub(crate) fn store_queue<T: WheelItem + 'static>(&mut self, mut queue: TimeWheel<T>) {
         queue.clear();
+        self.wheel_keys = queue.take_keys();
         self.queue = Some(Box::new(queue));
     }
 
@@ -165,6 +197,14 @@ impl TrialArena {
     /// Returns overlay-generator scratch buffers to the pool.
     pub fn store_regular_scratch(&mut self, scratch: RegularScratch) {
         self.regular_scratch = Some(scratch);
+    }
+}
+
+impl Drop for TrialArena {
+    fn drop(&mut self) {
+        if self.wheel_keys.capacity() > 0 {
+            dropped_wheel_keys().push(std::mem::take(&mut self.wheel_keys));
+        }
     }
 }
 
@@ -246,23 +286,23 @@ mod tests {
         assert!(other.is_empty());
     }
 
+    #[derive(Debug)]
+    struct Tick(u64);
+    impl WheelItem for Tick {
+        fn key(&self) -> (u64, u64) {
+            (self.0, 0)
+        }
+    }
+    #[derive(Debug)]
+    struct Tock;
+    impl WheelItem for Tock {
+        fn key(&self) -> (u64, u64) {
+            (0, 0)
+        }
+    }
+
     #[test]
     fn queue_pool_behaves_like_node_pool() {
-        #[derive(Debug)]
-        struct Tick(u64);
-        impl WheelItem for Tick {
-            fn key(&self) -> (u64, u64) {
-                (self.0, 0)
-            }
-        }
-        #[derive(Debug)]
-        struct Tock;
-        impl WheelItem for Tock {
-            fn key(&self) -> (u64, u64) {
-                (0, 0)
-            }
-        }
-
         let mut arena = TrialArena::new();
         let mut queue: TimeWheel<Tick> = arena.take_queue();
         queue.reset(10);
@@ -277,5 +317,32 @@ mod tests {
         let mut mismatched: TimeWheel<Tock> = arena.take_queue();
         assert_eq!(mismatched.len(), 0);
         assert!(mismatched.pop().is_none());
+    }
+
+    #[test]
+    fn wheel_keys_outlive_a_switch_of_event_type() {
+        // A protocol switch drops the pooled wheel; its sort keys, which
+        // hold no event, stay in the arena for the next wheel.
+        #[derive(Debug)]
+        struct Timed(u64, u64);
+        impl WheelItem for Timed {
+            fn key(&self) -> (u64, u64) {
+                (self.0, self.1)
+            }
+        }
+        let mut arena = TrialArena::new();
+        let mut queue: TimeWheel<Timed> = arena.take_queue();
+        queue.reset(100);
+        // One bucket of 500 events at offsets 0..100 into it.
+        for seq in 0..500 {
+            queue.push(Timed(100 + seq % 100, seq));
+        }
+        while queue.pop().is_some() {}
+        arena.store_queue(queue);
+        let kept = arena.wheel_keys.capacity();
+        assert!(kept >= 2 * 500, "the arena kept {kept} keys of capacity");
+        let other: TimeWheel<Tock> = arena.take_queue();
+        assert_eq!(other.key_capacity(), kept);
+        assert_eq!(arena.wheel_keys.capacity(), 0, "lent, not copied");
     }
 }

@@ -379,8 +379,8 @@ pub trait ProtocolNode: Sized {
 /// nothing derived from it: its kind and size are pure functions of the
 /// payload ([`Payload::kind`], [`Payload::size_bytes`]), wanted only by a
 /// recording run, so `step` asks the message for them there instead of
-/// every queued event carrying 24 bytes of them through every bucket copy
-/// and sort.
+/// every queued event carrying 24 bytes of them through every push, bucket
+/// drain and pop.
 #[derive(Debug)]
 enum EventKind<M> {
     Deliver {
@@ -1227,16 +1227,18 @@ mod tests {
         // into the arena and `assemble`'s re-arming reset on the way out
         // must together leave a second, identical trial nothing to grow —
         // although a flood's events sit in under a tenth of the buckets.
+        // A fresh arena's wheel owns nothing but the sort keys it may have
+        // drawn from an arena another test dropped.
         fn trial(arena: &mut TrialArena) -> (usize, usize) {
             let n = 10_000;
             let mut rng = StdRng::seed_from_u64(5);
             let graph = topology::random_regular(n, 8, &mut rng).unwrap();
             let nodes = (0..n).map(|_| FloodNode::default()).collect();
             let mut sim = Simulator::new_in(arena, graph, nodes, SimConfig::default());
-            let armed = sim.queue.retained_capacity();
+            let armed = sim.queue.retained_capacity() - sim.queue.key_capacity();
             start_flood(&mut sim, NodeId::new(0));
             assert_eq!(sim.run().delivered_count(), n);
-            let grown = sim.queue.retained_capacity();
+            let grown = sim.queue.retained_capacity() - sim.queue.key_capacity();
             let (_, metrics) = sim.into_parts_in(arena);
             arena.recycle_metrics(metrics);
             (armed, grown)
@@ -1253,7 +1255,7 @@ mod tests {
     #[test]
     fn a_flood_event_fits_one_cache_line() {
         // `FloodMessage` is a `u64` transaction id; its events are what a
-        // million-node flood copies, sorts and moves by the million — with
+        // million-node flood queues, drains and pops by the million — with
         // room to spare: time, sequence number, the two node ids and the
         // payload itself, and nothing that can be read off the payload.
         #[derive(Clone, Debug)]
@@ -1264,6 +1266,9 @@ mod tests {
             }
         }
         assert!(size_of::<Event<TxId>>() <= 40);
+        // The wheel's chunks hold `Option<Event>`: the event kind's niche
+        // keeps the `None` free.
+        assert_eq!(size_of::<Option<Event<TxId>>>(), size_of::<Event<TxId>>());
     }
 
     #[test]

@@ -11,16 +11,17 @@
 //! so an event is almost always scheduled within a known horizon of the
 //! current time. The wheel divides that horizon into [`SLOTS`] buckets of
 //! fixed width (derived from the model via [`width_for`]);
-//! pushing an event is an `O(1)` append to its bucket, and popping sorts
-//! one bucket at a time — `O(log b)` amortised for bucket occupancy `b`,
-//! independent of the total number of queued events.
+//! pushing an event is an `O(1)` append to its bucket, and popping orders
+//! one bucket at a time — a stable radix pass per 8 bits of the bucket
+//! width, `O(1)` per event, independent of the total number of queued
+//! events (see [below](self#how-a-bucket-is-ordered)).
 //!
 //! Three auxiliary structures keep the wheel *exactly* equivalent to the
 //! heap (pop order is strictly ascending `(at, seq)`):
 //!
 //! * an `incoming` min-heap for events that land in the bucket currently
 //!   being drained (a handler at time `t` may schedule for `t + 1`, which
-//!   can fall into the same bucket — appending to the already-sorted
+//!   can fall into the same bucket — appending to the already-ordered
 //!   bucket would break ordering);
 //! * an `overflow` min-heap for events beyond the wheel horizon (long
 //!   timers); when every bucket has drained, the window advances and the
@@ -33,24 +34,44 @@
 //!
 //! # Where the events live
 //!
-//! A bucket owns no buffer. It is a linked list of fixed-size *chunks*
-//! ([`CHUNK`] events each) drawn LIFO from one wheel-wide free list; only
-//! the newest chunk of a bucket can be partly filled. When the cursor
-//! reaches a bucket, its chunks are *gathered* — copied into the one
-//! persistent `current` buffer, which is then sorted and popped from the
-//! end — and go straight back to the free list, still warm, for the pushes
-//! that popping those events will cause. The wheel therefore holds
+//! A bucket owns no buffer. It is a linked list, oldest to newest, of
+//! fixed-size *chunks* ([`CHUNK`] events each) drawn LIFO from one
+//! wheel-wide free list; only the newest chunk of a bucket can be partly
+//! filled. When the cursor reaches a bucket, its events are *gathered* —
+//! moved in pop order into the one persistent `current` buffer, which is
+//! popped from the end — and its chunks go straight back to the free list,
+//! still warm, for the pushes that popping those events will cause. The
+//! wheel therefore holds
 //!
 //! * one chunk per [`CHUNK`] events in flight, plus at most one partly
 //!   filled chunk per non-empty bucket — `O(peak in flight)`, whichever
 //!   buckets the events of this trial, or the last one, happened to fall
-//!   into; and
-//! * `current`, as large as the fullest bucket ever drained.
+//!   into;
+//! * `current`, as large as the fullest bucket ever drained; and
+//! * two `u64` key buffers ([`SortKeys`]) of that size, which a
+//!   [`TrialArena`](crate::TrialArena) keeps across trials of different
+//!   event types, and a process-wide pool across arenas.
 //!
 //! A bucket that kept a `Vec` of its own would keep the capacity of the
 //! busiest moment it ever saw, `O(SLOTS × per-bucket peak)` in all: for a
 //! trial whose waves sweep across the ring — adaptive diffusion at the
 //! paper's `n` — an order of magnitude more than it ever has in flight.
+//!
+//! # How a bucket is ordered
+//!
+//! Within a bucket, events with equal `at` already sit oldest-first in
+//! `seq` order: the simulator numbers its events in push order, a direct
+//! push appends to its bucket's newest chunk, and the overflow heap spills
+//! in `(at, seq)` order and only into a wheel whose buckets are all empty.
+//! So ordering a bucket by `at` alone, *stably*, orders it by `(at, seq)`.
+//! The gather packs one `u64` per event, oldest first: the event's offset
+//! `at − bucket start` (below the width, at most 2³²) in the upper half and
+//! its place in the chunk storage in the lower. A least-significant-digit
+//! radix sort over the offset's bytes — ⌈log₂ width / 8⌉ passes, two for
+//! the default latency model, a pass skipped when all keys share its
+//! digit — puts the keys in order without comparing events, and each event
+//! then moves once, straight from its chunk into `current`, in descending
+//! key order.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -84,13 +105,30 @@ const CHUNK: usize = 64;
 /// the push path wants anyway.
 const NO_CHUNK: usize = usize::MAX;
 
+/// A bucket with no chunk.
+const EMPTY: Bucket = Bucket {
+    oldest: NO_CHUNK,
+    newest: NO_CHUNK,
+};
+
+/// The widest bucket: an event's offset within its bucket must fit the
+/// upper half of its sort key. A wider model bound only sends more long
+/// events through the overflow heap; the pop order does not depend on the
+/// width.
+const MAX_WIDTH: SimTime = 1 << 32;
+
+/// The most chunks a wheel may hold: an event's place in the chunk storage
+/// must fit the lower half of its sort key. That is 2³² events in flight,
+/// far beyond any memory the events themselves would fit in.
+const MAX_CHUNKS: usize = (1 << 32) / CHUNK;
+
 /// Retained capacity is clamped on [`TimeWheel::reset`] when it exceeds
 /// this factor times what the trial that just ended could have used
 /// (mirrors `SCRATCH_CLAMP_FACTOR` in the topology generators).
 const WHEEL_CLAMP_FACTOR: usize = 4;
 
-/// Capacity below this many items — `current`, each heap — is never worth
-/// shrinking.
+/// Capacity below this many items — `current`, each heap, each key
+/// buffer — is never worth shrinking.
 const WHEEL_RETAIN_FLOOR: usize = 256;
 
 /// The bucket width for a latency model whose largest delay is `max_delay`:
@@ -100,10 +138,17 @@ pub(crate) fn width_for(max_delay: SimTime) -> SimTime {
     (max_delay / BUCKETS_PER_MAX_DELAY).max(1)
 }
 
+/// Radix passes that order offsets below `width`: one per 8 bits of
+/// `width − 1`, none when every offset is zero.
+fn radix_passes(width: SimTime) -> u32 {
+    (SimTime::BITS - (width - 1).leading_zeros()).div_ceil(8)
+}
+
 /// An event that can be scheduled on a [`TimeWheel`].
 ///
 /// `key` must be unique per queued item (the simulator's `(at, seq)` pair),
-/// which makes the pop order a total order.
+/// which makes the pop order a total order, and `seq` must grow from push
+/// to push (see [how a bucket is ordered](self#how-a-bucket-is-ordered)).
 pub(crate) trait WheelItem {
     /// The `(time, tie-break)` ordering key.
     fn key(&self) -> (SimTime, u64);
@@ -141,36 +186,111 @@ impl<T: WheelItem> Ord for ByKey<T> {
 #[derive(Debug)]
 struct Chunk<T> {
     /// At most [`CHUNK`] events, in push order; allocated once, at that
-    /// capacity, and never grown.
-    items: Vec<ByKey<T>>,
-    /// The next (older) chunk of the list this one is on — a bucket's or
-    /// the free list — or [`NO_CHUNK`].
+    /// capacity, and never grown. A gather takes the events out in pop
+    /// order, leaving `None`s until the chunk is cleared.
+    items: Vec<Option<T>>,
+    /// The next (newer) chunk of the bucket this one is on, the next chunk
+    /// of the free list, or [`NO_CHUNK`].
     next: usize,
+}
+
+/// One bucket's list of chunks, as indices into the wheel's `chunks`.
+#[derive(Clone, Copy, Debug)]
+struct Bucket {
+    /// The first chunk filled, where a gather starts; [`NO_CHUNK`] if
+    /// empty.
+    oldest: usize,
+    /// The only chunk that can have room; [`NO_CHUNK`] if empty.
+    newest: usize,
+}
+
+/// The two `u64` buffers a [`TimeWheel`] orders a bucket's keys in (see
+/// [how a bucket is ordered](self#how-a-bucket-is-ordered)). They do not
+/// depend on the event type, so a [`TrialArena`](crate::TrialArena) keeps
+/// them when it drops a pooled wheel of another event type.
+#[derive(Debug, Default)]
+pub(crate) struct SortKeys {
+    /// The keys being ordered; ascending once [`SortKeys::sort`] returns.
+    keys: Vec<u64>,
+    /// Where a radix pass scatters to; swapped with `keys` after the pass.
+    spare: Vec<u64>,
+}
+
+impl SortKeys {
+    /// Orders the keys stably by their bits `32..32 + 8 · passes`, one
+    /// 8-bit digit per pass, least significant first.
+    fn sort(&mut self, passes: u32) {
+        let len = self.keys.len();
+        for pass in 0..passes {
+            let shift = 32 + 8 * pass;
+            // Masked to 8 bits, so the cast is lossless.
+            #[allow(clippy::cast_possible_truncation)]
+            let digit = |key: u64| ((key >> shift) & 0xff) as usize;
+            let mut starts = [0usize; 256];
+            for &key in &self.keys {
+                starts[digit(key)] += 1;
+            }
+            if self
+                .keys
+                .first()
+                .is_none_or(|&key| starts[digit(key)] == len)
+            {
+                // One digit for all: the pass would not move a key.
+                continue;
+            }
+            let mut total = 0;
+            for start in &mut starts {
+                total += std::mem::replace(start, total);
+            }
+            self.spare.resize(len, 0);
+            for &key in &self.keys {
+                let start = &mut starts[digit(key)];
+                self.spare[*start] = key;
+                *start += 1;
+            }
+            std::mem::swap(&mut self.keys, &mut self.spare);
+        }
+    }
+
+    /// Shrinks each buffer that is more than [`WHEEL_CLAMP_FACTOR`]× `keep`.
+    fn clamp(&mut self, keep: usize) {
+        for buffer in [&mut self.keys, &mut self.spare] {
+            buffer.clear();
+            if buffer.capacity() > keep * WHEEL_CLAMP_FACTOR {
+                buffer.shrink_to(keep);
+            }
+        }
+    }
+
+    /// Total capacity of both buffers, in keys.
+    pub(crate) fn capacity(&self) -> usize {
+        self.keys.capacity() + self.spare.capacity()
+    }
 }
 
 /// Bucketed time-wheel priority queue over `(at, seq)` keys; see the
 /// [module documentation](self).
 #[derive(Debug)]
 pub(crate) struct TimeWheel<T> {
-    /// Bucket width in simulated time units (≥ 1).
+    /// Bucket width in simulated time units, in `1..=MAX_WIDTH`.
     width: SimTime,
     /// Simulated time of bucket 0's lower edge for the current rotation.
     window_start: SimTime,
     /// Index of the bucket currently being drained.
     cursor: usize,
-    /// The fixed ring of buckets: for each, the index in `chunks` of its
-    /// newest chunk (the only one that can have room), or [`NO_CHUNK`].
-    slots: [usize; SLOTS],
+    /// The fixed ring of buckets.
+    slots: [Bucket; SLOTS],
     /// Every chunk the wheel has allocated, each on exactly one list.
     chunks: Vec<Chunk<T>>,
     /// Head of the free list: empty chunks, most recently freed first.
     free: usize,
-    /// The cursor bucket, gathered out of its chunks and sorted
-    /// *descending* so the minimum pops off the end in `O(1)` without
-    /// moving the rest.
+    /// The cursor bucket, gathered out of its chunks *descending*, so the
+    /// minimum pops off the end in `O(1)` without moving the rest.
     current: Vec<ByKey<T>>,
+    /// The buffers a gather orders the cursor bucket's keys in.
+    keys: SortKeys,
     /// Events at or before the cursor bucket's upper edge, pushed after
-    /// the bucket was sorted.
+    /// the bucket was gathered.
     incoming: BinaryHeap<Reverse<ByKey<T>>>,
     /// Events beyond the current rotation's horizon.
     overflow: BinaryHeap<Reverse<ByKey<T>>>,
@@ -201,10 +321,11 @@ impl<T: WheelItem> TimeWheel<T> {
             width: 1,
             window_start: 0,
             cursor: 0,
-            slots: [NO_CHUNK; SLOTS],
+            slots: [EMPTY; SLOTS],
             chunks: Vec::new(),
             free: NO_CHUNK,
             current: Vec::new(),
+            keys: SortKeys::default(),
             incoming: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
             len: 0,
@@ -214,19 +335,20 @@ impl<T: WheelItem> TimeWheel<T> {
         }
     }
 
-    /// Drops all queued events and re-arms the wheel with `width`, keeping
-    /// the chunks and buffers (the arena-recycling path) — unless they are
-    /// more than [`WHEEL_CLAMP_FACTOR`]× oversized for the trial that just
-    /// ended, in which case they shrink to what it could have used. Without
-    /// the clamp a single million-node trial would pin hundreds of megabytes
-    /// of chunk and heap capacity in the arena pool for the rest of the
-    /// process, even if every later trial is a thousand times smaller.
+    /// Drops all queued events and re-arms the wheel with `width` (capped
+    /// at 2³²), keeping the chunks and buffers (the arena-recycling path) —
+    /// unless they are more than [`WHEEL_CLAMP_FACTOR`]× oversized for the
+    /// trial that just ended, in which case they shrink to what it could
+    /// have used. Without the clamp a single million-node trial would pin
+    /// hundreds of megabytes of chunk and heap capacity in the arena pool
+    /// for the rest of the process, even if every later trial is a
+    /// thousand times smaller.
     ///
     /// The clamp judges the trial that ran since the previous reset. A reset
     /// with no push in between (the simulator re-arming a wheel the arena
     /// already cleared) has no trial to judge and keeps every allocation.
     pub(crate) fn reset(&mut self, width: SimTime) {
-        self.slots = [NO_CHUNK; SLOTS];
+        self.slots = [EMPTY; SLOTS];
         self.current.clear();
         self.incoming.clear();
         self.overflow.clear();
@@ -241,7 +363,7 @@ impl<T: WheelItem> TimeWheel<T> {
             chunk.items.clear();
             chunk.next = std::mem::replace(&mut self.free, index);
         }
-        self.width = width.max(1);
+        self.width = width.clamp(1, MAX_WIDTH);
         self.window_start = 0;
         self.cursor = 0;
         self.len = 0;
@@ -264,15 +386,16 @@ impl<T: WheelItem> TimeWheel<T> {
             self.chunks.shrink_to(chunks);
             self.current.shrink_to(current);
         }
-        let per_heap = self.peak_len.max(WHEEL_RETAIN_FLOOR);
+        let per_buffer = self.peak_len.max(WHEEL_RETAIN_FLOOR);
+        self.keys.clamp(per_buffer);
         for heap in [&mut self.incoming, &mut self.overflow] {
-            if heap.capacity() > per_heap * WHEEL_CLAMP_FACTOR {
-                heap.shrink_to(per_heap);
+            if heap.capacity() > per_buffer * WHEEL_CLAMP_FACTOR {
+                heap.shrink_to(per_buffer);
             }
         }
         #[cfg(debug_assertions)]
-        if self.shadow.capacity() > per_heap * WHEEL_CLAMP_FACTOR {
-            self.shadow.shrink_to(per_heap);
+        if self.shadow.capacity() > per_buffer * WHEEL_CLAMP_FACTOR {
+            self.shadow.shrink_to(per_buffer);
         }
     }
 
@@ -283,13 +406,25 @@ impl<T: WheelItem> TimeWheel<T> {
         self.reset(width);
     }
 
+    /// Hands the wheel the key buffers its gathers order buckets in
+    /// (dropping the ones it had).
+    pub(crate) fn lend_keys(&mut self, keys: SortKeys) {
+        self.keys = keys;
+    }
+
+    /// Takes the wheel's key buffers, leaving it none (it allocates again
+    /// at its next gather).
+    pub(crate) fn take_keys(&mut self) -> SortKeys {
+        std::mem::take(&mut self.keys)
+    }
+
     /// Number of queued events.
     pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// Upper edge of the cursor bucket: events strictly below it can no
-    /// longer be appended to the (already sorted) bucket and go through
+    /// longer be appended to the (already gathered) bucket and go through
     /// the incoming heap instead.
     fn cursor_end(&self) -> SimTime {
         self.window_start
@@ -302,7 +437,7 @@ impl<T: WheelItem> TimeWheel<T> {
         self.peak_len = self.peak_len.max(self.len);
         #[cfg(debug_assertions)]
         self.shadow.push(Reverse(item.key()));
-        self.route(ByKey(item));
+        self.route(item);
     }
 
     /// Opens a bulk-push session for scheduling a burst of events (a
@@ -319,41 +454,45 @@ impl<T: WheelItem> TimeWheel<T> {
     }
 
     /// Files `item` into the right structure for its scheduled time.
-    fn route(&mut self, item: ByKey<T>) {
+    fn route(&mut self, item: T) {
         let cursor_end = self.cursor_end();
         self.route_within(item, cursor_end);
     }
 
     /// [`TimeWheel::route`] with the cursor bucket's upper edge already
     /// computed (it is invariant across pushes, so bulk sessions hoist it).
-    fn route_within(&mut self, item: ByKey<T>, cursor_end: SimTime) {
-        let at = item.0.at();
+    fn route_within(&mut self, item: T, cursor_end: SimTime) {
+        let at = item.at();
         if at < cursor_end {
             // Current bucket (or, after a window jump, before it).
-            self.incoming.push(Reverse(item));
+            self.incoming.push(Reverse(ByKey(item)));
             return;
         }
         // `at >= cursor_end > window_start`, so the subtraction is safe.
         let offset = (at - self.window_start) / self.width;
         if offset >= SLOTS as SimTime {
-            self.overflow.push(Reverse(item));
+            self.overflow.push(Reverse(ByKey(item)));
             return;
         }
         // offset < SLOTS = 256, so the cast is lossless.
         #[allow(clippy::cast_possible_truncation)]
         let slot = offset as usize;
-        match self.chunks.get_mut(self.slots[slot]) {
-            Some(chunk) if chunk.items.len() < CHUNK => chunk.items.push(item),
+        match self.chunks.get_mut(self.slots[slot].newest) {
+            Some(chunk) if chunk.items.len() < CHUNK => chunk.items.push(Some(item)),
             _ => self.push_in_new_chunk(slot, item),
         }
     }
 
     /// Puts `item` in a chunk off the free list (allocating one only when
     /// the list is empty), which becomes bucket `slot`'s newest.
-    fn push_in_new_chunk(&mut self, slot: usize, item: ByKey<T>) {
+    fn push_in_new_chunk(&mut self, slot: usize, item: T) {
         let index = match self.chunks.get(self.free) {
             Some(free) => std::mem::replace(&mut self.free, free.next),
             None => {
+                assert!(
+                    self.chunks.len() < MAX_CHUNKS,
+                    "time wheel holds more events than its sort keys can address"
+                );
                 self.chunks.push(Chunk {
                     items: Vec::with_capacity(CHUNK),
                     next: NO_CHUNK,
@@ -362,29 +501,62 @@ impl<T: WheelItem> TimeWheel<T> {
             }
         };
         let chunk = &mut self.chunks[index];
-        chunk.next = self.slots[slot];
-        chunk.items.push(item);
-        self.slots[slot] = index;
+        chunk.next = NO_CHUNK;
+        chunk.items.push(Some(item));
+        let bucket = &mut self.slots[slot];
+        match self.chunks.get_mut(bucket.newest) {
+            Some(newest) => newest.next = index,
+            None => bucket.oldest = index,
+        }
+        bucket.newest = index;
     }
 
     /// Moves the events of bucket `slot` (not empty) into `current` (empty)
-    /// and sorts them for popping; the bucket's chunks go to the front of
-    /// the free list, its newest first.
+    /// in descending `(at, seq)` order; see
+    /// [how a bucket is ordered](self#how-a-bucket-is-ordered). The bucket's
+    /// chunks go to the front of the free list, its oldest first.
     fn gather(&mut self, slot: usize) {
         debug_assert!(self.current.is_empty());
-        let head = std::mem::replace(&mut self.slots[slot], NO_CHUNK);
-        let mut index = head;
+        let bucket = std::mem::replace(&mut self.slots[slot], EMPTY);
+        // Every event of the bucket is at or after its lower edge, so
+        // neither this nor the offsets below can overflow.
+        let bucket_start = self.window_start + self.width * slot as SimTime;
+        let keys = &mut self.keys.keys;
+        keys.clear();
+        let mut index = bucket.oldest;
+        while let Some(chunk) = self.chunks.get(index) {
+            // `index < MAX_CHUNKS`, so every place fits 32 bits.
+            let base = index * CHUNK;
+            keys.extend(chunk.items.iter().enumerate().map(|(offset, item)| {
+                let Some(item) = item else {
+                    unreachable!("a queued chunk holds only events")
+                };
+                (item.at() - bucket_start) << 32 | (base + offset) as u64
+            }));
+            index = chunk.next;
+        }
+        self.keys.sort(radix_passes(self.width));
+        self.current.reserve(self.keys.keys.len());
+        for &key in self.keys.keys.iter().rev() {
+            // The key's lower half.
+            #[allow(clippy::cast_possible_truncation)]
+            let place = key as u32 as usize;
+            let Some(item) = self.chunks[place / CHUNK].items[place % CHUNK].take() else {
+                unreachable!("every key names a different event")
+            };
+            self.current.push(ByKey(item));
+        }
+        let mut index = bucket.oldest;
         loop {
             let chunk = &mut self.chunks[index];
-            self.current.append(&mut chunk.items);
+            chunk.items.clear();
             if chunk.next == NO_CHUNK {
                 chunk.next = self.free;
                 break;
             }
             index = chunk.next;
         }
-        self.free = head;
-        self.current.sort_unstable_by(|a, b| b.cmp(a));
+        self.free = bucket.oldest;
     }
 
     /// Advances the cursor until the next event is reachable from the
@@ -400,7 +572,7 @@ impl<T: WheelItem> TimeWheel<T> {
             // itself instead of the incoming heap. Mid-rotation the cursor
             // slot is empty (its contents were gathered into `current`), so
             // the wider scan never re-reads drained events.
-            if let Some(next) = (self.cursor..SLOTS).find(|&j| self.slots[j] != NO_CHUNK) {
+            if let Some(next) = (self.cursor..SLOTS).find(|&j| self.slots[j].oldest != NO_CHUNK) {
                 self.cursor = next;
                 self.gather(next);
                 return;
@@ -421,7 +593,7 @@ impl<T: WheelItem> TimeWheel<T> {
                 let Some(Reverse(item)) = self.overflow.pop() else {
                     unreachable!("peek() just returned an item")
                 };
-                self.route(item);
+                self.route(item.0);
             }
             // The earliest spilled event landed at or before the new
             // cursor bucket, so the next iteration returns through the
@@ -464,8 +636,14 @@ impl<T: WheelItem> TimeWheel<T> {
         Some(item)
     }
 
-    /// Total retained item capacity across chunks, `current` and heaps
-    /// (test hook for the capacity regression suite).
+    /// Capacity of the key buffers, in keys (test hook).
+    #[cfg(test)]
+    pub(crate) fn key_capacity(&self) -> usize {
+        self.keys.capacity()
+    }
+
+    /// Total retained item capacity across chunks, `current`, the key
+    /// buffers and the heaps (test hook for the capacity regression suite).
     #[cfg(test)]
     pub(crate) fn retained_capacity(&self) -> usize {
         self.chunks
@@ -473,6 +651,7 @@ impl<T: WheelItem> TimeWheel<T> {
             .map(|chunk| chunk.items.capacity())
             .sum::<usize>()
             + self.current.capacity()
+            + self.keys.capacity()
             + self.incoming.capacity()
             + self.overflow.capacity()
     }
@@ -501,7 +680,7 @@ impl<T: WheelItem> BulkPush<'_, T> {
         self.wheel.peak_len = self.wheel.peak_len.max(self.wheel.len);
         #[cfg(debug_assertions)]
         self.wheel.shadow.push(Reverse(item.key()));
-        self.wheel.route_within(ByKey(item), self.cursor_end);
+        self.wheel.route_within(item, self.cursor_end);
     }
 }
 
@@ -763,10 +942,10 @@ mod tests {
 
     /// The most item capacity a trial that peaked at `peak` queued events
     /// can have made the wheel allocate: every event in a chunk (full
-    /// chunks plus one partly filled per bucket), every event in `current`
-    /// and in each heap, those three grown by doubling.
+    /// chunks plus one partly filled per bucket), every event in `current`,
+    /// in each key buffer and in each heap, those five grown by doubling.
     fn capacity_bound(peak: usize) -> usize {
-        (peak.div_ceil(CHUNK) + SLOTS) * CHUNK + 3 * 2 * peak.max(WHEEL_RETAIN_FLOOR)
+        (peak.div_ceil(CHUNK) + SLOTS) * CHUNK + 5 * 2 * peak.max(WHEEL_RETAIN_FLOOR)
     }
 
     #[test]
@@ -775,20 +954,33 @@ mod tests {
         // capacity for reuse (the peak matches the demand), but the clear
         // after a subsequent small trial must release it — otherwise one
         // 10⁶-node trial pins hundreds of megabytes in the arena pool for
-        // the rest of the process.
+        // the rest of the process. The large trial also gathers a bucket of
+        // 40 000 events, so the key buffers and `current` are that large
+        // too, and must shrink with the rest.
         let mut wheel = TimeWheel::empty();
         wheel.reset(width_for(1050));
         let large = 1_000_000usize;
         for seq in 0..large {
             let seq = seq as u64;
-            wheel.push((seq % 4000, seq));
+            wheel.push((WIDTH + seq % 400, seq));
         }
+        // Bucket 0 is the cursor's, whose events take the incoming heap;
+        // the first pop gathers bucket 1.
+        assert_eq!(wheel.pop(), Some((WIDTH, 0)));
+        // Bucket 1 holds `WIDTH` of the 400 times, each `large / 400` times.
+        let big_bucket = large / 400 * 16;
+        assert_eq!(WIDTH, 16);
+        assert!(wheel.key_capacity() >= 2 * big_bucket);
         wheel.clear();
         let after_large = wheel.retained_capacity();
         let bound = capacity_bound(1000) * WHEEL_CLAMP_FACTOR;
         assert!(
-            after_large >= large,
+            after_large >= large + 3 * big_bucket,
             "large-trial capacity should be retained for reuse, got {after_large}"
+        );
+        assert!(
+            wheel.key_capacity() >= 2 * big_bucket,
+            "the key buffers shrank"
         );
         assert!(
             after_large <= capacity_bound(large),
@@ -808,6 +1000,11 @@ mod tests {
         assert!(
             after_small <= bound,
             "retained capacity {after_small} exceeds clamp bound {bound}"
+        );
+        assert!(
+            wheel.key_capacity() <= 2 * 1000 * WHEEL_CLAMP_FACTOR,
+            "one large trial pinned {} keys of capacity",
+            wheel.key_capacity()
         );
         // Growing again after the clamp still works.
         for seq in 0..10_000u64 {
@@ -932,6 +1129,75 @@ mod tests {
         assert_eq!(wheel.retained_capacity(), after_first);
     }
 
+    /// An event of another type than `(SimTime, u64)`, for a wheel that
+    /// borrows another wheel's key buffers.
+    #[derive(Debug, PartialEq)]
+    struct Tagged(SimTime, u64, u32);
+
+    impl WheelItem for Tagged {
+        fn key(&self) -> (SimTime, u64) {
+            (self.0, self.1)
+        }
+    }
+
+    #[test]
+    fn a_repeated_trial_allocates_no_key_buffer() {
+        // The key buffers grow to the fullest bucket of the first trial and
+        // survive the clear and re-arming reset between trials, so an
+        // identical trial sorts in them without growing them — and so does
+        // a wheel of another event type that borrows them, as a pooled
+        // arena lends them across a protocol switch. The width takes two
+        // radix passes, so both buffers are used.
+        const WIDE: SimTime = 1000;
+        let schedule = |trial: u64| {
+            // Occupancy falls from bucket to bucket; offsets spread over
+            // the whole width.
+            let mut seq = 0;
+            let mut events = Vec::new();
+            for slot in 1..=20u64 {
+                for i in 0..(21 - slot) * 100 {
+                    events.push((slot * WIDE + (i * 7919 + trial) % WIDE, seq));
+                    seq += 1;
+                }
+            }
+            events
+        };
+        let fullest = 2000;
+        let mut wheel = TimeWheel::empty();
+        let mut after_first = 0;
+        for trial in 0..6 {
+            wheel.reset(WIDE);
+            for event in schedule(trial) {
+                wheel.push(event);
+            }
+            drain_sorted(&mut wheel);
+            wheel.clear();
+            if trial == 0 {
+                after_first = wheel.key_capacity();
+                assert!(after_first >= 2 * fullest);
+                assert!(after_first <= 2 * 2 * fullest);
+            }
+            assert_eq!(
+                wheel.key_capacity(),
+                after_first,
+                "trial {trial} grew the keys"
+            );
+        }
+        let mut other: TimeWheel<Tagged> = TimeWheel::empty();
+        other.lend_keys(wheel.take_keys());
+        assert_eq!(wheel.key_capacity(), 0);
+        other.reset(WIDE);
+        for (at, seq) in schedule(6) {
+            other.push(Tagged(at, seq, 0));
+        }
+        let mut last = None;
+        while let Some(Tagged(at, seq, _)) = other.pop() {
+            assert!(last < Some((at, seq)), "pop order went backwards");
+            last = Some((at, seq));
+        }
+        assert_eq!(other.key_capacity(), after_first);
+    }
+
     #[test]
     fn reset_twice_in_a_row_changes_no_capacity() {
         // The second reset has no trial of its own to judge (`peak_len` is
@@ -951,6 +1217,136 @@ mod tests {
         wheel.reset(10);
         push_into_first_slots(&mut wheel, 400_000, 250);
         assert_eq!(wheel.retained_capacity(), after_first);
+    }
+
+    #[test]
+    fn radix_passes_follow_the_bits_of_the_widest_offset() {
+        assert_eq!(radix_passes(1), 0);
+        assert_eq!(radix_passes(2), 1);
+        for k in [8u32, 16, 24] {
+            assert_eq!(radix_passes((1 << k) - 1), k / 8);
+            assert_eq!(radix_passes(1 << k), k / 8);
+            assert_eq!(radix_passes((1 << k) + 1), k / 8 + 1);
+        }
+        assert_eq!(radix_passes(MAX_WIDTH), 4);
+        assert_eq!(radix_passes(width_for(1_050_000)), 2);
+        // Wider buckets are capped, so offsets keep to the upper half.
+        let mut wheel = TimeWheel::<(SimTime, u64)>::empty();
+        wheel.reset(SimTime::MAX);
+        assert_eq!(wheel.width, MAX_WIDTH);
+    }
+
+    /// Pops `wheel` and `reference` in lockstep until both are empty.
+    fn drain_against(
+        wheel: &mut TimeWheel<(SimTime, u64)>,
+        reference: &mut BinaryHeap<Reverse<(SimTime, u64)>>,
+    ) -> usize {
+        let mut popped = 0;
+        loop {
+            let expected = reference.pop().map(|Reverse(key)| key);
+            assert_eq!(wheel.pop(), expected, "pop {popped} diverged from the heap");
+            if expected.is_none() {
+                return popped;
+            }
+            popped += 1;
+        }
+    }
+
+    #[test]
+    fn equal_times_pop_in_seq_order_across_spilled_and_pushed_events() {
+        // The invariant the radix relies on: within a bucket, events of
+        // one `at` sit oldest-first in `seq` order, whether the overflow
+        // heap spilled them or they were pushed directly afterwards. One
+        // bucket holds more than two chunks of events at one time — half
+        // spilled, half pushed after the spill — around events at the
+        // bucket's first and last microsecond. Checked against a
+        // `BinaryHeap` pop by pop, so it also holds without the debug
+        // shadow heap.
+        const W: SimTime = 300;
+        let far = 10_000_000;
+        let (first, last) = (far + W, far + 2 * W - 1);
+        let shared = far + W + 137;
+        let mut wheel = TimeWheel::empty();
+        wheel.reset(W);
+        let mut reference = BinaryHeap::new();
+        let mut seq = 0;
+        let mut push = |wheel: &mut TimeWheel<_>, reference: &mut BinaryHeap<_>, at| {
+            wheel.push((at, seq));
+            reference.push(Reverse((at, seq)));
+            seq += 1;
+        };
+        push(&mut wheel, &mut reference, 5);
+        // Beyond the horizon: `far` anchors the next window (its bucket 0
+        // is the cursor's), the rest spill into bucket 1.
+        push(&mut wheel, &mut reference, far);
+        for i in 0..CHUNK + 7 {
+            push(
+                &mut wheel,
+                &mut reference,
+                [shared, last, shared, first][i % 4],
+            );
+        }
+        assert_eq!(wheel.pop(), Some((5, 0)));
+        assert_eq!(wheel.pop(), Some((far, 1)));
+        reference.pop();
+        reference.pop();
+        // The spill has happened; these land behind the spilled events.
+        for i in 0..CHUNK + 9 {
+            push(
+                &mut wheel,
+                &mut reference,
+                [shared, first, shared, last, shared][i % 5],
+            );
+        }
+        assert_eq!(drain_against(&mut wheel, &mut reference), 2 * CHUNK + 16);
+    }
+
+    #[test]
+    fn random_push_pop_matches_a_binary_heap_at_every_pass_count() {
+        // Widths at the edges where the number of radix passes changes,
+        // with offsets spread over the whole width and many events sharing
+        // a time; every pop is checked against a `BinaryHeap`.
+        let mut widths = vec![1, 2];
+        for k in [8u32, 16, 24, 32] {
+            widths.extend([(1 << k) - 1, 1 << k, (1 << k) + 1]);
+        }
+        for (round, width) in widths.into_iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(round as u64);
+            let mut wheel = TimeWheel::empty();
+            wheel.reset(width);
+            let mut reference = BinaryHeap::new();
+            let mut seq = 0u64;
+            let delay = |rng: &mut StdRng| match rng.gen_range(0..10) {
+                // A handful of shared times, a spread over a few buckets,
+                // and a long timer past the horizon.
+                0..=3 => width * rng.gen_range(1..4) + rng.gen_range(0..3),
+                4..=8 => rng.gen_range(1..width.saturating_mul(6)),
+                _ => width * SLOTS as SimTime * rng.gen_range(1..3) + rng.gen_range(0..width),
+            };
+            for _ in 0..300 {
+                let at = delay(&mut rng);
+                wheel.push((at, seq));
+                reference.push(Reverse((at, seq)));
+                seq += 1;
+            }
+            let mut popped = 0;
+            while let Some(Reverse(expected)) = reference.pop() {
+                assert_eq!(wheel.pop(), Some(expected), "width {width}, pop {popped}");
+                let now = expected.0;
+                popped += 1;
+                if seq < 3000 {
+                    for _ in 0..rng.gen_range(0..3) {
+                        let at = now + delay(&mut rng);
+                        wheel.push((at, seq));
+                        reference.push(Reverse((at, seq)));
+                        seq += 1;
+                    }
+                }
+            }
+            assert_eq!(wheel.pop(), None, "width {width}");
+            assert_eq!(popped, seq);
+            assert!(seq >= 3000);
+        }
     }
 
     #[test]
