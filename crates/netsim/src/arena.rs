@@ -286,23 +286,23 @@ mod tests {
         assert!(other.is_empty());
     }
 
-    #[derive(Debug)]
-    struct Tick(u64);
-    impl WheelItem for Tick {
-        fn key(&self) -> (u64, u64) {
-            (self.0, 0)
-        }
-    }
-    #[derive(Debug)]
-    struct Tock;
-    impl WheelItem for Tock {
-        fn key(&self) -> (u64, u64) {
-            (0, 0)
-        }
-    }
-
     #[test]
     fn queue_pool_behaves_like_node_pool() {
+        #[derive(Debug)]
+        struct Tick(u64);
+        impl WheelItem for Tick {
+            fn key(&self) -> (u64, u64) {
+                (self.0, 0)
+            }
+        }
+        #[derive(Debug)]
+        struct Tock;
+        impl WheelItem for Tock {
+            fn key(&self) -> (u64, u64) {
+                (0, 0)
+            }
+        }
+
         let mut arena = TrialArena::new();
         let mut queue: TimeWheel<Tick> = arena.take_queue();
         queue.reset(10);
@@ -328,6 +328,13 @@ mod tests {
         impl WheelItem for Timed {
             fn key(&self) -> (u64, u64) {
                 (self.0, self.1)
+            }
+        }
+        #[derive(Debug)]
+        struct Tock;
+        impl WheelItem for Tock {
+            fn key(&self) -> (u64, u64) {
+                (0, 0)
             }
         }
         let mut arena = TrialArena::new();

@@ -1236,22 +1236,6 @@ mod tests {
         assert_eq!(wheel.width, MAX_WIDTH);
     }
 
-    /// Pops `wheel` and `reference` in lockstep until both are empty.
-    fn drain_against(
-        wheel: &mut TimeWheel<(SimTime, u64)>,
-        reference: &mut BinaryHeap<Reverse<(SimTime, u64)>>,
-    ) -> usize {
-        let mut popped = 0;
-        loop {
-            let expected = reference.pop().map(|Reverse(key)| key);
-            assert_eq!(wheel.pop(), expected, "pop {popped} diverged from the heap");
-            if expected.is_none() {
-                return popped;
-            }
-            popped += 1;
-        }
-    }
-
     #[test]
     fn equal_times_pop_in_seq_order_across_spilled_and_pushed_events() {
         // The invariant the radix relies on: within a bucket, events of
@@ -1298,7 +1282,17 @@ mod tests {
                 [shared, first, shared, last, shared][i % 5],
             );
         }
-        assert_eq!(drain_against(&mut wheel, &mut reference), 2 * CHUNK + 16);
+        let mut popped = 0;
+        while let Some(Reverse(expected)) = reference.pop() {
+            assert_eq!(
+                wheel.pop(),
+                Some(expected),
+                "pop {popped} diverged from the heap"
+            );
+            popped += 1;
+        }
+        assert_eq!(wheel.pop(), None);
+        assert_eq!(popped, 2 * CHUNK + 16);
     }
 
     #[test]
