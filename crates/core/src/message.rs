@@ -32,8 +32,8 @@ pub enum FlexMessage {
     AdInfect {
         /// Diffusion round in which the infection happened.
         round: u32,
-        /// The transaction payload.
-        payload: Vec<u8>,
+        /// The transaction payload, shared by every copy.
+        payload: Arc<[u8]>,
     },
     /// Phase 2: a spread wave instructing the infected subtree to grow.
     AdSpread {
@@ -53,13 +53,13 @@ pub enum FlexMessage {
     /// which also instructs receivers to switch to flood-and-prune.
     FinalSpread {
         /// The transaction payload (so nodes that missed an infection can
-        /// still deliver and flood it).
-        payload: Vec<u8>,
+        /// still deliver and flood it), shared by every copy.
+        payload: Arc<[u8]>,
     },
     /// Phase 3: ordinary flood-and-prune relay of the transaction.
     Flood {
-        /// The transaction payload.
-        payload: Vec<u8>,
+        /// The transaction payload, shared by every copy.
+        payload: Arc<[u8]>,
     },
 }
 
@@ -130,7 +130,7 @@ mod tests {
             },
             FlexMessage::AdInfect {
                 round: 1,
-                payload: vec![0; 10],
+                payload: vec![0; 10].into(),
             },
             FlexMessage::AdSpread { round: 1 },
             FlexMessage::AdToken {
@@ -139,10 +139,10 @@ mod tests {
                 round: 1,
             },
             FlexMessage::FinalSpread {
-                payload: vec![0; 10],
+                payload: vec![0; 10].into(),
             },
             FlexMessage::Flood {
-                payload: vec![0; 10],
+                payload: vec![0; 10].into(),
             },
         ];
         for message in &samples {
@@ -161,7 +161,7 @@ mod tests {
     #[test]
     fn payload_carrying_messages_report_payload_plus_header() {
         let message = FlexMessage::Flood {
-            payload: vec![0; 200],
+            payload: vec![0; 200].into(),
         };
         assert_eq!(message.size_bytes(), 240);
         let message = FlexMessage::DcContribution {

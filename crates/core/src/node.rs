@@ -33,6 +33,7 @@ use fnp_diffusion::{AdMessage, InfectionTree, Round, Token, Wire};
 use fnp_netsim::{ContextView, NodeId};
 use fnp_proto::{Input, Mailbox, ProtocolCore, SteadyProtocol};
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Timer tag for DC-net round pacing.
 const TIMER_DC_ROUND: u64 = 1;
@@ -72,7 +73,7 @@ pub struct GroupMembership {
 /// under `flex-` names, its infections carrying the transaction payload (an
 /// empty one from a node that does not know it yet). Borrows only the
 /// payload field, so the node's tree stays mutable beside it.
-struct FlexWire<'a>(&'a Option<Vec<u8>>);
+struct FlexWire<'a>(&'a Option<Arc<[u8]>>);
 
 impl Wire for FlexWire<'_> {
     type Message = FlexMessage;
@@ -101,10 +102,10 @@ pub struct FlexNode {
     /// receives a DC-net round: a node that only relays phases 2 and 3 —
     /// every steady instance outside the originator's group — carries none.
     dc: Option<Box<RoundEngine>>,
-    /// The transaction payload once this node knows it. Presence is
-    /// mirrored in the hot seen lane; handlers test [`ContextView::seen`]
-    /// instead of probing this option.
-    payload: Option<Vec<u8>>,
+    /// The transaction payload once this node knows it, shared with every
+    /// message that carries it. Presence is mirrored in the hot seen lane;
+    /// handlers test [`ContextView::seen`] instead of probing this option.
+    payload: Option<Arc<[u8]>>,
     /// Phase-2 state: this node's links in the infection tree and the
     /// token while it holds it (cold; the payload-seen flag, the flooding
     /// phase tag and the last processed spread round live in the driver's
@@ -171,7 +172,7 @@ impl FlexNode {
     ) {
         self.is_origin = true;
         view.set_seen();
-        self.payload = Some(payload.clone());
+        self.payload = Some(payload.as_slice().into());
         out.deliver();
         if let Some((_, dc)) = self.engine() {
             out.record("flex-origin-queued");
@@ -185,17 +186,19 @@ impl FlexNode {
     }
 
     /// Learns the payload (idempotent). The duplicate case is decided by
-    /// the hot seen lane alone — no cold-state access.
+    /// the hot seen lane alone — no cold-state access, and no conversion of
+    /// `payload`: a message's shared payload is kept as it is, a DC-net
+    /// slot's is copied once.
     fn learn_payload(
         &mut self,
-        payload: &[u8],
+        payload: impl Into<Arc<[u8]>>,
         view: &mut ContextView<'_>,
         out: &mut Mailbox<FlexMessage>,
     ) -> bool {
         if view.set_seen() {
             return false;
         }
-        self.payload = Some(payload.to_vec());
+        self.payload = Some(payload.into());
         out.deliver();
         true
     }
@@ -256,7 +259,7 @@ impl FlexNode {
             SlotOutcome::Collision => out.record("flex-dc-collisions"),
             SlotOutcome::Message(message) => {
                 out.record("flex-dc-delivered-rounds");
-                self.learn_payload(&message, view, out);
+                self.learn_payload(message.as_slice(), view, out);
                 self.maybe_become_virtual_source(&message, view, out);
             }
         }
@@ -461,7 +464,7 @@ impl FlexNode {
             }
             FlexMessage::AdInfect { payload, .. } => {
                 // An already-informed node ignores repeated infections.
-                if self.learn_payload(&payload, view, out) {
+                if self.learn_payload(payload, view, out) {
                     self.ad.parent = Some(from);
                 }
             }
@@ -498,7 +501,7 @@ impl FlexNode {
                 out.set_timer(self.config.ad_round_interval, TIMER_AD_ROUND);
             }
             FlexMessage::FinalSpread { payload } => {
-                self.learn_payload(&payload, view, out);
+                self.learn_payload(payload.clone(), view, out);
                 if view.phase() == PHASE_FLOODING {
                     // Already switched: the signal has been handled (and the
                     // diffusion "children" relation may contain cycles, so
@@ -516,7 +519,7 @@ impl FlexNode {
                 self.start_flooding(view, out, Some(from));
             }
             FlexMessage::Flood { payload } => {
-                self.learn_payload(&payload, view, out);
+                self.learn_payload(payload, view, out);
                 if view.phase() != PHASE_FLOODING {
                     self.start_flooding(view, out, Some(from));
                 }
@@ -602,7 +605,7 @@ mod tests {
     /// has infected 2 and 3 and its round timer is armed.
     fn virtual_source(round: u32) -> (FlexNode, StandaloneEnv) {
         let (mut node, mut env) = lone_node();
-        let payload = b"tx".to_vec();
+        let payload: Arc<[u8]> = Arc::from(&b"tx"[..]);
         let infect = FlexMessage::AdInfect { round, payload };
         assert_eq!(
             poll(&mut node, &mut env, message(1, infect.clone())),
@@ -658,7 +661,7 @@ mod tests {
     #[test]
     fn a_token_on_a_flooding_node_is_discarded_and_rearms_no_timer() {
         let (mut node, mut env) = virtual_source(0);
-        let payload = b"tx".to_vec();
+        let payload: Arc<[u8]> = Arc::from(&b"tx"[..]);
         let flood = FlexMessage::Flood { payload };
         let effects = poll(&mut node, &mut env, message(3, flood.clone()));
         assert_eq!(
@@ -695,7 +698,7 @@ mod tests {
     #[test]
     fn a_final_spread_is_forwarded_once() {
         let (mut node, mut env) = virtual_source(0);
-        let payload = b"tx".to_vec();
+        let payload: Arc<[u8]> = Arc::from(&b"tx"[..]);
         let last = FlexMessage::FinalSpread {
             payload: payload.clone(),
         };
@@ -711,6 +714,22 @@ mod tests {
                 },
             ]
         );
+        // The forwarded request shares the received payload's allocation,
+        // the flood the one the node learned from its infection.
+        let payload_ptr = |message: &FlexMessage| match message {
+            FlexMessage::FinalSpread { payload } | FlexMessage::Flood { payload } => {
+                payload.as_ptr()
+            }
+            other => panic!("no payload in {other:?}"),
+        };
+        let [Effect::Send {
+            message: forwarded, ..
+        }, Effect::Broadcast { message: flood, .. }] = &effects[..]
+        else {
+            panic!("unexpected effects {effects:?}");
+        };
+        assert_eq!(payload_ptr(forwarded), payload_ptr(&last));
+        assert_eq!(payload_ptr(flood), node.payload().unwrap().as_ptr());
         // The children relation can contain cycles: the request coming
         // round again must die here.
         assert_eq!(poll(&mut node, &mut env, message(3, last)), []);
@@ -719,7 +738,7 @@ mod tests {
     #[test]
     fn budget_exhaustion_sends_the_final_spread_then_floods_once() {
         let (mut node, mut env) = virtual_source(D);
-        let payload = b"tx".to_vec();
+        let payload: Arc<[u8]> = Arc::from(&b"tx"[..]);
         let last = FlexMessage::FinalSpread {
             payload: payload.clone(),
         };

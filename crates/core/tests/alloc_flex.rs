@@ -125,14 +125,15 @@ fn session(arena: &mut TrialArena, graph: &Graph, transactions: u64) -> u64 {
     requested / transactions
 }
 
-/// Bytes a long session may request per transaction. Measured: 28.5 KB
-/// over 100 nodes — the payload copy in every infection and flood message,
-/// a payload and diffusion state per node, one round engine and one
+/// Bytes a long session may request per transaction. Measured: 15.3 KB
+/// over 100 nodes — diffusion state per node, one round engine and one
 /// contribution per member of the originator's group, latency samples —
 /// the short session's fixed costs (instance tables) being amortised away
-/// by then. One heap copy of the 300-byte contribution per peer per DC
-/// round, in place of a shared one, reads 54.0 KB.
-const BYTES_PER_TX_BOUND: u64 = 40_000;
+/// by then. Every infection, final-spread and flood message shares the
+/// originator's payload; a copy of it per message reads 28.3 KB, and on
+/// top of those copies one heap copy of the 300-byte contribution per peer
+/// per DC round, in place of a shared one, read 54.0 KB.
+const BYTES_PER_TX_BOUND: u64 = 20_000;
 
 #[test]
 fn a_hundred_times_longer_flexible_session_requests_no_more_per_transaction() {
