@@ -31,6 +31,7 @@
 use crate::bits::BitSet;
 use crate::node::NodeId;
 use std::fmt;
+use std::ops::{BitAnd, BitOr, BitOrAssign, Not};
 
 /// Largest node count for which [`Graph::diameter_estimate`] still runs the
 /// exact all-pairs-BFS computation.
@@ -278,43 +279,53 @@ impl Graph {
     /// node. Returns `None` if some node is unreachable.
     pub fn eccentricity(&self, node: NodeId) -> Option<usize> {
         let mut scratch = BfsScratch::default();
-        self.eccentricity_with(node, &mut scratch)
-    }
-
-    fn eccentricity_with(&self, node: NodeId, scratch: &mut BfsScratch) -> Option<usize> {
-        let (reached, levels) = self.bfs_levels(node, scratch);
+        let (reached, levels) = self.bfs_levels(node, &mut scratch);
         (reached == self.node_count()).then_some(levels)
     }
 
     /// Graph diameter: the maximum eccentricity over all nodes, or `None` if
     /// the graph is disconnected (or empty).
     ///
-    /// Runs one BFS per node — O(n·(n+m)) — which is fine for the network
-    /// sizes the paper's evaluation uses (≈ 1 000 peers). The BFS scratch
-    /// (distance lane, visited bitset, frontier buffers) is shared across
-    /// all n sweeps.
+    /// Runs ⌈n/64⌉ bit-parallel passes, each sweeping 64 sources at once
+    /// with one mask bit per source: O(⌈n/64⌉ · D · (n + m)) word
+    /// operations for diameter D, against O(n · (n + m)) for one BFS per
+    /// node. That is fine for the network sizes the paper's evaluation uses
+    /// (≈ 1 000 peers); [`Graph::diameter_estimate`] calls it up to
+    /// [`EXACT_DIAMETER_MAX_NODES`].
     pub fn diameter(&self) -> Option<usize> {
-        if self.node_count() == 0 {
+        let n = self.node_count();
+        if n == 0 {
             return None;
         }
-        let mut scratch = BfsScratch::default();
-        let mut diameter = 0usize;
-        for node in self.nodes() {
-            diameter = diameter.max(self.eccentricity_with(node, &mut scratch)?);
+        let mut scratch = LaneScratch::<u64>::default();
+        let mut eccentricities = [0u32; 64];
+        let mut sources = [NodeId::new(0); 64];
+        let mut diameter = 0u32;
+        for first in (0..n).step_by(64) {
+            let sources = &mut sources[..64.min(n - first)];
+            for (lane, source) in sources.iter_mut().enumerate() {
+                *source = NodeId::new(first + lane);
+            }
+            let eccentricities = &mut eccentricities[..sources.len()];
+            if !self.bit_parallel_sweep(sources, &mut scratch, eccentricities) {
+                return None;
+            }
+            diameter = eccentricities.iter().fold(diameter, |d, &e| d.max(e));
         }
-        Some(diameter)
+        Some(diameter as usize)
     }
 
     /// Graph diameter, or a tight lower-bound estimate when the graph is
     /// too large for the exact algorithm; reports which estimator ran.
     ///
     /// Up to [`EXACT_DIAMETER_MAX_NODES`] nodes this is exactly
-    /// [`Graph::diameter`] (one BFS per node). Beyond that it switches to a
-    /// double sweep — BFS from node 0 to find a peripheral node `u`, then
-    /// BFS from `u` — refined by the eccentricities of the second sweep's
-    /// endpoint and a deterministic stride of probe nodes. The result is a
-    /// lower bound on the true diameter at O(1) BFS passes instead of
-    /// O(n), and `None` for disconnected (or empty) graphs either way.
+    /// [`Graph::diameter`]. Beyond that it switches to a double sweep — BFS
+    /// from node 0 to find a peripheral node `u`, then BFS from `u` —
+    /// refined by the eccentricities of the second sweep's endpoint and a
+    /// deterministic stride of probe nodes, all probes in one bit-parallel
+    /// pass. The result is a lower bound on the true diameter at three
+    /// sweeps instead of n, and `None` for disconnected (or empty) graphs
+    /// either way.
     pub fn diameter_estimate(&self) -> Option<(usize, DiameterEstimator)> {
         let n = self.node_count();
         if n == 0 {
@@ -328,16 +339,20 @@ impl Graph {
         // the periphery, so its eccentricity approximates the diameter
         // from below (exactly, on trees).
         let (u, _) = self.farthest_from(NodeId::new(0), &mut scratch)?;
-        let (w, mut best) = self.farthest_from(u, &mut scratch)?;
+        let (w, swept) = self.farthest_from(u, &mut scratch)?;
+        drop(scratch);
         // Sampled-eccentricity refinement: more sources can only raise the
         // lower bound. The probe set (second sweep's endpoint plus a fixed
         // stride over node indices) is deterministic, so repeated calls on
-        // the same graph report the same figure.
+        // the same graph report the same figure. The stride skips node 0:
+        // the first sweep measured its eccentricity as `d(0, u)`, which
+        // `swept` (u's eccentricity) already bounds from above.
         let stride = (n / DIAMETER_ECCENTRICITY_SAMPLES).max(1);
-        for probe in std::iter::once(w).chain((0..n).step_by(stride).map(NodeId::new)) {
-            let (_, eccentricity) = self.farthest_from(probe, &mut scratch)?;
-            best = best.max(eccentricity);
-        }
+        let probes: Vec<NodeId> = std::iter::once(w)
+            .chain((stride..n).step_by(stride).map(NodeId::new))
+            .collect();
+        let probed = self.eccentricities(&probes)?;
+        let best = probed.into_iter().fold(swept, usize::max);
         Some((best, DiameterEstimator::DoubleSweep))
     }
 
@@ -370,43 +385,262 @@ impl Graph {
         Some((result.0, result.1 as usize))
     }
 
-    /// Level-synchronous BFS from `source` into `scratch.dist`
+    /// Direction-optimizing BFS from `source` into `scratch.dist`
     /// (`u32::MAX` = unreached). Returns `(reached nodes, max distance)`.
+    ///
+    /// Each level is expanded one of two ways (Beamer, Asanović &
+    /// Patterson, SC 2012). *Top-down* scans the frontier's edges and claims
+    /// every unvisited neighbour. *Bottom-up* scans the unvisited nodes
+    /// instead: one joins level L + 1 as soon as a neighbour has
+    /// `dist == L`, so it usually stops after a few of its edges. The fixed
+    /// rule — bottom-up while the frontier's edges outnumber the unvisited
+    /// nodes — runs a random overlay's thin first levels top-down and the
+    /// levels from the one that holds most of the graph on bottom-up. Both
+    /// directions assign the same distances, so the result is exactly the
+    /// level-synchronous BFS's.
     fn bfs_levels(&self, source: NodeId, scratch: &mut BfsScratch) -> (usize, usize) {
         let n = self.node_count();
-        scratch.dist.clear();
-        scratch.dist.resize(n, UNREACHED);
-        scratch.visited.reset(n);
-        scratch.frontier.clear();
-        scratch.next.clear();
+        let BfsScratch {
+            dist,
+            visited,
+            frontier,
+            next,
+        } = scratch;
+        dist.clear();
+        dist.resize(n, UNREACHED);
+        visited.reset(n);
+        frontier.clear();
 
-        scratch.dist[source.index()] = 0;
-        scratch.visited.set(source.index());
-        scratch.frontier.push(source);
+        dist[source.index()] = 0;
+        visited.set(source.index());
+        frontier.push(source);
+        let mut frontier_edges = self.degree(source);
         let mut reached = 1usize;
         let mut level = 0u32;
 
-        while !scratch.frontier.is_empty() {
-            scratch.next.clear();
-            for i in 0..scratch.frontier.len() {
-                let u = scratch.frontier[i];
-                for &v in self.neighbors(u) {
-                    if !scratch.visited.set(v.index()) {
-                        scratch.next.push(v);
-                    }
-                }
-            }
-            if scratch.next.is_empty() {
+        loop {
+            next.clear();
+            frontier_edges = if frontier_edges > n - reached {
+                self.bottom_up_level(level, dist, visited, next)
+            } else {
+                self.top_down_level(level, frontier, dist, visited, next)
+            };
+            if next.is_empty() {
                 break;
             }
             level += 1;
-            for &v in &scratch.next {
-                scratch.dist[v.index()] = level;
-            }
-            reached += scratch.next.len();
-            std::mem::swap(&mut scratch.frontier, &mut scratch.next);
+            reached += next.len();
+            std::mem::swap(frontier, next);
         }
         (reached, level as usize)
+    }
+
+    /// Claims the unvisited neighbours of `frontier` (level `level`) into
+    /// `next`; returns the sum of their degrees.
+    fn top_down_level(
+        &self,
+        level: u32,
+        frontier: &[NodeId],
+        dist: &mut [u32],
+        visited: &mut BitSet,
+        next: &mut Vec<NodeId>,
+    ) -> usize {
+        let mut edges = 0;
+        for &u in frontier {
+            for &v in self.neighbors(u) {
+                if !visited.set(v.index()) {
+                    dist[v.index()] = level + 1;
+                    next.push(v);
+                    edges += self.degree(v);
+                }
+            }
+        }
+        edges
+    }
+
+    /// Moves every unvisited node with a neighbour at `level` into `next`,
+    /// walking the zero bits of `visited` word by word; returns the sum of
+    /// their degrees.
+    fn bottom_up_level(
+        &self,
+        level: u32,
+        dist: &mut [u32],
+        visited: &mut BitSet,
+        next: &mut Vec<NodeId>,
+    ) -> usize {
+        let n = self.node_count();
+        let mut edges = 0;
+        for (word_index, word) in visited.words_mut().iter_mut().enumerate() {
+            // Bits at and beyond `n` are zero in the set, so they show up
+            // here as open; the ascending walk stops at the first of them.
+            let mut open = !*word;
+            while open != 0 {
+                let v = word_index * 64 + open.trailing_zeros() as usize;
+                if v >= n {
+                    break;
+                }
+                let node = NodeId::new(v);
+                if self
+                    .neighbors(node)
+                    .iter()
+                    .any(|u| dist[u.index()] == level)
+                {
+                    *word |= open & open.wrapping_neg();
+                    dist[v] = level + 1;
+                    next.push(node);
+                    edges += self.degree(node);
+                }
+                open &= open - 1;
+            }
+        }
+        edges
+    }
+
+    /// Eccentricities of up to 64 `sources` (duplicates allowed) in one
+    /// bit-parallel pass, or `None` if some node is unreachable from them.
+    ///
+    /// The lane width follows the source count: one byte per node and
+    /// lane set for up to 8 sources, up to 8 bytes for 64.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sources` is empty or longer than 64.
+    fn eccentricities(&self, sources: &[NodeId]) -> Option<Vec<usize>> {
+        let mut eccentricities = [0u32; 64];
+        let out = &mut eccentricities[..sources.len()];
+        let connected = match sources.len() {
+            0..=8 => self.bit_parallel_sweep(sources, &mut LaneScratch::<u8>::default(), out),
+            9..=16 => self.bit_parallel_sweep(sources, &mut LaneScratch::<u16>::default(), out),
+            17..=32 => self.bit_parallel_sweep(sources, &mut LaneScratch::<u32>::default(), out),
+            _ => self.bit_parallel_sweep(sources, &mut LaneScratch::<u64>::default(), out),
+        };
+        connected.then(|| out.iter().map(|&e| e as usize).collect())
+    }
+
+    /// Multi-source BFS (Then et al., "The More the Merrier", VLDB 2014):
+    /// source `i` owns lane `i` of every mask, and one pass over the graph
+    /// advances all sources by a level. Writes each source's eccentricity
+    /// into `eccentricities` and returns whether every source reached every
+    /// node.
+    ///
+    /// A level runs top-down — each frontier node pushes its `visit` lanes
+    /// to its neighbours' `next` — while the frontier's edges number at
+    /// most the open nodes (those some source has not reached yet), and
+    /// bottom-up otherwise: each open node gathers the `visit` lanes of its
+    /// neighbours. Where the sources' frontiers overlap, one edge scan
+    /// serves all of them.
+    fn bit_parallel_sweep<M: Lanes>(
+        &self,
+        sources: &[NodeId],
+        scratch: &mut LaneScratch<M>,
+        eccentricities: &mut [u32],
+    ) -> bool {
+        let n = self.node_count();
+        let k = sources.len();
+        assert!(
+            (1..=M::WIDTH).contains(&k),
+            "{k} sources for {}-lane masks",
+            M::WIDTH
+        );
+        let all = M::first(k);
+        let LaneScratch {
+            seen,
+            visit,
+            next,
+            frontier,
+            fresh,
+        } = scratch;
+        for lanes in [&mut *seen, &mut *visit, &mut *next] {
+            lanes.clear();
+            lanes.resize(n, M::ZERO);
+        }
+        frontier.clear();
+        for (lane, &source) in sources.iter().enumerate() {
+            let v = source.index();
+            if visit[v] == M::ZERO {
+                frontier.push(source);
+            }
+            seen[v] |= M::lane(lane);
+            visit[v] |= M::lane(lane);
+        }
+        let mut full = frontier.iter().filter(|v| seen[v.index()] == all).count();
+        let mut frontier_edges: usize = frontier.iter().map(|&v| self.degree(v)).sum();
+        eccentricities.fill(0);
+        let mut level = 0u32;
+
+        while !frontier.is_empty() {
+            level += 1;
+            fresh.clear();
+            let mut reached = M::ZERO;
+            let mut edges = 0;
+            if frontier_edges <= n - full {
+                // Top-down: gather new lanes in `next`, listing each node
+                // the first time it gains one.
+                for &v in frontier.iter() {
+                    let lanes = visit[v.index()];
+                    for &u in self.neighbors(v) {
+                        let u = u.index();
+                        let new = lanes & !seen[u];
+                        if new != M::ZERO {
+                            if next[u] == M::ZERO {
+                                fresh.push(NodeId::new(u));
+                            }
+                            next[u] |= new;
+                        }
+                    }
+                }
+                for &v in frontier.iter() {
+                    visit[v.index()] = M::ZERO;
+                }
+                for &u in fresh.iter() {
+                    let i = u.index();
+                    let new = std::mem::replace(&mut next[i], M::ZERO);
+                    visit[i] = new;
+                    seen[i] |= new;
+                    reached |= new;
+                    edges += self.degree(u);
+                    full += usize::from(seen[i] == all);
+                }
+            } else {
+                // Bottom-up: every open node reads its neighbours' `visit`
+                // lanes; the new level lands in `next`, which becomes
+                // `visit` once the whole level is read.
+                for (i, (seen_i, next_i)) in seen.iter_mut().zip(next.iter_mut()).enumerate() {
+                    if *seen_i == all {
+                        continue;
+                    }
+                    let node = NodeId::new(i);
+                    let mut gathered = M::ZERO;
+                    for &u in self.neighbors(node) {
+                        gathered |= visit[u.index()];
+                        if gathered | *seen_i == all {
+                            break;
+                        }
+                    }
+                    let new = gathered & !*seen_i;
+                    if new != M::ZERO {
+                        *next_i = new;
+                        *seen_i |= new;
+                        reached |= new;
+                        fresh.push(node);
+                        edges += self.degree(node);
+                        full += usize::from(*seen_i == all);
+                    }
+                }
+                std::mem::swap(visit, next);
+                for &v in frontier.iter() {
+                    next[v.index()] = M::ZERO;
+                }
+            }
+            let mut reached = reached.to_u64();
+            while reached != 0 {
+                eccentricities[reached.trailing_zeros() as usize] = level;
+                reached &= reached - 1;
+            }
+            frontier_edges = edges;
+            std::mem::swap(frontier, fresh);
+        }
+        full == n
     }
 
     /// Minimum and maximum degree; `None` for the empty graph.
@@ -428,14 +662,72 @@ impl Graph {
 /// Distance marker for unreached nodes in the BFS scratch lane.
 const UNREACHED: u32 = u32::MAX;
 
-/// Reusable breadth-first-search working storage: the distance lane, the
-/// visited bitset and the current/next frontier buffers.
+/// Reusable breadth-first-search working storage for
+/// [`Graph::bfs_levels`]: the distance lane (`u32::MAX` = unreached, read
+/// by bottom-up levels to find a parent at the current level), the visited
+/// bitset (whose zero bits bottom-up levels walk), and the current and next
+/// frontier lists, which hold every level's nodes in either direction.
 #[derive(Debug, Default)]
 struct BfsScratch {
     dist: Vec<u32>,
     visited: BitSet,
     frontier: Vec<NodeId>,
     next: Vec<NodeId>,
+}
+
+/// One bit per source of a bit-parallel pass ([`Graph::bit_parallel_sweep`]),
+/// in the narrowest unsigned integer that holds the sources.
+trait Lanes:
+    Copy
+    + Default
+    + Eq
+    + BitOr<Output = Self>
+    + BitOrAssign
+    + BitAnd<Output = Self>
+    + Not<Output = Self>
+{
+    /// Lanes per mask.
+    const WIDTH: usize;
+    /// The empty mask.
+    const ZERO: Self;
+    /// The mask of lane `i` alone.
+    fn lane(i: usize) -> Self;
+    /// The mask of lanes `0..k`, for `1 <= k <= WIDTH`.
+    fn first(k: usize) -> Self;
+    /// The mask widened to 64 lanes.
+    fn to_u64(self) -> u64;
+}
+
+macro_rules! impl_lanes {
+    ($($t:ty),*) => {$(
+        impl Lanes for $t {
+            const WIDTH: usize = <$t>::BITS as usize;
+            const ZERO: Self = 0;
+            fn lane(i: usize) -> Self {
+                1 << i
+            }
+            fn first(k: usize) -> Self {
+                <$t>::MAX >> (Self::WIDTH - k)
+            }
+            fn to_u64(self) -> u64 {
+                self.into()
+            }
+        }
+    )*};
+}
+impl_lanes!(u8, u16, u32, u64);
+
+/// Working storage of one bit-parallel pass: per node, the lanes (sources)
+/// that have `seen` it, that `visit` it at the current level and that reach
+/// it `next`; plus the current frontier and the nodes `fresh` at the next
+/// level, each listed once.
+#[derive(Debug, Default)]
+struct LaneScratch<M> {
+    seen: Vec<M>,
+    visit: Vec<M>,
+    next: Vec<M>,
+    frontier: Vec<NodeId>,
+    fresh: Vec<NodeId>,
 }
 
 /// Accumulates an edge list and finalizes it into a [`Graph`] in one
@@ -521,6 +813,222 @@ mod tests {
             g.add_edge(NodeId::new(i - 1), NodeId::new(i));
         }
         g
+    }
+
+    /// The level-synchronous BFS that the direction-optimizing kernel
+    /// replaced, kept as the oracle: `(dist, reached nodes, max distance)`.
+    fn oracle_levels(g: &Graph, source: NodeId) -> (Vec<u32>, usize, usize) {
+        let n = g.node_count();
+        let mut dist = vec![UNREACHED; n];
+        let mut visited = BitSet::new(n);
+        let mut frontier = vec![source];
+        let mut next = Vec::new();
+        dist[source.index()] = 0;
+        visited.set(source.index());
+        let mut reached = 1usize;
+        let mut level = 0u32;
+        while !frontier.is_empty() {
+            next.clear();
+            for &u in &frontier {
+                for &v in g.neighbors(u) {
+                    if !visited.set(v.index()) {
+                        next.push(v);
+                    }
+                }
+            }
+            if next.is_empty() {
+                break;
+            }
+            level += 1;
+            for &v in &next {
+                dist[v.index()] = level;
+            }
+            reached += next.len();
+            std::mem::swap(&mut frontier, &mut next);
+        }
+        (dist, reached, level as usize)
+    }
+
+    fn oracle_eccentricity(g: &Graph, source: NodeId) -> Option<usize> {
+        let (_, reached, levels) = oracle_levels(g, source);
+        (reached == g.node_count()).then_some(levels)
+    }
+
+    fn oracle_diameter(g: &Graph) -> Option<usize> {
+        if g.node_count() == 0 {
+            return None;
+        }
+        g.nodes()
+            .map(|v| oracle_eccentricity(g, v))
+            .try_fold(0, |d, e| Some(d.max(e?)))
+    }
+
+    /// The double sweep and probe set of [`Graph::diameter_estimate`], one
+    /// oracle sweep per source (node 0 swept twice, as it once was).
+    fn oracle_double_sweep(g: &Graph) -> Option<usize> {
+        let farthest = |source: NodeId| {
+            let (dist, reached, levels) = oracle_levels(g, source);
+            let far = dist.iter().position(|&d| d as usize == levels).unwrap();
+            (reached == g.node_count()).then_some((NodeId::new(far), levels))
+        };
+        let n = g.node_count();
+        let (u, _) = farthest(NodeId::new(0))?;
+        let (w, mut best) = farthest(u)?;
+        let stride = (n / DIAMETER_ECCENTRICITY_SAMPLES).max(1);
+        for probe in std::iter::once(w).chain((0..n).step_by(stride).map(NodeId::new)) {
+            best = best.max(farthest(probe)?.1);
+        }
+        Some(best)
+    }
+
+    /// `count` sources spread over the graph with a stride that wraps, so
+    /// small graphs get duplicates.
+    fn spread_sources(g: &Graph, count: usize, salt: usize) -> Vec<NodeId> {
+        (0..count)
+            .map(|i| NodeId::new((salt + i * 37) % g.node_count()))
+            .collect()
+    }
+
+    /// Checks every BFS entry point of `g` against the oracle: distances,
+    /// connectivity and eccentricity from `sources`, and the bit-parallel
+    /// eccentricities of 1, 2, 9, 16 and 64 sources.
+    fn assert_matches_oracle(g: &Graph, sources: &[NodeId]) {
+        for &source in sources {
+            let (dist, reached, _) = oracle_levels(g, source);
+            let expected: Vec<_> = dist
+                .iter()
+                .map(|&d| (d != UNREACHED).then_some(d as usize))
+                .collect();
+            assert_eq!(
+                g.bfs_distances(source),
+                expected,
+                "distances from {source:?}"
+            );
+            assert_eq!(g.eccentricity(source), oracle_eccentricity(g, source));
+            if source.index() == 0 {
+                assert_eq!(g.is_connected(), reached == g.node_count());
+            }
+        }
+        for (salt, count) in [1, 2, 9, 16, 64].into_iter().enumerate() {
+            let lanes = spread_sources(g, count, salt);
+            let expected: Option<Vec<usize>> =
+                lanes.iter().map(|&s| oracle_eccentricity(g, s)).collect();
+            assert_eq!(g.eccentricities(&lanes), expected, "{count} sources");
+        }
+    }
+
+    /// The disjoint union of `a` and `b`, `b`'s nodes numbered after `a`'s.
+    fn disjoint_union(a: &Graph, b: &Graph) -> Graph {
+        let offset = a.node_count();
+        let mut builder = GraphBuilder::new(offset + b.node_count());
+        for (x, y) in a.edges() {
+            builder.add_edge(x, y);
+        }
+        for (x, y) in b.edges() {
+            builder.add_edge(
+                NodeId::new(offset + x.index()),
+                NodeId::new(offset + y.index()),
+            );
+        }
+        builder.finalize()
+    }
+
+    #[test]
+    fn hand_built_graphs_match_the_oracle() {
+        use crate::topology::{line, ring, star, tree};
+        let mut isolated = GraphBuilder::new(5);
+        for (a, b) in [(0, 1), (1, 2), (2, 3)] {
+            isolated.add_edge(NodeId::new(a), NodeId::new(b));
+        }
+        let graphs = [
+            line(1).unwrap(),
+            line(2).unwrap(),
+            line(7).unwrap(),
+            line(130).unwrap(),
+            ring(3).unwrap(),
+            ring(64).unwrap(),
+            ring(129).unwrap(),
+            star(2).unwrap(),
+            star(65).unwrap(),
+            star(3000).unwrap(),
+            tree(15, 2).unwrap(),
+            tree(2500, 2).unwrap(),
+            disjoint_union(&ring(40).unwrap(), &line(30).unwrap()),
+            disjoint_union(&star(70).unwrap(), &Graph::new(1)),
+            isolated.finalize(),
+        ];
+        for g in &graphs {
+            let n = g.node_count();
+            let every_node: Vec<_> = g.nodes().collect();
+            let sources = if n <= 200 {
+                every_node
+            } else {
+                spread_sources(g, 24, 5)
+            };
+            assert_matches_oracle(g, &sources);
+            if n <= 300 {
+                assert_eq!(g.diameter(), oracle_diameter(g), "n = {n}");
+            }
+            let expected = if n <= EXACT_DIAMETER_MAX_NODES {
+                oracle_diameter(g)
+            } else {
+                oracle_double_sweep(g)
+            };
+            assert_eq!(g.diameter_estimate().map(|(d, _)| d), expected, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn duplicate_sources_share_their_eccentricity() {
+        let g = path_graph(10);
+        let sources = [3, 3, 0, 9, 3].map(NodeId::new);
+        assert_eq!(g.eccentricities(&sources), Some(vec![6, 6, 9, 9, 6]));
+        let split = disjoint_union(&path_graph(3), &path_graph(3));
+        assert_eq!(split.eccentricities(&[NodeId::new(0); 64]), None);
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            /// On random regular overlays (and, with `split`, the disjoint
+            /// union of two), every BFS entry point agrees with the
+            /// level-synchronous oracle.
+            #[test]
+            fn prop_random_regular_sweeps_match_the_oracle(
+                n in 3usize..3000,
+                degree_choice in 0usize..4,
+                seed in any::<u64>(),
+                split in any::<bool>(),
+                salt in 0usize..97,
+            ) {
+                let degree = [3, 4, 6, 8][degree_choice].min(n - 1);
+                let n = n + (n * degree) % 2;
+                let mut rng = StdRng::seed_from_u64(seed);
+                let regular = crate::topology::random_regular(n, degree, &mut rng).unwrap();
+                let g = if split {
+                    let other = crate::topology::random_regular(degree + 1, degree, &mut rng).unwrap();
+                    disjoint_union(&regular, &other)
+                } else {
+                    regular
+                };
+                assert_matches_oracle(&g, &spread_sources(&g, 4, salt));
+                if g.node_count() <= 300 {
+                    prop_assert_eq!(g.diameter(), oracle_diameter(&g));
+                }
+                if g.node_count() > EXACT_DIAMETER_MAX_NODES {
+                    prop_assert_eq!(
+                        g.diameter_estimate().map(|(d, _)| d),
+                        oracle_double_sweep(&g)
+                    );
+                }
+            }
+        }
     }
 
     #[test]
