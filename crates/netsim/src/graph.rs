@@ -340,6 +340,7 @@ impl Graph {
         // from below (exactly, on trees).
         let (u, _) = self.farthest_from(NodeId::new(0), &mut scratch)?;
         let (w, swept) = self.farthest_from(u, &mut scratch)?;
+        // Free the distance lane before the probe pass allocates its masks.
         drop(scratch);
         // Sampled-eccentricity refinement: more sources can only raise the
         // lower bound. The probe set (second sweep's endpoint plus a fixed
