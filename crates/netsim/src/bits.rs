@@ -90,8 +90,7 @@ impl BitSet {
     }
 
     /// The storage words, for lending one bit's word without the set (see
-    /// [`HotState::slot`](crate::HotState::slot)) and for walking a word's
-    /// zero bits (the bottom-up BFS levels of [`Graph`](crate::Graph)).
+    /// [`HotState::slot`](crate::HotState::slot)).
     pub(crate) fn words_mut(&mut self) -> &mut [u64] {
         &mut self.words
     }

@@ -28,7 +28,6 @@
 //! reference suite checks the two), and the derived `PartialEq` compares
 //! edge sets.
 
-use crate::bits::BitSet;
 use crate::node::NodeId;
 use std::fmt;
 use std::ops::{BitAnd, BitOr, BitOrAssign, Not};
@@ -252,35 +251,45 @@ impl Graph {
 
     /// Breadth-first distances (in hops) from `source`.
     ///
-    /// Unreachable nodes get `None`.
+    /// Unreachable nodes get `None`. This is the plain level-synchronous
+    /// BFS; the sweeps that need only reach and eccentricity
+    /// ([`Graph::is_connected`], [`Graph::eccentricity`] and the diameter
+    /// sweeps) run a bit-parallel pass instead, and the unit tests hold
+    /// them to this function.
     pub fn bfs_distances(&self, source: NodeId) -> Vec<Option<usize>> {
-        let mut scratch = BfsScratch::default();
-        self.bfs_levels(source, &mut scratch);
-        scratch
-            .dist
-            .iter()
-            .map(|&d| (d != UNREACHED).then_some(d as usize))
-            .collect()
+        let mut dist = vec![None; self.node_count()];
+        dist[source.index()] = Some(0);
+        let mut frontier = vec![source];
+        let mut next = Vec::new();
+        let mut level = 0;
+        while !frontier.is_empty() {
+            level += 1;
+            for &u in &frontier {
+                for &v in self.neighbors(u) {
+                    if dist[v.index()].is_none() {
+                        dist[v.index()] = Some(level);
+                        next.push(v);
+                    }
+                }
+            }
+            frontier.clear();
+            std::mem::swap(&mut frontier, &mut next);
+        }
+        dist
     }
 
     /// Returns `true` if every node is reachable from every other node.
     ///
     /// The empty graph and the single-node graph are considered connected.
     pub fn is_connected(&self) -> bool {
-        if self.node_count() <= 1 {
-            return true;
-        }
-        let mut scratch = BfsScratch::default();
-        let (reached, _) = self.bfs_levels(NodeId::new(0), &mut scratch);
-        reached == self.node_count()
+        self.node_count() <= 1 || self.eccentricity(NodeId::new(0)).is_some()
     }
 
     /// Eccentricity of `node`: the maximum BFS distance to any reachable
     /// node. Returns `None` if some node is unreachable.
     pub fn eccentricity(&self, node: NodeId) -> Option<usize> {
-        let mut scratch = BfsScratch::default();
-        let (reached, levels) = self.bfs_levels(node, &mut scratch);
-        (reached == self.node_count()).then_some(levels)
+        let (_, eccentricity) = self.farthest_from(node, &mut LaneScratch::default())?;
+        Some(eccentricity)
     }
 
     /// Graph diameter: the maximum eccentricity over all nodes, or `None` if
@@ -334,13 +343,13 @@ impl Graph {
         if n <= EXACT_DIAMETER_MAX_NODES {
             return self.diameter().map(|d| (d, DiameterEstimator::Exact));
         }
-        let mut scratch = BfsScratch::default();
+        let mut scratch = LaneScratch::default();
         // Double sweep: the farthest node from an arbitrary start sits on
         // the periphery, so its eccentricity approximates the diameter
         // from below (exactly, on trees).
         let (u, _) = self.farthest_from(NodeId::new(0), &mut scratch)?;
         let (w, swept) = self.farthest_from(u, &mut scratch)?;
-        // Free the distance lane before the probe pass allocates its masks.
+        // Free the one-lane masks before the probe pass allocates its own.
         drop(scratch);
         // Sampled-eccentricity refinement: more sources can only raise the
         // lower bound. The probe set (second sweep's endpoint plus a fixed
@@ -371,137 +380,28 @@ impl Graph {
     }
 
     /// The node farthest from `source` (lowest index on ties) and its BFS
-    /// distance, or `None` if any node is unreachable.
-    fn farthest_from(&self, source: NodeId, scratch: &mut BfsScratch) -> Option<(NodeId, usize)> {
-        let (reached, _) = self.bfs_levels(source, scratch);
-        if reached != self.node_count() {
+    /// distance, or `None` if any node is unreachable: a one-lane
+    /// [`Graph::bit_parallel_sweep`], whose last level is left in
+    /// `scratch.fresh`.
+    fn farthest_from(
+        &self,
+        source: NodeId,
+        scratch: &mut LaneScratch<u8>,
+    ) -> Option<(NodeId, usize)> {
+        let mut eccentricity = [0];
+        if !self.bit_parallel_sweep(&[source], scratch, &mut eccentricity) {
             return None;
         }
-        let mut result = (source, 0u32);
-        for (index, &distance) in scratch.dist.iter().enumerate() {
-            if distance > result.1 {
-                result = (NodeId::new(index), distance);
-            }
-        }
-        Some((result.0, result.1 as usize))
-    }
-
-    /// Direction-optimizing BFS from `source` into `scratch.dist`
-    /// (`u32::MAX` = unreached). Returns `(reached nodes, max distance)`.
-    ///
-    /// Each level is expanded one of two ways (Beamer, Asanović &
-    /// Patterson, SC 2012). *Top-down* scans the frontier's edges and claims
-    /// every unvisited neighbour. *Bottom-up* scans the unvisited nodes
-    /// instead: one joins level L + 1 as soon as a neighbour has
-    /// `dist == L`, so it usually stops after a few of its edges. The fixed
-    /// rule — bottom-up while the frontier's edges outnumber the unvisited
-    /// nodes — runs a random overlay's thin first levels top-down and the
-    /// levels from the one that holds most of the graph on bottom-up. Both
-    /// directions assign the same distances, so the result is exactly the
-    /// level-synchronous BFS's.
-    fn bfs_levels(&self, source: NodeId, scratch: &mut BfsScratch) -> (usize, usize) {
-        let n = self.node_count();
-        let BfsScratch {
-            dist,
-            visited,
-            frontier,
-            next,
-        } = scratch;
-        dist.clear();
-        dist.resize(n, UNREACHED);
-        visited.reset(n);
-        frontier.clear();
-
-        dist[source.index()] = 0;
-        visited.set(source.index());
-        frontier.push(source);
-        let mut frontier_edges = self.degree(source);
-        let mut reached = 1usize;
-        let mut level = 0u32;
-
-        loop {
-            next.clear();
-            frontier_edges = if frontier_edges > n - reached {
-                self.bottom_up_level(level, dist, visited, next)
-            } else {
-                self.top_down_level(level, frontier, dist, visited, next)
-            };
-            if next.is_empty() {
-                break;
-            }
-            level += 1;
-            reached += next.len();
-            std::mem::swap(frontier, next);
-        }
-        (reached, level as usize)
-    }
-
-    /// Claims the unvisited neighbours of `frontier` (level `level`) into
-    /// `next`; returns the sum of their degrees.
-    fn top_down_level(
-        &self,
-        level: u32,
-        frontier: &[NodeId],
-        dist: &mut [u32],
-        visited: &mut BitSet,
-        next: &mut Vec<NodeId>,
-    ) -> usize {
-        let mut edges = 0;
-        for &u in frontier {
-            for &v in self.neighbors(u) {
-                if !visited.set(v.index()) {
-                    dist[v.index()] = level + 1;
-                    next.push(v);
-                    edges += self.degree(v);
-                }
-            }
-        }
-        edges
-    }
-
-    /// Moves every unvisited node with a neighbour at `level` into `next`,
-    /// walking the zero bits of `visited` word by word; returns the sum of
-    /// their degrees.
-    fn bottom_up_level(
-        &self,
-        level: u32,
-        dist: &mut [u32],
-        visited: &mut BitSet,
-        next: &mut Vec<NodeId>,
-    ) -> usize {
-        let n = self.node_count();
-        let mut edges = 0;
-        for (word_index, word) in visited.words_mut().iter_mut().enumerate() {
-            // Bits at and beyond `n` are zero in the set, so they show up
-            // here as open; the ascending walk stops at the first of them.
-            let mut open = !*word;
-            while open != 0 {
-                let v = word_index * 64 + open.trailing_zeros() as usize;
-                if v >= n {
-                    break;
-                }
-                let node = NodeId::new(v);
-                if self
-                    .neighbors(node)
-                    .iter()
-                    .any(|u| dist[u.index()] == level)
-                {
-                    *word |= open & open.wrapping_neg();
-                    dist[v] = level + 1;
-                    next.push(node);
-                    edges += self.degree(node);
-                }
-                open &= open - 1;
-            }
-        }
-        edges
+        let farthest = scratch.fresh.iter().copied().min()?;
+        Some((farthest, eccentricity[0] as usize))
     }
 
     /// Eccentricities of up to 64 `sources` (duplicates allowed) in one
     /// bit-parallel pass, or `None` if some node is unreachable from them.
     ///
     /// The lane width follows the source count: one byte per node and
-    /// lane set for up to 8 sources, up to 8 bytes for 64.
+    /// lane set for up to 8 sources (the estimate's probes when 8 divides
+    /// n), two for up to 16 (its nine probes otherwise), eight beyond.
     ///
     /// # Panics
     ///
@@ -512,7 +412,6 @@ impl Graph {
         let connected = match sources.len() {
             0..=8 => self.bit_parallel_sweep(sources, &mut LaneScratch::<u8>::default(), out),
             9..=16 => self.bit_parallel_sweep(sources, &mut LaneScratch::<u16>::default(), out),
-            17..=32 => self.bit_parallel_sweep(sources, &mut LaneScratch::<u32>::default(), out),
             _ => self.bit_parallel_sweep(sources, &mut LaneScratch::<u64>::default(), out),
         };
         connected.then(|| out.iter().map(|&e| e as usize).collect())
@@ -522,7 +421,8 @@ impl Graph {
     /// source `i` owns lane `i` of every mask, and one pass over the graph
     /// advances all sources by a level. Writes each source's eccentricity
     /// into `eccentricities` and returns whether every source reached every
-    /// node.
+    /// node; `scratch.fresh` is left holding the nodes of the last level
+    /// that reached any (each listed once).
     ///
     /// A level runs top-down — each frontier node pushes its `visit` lanes
     /// to its neighbours' `next` — while the frontier's edges number at
@@ -575,37 +475,29 @@ impl Graph {
             let mut reached = M::ZERO;
             let mut edges = 0;
             if frontier_edges <= n - full {
-                // Top-down: gather new lanes in `next`, listing each node
-                // the first time it gains one.
+                // Top-down: every frontier node pushes its `visit` lanes to
+                // its neighbours, listing a neighbour the first time it
+                // gains one.
                 for &v in frontier.iter() {
                     let lanes = visit[v.index()];
                     for &u in self.neighbors(v) {
-                        let u = u.index();
-                        let new = lanes & !seen[u];
+                        let i = u.index();
+                        let new = lanes & !seen[i];
                         if new != M::ZERO {
-                            if next[u] == M::ZERO {
-                                fresh.push(NodeId::new(u));
+                            if next[i] == M::ZERO {
+                                fresh.push(u);
+                                edges += self.degree(u);
                             }
-                            next[u] |= new;
+                            next[i] |= new;
+                            seen[i] |= new;
+                            reached |= new;
+                            full += usize::from(seen[i] == all);
                         }
                     }
                 }
-                for &v in frontier.iter() {
-                    visit[v.index()] = M::ZERO;
-                }
-                for &u in fresh.iter() {
-                    let i = u.index();
-                    let new = std::mem::replace(&mut next[i], M::ZERO);
-                    visit[i] = new;
-                    seen[i] |= new;
-                    reached |= new;
-                    edges += self.degree(u);
-                    full += usize::from(seen[i] == all);
-                }
             } else {
-                // Bottom-up: every open node reads its neighbours' `visit`
-                // lanes; the new level lands in `next`, which becomes
-                // `visit` once the whole level is read.
+                // Bottom-up: every open node gathers its neighbours'
+                // `visit` lanes.
                 for (i, (seen_i, next_i)) in seen.iter_mut().zip(next.iter_mut()).enumerate() {
                     if *seen_i == all {
                         continue;
@@ -628,10 +520,12 @@ impl Graph {
                         full += usize::from(*seen_i == all);
                     }
                 }
-                std::mem::swap(visit, next);
-                for &v in frontier.iter() {
-                    next[v.index()] = M::ZERO;
-                }
+            }
+            // The new level becomes `visit`; the old one, cleared, is the
+            // next level's `next`.
+            std::mem::swap(visit, next);
+            for &v in frontier.iter() {
+                next[v.index()] = M::ZERO;
             }
             let mut reached = reached.to_u64();
             while reached != 0 {
@@ -658,22 +552,6 @@ impl Graph {
         }
         Some((min, max))
     }
-}
-
-/// Distance marker for unreached nodes in the BFS scratch lane.
-const UNREACHED: u32 = u32::MAX;
-
-/// Reusable breadth-first-search working storage for
-/// [`Graph::bfs_levels`]: the distance lane (`u32::MAX` = unreached, read
-/// by bottom-up levels to find a parent at the current level), the visited
-/// bitset (whose zero bits bottom-up levels walk), and the current and next
-/// frontier lists, which hold every level's nodes in either direction.
-#[derive(Debug, Default)]
-struct BfsScratch {
-    dist: Vec<u32>,
-    visited: BitSet,
-    frontier: Vec<NodeId>,
-    next: Vec<NodeId>,
 }
 
 /// One bit per source of a bit-parallel pass ([`Graph::bit_parallel_sweep`]),
@@ -716,12 +594,12 @@ macro_rules! impl_lanes {
         }
     )*};
 }
-impl_lanes!(u8, u16, u32, u64);
+impl_lanes!(u8, u16, u64);
 
 /// Working storage of one bit-parallel pass: per node, the lanes (sources)
 /// that have `seen` it, that `visit` it at the current level and that reach
 /// it `next`; plus the current frontier and the nodes `fresh` at the next
-/// level, each listed once.
+/// level, each listed once. After a pass, `fresh` holds its last level.
 #[derive(Debug, Default)]
 struct LaneScratch<M> {
     seen: Vec<M>,
@@ -816,43 +694,19 @@ mod tests {
         g
     }
 
-    /// The level-synchronous BFS that the direction-optimizing kernel
-    /// replaced, kept as the oracle: `(dist, reached nodes, max distance)`.
-    fn oracle_levels(g: &Graph, source: NodeId) -> (Vec<u32>, usize, usize) {
-        let n = g.node_count();
-        let mut dist = vec![UNREACHED; n];
-        let mut visited = BitSet::new(n);
-        let mut frontier = vec![source];
-        let mut next = Vec::new();
-        dist[source.index()] = 0;
-        visited.set(source.index());
-        let mut reached = 1usize;
-        let mut level = 0u32;
-        while !frontier.is_empty() {
-            next.clear();
-            for &u in &frontier {
-                for &v in g.neighbors(u) {
-                    if !visited.set(v.index()) {
-                        next.push(v);
-                    }
-                }
-            }
-            if next.is_empty() {
-                break;
-            }
-            level += 1;
-            for &v in &next {
-                dist[v.index()] = level;
-            }
-            reached += next.len();
-            std::mem::swap(&mut frontier, &mut next);
-        }
-        (dist, reached, level as usize)
+    /// What a one-lane sweep from `source` must find, read off the
+    /// level-synchronous [`Graph::bfs_distances`]: the farthest node
+    /// (lowest index on ties) and its distance, or `None` if some node is
+    /// unreachable.
+    fn oracle_farthest(g: &Graph, source: NodeId) -> Option<(NodeId, usize)> {
+        let dist: Vec<usize> = g.bfs_distances(source).into_iter().collect::<Option<_>>()?;
+        let far =
+            (0..dist.len()).fold(source.index(), |f, v| if dist[v] > dist[f] { v } else { f });
+        Some((NodeId::new(far), dist[far]))
     }
 
     fn oracle_eccentricity(g: &Graph, source: NodeId) -> Option<usize> {
-        let (_, reached, levels) = oracle_levels(g, source);
-        (reached == g.node_count()).then_some(levels)
+        oracle_farthest(g, source).map(|(_, e)| e)
     }
 
     fn oracle_diameter(g: &Graph) -> Option<usize> {
@@ -867,17 +721,12 @@ mod tests {
     /// The double sweep and probe set of [`Graph::diameter_estimate`], one
     /// oracle sweep per source (node 0 swept twice, as it once was).
     fn oracle_double_sweep(g: &Graph) -> Option<usize> {
-        let farthest = |source: NodeId| {
-            let (dist, reached, levels) = oracle_levels(g, source);
-            let far = dist.iter().position(|&d| d as usize == levels).unwrap();
-            (reached == g.node_count()).then_some((NodeId::new(far), levels))
-        };
         let n = g.node_count();
-        let (u, _) = farthest(NodeId::new(0))?;
-        let (w, mut best) = farthest(u)?;
+        let (u, _) = oracle_farthest(g, NodeId::new(0))?;
+        let (w, mut best) = oracle_farthest(g, u)?;
         let stride = (n / DIAMETER_ECCENTRICITY_SAMPLES).max(1);
         for probe in std::iter::once(w).chain((0..n).step_by(stride).map(NodeId::new)) {
-            best = best.max(farthest(probe)?.1);
+            best = best.max(oracle_eccentricity(g, probe)?);
         }
         Some(best)
     }
@@ -890,24 +739,20 @@ mod tests {
             .collect()
     }
 
-    /// Checks every BFS entry point of `g` against the oracle: distances,
-    /// connectivity and eccentricity from `sources`, and the bit-parallel
+    /// Checks every sweep of `g` against the oracle: connectivity,
+    /// eccentricity and farthest node from `sources`, and the bit-parallel
     /// eccentricities of 1, 2, 9, 16 and 64 sources.
     fn assert_matches_oracle(g: &Graph, sources: &[NodeId]) {
         for &source in sources {
-            let (dist, reached, _) = oracle_levels(g, source);
-            let expected: Vec<_> = dist
-                .iter()
-                .map(|&d| (d != UNREACHED).then_some(d as usize))
-                .collect();
+            let expected = oracle_farthest(g, source);
             assert_eq!(
-                g.bfs_distances(source),
+                g.farthest_from(source, &mut LaneScratch::default()),
                 expected,
-                "distances from {source:?}"
+                "farthest from {source:?}"
             );
-            assert_eq!(g.eccentricity(source), oracle_eccentricity(g, source));
+            assert_eq!(g.eccentricity(source), expected.map(|(_, e)| e));
             if source.index() == 0 {
-                assert_eq!(g.is_connected(), reached == g.node_count());
+                assert_eq!(g.is_connected(), expected.is_some());
             }
         }
         for (salt, count) in [1, 2, 9, 16, 64].into_iter().enumerate() {
