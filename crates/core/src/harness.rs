@@ -10,7 +10,7 @@
 //! flexible protocol — through one call.
 
 use crate::config::FlexConfig;
-use crate::keycache::group_memberships;
+use crate::keycache::{derive_group, KeyScratch};
 use crate::message::{PHASE1_KINDS, PHASE2_KINDS, PHASE3_KINDS};
 use crate::node::{FlexNode, GroupMembership};
 use fnp_crypto::dh::KeyPair;
@@ -146,8 +146,9 @@ fn check_origin(origin: NodeId, nodes: usize) -> Result<(), HarnessError> {
 
 /// The one group set-up: partitions an `n`-node overlay into DC-net groups
 /// (setup RNG `seed ^ 0xD1F7_BEEF`), derives every group's memberships
-/// under key seed `seed` and yields one configured [`FlexNode`] per node,
-/// in node order.
+/// under key seed `seed`, each straight into its node's slot and all over
+/// one [`KeyScratch`], and yields one configured [`FlexNode`] per node, in
+/// node order.
 ///
 /// `config` must already be validated.
 fn flex_nodes(
@@ -160,10 +161,11 @@ fn flex_nodes(
     let groups = form_groups(&all_nodes, config.k, &mut setup_rng)?;
 
     let mut memberships: Vec<Option<GroupMembership>> = (0..n).map(|_| None).collect();
+    let mut scratch = KeyScratch::default();
     for group in &groups {
-        for (node, membership) in group_memberships(group, seed) {
+        derive_group(group, seed, &mut scratch, |node, membership| {
             memberships[node.index()] = Some(membership);
-        }
+        });
     }
     Ok(memberships
         .into_iter()

@@ -32,6 +32,7 @@ use fnp_dcnet::{ReceiveError, RoundEngine};
 use fnp_diffusion::{AdMessage, InfectionTree, Round, Token, Wire};
 use fnp_netsim::{ContextView, NodeId};
 use fnp_proto::{Input, Mailbox, ProtocolCore, SteadyProtocol};
+use std::cell::OnceCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -47,26 +48,86 @@ const PHASE_FLOODING: u8 = 1;
 
 /// Static description of the DC-net group a node belongs to.
 ///
-/// The member list and identity table are identical for every member of a
-/// group, so they are reference-counted and shared between the `k`
-/// memberships instead of deep-copied `k` times at setup. The keyed
-/// participant is immutable once built (rounds only read its pad keys), so
-/// it is reference-counted too: cloning a membership — what every
-/// per-transaction instance of a steady-state session does — is three
+/// The member list is identical for every member of a group, so the `k`
+/// memberships share one roster instead of deep-copying it `k` times at
+/// set-up; the members' election identities live in the same roster,
+/// computed the first time any member elects. The keyed participant is
+/// immutable once built (rounds only read its pad keys), so it is
+/// reference-counted too: cloning a membership — what every
+/// per-transaction instance of a steady-state session does — is two
 /// refcount bumps and copies no key material.
 #[derive(Clone, Debug)]
 pub struct GroupMembership {
-    /// The group members' overlay node ids, sorted ascending (shared
-    /// between all members of the group).
-    pub members: Rc<[NodeId]>,
-    /// This node's index within `members`.
+    /// The member list and identities, shared by all members of the group.
+    roster: Rc<GroupRoster>,
+    /// This node's index within [`GroupMembership::members`].
     pub own_index: usize,
-    /// The members' public identities (same order as `members`), used for
-    /// the virtual-source election (shared between all members).
-    pub identities: Rc<[Identity]>,
     /// The keyed DC-net participant holding the pairwise pad generators
     /// (shared between this node's per-transaction instances).
     pub participant: Rc<KeyedParticipant>,
+}
+
+impl GroupMembership {
+    /// Member `own_index` of the group `roster` describes, contributing
+    /// through `participant`.
+    pub(crate) fn new(
+        roster: Rc<GroupRoster>,
+        own_index: usize,
+        participant: Rc<KeyedParticipant>,
+    ) -> Self {
+        Self {
+            roster,
+            own_index,
+            participant,
+        }
+    }
+
+    /// The group members' overlay node ids, sorted ascending.
+    pub fn members(&self) -> &[NodeId] {
+        self.roster.members()
+    }
+
+    /// The members' public identities, in the order of
+    /// [`GroupMembership::members`]: what the virtual-source election
+    /// compares. Computed on the first call by any member of the group and
+    /// shared with all of them from then on.
+    pub fn identities(&self) -> &[Identity] {
+        let GroupRoster {
+            members,
+            identities,
+        } = &*self.roster;
+        identities.get_or_init(|| {
+            members
+                .iter()
+                .map(|node| Identity::from_node_index(node.index()))
+                .collect()
+        })
+    }
+}
+
+/// What all members of one DC-net group share: the member list, and the
+/// members' identities once one of them has elected a virtual source. Only
+/// a group that carries a transaction elects, so in a single broadcast no
+/// roster but the originator group's ever builds its identities.
+#[derive(Debug)]
+pub(crate) struct GroupRoster {
+    members: Box<[NodeId]>,
+    identities: OnceCell<Box<[Identity]>>,
+}
+
+impl GroupRoster {
+    /// A roster of `members`, in ascending node order.
+    pub(crate) fn new(members: impl Iterator<Item = NodeId>) -> Self {
+        Self {
+            members: members.collect(),
+            identities: OnceCell::new(),
+        }
+    }
+
+    /// The members, in ascending node order.
+    pub(crate) fn members(&self) -> &[NodeId] {
+        &self.members
+    }
 }
 
 /// Phase 2's wire for the shared virtual-source engine: adaptive diffusion
@@ -148,7 +209,7 @@ impl FlexNode {
     pub fn group_members(&self) -> &[NodeId] {
         self.group
             .as_ref()
-            .map(|group| &group.members[..])
+            .map(GroupMembership::members)
             .unwrap_or(&[])
     }
 
@@ -232,7 +293,7 @@ impl FlexNode {
             member_index,
             data,
         };
-        for (index, member) in group.members.iter().enumerate() {
+        for (index, member) in group.members().iter().enumerate() {
             if index != member_index {
                 out.send(*member, message.clone());
             }
@@ -282,7 +343,7 @@ impl FlexNode {
         let is_winner = match self.config.election {
             crate::config::ElectionStrategy::HashBased => {
                 let digest = Sha256::digest(message);
-                let Some(elected) = elect_virtual_source_index(&group.identities, &digest) else {
+                let Some(elected) = elect_virtual_source_index(group.identities(), &digest) else {
                     return;
                 };
                 out.record("flex-elections");
@@ -306,7 +367,7 @@ impl FlexNode {
         // eventual final-spread request flow through them.
         let own_index = group.own_index;
         let children: Vec<NodeId> = group
-            .members
+            .members()
             .iter()
             .enumerate()
             .filter(|(index, _)| *index != own_index)
@@ -446,7 +507,7 @@ impl FlexNode {
                 };
                 // The claimed position must be the sender's own; a refused
                 // contribution is counted under its reason.
-                let received = if group.members.get(member_index) == Some(&from) {
+                let received = if group.members().get(member_index) == Some(&from) {
                     dc.receive(member_index, round, data, view.rng())
                 } else {
                     Err(ReceiveError::NonMember)

@@ -282,7 +282,14 @@ impl Graph {
     ///
     /// The empty graph and the single-node graph are considered connected.
     pub fn is_connected(&self) -> bool {
-        self.node_count() <= 1 || self.eccentricity(NodeId::new(0)).is_some()
+        self.is_connected_in(&mut LaneScratch::default())
+    }
+
+    /// [`Graph::is_connected`] over the caller's pooled lanes: the overlay
+    /// generator's check, which would otherwise build them afresh on every
+    /// attempt.
+    pub(crate) fn is_connected_in(&self, scratch: &mut LaneScratch<u8>) -> bool {
+        self.node_count() <= 1 || self.farthest_from(NodeId::new(0), scratch).is_some()
     }
 
     /// Eccentricity of `node`: the maximum BFS distance to any reachable
@@ -601,12 +608,36 @@ impl_lanes!(u8, u16, u64);
 /// it `next`; plus the current frontier and the nodes `fresh` at the next
 /// level, each listed once. After a pass, `fresh` holds its last level.
 #[derive(Debug, Default)]
-struct LaneScratch<M> {
+pub(crate) struct LaneScratch<M> {
     seen: Vec<M>,
     visit: Vec<M>,
     next: Vec<M>,
     frontier: Vec<NodeId>,
     fresh: Vec<NodeId>,
+}
+
+impl<M> LaneScratch<M> {
+    /// The largest capacity among the buffers, in elements (nodes).
+    pub(crate) fn capacity(&self) -> usize {
+        let masks = [&self.seen, &self.visit, &self.next].map(Vec::capacity);
+        let lists = [&self.frontier, &self.fresh].map(Vec::capacity);
+        masks.into_iter().chain(lists).max().unwrap_or(0)
+    }
+
+    /// Shrinks every buffer holding more than `limit` elements to `keep`
+    /// (or to its length, if longer).
+    pub(crate) fn shrink_above(&mut self, limit: usize, keep: usize) {
+        for masks in [&mut self.seen, &mut self.visit, &mut self.next] {
+            if masks.capacity() > limit {
+                masks.shrink_to(keep);
+            }
+        }
+        for list in [&mut self.frontier, &mut self.fresh] {
+            if list.capacity() > limit {
+                list.shrink_to(keep);
+            }
+        }
+    }
 }
 
 /// Accumulates an edge list and finalizes it into a [`Graph`] in one

@@ -13,7 +13,7 @@
 //! random model could produce disconnected graphs) because the dissemination
 //! protocols need every node to be reachable.
 
-use crate::graph::{Graph, GraphBuilder};
+use crate::graph::{Graph, GraphBuilder, LaneScratch};
 use crate::node::NodeId;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -336,8 +336,9 @@ const SCRATCH_CLAMP_FACTOR: usize = 4;
 /// One [`random_regular_into`] call for an `n`-node degree-`d` overlay
 /// fills an `n·d`-element stub list, an `n·d/2`-element edge list and a
 /// counting-sort multiplicity snapshot of the same order — tens of
-/// megabytes of transient allocations per trial at n = 10⁶. Pooling the
-/// scratch in a
+/// megabytes of transient allocations per trial at n = 10⁶ — and checks
+/// each attempt's graph for connectivity over per-node lanes and frontier
+/// lists, which the scratch holds too. Pooling the scratch in a
 /// [`TrialArena`](crate::TrialArena) (see
 /// [`TrialArena::regular_scratch`](crate::TrialArena::regular_scratch))
 /// turns that into a one-time cost per worker. The buffers carry no state
@@ -360,6 +361,9 @@ pub struct RegularScratch {
     /// ascending order — the repair loop's work list.
     bad: Vec<u32>,
     deltas: PairDeltas,
+    /// The one-lane masks and frontiers of the connectivity check that
+    /// ends every attempt.
+    lanes: LaneScratch<u8>,
 }
 
 impl RegularScratch {
@@ -398,6 +402,9 @@ impl RegularScratch {
         if self.deltas.capacity() > SCRATCH_CLAMP_FACTOR * edge_count.max(1) {
             self.deltas.shrink_to(edge_count);
         }
+        // One lane entry per node; like `key_offsets`, bounded by the stubs.
+        self.lanes
+            .shrink_above(SCRATCH_CLAMP_FACTOR * stub_count.max(1), stub_count);
     }
 
     /// Current capacity of the stub buffer (exposed for capacity-regression
@@ -405,6 +412,13 @@ impl RegularScratch {
     #[must_use]
     pub fn stub_capacity(&self) -> usize {
         self.stubs.capacity()
+    }
+
+    /// The largest capacity among the connectivity check's buffers, in
+    /// nodes (exposed for capacity-regression tests).
+    #[must_use]
+    pub fn lane_capacity(&self) -> usize {
+        self.lanes.capacity()
     }
 }
 
@@ -474,6 +488,7 @@ fn random_regular_attempts<R: Rng + ?Sized>(
             key_slots,
             bad,
             deltas,
+            lanes,
         } = scratch;
         stubs.clear();
         stubs.extend((0..n).flat_map(|i| std::iter::repeat_n(to_u32(i), degree)));
@@ -603,7 +618,7 @@ fn random_regular_attempts<R: Rng + ?Sized>(
         // `build_from_pairs` validation re-checks simplicity and reports a
         // failed attempt rather than a corrupt graph if it were ever
         // violated).
-        if graph.build_from_pairs(n, edges) && graph.is_connected() {
+        if graph.build_from_pairs(n, edges) && graph.is_connected_in(lanes) {
             return Ok(());
         }
     }
@@ -763,6 +778,10 @@ mod tests {
         scratch.key_slots.reserve(500_000);
         scratch.bad.reserve(500_000);
         scratch.deltas.reserve(500_000);
+        // An edgeless graph fails the check at once, after sizing every
+        // mask for all its nodes.
+        assert!(!Graph::new(100_000).is_connected_in(&mut scratch.lanes));
+        assert!(scratch.lane_capacity() >= 100_000);
         let large_stub_capacity = scratch.stub_capacity();
         assert!(large_stub_capacity >= 1_000_000);
 
@@ -781,6 +800,7 @@ mod tests {
         assert!(scratch.key_slots.capacity() <= SCRATCH_CLAMP_FACTOR * (need / 2));
         assert!(scratch.bad.capacity() <= SCRATCH_CLAMP_FACTOR * (need / 2));
         assert!(scratch.deltas.capacity() <= SCRATCH_CLAMP_FACTOR * (need / 2));
+        assert!(scratch.lane_capacity() <= SCRATCH_CLAMP_FACTOR * need);
 
         // Growing again after the clamp still works, and a right-sized
         // large trial retains its capacity for reuse.
