@@ -12,7 +12,7 @@
 use crate::config::FlexConfig;
 use crate::keycache::{derive_group, KeyScratch};
 use crate::message::{PHASE1_KINDS, PHASE2_KINDS, PHASE3_KINDS};
-use crate::node::{FlexNode, GroupMembership};
+use crate::node::FlexNode;
 use fnp_crypto::dh::KeyPair;
 use fnp_diffusion::{AdParams, AdaptiveDiffusionNode};
 use fnp_gossip::{DandelionParams, StemLine};
@@ -144,32 +144,35 @@ fn check_origin(origin: NodeId, nodes: usize) -> Result<(), HarnessError> {
     }
 }
 
-/// The one group set-up: partitions an `n`-node overlay into DC-net groups
-/// (setup RNG `seed ^ 0xD1F7_BEEF`), derives every group's memberships
-/// under key seed `seed`, each straight into its node's slot and all over
-/// one [`KeyScratch`], and yields one configured [`FlexNode`] per node, in
-/// node order.
+/// The one group set-up: appends one configured [`FlexNode`] per node of an
+/// `n`-node overlay to `nodes`, each wrapped by `wrap`, in node order; then
+/// partitions the overlay into DC-net groups (setup RNG
+/// `seed ^ 0xD1F7_BEEF`) and derives every group's memberships under key
+/// seed `seed`, all over one [`KeyScratch`], writing each straight into its
+/// node, reached through `core`.
 ///
 /// `config` must already be validated.
-fn flex_nodes(
+fn flex_nodes<T>(
+    nodes: &mut Vec<T>,
     n: usize,
     config: FlexConfig,
     seed: u64,
-) -> Result<impl Iterator<Item = FlexNode>, HarnessError> {
+    wrap: impl Fn(FlexNode) -> T,
+    core: impl Fn(&mut T) -> &mut FlexNode,
+) -> Result<(), HarnessError> {
     let mut setup_rng = StdRng::seed_from_u64(seed ^ 0xD1F7_BEEF);
     let all_nodes: Vec<NodeId> = (0..n).map(NodeId::new).collect();
     let groups = form_groups(&all_nodes, config.k, &mut setup_rng)?;
 
-    let mut memberships: Vec<Option<GroupMembership>> = (0..n).map(|_| None).collect();
+    let first = nodes.len();
+    nodes.extend((0..n).map(|_| wrap(FlexNode::new(config, None))));
     let mut scratch = KeyScratch::default();
     for group in &groups {
         derive_group(group, seed, &mut scratch, |node, membership| {
-            memberships[node.index()] = Some(membership);
+            core(&mut nodes[first + node.index()]).join(membership);
         });
     }
-    Ok(memberships
-        .into_iter()
-        .map(move |membership| FlexNode::new(config, membership)))
+    Ok(())
 }
 
 /// Sets up and runs one flexible-protocol broadcast of `payload` from
@@ -230,7 +233,14 @@ pub fn run_flexible_broadcast_in(
     }
 
     let mut nodes: Vec<SimDriver<FlexNode>> = arena.take_nodes();
-    nodes.extend(flex_nodes(n, config, sim_config.seed)?.map(SimDriver::new));
+    flex_nodes(
+        &mut nodes,
+        n,
+        config,
+        sim_config.seed,
+        SimDriver::new,
+        SimDriver::core_mut,
+    )?;
     let origin_group = nodes[origin.index()].core().group_members().to_vec();
 
     let mut recorded = sim_config;
@@ -270,7 +280,9 @@ pub fn flex_steady_prototypes_in(
     seed: u64,
 ) -> Result<Vec<FlexNode>, HarnessError> {
     config.validate()?;
-    Ok(flex_nodes(n, config, seed)?.collect())
+    let mut nodes = Vec::with_capacity(n);
+    flex_nodes(&mut nodes, n, config, seed, |node| node, |node| node)?;
+    Ok(nodes)
 }
 
 /// The four dissemination strategies the experiments compare.
@@ -674,7 +686,8 @@ mod tests {
                 origin: NodeId::new(33),
             },
         ];
-        let prototypes = flex_nodes(n, FlexConfig::default(), 8).unwrap().collect();
+        let prototypes =
+            flex_steady_prototypes_in(&mut arena, n, FlexConfig::default(), 8).unwrap();
         let (metrics, report) = run_steady_in(
             &mut arena,
             graph,

@@ -190,6 +190,11 @@ impl FlexNode {
         }
     }
 
+    /// Makes this node a member of `group`, in place of any group it had.
+    pub(crate) fn join(&mut self, group: GroupMembership) {
+        self.group = Some(group);
+    }
+
     /// The transaction, once this node has learned it.
     pub fn payload(&self) -> Option<&[u8]> {
         self.payload.as_deref()

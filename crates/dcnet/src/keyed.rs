@@ -22,7 +22,7 @@
 //! pad, and those pads share round and block counter and differ only in
 //! key. [`KeyedParticipant`] therefore keeps its pairwise keys word-sliced
 //! in batches of eight peers ([`PeerKeys`]) and
-//! [`KeyedParticipant::contribute_into`] is "encode the slot, one kernel
+//! [`KeyedParticipant::contribute_in_place`] is "encode the slot, one kernel
 //! call per batch": the peers are the SIMD lanes of one ChaCha20 pass
 //! (consecutive blocks fill the lanes a short batch leaves free) and the
 //! lanes are folded before anything is stored. On an AVX-512F build a pass
@@ -251,14 +251,13 @@ impl KeyedParticipant {
         Ok(contribution)
     }
 
-    /// Writes this member's contribution for `round` into `out`.
+    /// Writes this member's contribution for `round` into `out`, resized
+    /// to `slot_len` bytes.
     ///
-    /// In-place form of [`KeyedParticipant::contribution`], and the DC-net
-    /// contribute hot path: the framed slot is built directly in `out`, then
-    /// one [`PeerKeys::xor_round_pads_into`] call per batch of eight peers
-    /// XORs in the sum of that batch's pads, folded across the peers before
-    /// it is stored, so no pad is ever materialised. Once `out` carries
-    /// `slot_len` bytes of capacity the call performs no heap allocation.
+    /// `Vec` form of [`KeyedParticipant::contribute_in_place`], and what a
+    /// caller pooling its own buffers calls (`KeyedDcGroup`): once `out`
+    /// carries `slot_len` bytes of capacity the call performs no heap
+    /// allocation.
     ///
     /// # Errors
     ///
@@ -271,12 +270,35 @@ impl KeyedParticipant {
         payload: Option<&[u8]>,
         out: &mut Vec<u8>,
     ) -> Result<(), KeyedDcError> {
+        out.resize(slot_len, 0);
+        self.contribute_in_place(round, payload, out)
+            .inspect_err(|_| out.clear())
+    }
+
+    /// Writes this member's contribution for `round` over the whole of
+    /// `slot`, whatever it held: the framed payload (or zeros), then one
+    /// [`PeerKeys::xor_round_pads_into`] call per batch of eight peers,
+    /// which XORs in the sum of that batch's pads, folded across the peers
+    /// before it is stored, so no pad is ever materialised. The DC-net
+    /// contribute hot path; a round engine builds its shared contribution
+    /// in place with it, without a buffer to copy from.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the payload does not fit into the slot; `slot` is left as
+    /// it was in that case.
+    pub fn contribute_in_place(
+        &self,
+        round: u64,
+        payload: Option<&[u8]>,
+        slot: &mut [u8],
+    ) -> Result<(), KeyedDcError> {
         match payload {
-            Some(payload) => slot::encode_into(payload, slot_len, out)?,
-            None => slot::silence_into(slot_len, out),
+            Some(payload) => slot::encode_in_place(payload, slot)?,
+            None => slot.fill(0),
         }
         for batch in &self.batches {
-            batch.xor_round_pads_into(round, out);
+            batch.xor_round_pads_into(round, slot);
         }
         Ok(())
     }

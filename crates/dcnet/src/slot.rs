@@ -18,6 +18,7 @@
 //! affine, so the XOR of an odd number of equal-length frames carries a
 //! valid CRC, and three senders would read as a message none of them sent.
 
+use fnp_crypto::prg::xor_into;
 use fnp_crypto::sha256::Sha256;
 use std::fmt;
 
@@ -79,6 +80,24 @@ pub fn capacity(slot_len: usize) -> usize {
     slot_len.saturating_sub(SLOT_OVERHEAD)
 }
 
+/// Fails unless a payload of `payload_len` bytes fits a slot of `slot_len`
+/// bytes, which no payload does if the slot is shorter than
+/// [`SLOT_OVERHEAD`].
+///
+/// # Errors
+///
+/// Returns [`PayloadTooLargeError`] if the payload does not fit.
+pub(crate) fn check_fit(payload_len: usize, slot_len: usize) -> Result<(), PayloadTooLargeError> {
+    let cap = capacity(slot_len);
+    if payload_len > cap || slot_len < SLOT_OVERHEAD {
+        return Err(PayloadTooLargeError {
+            payload_len,
+            capacity: cap,
+        });
+    }
+    Ok(())
+}
+
 /// Frames `payload` into a slot of exactly `slot_len` bytes.
 ///
 /// # Errors
@@ -93,9 +112,9 @@ pub fn encode(payload: &[u8], slot_len: usize) -> Result<Vec<u8>, PayloadTooLarg
 
 /// Frames `payload` into `out`, producing exactly `slot_len` bytes.
 ///
-/// In-place form of [`encode`]: `out` is cleared first and reused, so the
+/// `Vec` form of [`encode_in_place`]: `out` is resized and reused, so the
 /// call performs no heap allocation once `out` carries `slot_len` bytes of
-/// capacity. This is what the DC-net contribute hot path builds slots with.
+/// capacity.
 ///
 /// # Errors
 ///
@@ -106,22 +125,28 @@ pub fn encode_into(
     slot_len: usize,
     out: &mut Vec<u8>,
 ) -> Result<(), PayloadTooLargeError> {
-    let cap = capacity(slot_len);
-    out.clear();
-    if payload.len() > cap || slot_len < SLOT_OVERHEAD {
-        return Err(PayloadTooLargeError {
-            payload_len: payload.len(),
-            capacity: cap,
-        });
-    }
+    out.resize(slot_len, 0);
+    encode_in_place(payload, out).inspect_err(|_| out.clear())
+}
+
+/// Frames `payload` into `slot`, the whole of it: every byte is written,
+/// whatever it held before, so a DC-net contribution is framed where it
+/// is sent from, with no buffer to copy out of.
+///
+/// # Errors
+///
+/// Returns [`PayloadTooLargeError`] if the payload does not fit; `slot` is
+/// left as it was in that case.
+pub fn encode_in_place(payload: &[u8], slot: &mut [u8]) -> Result<(), PayloadTooLargeError> {
+    check_fit(payload.len(), slot.len())?;
     let declared = u32::try_from(payload.len()).expect("payload length fits the 4-byte prefix");
-    out.reserve(slot_len);
-    out.extend_from_slice(&declared.to_le_bytes());
-    out.extend_from_slice(payload);
-    out.resize(slot_len - 4, 0);
-    let trailer = check(out);
-    out.extend_from_slice(&trailer);
-    debug_assert_eq!(out.len(), slot_len);
+    let (body, trailer) = slot.split_at_mut(slot.len() - 4);
+    let (prefix, rest) = body.split_at_mut(4);
+    prefix.copy_from_slice(&declared.to_le_bytes());
+    let (carried, padding) = rest.split_at_mut(payload.len());
+    carried.copy_from_slice(payload);
+    padding.fill(0);
+    trailer.copy_from_slice(&check(body));
     Ok(())
 }
 
@@ -133,10 +158,22 @@ pub fn silence(slot_len: usize) -> Vec<u8> {
     vec![0u8; slot_len]
 }
 
-/// Writes an all-zero slot into `out` (cleared first, capacity reused).
-pub fn silence_into(slot_len: usize, out: &mut Vec<u8>) {
-    out.clear();
-    out.resize(slot_len, 0);
+/// Whether the XOR of `parts`, slots of one length, is all zeros, folded
+/// a word at a time.
+fn is_silent<'a, I>(parts: I) -> bool
+where
+    I: Iterator<Item = &'a [u8]> + Clone,
+{
+    const WORD: usize = size_of::<u64>();
+    let len = parts.clone().next().map_or(0, <[u8]>::len);
+    let words = len - len % WORD;
+    let word = |part: &[u8], at: usize| {
+        u64::from_ne_bytes(part[at..at + WORD].try_into().expect("one word"))
+    };
+    (0..words)
+        .step_by(WORD)
+        .all(|at| parts.clone().fold(0, |fold, part| fold ^ word(part, at)) == 0)
+        && (words..len).all(|at| parts.clone().fold(0, |fold, part| fold ^ part[at]) == 0)
 }
 
 /// Decodes a recovered slot into a [`SlotOutcome`].
@@ -144,26 +181,72 @@ pub fn silence_into(slot_len: usize, out: &mut Vec<u8>) {
 /// Slots shorter than the framing overhead are reported as collisions —
 /// they cannot have been produced by [`encode`].
 pub fn decode(slot: &[u8]) -> SlotOutcome {
-    if slot.iter().all(|&b| b == 0) {
+    decode_parts([slot])
+}
+
+/// Decodes the XOR of `parts`, slots of one length, as [`decode`] decodes
+/// one slot: a DC-net round's `k` contributions are decoded as they are,
+/// never combined into a buffer. An all-zero fold, told a word at a time,
+/// is silence; otherwise the frame is folded through a block on the stack
+/// into its check, and a valid message's payload is folded straight into
+/// the returned `Vec`. No parts decode to silence.
+///
+/// # Panics
+///
+/// If the parts differ in length.
+pub fn decode_parts<'a, I>(parts: I) -> SlotOutcome
+where
+    I: IntoIterator<Item = &'a [u8]>,
+    I::IntoIter: Clone,
+{
+    let parts = parts.into_iter();
+    let len = parts.clone().next().map_or(0, <[u8]>::len);
+    assert!(
+        parts.clone().all(|part| part.len() == len),
+        "the parts of one slot share its length"
+    );
+    if is_silent(parts.clone()) {
         return SlotOutcome::Silence;
     }
-    if slot.len() < SLOT_OVERHEAD {
+    if len < SLOT_OVERHEAD {
         return SlotOutcome::Collision;
     }
-    let (body, trailer) = slot.split_at(slot.len() - 4);
-    if trailer != check(body) {
-        return SlotOutcome::Collision;
-    }
-    let declared = u32::from_le_bytes([body[0], body[1], body[2], body[3]]) as usize;
-    if declared > body.len() - 4 {
+    // Writes the XOR of the parts' bytes `from..from + out.len()` to `out`.
+    let fold = |from: usize, out: &mut [u8]| {
+        out.fill(0);
+        for part in parts.clone() {
+            xor_into(out, &part[from..from + out.len()]);
+        }
+    };
+    let body_len = len - 4;
+    let (mut prefix, mut trailer) = ([0; 4], [0; 4]);
+    fold(0, &mut prefix);
+    fold(body_len, &mut trailer);
+    let declared = u32::from_le_bytes(prefix) as usize;
+    if declared > body_len - 4 {
         return SlotOutcome::Collision;
     }
     // Padding must be zero; non-zero padding means the frame was tampered
     // with in a way that happened to keep the check valid.
-    if body[4 + declared..].iter().any(|&b| b != 0) {
+    let padding = 4 + declared..body_len;
+    let mut hasher = Sha256::new();
+    const BLOCK: usize = 64;
+    let mut block = [0; BLOCK];
+    for from in (0..body_len).step_by(BLOCK) {
+        let block = &mut block[..(body_len - from).min(BLOCK)];
+        fold(from, block);
+        hasher.update(block);
+        let (start, end) = (padding.start.max(from), padding.end.min(from + block.len()));
+        if start < end && block[start - from..end - from].iter().any(|&b| b != 0) {
+            return SlotOutcome::Collision;
+        }
+    }
+    if trailer != hasher.finalize()[..4] {
         return SlotOutcome::Collision;
     }
-    SlotOutcome::Message(body[4..4 + declared].to_vec())
+    let mut message = vec![0; declared];
+    fold(4, &mut message);
+    SlotOutcome::Message(message)
 }
 
 #[cfg(test)]
@@ -206,15 +289,6 @@ mod tests {
         let mut buf = b"stale".to_vec();
         assert!(encode_into(&[0u8; 300], 64, &mut buf).is_err());
         assert!(buf.is_empty());
-    }
-
-    #[test]
-    fn silence_into_matches_silence() {
-        let mut buf = b"leftover bytes".to_vec();
-        silence_into(64, &mut buf);
-        assert_eq!(buf, silence(64));
-        silence_into(8, &mut buf);
-        assert_eq!(buf, silence(8));
     }
 
     #[test]

@@ -43,6 +43,13 @@ impl<C: ProtocolCore> SimDriver<C> {
             trace: Untraced,
         }
     }
+
+    /// The wrapped core, to finish setting it up before the simulator
+    /// polls it. A traced driver offers no such access: its record must
+    /// show every change its core goes through.
+    pub fn core_mut(&mut self) -> &mut C {
+        &mut self.core
+    }
 }
 
 impl<C: ProtocolCore> SimDriver<C, TraceHandle<C::Message>> {
