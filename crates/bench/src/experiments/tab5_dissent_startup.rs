@@ -5,9 +5,7 @@
 use super::Experiment;
 use crate::cli::{with_report, BinArgs};
 use crate::json::{Json, ToJson};
-use crate::TrialRunner;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use fnp_shuffle::{round_traffic, StartupCostModel};
 
 /// One row of the Dissent startup experiment (E11).
 #[derive(Clone, Debug)]
@@ -39,30 +37,23 @@ impl ToJson for DissentStartupRow {
 
 /// Runs experiment E11: the Dissent-style baseline's startup cost as a
 /// function of group size (§III-B's argument against shuffle-based systems
-/// for blockchain dissemination). Each group size is an independent trial.
-pub fn dissent_startup_with(
-    runner: &TrialRunner,
-    ks: &[usize],
-    base_seed: u64,
-) -> Vec<DissentStartupRow> {
-    use fnp_shuffle::{DissentSession, SessionConfig};
-    runner.run(ks.len(), |index| {
-        let k = ks[index];
-        let mut rng = StdRng::seed_from_u64(base_seed + k as u64);
-        let mut session =
-            DissentSession::new(k, SessionConfig::default(), &mut rng).expect("k >= 2");
-        // One member broadcasts a typical 250-byte transaction.
-        let mut messages = vec![None; k];
-        messages[k / 2] = Some(vec![0xabu8; 250]);
-        let report = session.run_round(&messages, &mut rng).expect("round runs");
-        DissentStartupRow {
-            k,
-            startup_seconds: report.startup.latency_seconds(),
-            messages: report.messages_sent,
-            bytes: report.bytes_sent,
-            serial_steps: report.announcement.serial_steps,
-        }
-    })
+/// for blockchain dissemination). Each row is one round in which one member
+/// broadcasts a typical 250-byte transaction, computed from the closed forms
+/// of [`fnp_shuffle::cost`].
+pub fn dissent_startup(ks: &[usize]) -> Vec<DissentStartupRow> {
+    let model = StartupCostModel::default();
+    ks.iter()
+        .map(|&k| {
+            let traffic = round_traffic(k, 250);
+            DissentStartupRow {
+                k,
+                startup_seconds: model.estimate(k).latency_seconds(),
+                messages: traffic.messages,
+                bytes: traffic.bytes,
+                serial_steps: traffic.serial_steps,
+            }
+        })
+        .collect()
 }
 
 /// The `fnp-bench tab5_dissent_startup` table entry.
@@ -74,18 +65,14 @@ pub const EXPERIMENT: Experiment = Experiment {
 };
 
 fn run(args: &BinArgs) {
-    let runner = args.runner();
     let ks = [4, 6, 8, 10, 12, 16];
-    let base_seed: u64 = 5;
     println!("E11 / §III-B — Dissent-style announcement startup cost\n");
     println!(
         "{:<6} {:>14} {:>12} {:>12} {:>14}",
         "k", "startup (s)", "messages", "bytes", "serial steps"
     );
-    let params = Json::obj([("ks", Json::arr(ks)), ("base_seed", Json::from(base_seed))]);
-    let rows = with_report(args, EXPERIMENT.name, params, || {
-        dissent_startup_with(&runner, &ks, base_seed)
-    });
+    let params = Json::obj([("ks", Json::arr(ks))]);
+    let rows = with_report(args, EXPERIMENT.name, params, || dissent_startup(&ks));
     for row in &rows {
         println!(
             "{:<6} {:>14.1} {:>12} {:>12} {:>14}",

@@ -63,7 +63,7 @@ pub use experiments::tab1_message_overhead::{message_overhead_with, MessageOverh
 pub use experiments::tab2_privacy_bounds::{privacy_bounds_with, PrivacyBoundsRow};
 pub use experiments::tab3_group_overlap::{group_overlap_with, GroupOverlapRow};
 pub use experiments::tab4_latency::{latency_with, LatencyRow};
-pub use experiments::tab5_dissent_startup::{dissent_startup_with, DissentStartupRow};
+pub use experiments::tab5_dissent_startup::{dissent_startup, DissentStartupRow};
 pub use experiments::tab7_fairness::{fee_fairness_with, FairnessRow};
 pub use experiments::{Experiment, EXPERIMENTS};
 

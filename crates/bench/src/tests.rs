@@ -254,7 +254,7 @@ fn bench_pad_keys_are_symmetric_and_distinct() {
 
 #[test]
 fn dissent_startup_reproduces_the_paper_anchor() {
-    let rows = dissent_startup_with(&TrialRunner::auto(), &[4, 8, 10, 12], 5);
+    let rows = dissent_startup(&[4, 8, 10, 12]);
     assert_eq!(rows.len(), 4);
     // Latency grows with k and hits the tens-of-seconds range at 8–12.
     assert!(rows

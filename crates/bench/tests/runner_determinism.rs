@@ -97,12 +97,9 @@ fn steady_state_rows_are_identical_across_thread_counts() {
 }
 
 #[test]
-fn group_overlap_and_dissent_are_identical_across_thread_counts() {
+fn group_overlap_rows_are_identical_across_thread_counts() {
     assert_matches_sequential("group_overlap", |runner| {
         fnp_bench::group_overlap_with(runner, &[3, 5, 8], &[1, 2])
-    });
-    assert_matches_sequential("dissent_startup", |runner| {
-        fnp_bench::dissent_startup_with(runner, &[4, 6, 8], 19)
     });
 }
 

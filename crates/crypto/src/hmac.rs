@@ -78,22 +78,6 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; DIGEST_LEN] {
     mac.finalize()
 }
 
-/// Constant-time comparison of two byte strings.
-///
-/// Returns `true` iff the inputs have equal length and equal contents. The
-/// comparison does not short-circuit on the first mismatching byte, so the
-/// running time leaks only the length of the inputs.
-pub fn constant_time_eq(a: &[u8], b: &[u8]) -> bool {
-    if a.len() != b.len() {
-        return false;
-    }
-    let mut acc = 0u8;
-    for (x, y) in a.iter().zip(b.iter()) {
-        acc |= x ^ y;
-    }
-    acc == 0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,13 +144,5 @@ mod tests {
     #[test]
     fn different_keys_give_different_tags() {
         assert_ne!(hmac_sha256(b"key-a", b"msg"), hmac_sha256(b"key-b", b"msg"));
-    }
-
-    #[test]
-    fn constant_time_eq_basic() {
-        assert!(constant_time_eq(b"abc", b"abc"));
-        assert!(!constant_time_eq(b"abc", b"abd"));
-        assert!(!constant_time_eq(b"abc", b"abcd"));
-        assert!(constant_time_eq(b"", b""));
     }
 }

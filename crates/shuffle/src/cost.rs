@@ -1,4 +1,4 @@
-//! Startup cost model for the announcement phase (experiment E11).
+//! Startup latency and traffic of one Dissent-style round (experiment E11).
 //!
 //! The paper's argument against Dissent-style systems for blockchain
 //! transaction dissemination is quantitative: "The announcement round causes
@@ -7,11 +7,32 @@
 //! This latency might not be acceptable in real world blockchain
 //! applications." (§III-B).
 //!
-//! We cannot run the original Dissent implementation (closed testbed, 2010-era
-//! hardware), so this module substitutes an analytic latency model whose
-//! constants are calibrated to reproduce the reported behaviour — tens of
-//! seconds for groups of 8–12 members — while keeping the *structure* of the
-//! cost faithful to the protocol implemented in [`crate::shuffle`]:
+//! A round of `k` members runs these steps:
+//!
+//! 1. *key set-up* — every member sends its 8-byte ephemeral layer key to
+//!    every other member;
+//! 2. *submission* — every member pads a [`ANNOUNCEMENT_LEN`]-byte
+//!    announcement (payload length and recognition tag; silent members
+//!    announce length 0) to an [`ANNOUNCEMENT_SLOT`]-byte slot, wraps it in
+//!    one onion layer per member, and sends it to member 0;
+//! 3. *hand-offs* — member `p` permutes the batch of `k` items, strips its
+//!    layer from each ([`LAYER_OVERHEAD`] bytes per item) and passes the
+//!    batch to member `p + 1`; these `k` steps are **serial**;
+//! 4. *final broadcast* — the last member sends the `k` plaintext
+//!    announcements to the other `k − 1`;
+//! 5. *bulk* — one keyed DC-net round per non-zero announcement, its slot
+//!    sized to the announced payload.
+//!
+//! [`round_traffic`] counts the messages and bytes of these steps in closed
+//! form, one term per step. The forms were checked against an executed
+//! onion-encrypted session for every `k` in 2..=64 and payload length in
+//! 0..=512 (`CHANGES.md` records the check).
+//!
+//! The original Dissent implementation (closed testbed, 2010-era hardware)
+//! cannot be run, so [`StartupCostModel`] substitutes an analytic latency
+//! model whose constants are calibrated to reproduce the reported behaviour
+//! — tens of seconds for groups of 8–12 members — while keeping the
+//! *structure* of the cost faithful to the steps above:
 //!
 //! * the shuffle is inherently **serial**: member `i+1` cannot start before
 //!   member `i` finished permuting and stripping its layer, so latency is the
@@ -22,11 +43,65 @@
 //!   well approximated by (and was reported as) "scaling linearly";
 //! * every hand-off additionally pays one network round trip.
 //!
-//! The default constants model 2010-era 2048-bit RSA/ElGamal layer
-//! decryptions (~25 ms each, two per item for decrypt + verify) and a 100 ms
-//! WAN round trip, which lands the k = 8…12 range at roughly 17–48 seconds
-//! and k = 10 at ≈ 31 s, matching the paper's "e.g., 30 seconds" anchor.
-//! `EXPERIMENTS.md` records the calibration and the measured sweep.
+//! The default constants model 2010-era public-key layer processing (250 ms
+//! per item), a 100 ms WAN round trip per hand-off and 500 ms of set-up,
+//! which lands the k = 8…12 range at 17.3–37.7 seconds and k = 10 at
+//! 26.5 s, matching the paper's "e.g., 30 seconds" anchor.
+//! `fnp-bench tab5_dissent_startup` prints the sweep, pinned by its golden
+//! output `crates/bench/tests/golden/tab5_dissent_startup.txt`.
+
+use fnp_dcnet::keyed::expected_message_count;
+use fnp_dcnet::slot::SLOT_OVERHEAD;
+
+/// Length of one announcement: 4-byte payload length plus 8-byte
+/// recognition tag.
+pub const ANNOUNCEMENT_LEN: usize = 12;
+
+/// Announcement slot: the announcement behind its 2-byte padding header.
+pub const ANNOUNCEMENT_SLOT: usize = ANNOUNCEMENT_LEN + 2;
+
+/// Bytes one onion layer adds: an 8-byte ephemeral public key plus a 16-byte
+/// truncated HMAC tag.
+pub const LAYER_OVERHEAD: usize = 8 + 16;
+
+/// Messages, bytes and serial steps of one Dissent-style round.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RoundTraffic {
+    /// Point-to-point messages across the announcement and bulk phases.
+    pub messages: u64,
+    /// Bytes carried by those messages.
+    pub bytes: u64,
+    /// Serial hand-off steps of the announcement shuffle (one per member).
+    pub serial_steps: usize,
+}
+
+/// Traffic of one round in a group of `k` members in which one member sends
+/// a `payload_len`-byte message and the others stay silent. A
+/// `payload_len` of 0 announces nothing, so no bulk round runs.
+///
+/// # Panics
+///
+/// Panics if `k < 2`: a group of one has no anonymity to offer.
+pub fn round_traffic(k: usize, payload_len: usize) -> RoundTraffic {
+    assert!(k >= 2, "a Dissent group needs two members, got {k}");
+    let (k, s, l) = (k as u64, ANNOUNCEMENT_SLOT as u64, LAYER_OVERHEAD as u64);
+    let key_setup = (k * (k - 1), k * (k - 1) * 8);
+    let submission = (k, k * (s + k * l));
+    let handoffs = (k - 1, (0..k - 1).map(|p| k * (s + (k - p - 1) * l)).sum());
+    let broadcast = (k - 1, (k - 1) * k * s);
+    let bulk = if payload_len == 0 {
+        (0, 0)
+    } else {
+        let messages = expected_message_count(k as usize);
+        (messages, messages * (payload_len + SLOT_OVERHEAD) as u64)
+    };
+    let steps = [key_setup, submission, handoffs, broadcast, bulk];
+    RoundTraffic {
+        messages: steps.iter().map(|step| step.0).sum(),
+        bytes: steps.iter().map(|step| step.1).sum(),
+        serial_steps: k as usize,
+    }
+}
 
 /// Latency model for the serial announcement shuffle.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -54,9 +129,9 @@ impl Default for StartupCostModel {
 
 impl StartupCostModel {
     /// A model for modern hardware (hardware-accelerated public-key
-    /// operations), used by the ablation sweep to show that the *shape* of
-    /// the scaling — not the 2010 constants — is what rules the approach out
-    /// for latency-sensitive broadcast.
+    /// operations), used by the `dissent_vs_dcnet` example to show that the
+    /// *shape* of the scaling — not the 2010 constants — is what rules the
+    /// approach out for latency-sensitive broadcast.
     pub fn modern() -> Self {
         Self {
             per_item_crypto_ms: 5.0,
@@ -101,15 +176,65 @@ impl StartupEstimate {
     }
 }
 
-/// Convenience wrapper: startup latency in milliseconds under the default
-/// (paper-calibrated) cost model.
-pub fn startup_latency_ms(k: usize) -> f64 {
-    StartupCostModel::default().estimate(k).latency_ms
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn golden_rows_at_a_250_byte_payload() {
+        // (k, messages, bytes) of `fnp-bench tab5_dissent_startup`.
+        let golden = [
+            (4, 34, 4_544),
+            (6, 76, 11_928),
+            (8, 134, 23_488),
+            (10, 208, 39_800),
+            (12, 298, 61_440),
+            (16, 526, 123_008),
+        ];
+        for (k, messages, bytes) in golden {
+            let traffic = round_traffic(k, 250);
+            assert_eq!(
+                (traffic.messages, traffic.bytes),
+                (messages, bytes),
+                "k = {k}"
+            );
+            assert_eq!(traffic.messages, 2 * (k * k) as u64 + k as u64 - 2);
+            assert_eq!(traffic.serial_steps, k);
+        }
+    }
+
+    #[test]
+    fn an_empty_payload_schedules_no_bulk_round() {
+        for k in 2..=64 {
+            let idle = round_traffic(k, 0);
+            assert_eq!(idle.messages, (k * k + 2 * k - 2) as u64, "k = {k}");
+            assert_eq!(idle.serial_steps, k);
+        }
+        // k = 4: 96 B of keys, 440 B of submissions, 744 B of hand-offs
+        // and a 168 B final broadcast.
+        assert_eq!(round_traffic(4, 0).bytes, 1_448);
+        // Doubling the group more than doubles the idle round's messages:
+        // key set-up alone is k·(k−1).
+        let messages = [4, 8, 16].map(|k| round_traffic(k, 0).messages);
+        assert!(messages[1] > 2 * messages[0]);
+        assert!(messages[2] > 2 * messages[1]);
+    }
+
+    #[test]
+    fn the_bulk_round_is_one_keyed_dcnet_round_of_the_payload() {
+        for k in [2, 5, 9, 16] {
+            let idle = round_traffic(k, 0);
+            for payload_len in [1, 23, 250, 512] {
+                let busy = round_traffic(k, payload_len);
+                let messages = expected_message_count(k);
+                assert_eq!(busy.messages - idle.messages, messages);
+                assert_eq!(
+                    busy.bytes - idle.bytes,
+                    messages * (payload_len + SLOT_OVERHEAD) as u64
+                );
+            }
+        }
+    }
 
     #[test]
     fn paper_anchor_group_sizes_take_tens_of_seconds() {
@@ -154,13 +279,5 @@ mod tests {
         let model = StartupCostModel::default();
         assert_eq!(model.estimate(4).crypto_operations, 16);
         assert_eq!(model.estimate(8).crypto_operations, 64);
-    }
-
-    #[test]
-    fn convenience_wrapper_matches_the_default_model() {
-        assert_eq!(
-            startup_latency_ms(9),
-            StartupCostModel::default().estimate(9).latency_ms
-        );
     }
 }

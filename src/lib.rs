@@ -17,7 +17,8 @@
 //! * [`gossip`] (`fnp-gossip`) — flood-and-prune and Dandelion baselines.
 //! * [`groups`] (`fnp-groups`) — DC-net group management.
 //! * [`adversary`] (`fnp-adversary`) — attacker models and estimators.
-//! * [`shuffle`] (`fnp-shuffle`) — the Dissent-style shuffle baseline.
+//! * [`shuffle`] (`fnp-shuffle`) — the cost model of the Dissent-style shuffle
+//!   baseline.
 //! * [`blockchain`] (`fnp-blockchain`) — transactions, mempools, miners and
 //!   fee-fairness metrics behind the paper's scenario section.
 //! * [`netsim`] (`fnp-netsim`) — the discrete-event network simulator.
