@@ -19,7 +19,7 @@ use crate::{sim_config, standard_overlay_in, GridPlan, TrialArena, TrialRunner};
 use fnp_core::{FlexConfig, ProtocolKind};
 use fnp_diffusion::AdParams;
 use fnp_gossip::DandelionParams;
-use fnp_netsim::{percentile, summarize, NodeId, SimTime, SECOND};
+use fnp_netsim::{percentile_sorted, summarize, NodeId, SimTime, SECOND};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -366,6 +366,7 @@ pub fn steady_state_with(
             latencies_ms.extend(trial.latencies_us.iter().map(|&us| us as f64 / 1e3));
             inclusion_ms.extend(trial.inclusion_delays_us.iter().map(|&us| us as f64 / 1e3));
         }
+        latencies_ms.sort_unstable_by(f64::total_cmp);
         let injected_f = injected as f64;
         rows.push(SteadyStateRow {
             protocol: label,
@@ -378,9 +379,9 @@ pub fn steady_state_with(
             },
             throughput_tx_per_s: fully_delivered as f64
                 / (horizon_seconds * trial_count.max(1) as f64),
-            p50_delivery_ms: percentile(&latencies_ms, 50.0),
-            p95_delivery_ms: percentile(&latencies_ms, 95.0),
-            p99_delivery_ms: percentile(&latencies_ms, 99.0),
+            p50_delivery_ms: percentile_sorted(&latencies_ms, 50.0),
+            p95_delivery_ms: percentile_sorted(&latencies_ms, 95.0),
+            p99_delivery_ms: percentile_sorted(&latencies_ms, 99.0),
             mean_messages_per_tx: if injected == 0 {
                 0.0
             } else {

@@ -89,6 +89,16 @@ pub struct InfectionTree {
 }
 
 impl InfectionTree {
+    /// Records `child` as infected by this node. Children are distinct
+    /// neighbours, so the first one reserves the node's degree: one
+    /// allocation per child list.
+    fn adopt(&mut self, child: NodeId, view: &ContextView<'_>) {
+        if self.children.capacity() == 0 {
+            self.children.reserve_exact(view.neighbors().len());
+        }
+        self.children.push(child);
+    }
+
     /// Sends `token` to `next`, infecting it first unless it is already a
     /// tree neighbour.
     pub fn hand_token<W: Wire>(
@@ -96,12 +106,13 @@ impl InfectionTree {
         wire: &W,
         next: NodeId,
         token: &Token,
+        view: &ContextView<'_>,
         out: &mut Mailbox<W::Message>,
     ) {
         let Token { t, h, round, .. } = *token;
         if !self.children.contains(&next) && self.parent != Some(next) {
             out.send(next, wire.encode(AdMessage::Infect { round }));
-            self.children.push(next);
+            self.adopt(next, view);
         }
         out.send(next, wire.encode(AdMessage::Token { t, h, round }));
     }
@@ -136,7 +147,7 @@ impl InfectionTree {
                 continue;
             }
             out.send(target, wire.encode(AdMessage::Infect { round }));
-            self.children.push(target);
+            self.adopt(target, view);
         }
     }
 
@@ -223,7 +234,7 @@ impl InfectionTree {
             return Some(Round::Kept);
         };
         token.h += 1;
-        self.hand_token(wire, next, &token, out);
+        self.hand_token(wire, next, &token, view, out);
         Some(Round::Passed)
     }
 }

@@ -175,7 +175,8 @@ impl AdaptiveDiffusionNode {
         out.deliver();
         out.record("ad-origin");
         if let Some(first) = view.random_neighbor_except(None) {
-            self.tree.hand_token(&AdWire, first, &Token::FIRST, out);
+            self.tree
+                .hand_token(&AdWire, first, &Token::FIRST, view, out);
         }
     }
 }

@@ -149,12 +149,16 @@ fn lockstep(graph: &Graph, seed: u64, schedule: AlphaSchedule, budget: u32, seen
     for nodes in [&mut bare_nodes, &mut carrying_nodes] {
         nodes[0].env.view().set_seen();
     }
-    bare_nodes[0]
-        .tree
-        .hand_token(&AdWire, first, &Token::FIRST, &mut bare_out);
-    carrying_nodes[0]
-        .tree
-        .hand_token(&carrying, first, &Token::FIRST, &mut carrying_out);
+    let Node { tree, env } = &mut bare_nodes[0];
+    tree.hand_token(&AdWire, first, &Token::FIRST, &env.view(), &mut bare_out);
+    let Node { tree, env } = &mut carrying_nodes[0];
+    tree.hand_token(
+        &carrying,
+        first,
+        &Token::FIRST,
+        &env.view(),
+        &mut carrying_out,
+    );
 
     let mut queue = VecDeque::new();
     let mut at = origin;

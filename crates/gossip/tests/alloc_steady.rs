@@ -1,16 +1,17 @@
 //! Allocation ceiling for steady-state sessions: what a session requests
-//! from the heap per transaction, and how many instances a node holds, do
-//! not depend on how long the session runs.
+//! from the heap per transaction, and how many instance rows it numbers,
+//! do not depend on how long the session runs.
 //!
 //! A live transaction leases a lane set and a slot from the session and
-//! returns both when its last event drains; a node's per-transaction
-//! instances sit in a table indexed by that slot. With arrivals at a fixed
-//! rate the number of live transactions is the same early and late in a
-//! session, so a session over a 100 times longer horizon — 100 times the
-//! transactions — must request the same bytes *per transaction* and must
-//! not hold a longer instance table. (A table entry kept per injected
-//! rather than per live transaction costs the same few bytes early and
-//! late, so the per-transaction figure is also held to an absolute bound.)
+//! returns both when its last event drains; its per-node instances sit in
+//! the row numbered with that slot, emptied at retirement. With arrivals at
+//! a fixed rate the number of live transactions is the same early and late
+//! in a session, so a session over a 100 times longer horizon — 100 times
+//! the transactions — must request the same bytes *per transaction*, must
+//! number one row per slot of its peak concurrency and must end with no
+//! instance held. (An instance kept per injected rather than per live
+//! transaction costs the same few bytes early and late, so the
+//! per-transaction figure is also held to an absolute bound.)
 //!
 //! The shared counting allocator (`tests/support/counting_alloc.rs`)
 //! counts the measuring thread's requests. CI runs this wall in release
@@ -36,22 +37,22 @@ const GAP: SimTime = 150 * MILLISECOND;
 
 /// Bytes a warm session may request per transaction. A flood over 100
 /// nodes inherently costs 100 first receipts (a 4-byte exclusion list
-/// each), 100 latency samples and one outcome record, the last two in
-/// doubling `Vec`s: 3.3 KB, to the byte on every run. One more table entry
-/// per node per transaction — instance tables indexed by transaction
-/// instead of by slot — reads 7.8 KB.
-const BYTES_PER_TX_BOUND: u64 = 4_500;
+/// each), 100 latency samples in the log the session reserves up front,
+/// one outcome record, and its share of the instance rows numbered for the
+/// peak's slots: 2.06 KB, to the byte on every run. A doubling latency log
+/// and per-node instance tables grown by doubling read 3.34 KB; one more
+/// table entry per node per transaction — tables indexed by transaction
+/// instead of by slot — read 7.8 KB.
+const BYTES_PER_TX_BOUND: u64 = 2_500;
 
-/// What one measured session requested and held.
+/// What one measured session requested.
 struct Measured {
     bytes_per_tx: u64,
-    /// The most instance-table entries any node ended the session with.
-    widest_table: usize,
     peak_concurrent: usize,
 }
 
 /// Runs a flood session of `transactions` arrivals on `arena`, wired as
-/// `run_steady_in` wires it but keeping the nodes for inspection.
+/// `run_steady_in` wires it but keeping the session for inspection.
 fn session(arena: &mut TrialArena, graph: &Graph, transactions: u64) -> Measured {
     let arrivals: Vec<Arrival> = (0..transactions)
         .map(|tx| Arrival {
@@ -78,25 +79,21 @@ fn session(arena: &mut TrialArena, graph: &Graph, transactions: u64) -> Measured
     let mut sim = Simulator::new_in(arena, graph, nodes, SimConfig::default());
     sim.run();
     let (nodes, metrics) = sim.into_parts_in(arena);
-    let widest_table = nodes
-        .iter()
-        .map(|node| node.live_instances())
-        .max()
-        .expect("overlay has nodes");
     arena.store_nodes(nodes);
     arena.recycle_metrics(metrics);
-    let session = Rc::try_unwrap(session).expect("nodes dropped").into_inner();
-    let free_slots = session.free_slots();
+    let session = Rc::into_inner(session).expect("nodes dropped").into_inner();
+    let (free_slots, rows, instances) = (session.free_slots(), session.rows(), session.instances());
     let report = session.into_report();
     let bytes = counting_alloc::disarm().requested;
 
     assert_eq!(free_slots, report.peak_concurrent, "a slot is still out");
+    assert_eq!(rows, report.peak_concurrent, "one instance row per slot");
+    assert_eq!(instances, 0, "a retired transaction kept an instance");
     for (tx, outcome) in report.per_tx.iter().enumerate() {
         assert_eq!(outcome.delivered_count, NODES, "tx {tx} did not cover");
     }
     Measured {
         bytes_per_tx: bytes / transactions,
-        widest_table,
         peak_concurrent: report.peak_concurrent,
     }
 }
@@ -123,12 +120,9 @@ fn a_hundred_times_longer_session_requests_no_more_per_transaction() {
         long.bytes_per_tx,
         short.bytes_per_tx
     );
-    // Tables are bounded by concurrency, and at a fixed arrival rate
-    // concurrency does not depend on the horizon (the slack is for the
-    // latency tail a longer run samples further into).
-    for run in [&short, &long] {
-        assert!(run.widest_table <= run.peak_concurrent);
-    }
+    // Rows are numbered per slot, and at a fixed arrival rate concurrency
+    // does not depend on the horizon (the slack is for the latency tail a
+    // longer run samples further into).
     assert!(
         long.peak_concurrent <= 2 * short.peak_concurrent,
         "peak concurrency {} over the long horizon, {} over the short one",

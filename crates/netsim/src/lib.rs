@@ -122,7 +122,7 @@ pub use metrics::{KindId, KindRegistry, Metrics, Receipt, TraceEntry};
 pub use node::NodeId;
 pub use runner::{derive_seed, GridPlan, TrialRunner};
 pub use sim::{Context, ContextView, ProtocolNode, SimConfig, Simulator};
-pub use stats::{entropy_bits, percentile, summarize, Summary};
+pub use stats::{entropy_bits, percentile, percentile_sorted, summarize, Summary};
 pub use time::{as_millis, from_millis, SimTime, MILLISECOND, SECOND};
 pub use topology::{GenerateTopologyError, Topology};
 

@@ -75,19 +75,21 @@ pub fn summarize(values: &[f64]) -> Summary {
 ///
 /// Values are ordered with [`f64::total_cmp`], so NaN input never panics;
 /// positive NaNs rank above `+∞` (see [`summarize`] for the rationale).
+/// Sorts a copy of `values` on every call: to read several percentiles of
+/// one sample, sort it once and use [`percentile_sorted`].
 pub fn percentile(values: &[f64], p: f64) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
     let mut sorted: Vec<f64> = values.to_vec();
-    sorted.sort_by(f64::total_cmp);
+    sorted.sort_unstable_by(f64::total_cmp);
     percentile_sorted(&sorted, p)
 }
 
-fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
+/// [`percentile`] of a sample already in ascending [`f64::total_cmp`]
+/// order (`values.sort_unstable_by(f64::total_cmp)`), read without copying
+/// or sorting it again. Returns 0.0 for an empty slice.
+pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     let p = p.clamp(0.0, 100.0);
-    if sorted.len() == 1 {
-        return sorted[0];
+    if sorted.len() <= 1 {
+        return sorted.first().copied().unwrap_or(0.0);
     }
     let rank = p / 100.0 * (sorted.len() - 1) as f64;
     // `p` is clamped into [0, 100], so `rank` lies in [0, len − 1]:
@@ -182,6 +184,35 @@ mod tests {
         let values = [1.0, 2.0, 3.0];
         assert_eq!(percentile(&values, -10.0), 1.0);
         assert_eq!(percentile(&values, 200.0), 3.0);
+    }
+
+    #[test]
+    fn one_sort_reads_the_same_percentiles_as_a_sort_per_call() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // A small pool, so samples repeat values; `-0.0` and `0.0` are
+        // distinct under `total_cmp` (negative zero first).
+        let pool = [-3.5, -0.0, 0.0, 0.25, 1.0, 7.0, 1e9, f64::INFINITY];
+        let mut rng = StdRng::seed_from_u64(46);
+        let mut samples = vec![vec![0.0, -0.0], vec![-0.0, 0.0, -0.0], vec![2.5]];
+        samples.extend((0..200).map(|_| {
+            let len = rng.gen_range(1..40);
+            (0..len)
+                .map(|_| pool[rng.gen_range(0..pool.len())])
+                .collect()
+        }));
+        for values in samples {
+            // The reference sorts stably: under `total_cmp` only
+            // bit-identical values compare equal, so both sorts agree.
+            let mut sorted = values.clone();
+            sorted.sort_by(f64::total_cmp);
+            for p in [0.0, 1.0, 50.0, 95.0, 99.0, 100.0] {
+                let (each, once) = (percentile(&values, p), percentile_sorted(&sorted, p));
+                assert_eq!(each.to_bits(), once.to_bits(), "p{p} of {values:?}");
+            }
+        }
+        assert_eq!(percentile(&[0.0, -0.0], 0.0).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(percentile_sorted(&[], 50.0), 0.0);
     }
 
     #[test]

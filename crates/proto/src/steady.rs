@@ -14,28 +14,32 @@
 //! * [`SteadyProtocol`] is the small adapter trait a core implements to
 //!   become multiplexable: start a broadcast for a given transaction id.
 //!   Per-transaction instances are clones of a never-polled prototype.
-//! * [`SteadyNode`] is the per-overlay-node multiplexer: it owns one lazy
-//!   [`ProtocolCore`] instance per transaction the node has touched, routes
-//!   each tagged input to the right instance, and rewrites the emitted
-//!   effects (tagging messages, namespacing timer tags by transaction).
+//! * [`SteadyNode`] is the per-overlay-node multiplexer: it keeps the
+//!   node's never-polled prototype core, routes each tagged input to the
+//!   transaction's instance on this node — spawning it from the prototype
+//!   at the transaction's first touch — and rewrites the emitted effects
+//!   (tagging messages, namespacing timer tags by transaction).
 //! * [`SteadySession`] is the shared per-trial bookkeeping: a
-//!   [`LanePool`] of per-transaction hot lanes, exact in-flight event
-//!   accounting per transaction (each message and pending timer counts;
-//!   when a transaction's count drains to zero it retires), the delivery
-//!   log that feeds latency percentiles and the mempool replay, and the
-//!   first-spy observation record for privacy-under-load.
+//!   [`LanePool`] of per-transaction hot lanes, the per-slot rows of
+//!   protocol instances, exact in-flight event accounting per transaction
+//!   (each message and pending timer counts; when a transaction's count
+//!   drains to zero it retires), the delivery log that feeds latency
+//!   percentiles and the mempool replay — reserved once, for one delivery
+//!   per transaction and node — and the first-spy observation record for
+//!   privacy-under-load.
 //!
 //! A live transaction *is* a slot. Transaction ids are dense, so the
 //! session keeps each transaction's record — in-flight count, leased lane
 //! set, slot — at `txs[tx]`; the slot is a small number leased with the
 //! lanes at arrival and returned to a free list at retirement, so there are
-//! never more slots than the session's peak concurrency. Every node indexes
-//! its instance table by that slot and stamps each entry with the
-//! transaction that owns it: an entry stamped with another transaction is
-//! stale — its owner retired and the slot was recycled — and is dropped
-//! where it is found. Routing an event is therefore one session borrow, two
-//! indexed loads and a stamp comparison, whatever the number of live
-//! transactions; nothing is keyed, searched or swept.
+//! never more slots than the session's peak concurrency. A slot is numbered
+//! together with its row: one instance entry per node, allocated once and
+//! reused by every later transaction leased that slot. The row is emptied
+//! when its transaction retires — no event can reach a retired transaction
+//! — so a recycled slot always starts with an empty row. Routing an event
+//! is therefore one session borrow and the indexed loads `txs[tx]` and
+//! `rows[slot][node]`, whatever the number of live transactions; nothing
+//! is keyed, searched or stamped.
 //!
 //! Arrivals are precomputed (see [`fnp_netsim::arrival`]) and scheduled as
 //! ordinary timers at `Init`, so the whole session rides the existing time
@@ -45,8 +49,8 @@
 //! The in-flight accounting assumes no event loss: steady sessions run
 //! without churn and without an event/time cap, which the experiment
 //! drivers uphold. (With message loss a transaction's counter would never
-//! reach zero and its lanes would simply stay live until the trial ends —
-//! results stay correct, only the recycling stalls.)
+//! reach zero and its lanes and row would simply stay live until the trial
+//! ends — results stay correct, only the recycling stalls.)
 
 use crate::core::ProtocolCore;
 use crate::driver::SimDriver;
@@ -155,27 +159,37 @@ struct TxState {
     /// as inputs for this transaction. Starts at 1: the arrival timer.
     inflight: u64,
     /// From arrival until the last event drains: the leased lane set, and
-    /// the slot — the index of this transaction's instance in every node's
-    /// table — leased with it.
+    /// the slot — the index of this transaction's instance row — leased
+    /// with it.
     lease: Option<(HotState, usize)>,
     outcome: TxOutcome,
 }
 
+/// One node's instance of one transaction's protocol core, once the
+/// transaction has reached the node: the instance, and whether
+/// [`Input::Init`] has been polled on it.
+type Instance<C> = Option<(C, bool)>;
+
 /// Shared per-trial session state (one per simulation, behind
-/// `Rc<RefCell<…>>` — the simulator is single-threaded).
+/// `Rc<RefCell<…>>` — the simulator is single-threaded), multiplexing
+/// instances of the protocol core `C`.
 #[derive(Debug)]
-pub struct SteadySession {
+pub struct SteadySession<C> {
     lanes: LanePool,
     /// Slots returned by retired transactions, reused before a new one is
     /// numbered — so the slot count equals the pool's `peak_live`.
     free_slots: Vec<usize>,
+    /// `rows[slot][node]`: the instance on `node` of the transaction
+    /// leased `slot`. One row per slot ever numbered, allocated with it;
+    /// emptied when its transaction retires.
+    rows: Vec<Box<[Instance<C>]>>,
     txs: Vec<TxState>,
     adversary: Vec<bool>,
     miner_count: usize,
     latencies_us: Vec<u64>,
 }
 
-impl SteadySession {
+impl<C> SteadySession<C> {
     /// Builds the session bookkeeping for an `n`-node overlay.
     ///
     /// # Panics
@@ -217,10 +231,12 @@ impl SteadySession {
         Self {
             lanes: LanePool::new(n),
             free_slots: Vec::new(),
+            rows: Vec::new(),
             txs: arrivals.iter().enumerate().map(state).collect(),
             adversary,
             miner_count,
-            latencies_us: Vec::new(),
+            // Each transaction delivers at most once per node.
+            latencies_us: Vec::with_capacity(arrivals.len() * n),
         }
     }
 
@@ -236,22 +252,57 @@ impl SteadySession {
         &mut self.txs[tx as usize]
     }
 
-    /// Leases lanes and a slot to the arriving `tx`.
+    /// Instance rows numbered so far — one per slot, so after the run the
+    /// session's peak concurrency.
+    #[must_use]
+    pub fn rows(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Instances the rows hold: one per node each live transaction has
+    /// reached, so zero once every transaction has retired.
+    #[must_use]
+    pub fn instances(&self) -> usize {
+        self.rows
+            .iter()
+            .flat_map(|row| row.iter())
+            .flatten()
+            .count()
+    }
+
+    /// Leases lanes and a slot to the arriving `tx`, numbering a new slot
+    /// with its empty row only when the free list is empty.
     fn admit(&mut self, tx: u64) {
-        // With the free list empty, slots `0..live` are exactly the leased
-        // ones, so the next new slot is numbered `live`.
-        let slot = self.free_slots.pop().unwrap_or(self.lanes.live());
+        let n = self.lanes.node_count();
+        let rows = &mut self.rows;
+        let slot = self.free_slots.pop().unwrap_or_else(|| {
+            rows.push((0..n).map(|_| None).collect());
+            rows.len() - 1
+        });
         self.tx(tx).lease = Some((self.lanes.acquire(), slot));
     }
 
+    /// Consumes one input of the live `tx` on `node`: lends its leased
+    /// lanes and its instance entry for `node`.
+    #[allow(clippy::cast_possible_truncation)] // tx ids are dense indices
+    fn consume(&mut self, tx: u64, node: NodeId) -> (&mut HotState, &mut Instance<C>) {
+        let state = &mut self.txs[tx as usize];
+        debug_assert!(state.inflight > 0, "input for a drained transaction");
+        state.inflight -= 1;
+        let (lane, slot) = state.lease.as_mut().expect("live transaction has a lease");
+        (lane, &mut self.rows[*slot][node.index()])
+    }
+
     /// Credits `tx` with the `spawned` events a poll put in flight, and
-    /// retires it — lanes to the pool, slot to the free list — at zero.
+    /// retires it at zero: its row emptied, lanes to the pool, slot to the
+    /// free list.
     fn settle(&mut self, tx: u64, spawned: u64, now: SimTime) {
         let state = self.tx(tx);
         state.inflight += spawned;
         if state.inflight == 0 {
             state.outcome.completed_at = Some(now);
             let (lane, slot) = state.lease.take().expect("leased until retirement");
+            self.rows[slot].fill_with(|| None);
             self.lanes.release(lane);
             self.free_slots.push(slot);
         }
@@ -304,15 +355,11 @@ enum TxEvent<M> {
 }
 
 /// Per-node multiplexer running one lazy [`SteadyProtocol`] instance per
-/// transaction over a shared [`SteadySession`].
+/// transaction, held in the shared [`SteadySession`]'s rows.
 #[derive(Debug)]
 pub struct SteadyNode<C: SteadyProtocol> {
     prototype: C,
-    /// Per-transaction instances, indexed by the transaction's session
-    /// slot: `(owner, instance, whether Init has been polled on it)`. An
-    /// entry whose owner is not the transaction being routed is stale.
-    instances: Vec<Option<(u64, C, bool)>>,
-    session: Rc<RefCell<SteadySession>>,
+    session: Rc<RefCell<SteadySession<C>>>,
     /// Injections this node performs, as `(at, tx)` timer schedules.
     arrivals: Vec<(SimTime, u64)>,
     /// Reused inner mailbox (drained into the outer one after every poll).
@@ -327,25 +374,15 @@ impl<C: SteadyProtocol> SteadyNode<C> {
     /// are the injections scheduled on this node.
     pub fn new(
         prototype: C,
-        session: Rc<RefCell<SteadySession>>,
+        session: Rc<RefCell<SteadySession<C>>>,
         arrivals: Vec<(SimTime, u64)>,
     ) -> Self {
         Self {
             prototype,
-            instances: Vec::new(),
             session,
             arrivals,
             inner: Mailbox::new(),
         }
-    }
-
-    /// The number of occupied slots in this node's instance table: the
-    /// instances of live transactions, plus stale ones — their transaction
-    /// retired — that stay until their slot is reused. Never more than the
-    /// session's peak concurrency.
-    #[must_use]
-    pub fn live_instances(&self) -> usize {
-        self.instances.iter().flatten().count()
     }
 
     fn handle(
@@ -361,41 +398,28 @@ impl<C: SteadyProtocol> SteadyNode<C> {
         let sess = &mut *session;
 
         // Account: consume the input in the transaction's in-flight count
-        // and find its lanes and slot.
+        // and find its lanes and this node's entry in its slot's row.
         match &event {
             TxEvent::Arrival => sess.admit(tx),
             TxEvent::Message { from, .. } => sess.observe(tx, node, *from),
             TxEvent::Timer { .. } => {}
         }
-        let state = sess.tx(tx);
-        debug_assert!(state.inflight > 0, "input for a drained transaction");
-        state.inflight -= 1;
-        let (lane, slot) = state.lease.as_mut().expect("live transaction has a lease");
-        let slot = *slot;
+        let (lane, entry) = sess.consume(tx, node);
 
-        // Stamp check: whatever another transaction left in this slot
-        // belongs to a retired owner.
-        if self.instances.len() <= slot {
-            self.instances.resize_with(slot + 1, || None);
-        }
-        let entry = &mut self.instances[slot];
-        if entry.as_ref().is_some_and(|(owner, ..)| *owner != tx) {
-            *entry = None;
-        }
-
-        // Poll the transaction's instance against its own lanes, borrowed
-        // in place (the inner core cannot reach the session).
+        // Poll the transaction's instance against its own lanes, both
+        // borrowed in place (the inner core cannot reach the session).
         debug_assert!(self.inner.is_empty());
         let mut lane_view = view.with_lanes(lane);
         match event {
             TxEvent::Arrival => {
-                let (_, instance, _) = entry.insert((tx, self.prototype.clone(), true));
+                debug_assert!(entry.is_none(), "a new lease meets an emptied row");
+                let (instance, _) = entry.insert((self.prototype.clone(), true));
                 instance.poll(Input::Init, &mut lane_view, &mut self.inner);
                 instance.start_tx(tx, &mut lane_view, &mut self.inner);
             }
             TxEvent::Message { from, message } => {
-                let (_, instance, inited) =
-                    entry.get_or_insert_with(|| (tx, self.prototype.clone(), false));
+                let (instance, inited) =
+                    entry.get_or_insert_with(|| (self.prototype.clone(), false));
                 if !*inited && C::wants_init(&message) {
                     instance.poll(Input::Init, &mut lane_view, &mut self.inner);
                     *inited = true;
@@ -408,7 +432,7 @@ impl<C: SteadyProtocol> SteadyNode<C> {
             }
             TxEvent::Timer { tag } => {
                 // Only a live instance can have set the timer.
-                if let Some((_, instance, _)) = entry {
+                if let Some((instance, _)) = entry {
                     instance.poll(Input::TimerFired { tag }, &mut lane_view, &mut self.inner);
                 }
             }
@@ -560,7 +584,7 @@ pub fn run_steady_in<C: SteadyProtocol + 'static>(
     let (nodes, metrics) = sim.into_parts_in(arena);
     // Clearing the node storage drops every `Rc` clone of the session.
     arena.store_nodes(nodes);
-    let session = Rc::try_unwrap(session)
+    let session = Rc::into_inner(session)
         .expect("all session handles released with the nodes")
         .into_inner();
     (metrics, session.into_report())
@@ -608,13 +632,13 @@ mod tests {
     #[should_panic(expected = "transaction 1 originates at node 6, outside the 6-node overlay")]
     fn an_origin_outside_the_overlay_is_rejected_by_name() {
         let arrivals = [arrival(10, 4), arrival(20, 6)];
-        let _ = SteadySession::new(6, &arrivals, &[], 0);
+        let _ = SteadySession::<MiniFlood>::new(6, &arrivals, &[], 0);
     }
 
     #[test]
     #[should_panic(expected = "adversary node 9 is outside the 6-node overlay")]
     fn an_adversary_outside_the_overlay_is_rejected_by_name() {
-        let _ = SteadySession::new(6, &[], &[NodeId::new(3), NodeId::new(9)], 0);
+        let _ = SteadySession::<MiniFlood>::new(6, &[], &[NodeId::new(3), NodeId::new(9)], 0);
     }
 
     #[test]
@@ -661,7 +685,7 @@ mod tests {
                 origin: NodeId::new(5),
             },
         ];
-        let mut session = SteadySession::new(6, &arrivals, &[NodeId::new(3)], 2);
+        let mut session = SteadySession::<MiniFlood>::new(6, &arrivals, &[NodeId::new(3)], 2);
         session.record_delivery(0, NodeId::new(4), 10);
         session.record_delivery(0, NodeId::new(1), 35);
         session.record_delivery(1, NodeId::new(0), 50);
@@ -832,14 +856,14 @@ mod tests {
         assert_eq!(fresh, warm);
     }
 
-    /// `run_steady_in` wired by hand, without an arena, so the nodes and
-    /// the session survive the run for inspection.
+    /// `run_steady_in` wired by hand, without an arena, so the session
+    /// survives the run for inspection.
     fn run_kept<C: SteadyProtocol + 'static>(
         graph: Graph,
         prototypes: Vec<C>,
         arrivals: &[Arrival],
         seed: u64,
-    ) -> (Vec<SimDriver<SteadyNode<C>>>, Rc<RefCell<SteadySession>>) {
+    ) -> SteadySession<C> {
         let n = graph.node_count();
         let session = Rc::new(RefCell::new(SteadySession::new(n, arrivals, &[], 0)));
         let mut per_node = vec![Vec::new(); n];
@@ -859,8 +883,10 @@ mod tests {
         };
         let mut sim = Simulator::new(graph, nodes, config);
         sim.run();
-        let (nodes, _) = sim.into_parts();
-        (nodes, session)
+        drop(sim);
+        Rc::into_inner(session)
+            .expect("all session handles released with the nodes")
+            .into_inner()
     }
 
     #[test]
@@ -881,8 +907,7 @@ mod tests {
                     arrival(at, rng.gen_range(0..n))
                 })
                 .collect();
-            let (nodes, session) = run_kept(ring(n), vec![MiniFlood; n], &arrivals, seed);
-            let session = session.borrow();
+            let session = run_kept(ring(n), vec![MiniFlood; n], &arrivals, seed);
             let peak = session.lanes.peak_live();
             assert_eq!(session.lanes.live(), 0, "seed {seed}: lanes on lease");
             assert_eq!(session.free_slots(), peak, "seed {seed}: a slot was lost");
@@ -897,13 +922,12 @@ mod tests {
                 assert!(state.outcome.completed_at.is_some(), "seed {seed}: tx {tx}");
                 assert_eq!(state.outcome.delivered_count, n, "seed {seed}: tx {tx}");
             }
-            for node in &nodes {
-                assert!(
-                    node.instances.len() <= peak,
-                    "seed {seed}: table outgrew peak"
-                );
-                assert!(node.live_instances() <= peak);
-            }
+            assert_eq!(session.rows(), peak, "seed {seed}: one row per slot");
+            assert_eq!(
+                session.instances(),
+                0,
+                "seed {seed}: a row kept an instance"
+            );
             recycled |= arrivals.len() > peak;
             overlapped |= peak > 2;
         }
@@ -971,8 +995,8 @@ mod tests {
             amount,
         };
 
-        // Transaction 0 runs origin → relay and retires; the relay keeps
-        // its instance, stale, in slot 0.
+        // Transaction 0 runs origin → relay and retires, emptying slot 0's
+        // row on both nodes.
         let sent = effects(&mut origin, &mut origin_env, arrive(0));
         assert_eq!(
             sent,
@@ -987,31 +1011,29 @@ mod tests {
         );
         assert_eq!(session.borrow().lanes.live(), 0);
         assert_eq!(session.borrow().free_slots(), 1);
-        assert_eq!(relay.live_instances(), 1);
+        assert_eq!(session.borrow().instances(), 0);
 
         // Transaction 1 is handed the same slot: its first message at the
         // relay must meet a pristine instance, not transaction 0's.
         effects(&mut origin, &mut origin_env, arrive(1));
         assert!(matches!(session.borrow().txs[1].lease, Some((_, 0))));
+        assert_eq!(session.borrow().instances(), 1, "the origin's alone");
         assert_eq!(
             effects(&mut relay, &mut relay_env, relayed(1)),
             [entries(1)]
         );
-        assert_eq!(
-            origin.live_instances(),
-            1,
-            "the stale instance was replaced"
-        );
+        assert_eq!(session.borrow().instances(), 0);
 
         // Transaction 2, same slot again. A timer for it on the relay,
-        // which never spawned an instance for it, drops the stale one and
-        // is otherwise ignored — but still counts as the consumed input.
+        // which never spawned an instance for it, is ignored — but still
+        // counts as the consumed input.
         effects(&mut origin, &mut origin_env, arrive(2));
         let orphan = Input::TimerFired {
             tag: encode_timer(2, 5),
         };
         assert_eq!(effects(&mut relay, &mut relay_env, orphan), []);
-        assert_eq!(relay.live_instances(), 0);
+        assert_eq!(session.borrow().instances(), 0);
+        assert_eq!(session.borrow().rows(), 1);
         assert_eq!(session.borrow().lanes.live(), 0);
         assert_eq!(session.borrow().lanes.peak_live(), 1);
     }
