@@ -19,7 +19,7 @@ use crate::{sim_config, standard_overlay_in, GridPlan, TrialArena, TrialRunner};
 use fnp_core::{FlexConfig, ProtocolKind};
 use fnp_diffusion::AdParams;
 use fnp_gossip::DandelionParams;
-use fnp_netsim::{percentile_sorted, summarize, NodeId, SimTime, SECOND};
+use fnp_netsim::{percentile_sorted_by, summarize, NodeId, SimTime, SECOND};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -283,6 +283,13 @@ fn steady_trial(
     trial
 }
 
+/// A latency in microseconds, in milliseconds: non-decreasing and
+/// non-negative, so a sample sorted in microseconds is sorted in
+/// milliseconds too (see [`percentile_sorted_by`]).
+fn us_to_ms(us: u64) -> f64 {
+    us as f64 / 1e3
+}
+
 /// Runs experiment E13: every protocol × arrival-rate cell of the
 /// steady-state heavy-traffic grid.
 ///
@@ -351,7 +358,9 @@ pub fn steady_state_with(
         let mut included = 0usize;
         let mut mempool_peak_len = 0usize;
         let mut mempool_mean_sum = 0.0f64;
-        let mut latencies_ms: Vec<f64> = Vec::new();
+        // Sorted in microseconds and converted only where read: the first
+        // trial's log is sorted in place, later ones appended to it.
+        let mut latencies_us: Vec<u64> = Vec::new();
         let mut inclusion_ms: Vec<f64> = Vec::new();
         for trial in trials {
             injected += trial.injected;
@@ -363,10 +372,14 @@ pub fn steady_state_with(
             included += trial.included;
             mempool_peak_len = mempool_peak_len.max(trial.mempool_peak_len);
             mempool_mean_sum += trial.mempool_mean_len;
-            latencies_ms.extend(trial.latencies_us.iter().map(|&us| us as f64 / 1e3));
-            inclusion_ms.extend(trial.inclusion_delays_us.iter().map(|&us| us as f64 / 1e3));
+            if latencies_us.is_empty() {
+                latencies_us = trial.latencies_us;
+            } else {
+                latencies_us.extend_from_slice(&trial.latencies_us);
+            }
+            inclusion_ms.extend(trial.inclusion_delays_us.iter().map(|&us| us_to_ms(us)));
         }
-        latencies_ms.sort_unstable_by(f64::total_cmp);
+        latencies_us.sort_unstable();
         let injected_f = injected as f64;
         rows.push(SteadyStateRow {
             protocol: label,
@@ -379,9 +392,9 @@ pub fn steady_state_with(
             },
             throughput_tx_per_s: fully_delivered as f64
                 / (horizon_seconds * trial_count.max(1) as f64),
-            p50_delivery_ms: percentile_sorted(&latencies_ms, 50.0),
-            p95_delivery_ms: percentile_sorted(&latencies_ms, 95.0),
-            p99_delivery_ms: percentile_sorted(&latencies_ms, 99.0),
+            p50_delivery_ms: percentile_sorted_by(&latencies_us, 50.0, us_to_ms),
+            p95_delivery_ms: percentile_sorted_by(&latencies_us, 95.0, us_to_ms),
+            p99_delivery_ms: percentile_sorted_by(&latencies_us, 99.0, us_to_ms),
             mean_messages_per_tx: if injected == 0 {
                 0.0
             } else {
@@ -476,4 +489,46 @@ fn run(args: &BinArgs) {
          privacy mechanisms pay for anonymity with tail latency and mempool dwell time, \
          and the first-spy column shows whether overlapping traffic helps or hurts them."
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fnp_netsim::percentile_sorted;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Percentiles read from the microsecond sort carry the same bits as
+    /// those of every sample converted to milliseconds and sorted there.
+    #[test]
+    fn percentiles_of_the_microsecond_sort_match_the_millisecond_sort() {
+        let mut rng = StdRng::seed_from_u64(47);
+        let pool = [0, 1, 999, 1_000, 250_000, 1 << 53, (1 << 53) + 1, u64::MAX];
+        let mut samples: Vec<Vec<u64>> = vec![
+            vec![],
+            vec![1_234],
+            vec![7, 7, 7, 3, 3, 1_000_001],
+            // Distinct in microseconds, one value in milliseconds.
+            vec![(1 << 53) + 1, 1 << 53, u64::MAX - 1, u64::MAX],
+        ];
+        samples.extend((0..200).map(|_| {
+            let len = rng.gen_range(1..40);
+            (0..len)
+                .map(|_| pool[rng.gen_range(0..pool.len())])
+                .collect()
+        }));
+        for sample in samples {
+            let mut ms: Vec<f64> = sample.iter().map(|&us| us_to_ms(us)).collect();
+            ms.sort_unstable_by(f64::total_cmp);
+            let mut us = sample.clone();
+            us.sort_unstable();
+            for p in [0.0, 1.0, 50.0, 95.0, 99.0, 100.0] {
+                assert_eq!(
+                    percentile_sorted_by(&us, p, us_to_ms).to_bits(),
+                    percentile_sorted(&ms, p).to_bits(),
+                    "p{p} of {sample:?}"
+                );
+            }
+        }
+    }
 }

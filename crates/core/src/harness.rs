@@ -12,7 +12,7 @@
 use crate::config::FlexConfig;
 use crate::keycache::{derive_group, KeyScratch};
 use crate::message::{PHASE1_KINDS, PHASE2_KINDS, PHASE3_KINDS};
-use crate::node::FlexNode;
+use crate::node::{FlexNode, GroupRoster};
 use fnp_crypto::dh::KeyPair;
 use fnp_diffusion::{AdParams, AdaptiveDiffusionNode};
 use fnp_gossip::{DandelionParams, StemLine};
@@ -22,6 +22,7 @@ use fnp_proto::SimDriver;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
+use std::rc::Rc;
 
 /// Result of one flexible-protocol broadcast.
 #[derive(Clone, Debug)]
@@ -145,11 +146,13 @@ fn check_origin(origin: NodeId, nodes: usize) -> Result<(), HarnessError> {
 }
 
 /// The one group set-up: appends one configured [`FlexNode`] per node of an
-/// `n`-node overlay to `nodes`, each wrapped by `wrap`, in node order; then
-/// partitions the overlay into DC-net groups (setup RNG
-/// `seed ^ 0xD1F7_BEEF`) and derives every group's memberships under key
-/// seed `seed`, all over one [`KeyScratch`], writing each straight into its
-/// node, reached through `core`.
+/// `n`-node overlay to `nodes`, each wrapped by `wrap`, in node order, all
+/// sharing one roster of no group; then partitions the overlay into DC-net
+/// groups (setup RNG `seed ^ 0xD1F7_BEEF`) and derives every group's roster
+/// under key seed `seed`, all over one [`KeyScratch`], writing each
+/// membership straight into its node, reached through `core`. Every roster
+/// shares one `Rc` of `config`, and no step allocates per node beyond the
+/// node itself and its pad keys.
 ///
 /// `config` must already be validated.
 fn flex_nodes<T>(
@@ -165,10 +168,12 @@ fn flex_nodes<T>(
     let groups = form_groups(&all_nodes, config.k, &mut setup_rng)?;
 
     let first = nodes.len();
-    nodes.extend((0..n).map(|_| wrap(FlexNode::new(config, None))));
+    let config = Rc::new(config);
+    let lone = Rc::new(GroupRoster::lone(Rc::clone(&config)));
+    nodes.extend((0..n).map(|_| wrap(FlexNode::with_roster(Rc::clone(&lone), 0))));
     let mut scratch = KeyScratch::default();
     for group in &groups {
-        derive_group(group, seed, &mut scratch, |node, membership| {
+        derive_group(group, seed, &config, &mut scratch, |node, membership| {
             core(&mut nodes[first + node.index()]).join(membership);
         });
     }

@@ -14,10 +14,12 @@
 //!   members read their key from: `k·(k−1)/2` exponentiations instead of
 //!   the naive `k·(k−1)`.
 //! * **Sharing** — the member list is the same for all `k` members, so the
-//!   `k` memberships hold one roster behind one `Rc`. The identity table
+//!   `k` memberships hold one roster behind one `Rc`, together with the
+//!   configuration and the members' keyed participants. The identity table
 //!   the virtual-source election reads lives in that roster too, built the
 //!   first time a member elects: only a group that carries a transaction
-//!   ever needs it. What a member keeps of its own is its pad keys.
+//!   ever needs it. A member's own pad keys sit in the roster beside its
+//!   peers'; what the member keeps of its own is its index.
 //! * **Purity** — the material is a function of `(key_seed, members)` and
 //!   nothing else: it consumes no randomness and keeps no state, so trials
 //!   cannot influence each other through it.
@@ -27,6 +29,7 @@
 //! same material (measured: 27 960 lookups, 0 hits over the seven
 //! experiments that run the flexible protocol).
 
+use crate::config::FlexConfig;
 use crate::harness::node_key_pair;
 use crate::node::{GroupMembership, GroupRoster};
 use fnp_crypto::dh::{pairwise_pad_key, KeyPair};
@@ -47,6 +50,9 @@ pub(crate) struct KeyScratch {
 
 /// Builds the [`GroupMembership`] handed to each member of `group`, in
 /// ascending member order, with every pad key derived under `key_seed`.
+/// The memberships carry the default [`FlexConfig`]; a node built from one
+/// under another configuration copies the roster once
+/// ([`FlexNode::new`](crate::FlexNode::new)).
 ///
 /// See the [module documentation](self) for what the derivation guarantees.
 ///
@@ -59,14 +65,15 @@ pub(crate) struct KeyScratch {
 pub fn group_memberships(group: &Group, key_seed: u64) -> Vec<(NodeId, GroupMembership)> {
     let mut memberships = Vec::with_capacity(group.len());
     let place = |node, membership| memberships.push((node, membership));
-    derive_group(group, key_seed, &mut KeyScratch::default(), place);
+    let config = Rc::new(FlexConfig::default());
+    derive_group(group, key_seed, &config, &mut KeyScratch::default(), place);
     memberships
 }
 
 /// The one derivation behind [`group_memberships`] and the harness's
 /// set-up: derives `group`'s pad keys under `key_seed` in one pass over
-/// `scratch` and hands each member's membership to `place`, in ascending
-/// member order.
+/// `scratch`, builds the group's roster under `config`, and hands each
+/// member's membership to `place`, in ascending member order.
 ///
 /// # Panics
 ///
@@ -74,11 +81,11 @@ pub fn group_memberships(group: &Group, key_seed: u64) -> Vec<(NodeId, GroupMemb
 pub(crate) fn derive_group(
     group: &Group,
     key_seed: u64,
+    config: &Rc<FlexConfig>,
     scratch: &mut KeyScratch,
     mut place: impl FnMut(NodeId, GroupMembership),
 ) {
-    let roster = Rc::new(GroupRoster::new(group.members()));
-    let members = roster.members();
+    let members: Box<[NodeId]> = group.members().collect();
     let KeyScratch {
         key_pairs,
         triangle,
@@ -100,17 +107,20 @@ pub(crate) fn derive_group(
     }
 
     let k = members.len();
-    for (own_index, &node) in members.iter().enumerate() {
-        let pad_keys = (0..k).filter(|&peer| peer != own_index).map(|peer| {
-            let (low, high) = (own_index.min(peer), own_index.max(peer));
-            (peer, triangle[high * (high - 1) / 2 + low])
-        });
-        let participant = KeyedParticipant::from_pad_keys(own_index, k, pad_keys)
-            .expect("a group has at least two members and every pair was derived");
-        place(
-            node,
-            GroupMembership::new(Rc::clone(&roster), own_index, Rc::new(participant)),
-        );
+    let participants = (0..k)
+        .map(|own_index| {
+            let pad_keys = (0..k).filter(|&peer| peer != own_index).map(|peer| {
+                let (low, high) = (own_index.min(peer), own_index.max(peer));
+                (peer, triangle[high * (high - 1) / 2 + low])
+            });
+            let participant = KeyedParticipant::from_pad_keys(own_index, k, pad_keys)
+                .expect("a group has at least two members and every pair was derived");
+            Rc::new(participant)
+        })
+        .collect();
+    let roster = Rc::new(GroupRoster::new(Rc::clone(config), members, participants));
+    for (own_index, &node) in roster.members().iter().enumerate() {
+        place(node, GroupMembership::new(Rc::clone(&roster), own_index));
     }
 }
 
@@ -183,8 +193,8 @@ mod tests {
                 assert_eq!(a.identities(), b.identities());
                 for round in [0u64, 9] {
                     assert_eq!(
-                        contribution(&a.participant, round),
-                        contribution(&b.participant, round)
+                        contribution(a.participant(), round),
+                        contribution(b.participant(), round)
                     );
                 }
             }
@@ -220,7 +230,7 @@ mod tests {
                     KeyedParticipant::new(index, &reference_keys[index], &public_keys).unwrap();
                 for round in [0u64, 9] {
                     assert_eq!(
-                        contribution(&membership.participant, round),
+                        contribution(membership.participant(), round),
                         contribution(&reference, round),
                         "k = {k}, member {index}, round {round}"
                     );
@@ -259,8 +269,8 @@ mod tests {
         let first = group_memberships(&groups[0], 1);
         let second = group_memberships(&groups[0], 2);
         assert_ne!(
-            contribution(&first[0].1.participant, 0),
-            contribution(&second[0].1.participant, 0),
+            contribution(first[0].1.participant(), 0),
+            contribution(second[0].1.participant(), 0),
             "key seed must flow into the pad material"
         );
     }

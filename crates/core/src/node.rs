@@ -46,45 +46,33 @@ const TIMER_AD_ROUND: u64 = 2;
 /// struct, because nearly every handler consults it.
 const PHASE_FLOODING: u8 = 1;
 
-/// Static description of the DC-net group a node belongs to.
-///
-/// The member list is identical for every member of a group, so the `k`
-/// memberships share one roster instead of deep-copying it `k` times at
-/// set-up; the members' election identities live in the same roster,
-/// computed the first time any member elects. The keyed participant is
-/// immutable once built (rounds only read its pad keys), so it is
-/// reference-counted too: cloning a membership — what every
-/// per-transaction instance of a steady-state session does — is two
-/// refcount bumps and copies no key material.
+/// A node's membership in a DC-net group, as the key derivation hands it
+/// out: the roster every member of the group shares and the node's index
+/// in it. Cloning one is a refcount bump; it copies no key material.
 #[derive(Clone, Debug)]
 pub struct GroupMembership {
-    /// The member list and identities, shared by all members of the group.
+    /// The configuration, member list, keyed participants and identities,
+    /// shared by all members of the group.
     roster: Rc<GroupRoster>,
     /// This node's index within [`GroupMembership::members`].
     pub own_index: usize,
-    /// The keyed DC-net participant holding the pairwise pad generators
-    /// (shared between this node's per-transaction instances).
-    pub participant: Rc<KeyedParticipant>,
 }
 
 impl GroupMembership {
-    /// Member `own_index` of the group `roster` describes, contributing
-    /// through `participant`.
-    pub(crate) fn new(
-        roster: Rc<GroupRoster>,
-        own_index: usize,
-        participant: Rc<KeyedParticipant>,
-    ) -> Self {
-        Self {
-            roster,
-            own_index,
-            participant,
-        }
+    /// Member `own_index` of the group `roster` describes.
+    pub(crate) fn new(roster: Rc<GroupRoster>, own_index: usize) -> Self {
+        Self { roster, own_index }
     }
 
     /// The group members' overlay node ids, sorted ascending.
     pub fn members(&self) -> &[NodeId] {
-        self.roster.members()
+        &self.roster.members
+    }
+
+    /// The keyed DC-net participant holding this member's pairwise pad
+    /// generators.
+    pub fn participant(&self) -> &Rc<KeyedParticipant> {
+        &self.roster.participants[self.own_index]
     }
 
     /// The members' public identities, in the order of
@@ -92,41 +80,64 @@ impl GroupMembership {
     /// compares. Computed on the first call by any member of the group and
     /// shared with all of them from then on.
     pub fn identities(&self) -> &[Identity] {
-        let GroupRoster {
-            members,
-            identities,
-        } = &*self.roster;
-        identities.get_or_init(|| {
-            members
-                .iter()
-                .map(|node| Identity::from_node_index(node.index()))
-                .collect()
-        })
+        self.roster.identities()
     }
 }
 
-/// What all members of one DC-net group share: the member list, and the
-/// members' identities once one of them has elected a virtual source. Only
-/// a group that carries a transaction elects, so in a single broadcast no
-/// roster but the originator group's ever builds its identities.
-#[derive(Debug)]
+/// What all members of one DC-net group share: the protocol configuration,
+/// the member list, the members' keyed participants (immutable once built:
+/// rounds only read their pad keys), and the members' identities once one
+/// of them has elected a virtual source. Only a group that carries a
+/// transaction elects, so in a single broadcast no roster but the
+/// originator group's ever builds its identities.
+///
+/// Nodes in no group share one roster with no members, which carries the
+/// configuration alone; the configuration itself is shared by all rosters
+/// of a set-up. A node core therefore reaches every constant it has
+/// through one pointer, and a steady session's per-transaction instance —
+/// a clone of the core — copies that pointer and nothing else of them.
+#[derive(Clone, Debug)]
 pub(crate) struct GroupRoster {
+    config: Rc<FlexConfig>,
     members: Box<[NodeId]>,
+    participants: Box<[Rc<KeyedParticipant>]>,
     identities: OnceCell<Box<[Identity]>>,
 }
 
 impl GroupRoster {
-    /// A roster of `members`, in ascending node order.
-    pub(crate) fn new(members: impl Iterator<Item = NodeId>) -> Self {
+    /// The roster of a group whose members, in ascending node order, run
+    /// the DC-net through `participants` under `config`.
+    pub(crate) fn new(
+        config: Rc<FlexConfig>,
+        members: Box<[NodeId]>,
+        participants: Box<[Rc<KeyedParticipant>]>,
+    ) -> Self {
+        debug_assert_eq!(members.len(), participants.len());
         Self {
-            members: members.collect(),
+            config,
+            members,
+            participants,
             identities: OnceCell::new(),
         }
+    }
+
+    /// The roster of the nodes in no group: no members, `config` alone.
+    pub(crate) fn lone(config: Rc<FlexConfig>) -> Self {
+        Self::new(config, Box::default(), Box::default())
     }
 
     /// The members, in ascending node order.
     pub(crate) fn members(&self) -> &[NodeId] {
         &self.members
+    }
+
+    fn identities(&self) -> &[Identity] {
+        self.identities.get_or_init(|| {
+            self.members
+                .iter()
+                .map(|node| Identity::from_node_index(node.index()))
+                .collect()
+        })
     }
 }
 
@@ -157,8 +168,18 @@ impl Wire for FlexWire<'_> {
 /// A node running the flexible three-phase broadcast protocol.
 #[derive(Clone, Debug)]
 pub struct FlexNode {
-    config: FlexConfig,
-    group: Option<GroupMembership>,
+    /// The configuration and the node's DC-net group, shared with the
+    /// group's other members (see [`GroupRoster`]).
+    roster: Rc<GroupRoster>,
+    /// This node's index in the roster's members; unused when the roster
+    /// has none.
+    member: u32,
+    /// Whether this instance has armed its periodic DC-net round timer:
+    /// at `Init`, or — for a steady instance spawned without `Init` — at
+    /// its first contribution. A node in no group never arms it.
+    dc_armed: bool,
+    /// True if this node originated the broadcast.
+    is_origin: bool,
     /// Phase-1 state, created the first time this node queues, starts or
     /// receives a DC-net round: a node that only relays phases 2 and 3 —
     /// every steady instance outside the originator's group — carries none.
@@ -172,27 +193,64 @@ pub struct FlexNode {
     /// phase tag and the last processed spread round live in the driver's
     /// hot lanes).
     ad: InfectionTree,
-    /// True if this node originated the broadcast.
-    is_origin: bool,
 }
 
 impl FlexNode {
     /// Creates a node. `group` is `None` for nodes that are not part of any
     /// DC-net group in this experiment (they still relay phases 2 and 3).
+    ///
+    /// The node shares `group`'s roster when the membership was derived
+    /// under `config` (as [`group_memberships`](crate::group_memberships)
+    /// derives under the default one) and copies it once otherwise; a node
+    /// in no group gets a roster of its own. The harness builds its nodes
+    /// without either copy.
     pub fn new(config: FlexConfig, group: Option<GroupMembership>) -> Self {
-        Self {
-            config,
-            group,
-            dc: None,
-            payload: None,
-            ad: InfectionTree::default(),
-            is_origin: false,
+        match group {
+            Some(GroupMembership { roster, own_index }) => {
+                let roster = if *roster.config == config {
+                    roster
+                } else {
+                    Rc::new(GroupRoster {
+                        config: Rc::new(config),
+                        ..(*roster).clone()
+                    })
+                };
+                Self::with_roster(roster, own_index)
+            }
+            None => Self::with_roster(Rc::new(GroupRoster::lone(Rc::new(config))), 0),
         }
     }
 
-    /// Makes this node a member of `group`, in place of any group it had.
+    /// Member `member` of `roster`, or a node in no group when the roster
+    /// has no members.
+    pub(crate) fn with_roster(roster: Rc<GroupRoster>, member: usize) -> Self {
+        Self {
+            roster,
+            member: u32::try_from(member).expect("a group has fewer than 2^32 members"),
+            dc_armed: false,
+            is_origin: false,
+            dc: None,
+            payload: None,
+            ad: InfectionTree::default(),
+        }
+    }
+
+    /// Makes this node, not yet polled, a member of `group`. The membership
+    /// must have been derived under this node's configuration.
     pub(crate) fn join(&mut self, group: GroupMembership) {
-        self.group = Some(group);
+        debug_assert!(group.roster.config == self.roster.config);
+        *self = Self::with_roster(group.roster, group.own_index);
+    }
+
+    fn config(&self) -> &FlexConfig {
+        &self.roster.config
+    }
+
+    /// The node's group roster and its index in it; `None` outside any
+    /// group.
+    fn group(&self) -> Option<(&GroupRoster, usize)> {
+        let member = self.member as usize;
+        (member < self.roster.members.len()).then_some((&self.roster, member))
     }
 
     /// The transaction, once this node has learned it.
@@ -212,10 +270,7 @@ impl FlexNode {
 
     /// The node's group members (empty if it belongs to no group).
     pub fn group_members(&self) -> &[NodeId] {
-        self.group
-            .as_ref()
-            .map(GroupMembership::members)
-            .unwrap_or(&[])
+        &self.roster.members
     }
 
     /// Queues `payload` for anonymous broadcast from this node.
@@ -240,7 +295,7 @@ impl FlexNode {
         view.set_seen();
         self.payload = Some(payload.as_slice().into());
         out.deliver();
-        if let Some((_, dc)) = self.engine() {
+        if let Some((_, _, dc)) = self.engine() {
             out.record("flex-origin-queued");
             dc.queue(payload)
                 .expect("the payload fits the configured DC-net slot");
@@ -275,30 +330,46 @@ impl FlexNode {
 
     /// The node's group and its phase-1 engine, created on first use;
     /// `None` outside any group.
-    fn engine(&mut self) -> Option<(&GroupMembership, &mut RoundEngine)> {
-        let group = self.group.as_ref()?;
-        let slot_len = self.config.slot_len;
-        let new = || Box::new(RoundEngine::new(Rc::clone(&group.participant), slot_len));
-        Some((group, self.dc.get_or_insert_with(new)))
+    fn engine(&mut self) -> Option<(&GroupRoster, usize, &mut RoundEngine)> {
+        let roster = &*self.roster;
+        let member = self.member as usize;
+        let participant = roster.participants.get(member)?;
+        let slot_len = roster.config.slot_len;
+        let new = || Box::new(RoundEngine::new(Rc::clone(participant), slot_len));
+        Some((roster, member, self.dc.get_or_insert_with(new)))
+    }
+
+    /// Arms the periodic DC-net round timer on a group member, once per
+    /// instance: group members pace their rounds from the start of the
+    /// run; a small deterministic stagger is unnecessary because round
+    /// numbers are carried explicitly.
+    fn arm_dc_clock(&mut self, out: &mut Mailbox<FlexMessage>) {
+        if self.dc_armed || self.group().is_none() {
+            return;
+        }
+        self.dc_armed = true;
+        out.set_timer(self.config().dc_round_interval, TIMER_DC_ROUND);
     }
 
     /// Starts the next DC-net round while the budget lasts: sends this
     /// node's contribution to every other group member and re-arms the
     /// round timer.
     fn run_dc_round(&mut self, view: &mut ContextView<'_>, out: &mut Mailbox<FlexMessage>) {
-        let (budget, interval) = (self.config.max_dc_rounds, self.config.dc_round_interval);
-        let Some((group, dc)) = self.engine().filter(|(_, dc)| dc.rounds_started() < budget) else {
+        let (budget, interval) = (self.config().max_dc_rounds, self.config().dc_round_interval);
+        let Some((roster, member_index, dc)) = self
+            .engine()
+            .filter(|(_, _, dc)| dc.rounds_started() < budget)
+        else {
             return;
         };
         let round = dc.rounds_started();
         let (data, resolved) = dc.start_round(view.rng());
-        let member_index = group.own_index;
         let message = FlexMessage::DcContribution {
             round,
             member_index,
             data,
         };
-        for (index, member) in group.members().iter().enumerate() {
+        for (index, member) in roster.members.iter().enumerate() {
             if index != member_index {
                 out.send(*member, message.clone());
             }
@@ -342,17 +413,17 @@ impl FlexNode {
         view: &mut ContextView<'_>,
         out: &mut Mailbox<FlexMessage>,
     ) {
-        let Some(group) = self.group.as_ref() else {
+        let Some((roster, own_index)) = self.group() else {
             return;
         };
-        let is_winner = match self.config.election {
+        let is_winner = match roster.config.election {
             crate::config::ElectionStrategy::HashBased => {
                 let digest = Sha256::digest(message);
-                let Some(elected) = elect_virtual_source_index(group.identities(), &digest) else {
+                let Some(elected) = elect_virtual_source_index(roster.identities(), &digest) else {
                     return;
                 };
                 out.record("flex-elections");
-                elected == group.own_index
+                elected == own_index
             }
             // Ablation baseline: skip the election and keep the originator as
             // the virtual source (only the originator knows it qualifies).
@@ -370,9 +441,8 @@ impl FlexNode {
         // group members already know the transaction (via the DC-net), so
         // they become its first diffusion children: spread waves and the
         // eventual final-spread request flow through them.
-        let own_index = group.own_index;
-        let children: Vec<NodeId> = group
-            .members()
+        let children: Vec<NodeId> = roster
+            .members
             .iter()
             .enumerate()
             .filter(|(index, _)| *index != own_index)
@@ -393,7 +463,7 @@ impl FlexNode {
             self.ad.grow_frontier(&wire, 0, None, view, out);
         }
         self.ad.forward_spread(&wire, 0, None, out);
-        out.set_timer(self.config.ad_round_interval, TIMER_AD_ROUND);
+        out.set_timer(self.config().ad_round_interval, TIMER_AD_ROUND);
     }
 
     // ------------------------------------------------------------------
@@ -408,10 +478,10 @@ impl FlexNode {
             self.ad.token = None;
             return;
         }
-        let FlexConfig { schedule, d, .. } = self.config;
+        let FlexConfig { schedule, d, .. } = *self.config();
         let wire = FlexWire(&self.payload);
         match self.ad.run_round(&wire, schedule, d, view, out) {
-            Some(Round::Kept) => out.set_timer(self.config.ad_round_interval, TIMER_AD_ROUND),
+            Some(Round::Kept) => out.set_timer(self.config().ad_round_interval, TIMER_AD_ROUND),
             Some(Round::BudgetExhausted) => {
                 // Transition 2 → 3: the final virtual source sends the last
                 // spread request, which doubles as the switch-to-flood signal.
@@ -457,14 +527,7 @@ impl ProtocolCore for FlexNode {
         out: &mut Mailbox<FlexMessage>,
     ) {
         match input {
-            Input::Init => {
-                // Group members pace their periodic DC-net rounds from the
-                // start of the run; a small deterministic stagger is
-                // unnecessary because round numbers are carried explicitly.
-                if self.group.is_some() {
-                    out.set_timer(self.config.dc_round_interval, TIMER_DC_ROUND);
-                }
-            }
+            Input::Init => self.arm_dc_clock(out),
             Input::Message { from, message } => self.on_flex_message(from, message, view, out),
             Input::TimerFired { tag } => match tag {
                 TIMER_DC_ROUND => self.run_dc_round(view, out),
@@ -476,20 +539,15 @@ impl ProtocolCore for FlexNode {
 }
 
 /// A per-transaction instance clones the never-polled prototype: it shares
-/// the group tables and pad keys and runs its own DC-net rounds.
+/// the roster — configuration, group and pad keys — and runs its own DC-net
+/// rounds. A steady session polls `Init` only on the originator's instance;
+/// every other instance arms its round timer at its first DC-net
+/// contribution, so exactly the originator's group paces rounds for the
+/// transaction, and instances reached by phase-2/3 traffic only relay.
 impl SteadyProtocol for FlexNode {
     /// Injects the transaction id as the anonymous payload.
     fn start_tx(&mut self, tx: u64, view: &mut ContextView<'_>, out: &mut Mailbox<FlexMessage>) {
         self.start_broadcast(tx.to_le_bytes().to_vec(), view, out);
-    }
-
-    /// Under steady-state multiplexing, `Init` (which arms the periodic
-    /// DC-net rounds) runs only on instances first contacted by a DC-net
-    /// contribution: exactly the originator's group members, who must pace
-    /// their own rounds for the round to resolve. Instances spawned by
-    /// phase-2/3 traffic skip it — they only relay.
-    fn wants_init(first: &FlexMessage) -> bool {
-        matches!(first, FlexMessage::DcContribution { .. })
     }
 }
 
@@ -507,12 +565,15 @@ impl FlexNode {
                 member_index,
                 data,
             } => {
-                let Some((group, dc)) = self.engine() else {
+                // An instance that skipped `Init` does here what `Init`
+                // does, before the contribution's own effects.
+                self.arm_dc_clock(out);
+                let Some((roster, _, dc)) = self.engine() else {
                     return;
                 };
                 // The claimed position must be the sender's own; a refused
                 // contribution is counted under its reason.
-                let received = if group.members().get(member_index) == Some(&from) {
+                let received = if roster.members.get(member_index) == Some(&from) {
                     dc.receive(member_index, round, data, view.rng())
                 } else {
                     Err(ReceiveError::NonMember)
@@ -564,7 +625,7 @@ impl FlexNode {
                 } else {
                     self.ad.spread_wave(&wire, round, Some(from), view, out);
                 }
-                out.set_timer(self.config.ad_round_interval, TIMER_AD_ROUND);
+                out.set_timer(self.config().ad_round_interval, TIMER_AD_ROUND);
             }
             FlexMessage::FinalSpread { payload } => {
                 self.learn_payload(payload.clone(), view, out);
@@ -824,5 +885,124 @@ mod tests {
         assert!(node.holds_token(), "the final virtual source keeps it");
         // A stray timer afterwards voids the token and sends nothing.
         assert_eq!(poll(&mut node, &mut env, AD_TIMER), []);
+    }
+
+    // First contact with phase 1. A steady session polls `Init` only on
+    // the originator's instance; any other instance of a group member arms
+    // its DC-net round clock at its first contribution, with the effects
+    // `Init` has, ahead of the contribution's own. Node 0 of the group
+    // {0, 1, 2}, spawned without `Init`, against the same node polled with
+    // `Init` first.
+
+    fn member_0() -> (FlexNode, StandaloneEnv, Vec<GroupMembership>) {
+        let group = fnp_groups::Group::new(3, (0..3).map(NodeId::new)).unwrap();
+        let members: Vec<GroupMembership> = crate::group_memberships(&group, 1)
+            .into_iter()
+            .map(|(_, member)| member)
+            .collect();
+        let env = StandaloneEnv::new(NodeId::new(0), 5, [1, 2, 3].map(NodeId::new).to_vec(), 7);
+        let node = FlexNode::new(FlexConfig::default(), Some(members[0].clone()));
+        (node, env, members)
+    }
+
+    /// A contribution to round 0 in member `member_index`'s name, sent by
+    /// `from`: the honest silent one of that member.
+    fn contribution(
+        from: usize,
+        member_index: usize,
+        members: &[GroupMembership],
+    ) -> Input<FlexMessage> {
+        let slot_len = FlexConfig::default().slot_len;
+        let data = members[member_index]
+            .participant()
+            .contribution(0, slot_len, None);
+        let dc = FlexMessage::DcContribution {
+            round: 0,
+            member_index,
+            data: data.unwrap().into(),
+        };
+        message(from, dc)
+    }
+
+    fn dc_arms(effects: &[Effect<FlexMessage>]) -> usize {
+        let arms = |effect: &&Effect<FlexMessage>| matches!(effect, Effect::SetTimer { tag, .. } if *tag == TIMER_DC_ROUND);
+        effects.iter().filter(arms).count()
+    }
+
+    /// Polls `inputs` on node 0 spawned without `Init` and on node 0 polled
+    /// with `Init` first. Returns the effects of `Init`, then each input's
+    /// effects on the spawned node and on the initialised one.
+    #[allow(clippy::type_complexity)]
+    fn first_contact(
+        inputs: impl Fn(&[GroupMembership]) -> Vec<Input<FlexMessage>>,
+    ) -> (
+        Vec<Effect<FlexMessage>>,
+        Vec<Vec<Effect<FlexMessage>>>,
+        Vec<Vec<Effect<FlexMessage>>>,
+    ) {
+        let (mut spawned, mut spawned_env, members) = member_0();
+        let (mut reference, mut reference_env, _) = member_0();
+        let init = poll(&mut reference, &mut reference_env, Input::Init);
+        let interval = FlexConfig::default().dc_round_interval;
+        assert_eq!(
+            init,
+            [Effect::SetTimer {
+                delay: interval,
+                tag: TIMER_DC_ROUND
+            }]
+        );
+        let (mut on_spawned, mut on_reference) = (Vec::new(), Vec::new());
+        for (a, b) in inputs(&members).into_iter().zip(inputs(&members)) {
+            on_spawned.push(poll(&mut spawned, &mut spawned_env, a));
+            on_reference.push(poll(&mut reference, &mut reference_env, b));
+        }
+        (init, on_spawned, on_reference)
+    }
+
+    #[test]
+    fn an_instance_reached_by_phase_2_first_arms_at_its_first_contribution() {
+        let (init, spawned, reference) = first_contact(|members| {
+            let payload: Arc<[u8]> = Arc::from(&b"tx"[..]);
+            vec![
+                message(1, FlexMessage::AdInfect { round: 0, payload }),
+                contribution(1, 1, members),
+                contribution(2, 2, members),
+            ]
+        });
+        assert_eq!(spawned[0], [Effect::Deliver], "an infection arms nothing");
+        assert_eq!(spawned[0], reference[0]);
+        assert_eq!(spawned[1], [init, reference[1].clone()].concat());
+        assert_eq!(spawned[2], reference[2]);
+        assert_eq!(dc_arms(&spawned.concat()), 1);
+    }
+
+    #[test]
+    fn an_instance_reached_by_a_contribution_first_arms_before_its_effects() {
+        let (init, spawned, reference) = first_contact(|members| {
+            // Node 2 passes member 1's contribution off as its own, then
+            // both send their own.
+            vec![
+                contribution(2, 1, members),
+                contribution(1, 1, members),
+                contribution(2, 2, members),
+            ]
+        });
+        assert_eq!(reference[0], [count("flex-dc-non-member")]);
+        assert_eq!(spawned[0], [init, reference[0].clone()].concat());
+        assert_eq!(spawned[1..], reference[1..]);
+        assert_eq!(dc_arms(&spawned.concat()), 1);
+    }
+
+    #[test]
+    fn a_node_polled_with_init_never_arms_again() {
+        let (_, _, reference) = first_contact(|members| {
+            let payload: Arc<[u8]> = Arc::from(&b"tx"[..]);
+            vec![
+                contribution(1, 1, members),
+                message(1, FlexMessage::AdInfect { round: 0, payload }),
+                contribution(2, 2, members),
+            ]
+        });
+        assert_eq!(dc_arms(&reference.concat()), 0, "{reference:?}");
     }
 }

@@ -2,8 +2,9 @@
 //! nothing behind for the next one, a steady session's heap traffic per
 //! transaction does not depend on how long the session runs, the set-up
 //! requests little beyond the pad keys its members keep, a warm trial's
-//! round engines hold little beyond their contributions, and the node core
-//! every instance-table slot holds stays small.
+//! round engines hold little beyond their contributions, the node core a
+//! steady session's row entry holds stays small, and a session whose
+//! transactions all overlap requests rows of those cores and little else.
 //!
 //! The flexible protocol's set-up keeps no state between trials, and a
 //! node's DC-round contributions are `Arc`s it shares with the copies it
@@ -127,10 +128,10 @@ fn session(arena: &mut TrialArena, graph: &Graph, transactions: u64) -> u64 {
     requested / transactions
 }
 
-/// Bytes a long session may request per transaction. Measured: 13.9 KB
+/// Bytes a long session may request per transaction. Measured: 10.2 KB
 /// over 100 nodes — diffusion state per node, one round engine and one
 /// contribution per member of the originator's group, latency samples —
-/// the short session's fixed costs (instance tables) being amortised away
+/// the short session's fixed costs (rows) being amortised away
 /// by then. Every infection, final-spread and flood message shares the
 /// originator's payload; a copy of it per message reads 28.3 KB, and on
 /// top of those copies one heap copy of the 300-byte contribution per peer
@@ -161,7 +162,9 @@ fn a_hundred_times_longer_flexible_session_requests_no_more_per_transaction() {
 /// request: the node cores, the group formation, and each group's roster
 /// and members' pad keys, derived in one pass over buffers the set-up
 /// reuses from group to group and written straight into the node cores.
-/// Measured: 546 032 B. Collecting the memberships into a node-ordered
+/// Measured: 478 984 B. Node cores holding their configuration and a
+/// three-word membership inline read 546 032 B; collecting the
+/// memberships into a node-ordered
 /// vector first read 570 032 B; deriving each group into its own mirrored
 /// key lists, key-pair vectors and returned membership vector, with its
 /// identity table built eagerly, read 956 656 B.
@@ -188,7 +191,7 @@ fn the_flexible_set_up_keeps_what_a_member_needs() {
 /// Bytes a warm flexible trial at the paper's n = 1 000 may request: the
 /// set-up above, what the run records, and phase 1's round state, one
 /// engine per member since every group runs its silent rounds. Measured:
-/// 1 088 842 B. With a build-and-combine buffer per engine, each
+/// 1 088 690 B. With a build-and-combine buffer per engine, each
 /// contribution framed in that buffer and copied into its `Arc`, and the
 /// rounds' bookkeeping in three allocations, it read 1 540 682 B.
 const WARM_TRIAL_BYTES_BOUND: u64 = 1_150_000;
@@ -222,15 +225,82 @@ fn a_warm_flexible_trial_holds_its_rounds_at_their_footprint() {
     );
 }
 
+/// The largest node core, and so the largest steady row entry (an empty
+/// entry costs no byte beside it), these walls admit.
+const FLEX_NODE_BOUND: usize = 104;
+
 /// The size of a node core: the simulator holds one per overlay node and a
-/// steady session one per instance-table slot. Measured: 176 B, phase 1
-/// being one boxed engine that only the originator's group creates, and
-/// the group membership three words (roster, index, participant). A layout
-/// holding the same engine inline read 360 B.
+/// steady session one per row entry. Measured: 96 B — the roster pointer
+/// through which the node reaches its configuration and group, its index
+/// in the roster, phase 1 as one boxed engine that only the originator's
+/// group creates, the payload and the infection tree. With the
+/// configuration and a three-word membership held inline it read 176 B; a
+/// layout holding the engine inline as well read 360 B.
 #[test]
 #[cfg(target_pointer_width = "64")]
-fn a_flex_node_keeps_its_round_engine_behind_one_pointer() {
-    const BOUND: usize = 256;
+fn a_flex_node_keeps_its_constants_and_round_engine_behind_pointers() {
     let size = size_of::<FlexNode>();
-    assert!(size <= BOUND, "FlexNode is {size} B (bound {BOUND})");
+    assert!(
+        size <= FLEX_NODE_BOUND,
+        "FlexNode is {size} B (bound {FLEX_NODE_BOUND})"
+    );
+    let entry = size_of::<Option<FlexNode>>();
+    assert_eq!(entry, size, "an empty row entry costs a byte of its own");
+}
+
+/// What a flexible session in which every transaction overlaps may request
+/// besides its rows: the latency log, one lane set per slot, the
+/// originator groups' round engines and contributions, every infected
+/// node's child list, the per-node arrival lists, the session's one
+/// mailbox and the per-transaction records. Measured: 164 440 B beside
+/// rows of 96 B entries, 262 744 B in all. Entries of 184 B — the
+/// configuration and a three-word membership inline, and an `Init` flag —
+/// with a mailbox per node read 460 608 B in all.
+const OVERLAP_SLACK: u64 = 176 << 10;
+
+#[test]
+fn overlapping_flexible_transactions_request_rows_of_bare_instances() {
+    const NODES: usize = 64;
+    /// Transactions, all in flight together.
+    const PEAK: usize = 16;
+    let graph = overlay(NODES);
+    let arrivals: Vec<Arrival> = (0..PEAK)
+        .map(|tx| Arrival {
+            at: 1 + tx as u64,
+            origin: NodeId::new(tx * NODES / PEAK),
+        })
+        .collect();
+    let mut arena = TrialArena::new();
+    let session = |arena: &mut TrialArena| {
+        let prototypes =
+            flex_steady_prototypes_in(arena, NODES, FlexConfig::default(), 5).expect("valid");
+        counting_alloc::arm();
+        let (metrics, report) = run_steady_in(
+            arena,
+            graph.clone(),
+            prototypes,
+            &arrivals,
+            &[],
+            0,
+            SimConfig::default(),
+        );
+        arena.recycle_metrics(metrics);
+        let requested = counting_alloc::disarm().requested;
+        assert_eq!(report.peak_concurrent, PEAK, "every transaction overlaps");
+        for (tx, outcome) in report.per_tx.iter().enumerate() {
+            assert_eq!(outcome.delivered_count, NODES, "tx {tx} did not cover");
+        }
+        requested
+    };
+    // The first session warms the arena's pooled wheel and metrics.
+    session(&mut arena);
+    let requested = session(&mut arena);
+
+    let rows = (PEAK * NODES * FLEX_NODE_BOUND) as u64;
+    let bound = rows + OVERLAP_SLACK;
+    assert!(
+        requested <= bound,
+        "{requested} B requested for {PEAK} overlapping transactions on {NODES} nodes; \
+         bound {bound} B, of which rows of {FLEX_NODE_BOUND} B entries are {rows} B"
+    );
 }

@@ -42,7 +42,7 @@ fn contribution(from: usize, member_index: usize, round: u64, data: Vec<u8>) -> 
 /// sends it.
 fn silent(from: usize, member: &GroupMembership, round: u64) -> Input<FlexMessage> {
     let slot_len = FlexConfig::default().slot_len;
-    let data = member.participant.contribution(round, slot_len, None);
+    let data = member.participant().contribution(round, slot_len, None);
     contribution(from, member.own_index, round, data.unwrap())
 }
 

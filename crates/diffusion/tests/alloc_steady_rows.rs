@@ -7,7 +7,11 @@
 //! later transaction leased the slot. So a session in which `peak`
 //! transactions overlap requests `peak × n` entries for its instances,
 //! once. Per-node tables doubling up to the peak request 4 + 8 + 16 + 32
-//! entries per node for a peak of 24, two and a half times as much.
+//! entries per node for a peak of 24, two and a half times as much. An
+//! entry is the instance alone, and the session polls every instance into
+//! one mailbox of its own, so what it requests besides its rows is held
+//! to a slack a mailbox per node exceeds. (The flexible protocol's rows are
+//! walled in `fnp-core`'s `alloc_flex`.)
 //!
 //! The session is adaptive diffusion on a small overlay where every
 //! transaction reaches every node — so every entry of every row is used —
@@ -36,16 +40,21 @@ const DEGREE: usize = 8;
 /// Transactions, all in flight together.
 const PEAK: usize = 24;
 
-/// One row entry: a node's instance of one transaction and whether `Init`
-/// was polled on it.
-const ENTRY: usize = size_of::<Option<(AdaptiveDiffusionNode, bool)>>();
+/// One row entry: a node's instance of one transaction, once it has one.
+const ENTRY: usize = size_of::<Option<AdaptiveDiffusionNode>>();
 
 /// What the session may request besides its rows: the latency log,
 /// reserved up front (12 KB), one lane set per slot (8 KB), every infected
-/// node's child list, the per-node arrival lists and mailboxes, and the
-/// per-transaction records. Measured: 128 KB. Per-node tables doubling up
-/// to the peak read 430 KB of instance storage against the rows' 160 KB.
-const SLACK: usize = 160 << 10;
+/// node's child list, the per-node arrival lists, the session's one
+/// mailbox and the per-transaction records. Measured: 90 488 B. A mailbox
+/// per node read 127 744 B; per-node tables doubling up to the peak read
+/// 430 KB of instance storage against the rows' 144 KB.
+const SLACK: usize = 96 << 10;
+
+/// The largest row entry this wall admits: an instance is its parameters,
+/// its infection tree and its origin flag, and an empty entry costs no
+/// byte beside them.
+const ENTRY_BOUND: usize = 96;
 
 /// `PEAK` arrivals one microsecond apart, from distinct origins.
 fn arrivals() -> Vec<Arrival> {
@@ -91,5 +100,15 @@ fn overlapping_transactions_request_their_instance_rows_once() {
         requested <= bound as u64,
         "{requested} B requested for {PEAK} overlapping transactions on {NODES} nodes; \
          bound {bound} B, of which the instance rows are {rows} B"
+    );
+}
+
+#[test]
+#[cfg(target_pointer_width = "64")]
+fn a_row_entry_is_the_instance_alone() {
+    let entry = size_of::<Option<AdaptiveDiffusionNode>>();
+    assert!(
+        entry <= ENTRY_BOUND,
+        "a row entry is {entry} B (bound {ENTRY_BOUND})"
     );
 }

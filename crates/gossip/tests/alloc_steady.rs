@@ -18,7 +18,7 @@
 //! mode: in a debug build the time wheel carries a shadow heap whose growth
 //! the bound would measure instead.
 
-use fnp_gossip::FloodNode;
+use fnp_gossip::{DandelionNode, FloodNode};
 use fnp_netsim::{topology, Graph, NodeId, SimConfig, SimTime, Simulator, TrialArena, MILLISECOND};
 use fnp_proto::steady::{Arrival, SteadyNode, SteadySession};
 use fnp_proto::SimDriver;
@@ -128,5 +128,21 @@ fn a_hundred_times_longer_session_requests_no_more_per_transaction() {
         "peak concurrency {} over the long horizon, {} over the short one",
         long.peak_concurrent,
         short.peak_concurrent
+    );
+}
+
+/// The largest Dandelion row entry a steady session may hold: the instance
+/// is its parameters, its stem successor and two flags, and an empty entry
+/// costs no byte beside them. An entry that also carried an `Init` flag
+/// read 32 B.
+const DANDELION_ENTRY_BOUND: usize = 24;
+
+#[test]
+#[cfg(target_pointer_width = "64")]
+fn a_dandelion_row_entry_is_the_instance_alone() {
+    let entry = size_of::<Option<DandelionNode>>();
+    assert!(
+        entry <= DANDELION_ENTRY_BOUND,
+        "a Dandelion row entry is {entry} B (bound {DANDELION_ENTRY_BOUND})"
     );
 }

@@ -87,9 +87,20 @@ pub fn percentile(values: &[f64], p: f64) -> f64 {
 /// order (`values.sort_unstable_by(f64::total_cmp)`), read without copying
 /// or sorting it again. Returns 0.0 for an empty slice.
 pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
+    percentile_sorted_by(sorted, p, |value| value)
+}
+
+/// [`percentile_sorted`] of the sample `sorted` mapped through `value`,
+/// converting only the (at most two) ranks it interpolates. The mapped
+/// sample must be in ascending [`f64::total_cmp`] order — as a sample
+/// sorted ascending and mapped by a non-decreasing `value` into the
+/// non-negative numbers is — and then the result is bit-identical to
+/// [`percentile_sorted`] of the mapped sample, which is never built.
+/// Returns 0.0 for an empty slice.
+pub fn percentile_sorted_by<T: Copy>(sorted: &[T], p: f64, value: impl Fn(T) -> f64) -> f64 {
     let p = p.clamp(0.0, 100.0);
     if sorted.len() <= 1 {
-        return sorted.first().copied().unwrap_or(0.0);
+        return sorted.first().map_or(0.0, |&only| value(only));
     }
     let rank = p / 100.0 * (sorted.len() - 1) as f64;
     // `p` is clamped into [0, 100], so `rank` lies in [0, len − 1]:
@@ -99,10 +110,10 @@ pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     let upper = rank.ceil() as usize;
     if lower == upper {
-        sorted[lower]
+        value(sorted[lower])
     } else {
         let weight = rank - lower as f64;
-        sorted[lower] * (1.0 - weight) + sorted[upper] * weight
+        value(sorted[lower]) * (1.0 - weight) + value(sorted[upper]) * weight
     }
 }
 

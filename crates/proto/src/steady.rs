@@ -21,7 +21,8 @@
 //!   (tagging messages, namespacing timer tags by transaction).
 //! * [`SteadySession`] is the shared per-trial bookkeeping: a
 //!   [`LanePool`] of per-transaction hot lanes, the per-slot rows of
-//!   protocol instances, exact in-flight event accounting per transaction
+//!   protocol instances and the one mailbox every instance is polled into,
+//!   exact in-flight event accounting per transaction
 //!   (each message and pending timer counts; when a transaction's count
 //!   drains to zero it retires), the delivery log that feeds latency
 //!   percentiles and the mempool replay — reserved once, for one delivery
@@ -94,22 +95,15 @@ impl<M: Payload> Payload for Tagged<M> {
 /// multiplexable by a [`SteadyNode`], which spawns each per-transaction
 /// instance as a clone of the node's never-polled *prototype* core: its
 /// configuration (parameters, stem successor, group) and pristine state.
+///
+/// Only the originator's instance is polled with [`Input::Init`], just
+/// before [`SteadyProtocol::start_tx`]; an instance spawned by a message
+/// gets the message first. A core whose receivers need start-up work does
+/// it at the first input that calls for it.
 pub trait SteadyProtocol: ProtocolCore + Clone {
     /// Starts broadcasting transaction `tx` from this node, exactly like
     /// the core's single-broadcast entry point.
     fn start_tx(&mut self, tx: u64, view: &mut ContextView<'_>, out: &mut Mailbox<Self::Message>);
-
-    /// Whether a receiver-side instance whose first contact with the
-    /// transaction is `message` needs [`Input::Init`] polled before the
-    /// message is delivered.
-    ///
-    /// Defaults to `false`: for most cores `Init` is a no-op on receivers.
-    /// The flexible broadcast overrides this for DC-net contributions, so
-    /// that exactly the originator's group — and no other — runs phase-1
-    /// rounds for the transaction.
-    fn wants_init(_first: &Self::Message) -> bool {
-        false
-    }
 }
 
 /// One scheduled transaction injection.
@@ -165,31 +159,30 @@ struct TxState {
     outcome: TxOutcome,
 }
 
-/// One node's instance of one transaction's protocol core, once the
-/// transaction has reached the node: the instance, and whether
-/// [`Input::Init`] has been polled on it.
-type Instance<C> = Option<(C, bool)>;
-
 /// Shared per-trial session state (one per simulation, behind
 /// `Rc<RefCell<…>>` — the simulator is single-threaded), multiplexing
 /// instances of the protocol core `C`.
 #[derive(Debug)]
-pub struct SteadySession<C> {
+pub struct SteadySession<C: ProtocolCore> {
     lanes: LanePool,
     /// Slots returned by retired transactions, reused before a new one is
     /// numbered — so the slot count equals the pool's `peak_live`.
     free_slots: Vec<usize>,
     /// `rows[slot][node]`: the instance on `node` of the transaction
-    /// leased `slot`. One row per slot ever numbered, allocated with it;
-    /// emptied when its transaction retires.
-    rows: Vec<Box<[Instance<C>]>>,
+    /// leased `slot`, once the transaction has reached the node. One row
+    /// per slot ever numbered, allocated with it; emptied when its
+    /// transaction retires.
+    rows: Vec<Box<[Option<C>]>>,
+    /// The one mailbox every instance is polled into, drained onto the
+    /// shared wire after each poll.
+    inner: Mailbox<C::Message>,
     txs: Vec<TxState>,
     adversary: Vec<bool>,
     miner_count: usize,
     latencies_us: Vec<u64>,
 }
 
-impl<C> SteadySession<C> {
+impl<C: ProtocolCore> SteadySession<C> {
     /// Builds the session bookkeeping for an `n`-node overlay.
     ///
     /// # Panics
@@ -232,6 +225,7 @@ impl<C> SteadySession<C> {
             lanes: LanePool::new(n),
             free_slots: Vec::new(),
             rows: Vec::new(),
+            inner: Mailbox::new(),
             txs: arrivals.iter().enumerate().map(state).collect(),
             adversary,
             miner_count,
@@ -285,7 +279,7 @@ impl<C> SteadySession<C> {
     /// Consumes one input of the live `tx` on `node`: lends its leased
     /// lanes and its instance entry for `node`.
     #[allow(clippy::cast_possible_truncation)] // tx ids are dense indices
-    fn consume(&mut self, tx: u64, node: NodeId) -> (&mut HotState, &mut Instance<C>) {
+    fn consume(&mut self, tx: u64, node: NodeId) -> (&mut HotState, &mut Option<C>) {
         let state = &mut self.txs[tx as usize];
         debug_assert!(state.inflight > 0, "input for a drained transaction");
         state.inflight -= 1;
@@ -362,8 +356,6 @@ pub struct SteadyNode<C: SteadyProtocol> {
     session: Rc<RefCell<SteadySession<C>>>,
     /// Injections this node performs, as `(at, tx)` timer schedules.
     arrivals: Vec<(SimTime, u64)>,
-    /// Reused inner mailbox (drained into the outer one after every poll).
-    inner: Mailbox<C::Message>,
 }
 
 impl<C: SteadyProtocol> SteadyNode<C> {
@@ -381,7 +373,6 @@ impl<C: SteadyProtocol> SteadyNode<C> {
             prototype,
             session,
             arrivals,
-            inner: Mailbox::new(),
         }
     }
 
@@ -404,36 +395,30 @@ impl<C: SteadyProtocol> SteadyNode<C> {
             TxEvent::Message { from, .. } => sess.observe(tx, node, *from),
             TxEvent::Timer { .. } => {}
         }
+        // The session's one mailbox, lent to this poll and handed back
+        // empty at the end of it.
+        let mut inner = std::mem::take(&mut sess.inner);
+        debug_assert!(inner.is_empty());
         let (lane, entry) = sess.consume(tx, node);
 
         // Poll the transaction's instance against its own lanes, both
         // borrowed in place (the inner core cannot reach the session).
-        debug_assert!(self.inner.is_empty());
         let mut lane_view = view.with_lanes(lane);
         match event {
             TxEvent::Arrival => {
                 debug_assert!(entry.is_none(), "a new lease meets an emptied row");
-                let (instance, _) = entry.insert((self.prototype.clone(), true));
-                instance.poll(Input::Init, &mut lane_view, &mut self.inner);
-                instance.start_tx(tx, &mut lane_view, &mut self.inner);
+                let instance = entry.insert(self.prototype.clone());
+                instance.poll(Input::Init, &mut lane_view, &mut inner);
+                instance.start_tx(tx, &mut lane_view, &mut inner);
             }
             TxEvent::Message { from, message } => {
-                let (instance, inited) =
-                    entry.get_or_insert_with(|| (self.prototype.clone(), false));
-                if !*inited && C::wants_init(&message) {
-                    instance.poll(Input::Init, &mut lane_view, &mut self.inner);
-                    *inited = true;
-                }
-                instance.poll(
-                    Input::Message { from, message },
-                    &mut lane_view,
-                    &mut self.inner,
-                );
+                let instance = entry.get_or_insert_with(|| self.prototype.clone());
+                instance.poll(Input::Message { from, message }, &mut lane_view, &mut inner);
             }
             TxEvent::Timer { tag } => {
                 // Only a live instance can have set the timer.
-                if let Some((instance, _)) = entry {
-                    instance.poll(Input::TimerFired { tag }, &mut lane_view, &mut self.inner);
+                if let Some(instance) = entry {
+                    instance.poll(Input::TimerFired { tag }, &mut lane_view, &mut inner);
                 }
             }
         }
@@ -441,7 +426,7 @@ impl<C: SteadyProtocol> SteadyNode<C> {
         // Translate the inner effects onto the shared wire, then settle
         // the transaction's in-flight balance: retire or keep.
         let mut spawned = 0;
-        for effect in self.inner.drain() {
+        for effect in inner.drain() {
             match effect {
                 Effect::Send { to, message } => {
                     spawned += 1;
@@ -466,6 +451,7 @@ impl<C: SteadyProtocol> SteadyNode<C> {
                 Effect::Counter { name, amount } => out.record_many(name, amount),
             }
         }
+        sess.inner = inner;
         sess.settle(tx, spawned, now);
     }
 }
