@@ -176,7 +176,9 @@ fn strip_hash(function: &str) -> &str {
 /// site's text that puts it there. A site lands in the first group that
 /// matches; the rest are "other".
 const GROUPS: &[(&str, &str)] = &[
-    ("time wheel", "netsim/src/wheel.rs"),
+    ("time wheel: chunks", "TimeWheel<T>::push_in_new_chunk"),
+    ("time wheel: sort keys", "wheel::SortKeys::"),
+    ("time wheel: heaps and current", "netsim/src/wheel.rs"),
     ("instance rows", "SteadySession<C>::admit"),
     ("effect mailboxes", "Mailbox<M>::push"),
     ("infection-tree child lists", "InfectionTree::adopt"),

@@ -9,23 +9,31 @@
 //! A [`TimeWheel`] exploits what the heap ignores: all latency models are
 //! *bounded* ([`LatencyModel::max_delay`](crate::LatencyModel::max_delay)),
 //! so an event is almost always scheduled within a known horizon of the
-//! current time. The wheel divides that horizon into [`SLOTS`] buckets of
-//! fixed width (derived from the model via [`width_for`]);
-//! pushing an event is an `O(1)` append to its bucket, and popping orders
-//! one bucket at a time — a stable radix pass per 8 bits of the bucket
-//! width, `O(1)` per event, independent of the total number of queued
-//! events (see [below](self#how-a-bucket-is-ordered)).
+//! current time. Time is cut into buckets of fixed width (derived from the
+//! model via [`width_for`]), numbered from zero: an event's bucket is
+//! `at / width`. A ring of [`SLOTS`] slots holds the buckets from the
+//! *cursor* — the bucket being drained — up to `SLOTS − 1` ahead of it,
+//! bucket `b` in slot `b mod SLOTS`, so the horizon rolls forward with the
+//! cursor (a hashed timing wheel: Varghese & Lauck, SOSP 1987; a calendar
+//! queue: Brown, CACM 31(10), 1988). Pushing an event is an `O(1)` append
+//! to its bucket, and popping orders one bucket at a time — a stable radix
+//! pass per 8 bits of the bucket width, `O(1)` per event, independent of
+//! the total number of queued events (see
+//! [below](self#how-a-bucket-is-ordered)).
 //!
 //! Three auxiliary structures keep the wheel *exactly* equivalent to the
 //! heap (pop order is strictly ascending `(at, seq)`):
 //!
-//! * an `incoming` min-heap for events that land in the bucket currently
-//!   being drained (a handler at time `t` may schedule for `t + 1`, which
-//!   can fall into the same bucket — appending to the already-ordered
-//!   bucket would break ordering);
-//! * an `overflow` min-heap for events beyond the wheel horizon (long
-//!   timers); when every bucket has drained, the window advances and the
-//!   overflow spills back into the buckets;
+//! * an `incoming` min-heap for events that land in the cursor bucket once
+//!   it is ordered, or before it (a handler at time `t` may schedule for
+//!   `t + 1`, which can fall into the same bucket — appending to the
+//!   already-ordered bucket would break ordering);
+//! * an `overflow` min-heap for events at or beyond the horizon, `SLOTS`
+//!   buckets past the cursor: long timers only, since a delivery lands
+//!   within [`BUCKETS_PER_MAX_DELAY`] + 1 buckets of the cursor. Each
+//!   cursor advance first moves the overflow events the new horizon
+//!   reaches into their buckets; a wheel whose ring has drained jumps
+//!   straight to the bucket of the earliest overflow event;
 //! * in debug builds, a shadow `BinaryHeap` of `(at, seq)` keys mirrors
 //!   every push, and every pop `debug_assert!`s that the wheel returns
 //!   exactly the key the reference heap would have returned — the entire
@@ -37,20 +45,36 @@
 //! A bucket owns no buffer. It is a linked list, oldest to newest, of
 //! fixed-size *chunks* ([`CHUNK`] events each) drawn LIFO from one
 //! wheel-wide free list; only the newest chunk of a bucket can be partly
-//! filled. When the cursor reaches a bucket, its events are *gathered* —
-//! moved in pop order into the one persistent `current` buffer, which is
-//! popped from the end — and its chunks go straight back to the free list,
-//! still warm, for the pushes that popping those events will cause. The
-//! wheel therefore holds
+//! filled. When the cursor reaches a bucket, the bucket is ordered (see
+//! [below](self#how-a-bucket-is-ordered)), in one of two ways:
+//!
+//! * A bucket of at most [`IN_PLACE_MAX`] events — every bucket of a
+//!   1 000-node trial or a steady session — is put in pop order within its
+//!   own chunks, its smallest event at the end of its oldest chunk, and
+//!   popped off their ends. Each chunk goes back to the free list, still
+//!   warm, as soon as its last event is popped, for the pushes that
+//!   popping those events will cause.
+//! * A larger bucket is *gathered*: moved in pop order into the one
+//!   persistent `current` buffer, which is popped from the end, and its
+//!   chunks go straight back to the free list.
+//!
+//! Putting a bucket in order within its chunks needs no buffer of its own,
+//! but it moves each event along the cycles of a permutation, one step's
+//! place read from the step before. That costs nothing while the bucket is
+//! cache-resident; a large flood's buckets of a hundred thousand events
+//! would pay a cache miss per step. The gather reads them in one loop whose
+//! misses overlap. The wheel therefore holds
 //!
 //! * one chunk per [`CHUNK`] events in flight, plus at most one partly
 //!   filled chunk per non-empty bucket — `O(peak in flight)`, whichever
 //!   buckets the events of this trial, or the last one, happened to fall
 //!   into;
-//! * `current`, as large as the fullest bucket ever drained; and
-//! * two `u64` key buffers ([`SortKeys`]) of that size, which a
-//!   [`TrialArena`](crate::TrialArena) keeps across trials of different
-//!   event types, and a process-wide pool across arenas.
+//! * `current`, as large as the largest bucket ever gathered, and empty
+//!   while no bucket outgrows [`IN_PLACE_MAX`]; and
+//! * three type-independent buffers ([`SortKeys`]) as long as the fullest
+//!   bucket ever ordered, which a [`TrialArena`](crate::TrialArena) keeps
+//!   across trials of different event types, and a process-wide pool
+//!   across arenas.
 //!
 //! A bucket that kept a `Vec` of its own would keep the capacity of the
 //! busiest moment it ever saw, `O(SLOTS × per-bucket peak)` in all: for a
@@ -61,27 +85,30 @@
 //!
 //! Within a bucket, events with equal `at` already sit oldest-first in
 //! `seq` order: the simulator numbers its events in push order, a direct
-//! push appends to its bucket's newest chunk, and the overflow heap spills
-//! in `(at, seq)` order and only into a wheel whose buckets are all empty.
-//! So ordering a bucket by `at` alone, *stably*, orders it by `(at, seq)`.
-//! The gather packs one `u64` per event, oldest first: the event's offset
-//! `at − bucket start` (below the width, at most 2³²) in the upper half and
-//! its place in the chunk storage in the lower. A least-significant-digit
-//! radix sort over the offset's bytes — ⌈log₂ width / 8⌉ passes, two for
-//! the default latency model, a pass skipped when all keys share its
-//! digit — puts the keys in order without comparing events, and each event
-//! then moves once, straight from its chunk into `current`, in descending
-//! key order.
+//! push appends to its bucket's newest chunk, and the overflow heap moves
+//! an event into its bucket, in `(at, seq)` order, at the cursor advance
+//! that brings the bucket within the horizon — before any direct push can
+//! reach that bucket. So ordering a bucket by `at` alone, *stably*, orders
+//! it by `(at, seq)`. One `u64` is packed per event, oldest first: the
+//! event's offset `at − bucket start` (below the width, at most 2³²) in the
+//! upper half and its position in the bucket in the lower. A
+//! least-significant-digit radix sort over the offset's bytes —
+//! ⌈log₂ width / 8⌉ passes, two for the default latency model, a pass
+//! skipped when all keys share its digit — puts the keys in order without
+//! comparing events, and each event then moves once: to the place its
+//! rank names in the bucket's own chunks, or into `current`.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Number of buckets in one wheel rotation.
+/// Number of slots in the ring: the cursor bucket and the `SLOTS − 1`
+/// after it.
 ///
-/// With the width from [`width_for`], one rotation spans four
-/// times the latency model's maximum delay, so deliveries never overflow
-/// and only long protocol timers take the overflow-heap path.
+/// With the width from [`width_for`], the ring spans four times the latency
+/// model's maximum delay, so a delivery always lands in the ring and only
+/// protocol timers longer than about three model bounds take the overflow
+/// heap.
 const SLOTS: usize = 256;
 
 /// How many buckets the model's maximum delay spans (horizon divisor in
@@ -98,6 +125,15 @@ const BUCKETS_PER_MAX_DELAY: u64 = 64;
 /// and on a cold wheel calls the allocator, proportionally more often (at
 /// 64 a chunk of flood events is 2.5 KB). A constant, not a setting.
 const CHUNK: usize = 64;
+
+/// The largest bucket ordered within its own chunks; a larger one is
+/// gathered into `current` (see [where the events live](self#where-the-events-live)).
+///
+/// At 2¹² events, a bucket of the largest events the simulator queues
+/// (72 B) and its places take under 320 KB, well inside a core's L2
+/// cache; every bucket of a 1 000-node trial or a steady session is
+/// smaller. A constant, not a setting.
+const IN_PLACE_MAX: usize = 1 << 12;
 
 /// "No chunk": the end of a bucket's list or of the free list, and an
 /// empty bucket. Out of range for `chunks`, so `chunks.get(NO_CHUNK)` is
@@ -117,7 +153,7 @@ const EMPTY: Bucket = Bucket {
 /// width.
 const MAX_WIDTH: SimTime = 1 << 32;
 
-/// The most chunks a wheel may hold: an event's place in the chunk storage
+/// The most chunks a wheel may hold: an event's position in its bucket
 /// must fit the lower half of its sort key. That is 2³² events in flight,
 /// far beyond any memory the events themselves would fit in.
 const MAX_CHUNKS: usize = (1 << 32) / CHUNK;
@@ -132,8 +168,8 @@ const WHEEL_CLAMP_FACTOR: usize = 4;
 const WHEEL_RETAIN_FLOOR: usize = 256;
 
 /// The bucket width for a latency model whose largest delay is `max_delay`:
-/// one wheel rotation then covers four times the model bound, so every
-/// delivery scheduled from the current time lands within the rotation.
+/// the ring then covers four times the model bound, so every delivery
+/// scheduled from the current time lands within it.
 pub(crate) fn width_for(max_delay: SimTime) -> SimTime {
     (max_delay / BUCKETS_PER_MAX_DELAY).max(1)
 }
@@ -142,6 +178,22 @@ pub(crate) fn width_for(max_delay: SimTime) -> SimTime {
 /// `width − 1`, none when every offset is zero.
 fn radix_passes(width: SimTime) -> u32 {
     (SimTime::BITS - (width - 1).leading_zeros()).div_ceil(8)
+}
+
+/// The ring slot of bucket number `bucket`.
+fn slot_of(bucket: u64) -> usize {
+    // Below `SLOTS` = 256, so the cast is lossless.
+    #[allow(clippy::cast_possible_truncation)]
+    let slot = (bucket % SLOTS as u64) as usize;
+    slot
+}
+
+/// The position in its bucket of the event a sort key names: the key's
+/// lower half.
+fn position(key: u64) -> usize {
+    #[allow(clippy::cast_possible_truncation)]
+    let position = key as u32 as usize;
+    position
 }
 
 /// An event that can be scheduled on a [`TimeWheel`].
@@ -185,9 +237,11 @@ impl<T: WheelItem> Ord for ByKey<T> {
 /// [module documentation](self#where-the-events-live).
 #[derive(Debug)]
 struct Chunk<T> {
-    /// At most [`CHUNK`] events, in push order; allocated once, at that
-    /// capacity, and never grown. A gather takes the events out in pop
-    /// order, leaving `None`s until the chunk is cleared.
+    /// At most [`CHUNK`] events: in push order on a bucket, in descending
+    /// `(at, seq)` order once its bucket is ordered in place. Allocated
+    /// once, at that capacity, and never grown. Ordering and gathering
+    /// take the events out one by one, leaving `None`s until they are put
+    /// back or the chunk is cleared.
     items: Vec<Option<T>>,
     /// The next (newer) chunk of the bucket this one is on, the next chunk
     /// of the free list, or [`NO_CHUNK`].
@@ -197,14 +251,14 @@ struct Chunk<T> {
 /// One bucket's list of chunks, as indices into the wheel's `chunks`.
 #[derive(Clone, Copy, Debug)]
 struct Bucket {
-    /// The first chunk filled, where a gather starts; [`NO_CHUNK`] if
+    /// The first chunk filled, where ordering starts; [`NO_CHUNK`] if
     /// empty.
     oldest: usize,
     /// The only chunk that can have room; [`NO_CHUNK`] if empty.
     newest: usize,
 }
 
-/// The two `u64` buffers a [`TimeWheel`] orders a bucket's keys in (see
+/// The buffers a [`TimeWheel`] orders a bucket in (see
 /// [how a bucket is ordered](self#how-a-bucket-is-ordered)). They do not
 /// depend on the event type, so a [`TrialArena`](crate::TrialArena) keeps
 /// them when it drops a pooled wheel of another event type.
@@ -213,7 +267,12 @@ pub(crate) struct SortKeys {
     /// The keys being ordered; ascending once [`SortKeys::sort`] returns.
     keys: Vec<u64>,
     /// Where a radix pass scatters to; swapped with `keys` after the pass.
+    /// Once the keys are sorted, where each event of a bucket ordered in
+    /// place goes.
     spare: Vec<u64>,
+    /// The chunks of the bucket being ordered, oldest first: position `p`
+    /// is event `p mod CHUNK` of chunk `list[p / CHUNK]`.
+    list: Vec<usize>,
 }
 
 impl SortKeys {
@@ -252,7 +311,8 @@ impl SortKeys {
         }
     }
 
-    /// Shrinks each buffer that is more than [`WHEEL_CLAMP_FACTOR`]× `keep`.
+    /// Shrinks each buffer that is more than [`WHEEL_CLAMP_FACTOR`]× `keep`
+    /// keys.
     fn clamp(&mut self, keep: usize) {
         for buffer in [&mut self.keys, &mut self.spare] {
             buffer.clear();
@@ -260,9 +320,14 @@ impl SortKeys {
                 buffer.shrink_to(keep);
             }
         }
+        let chunks = keep.div_ceil(CHUNK);
+        self.list.clear();
+        if self.list.capacity() > chunks * WHEEL_CLAMP_FACTOR {
+            self.list.shrink_to(chunks);
+        }
     }
 
-    /// Total capacity of both buffers, in keys.
+    /// Total capacity of the two key buffers, in keys.
     pub(crate) fn capacity(&self) -> usize {
         self.keys.capacity() + self.spare.capacity()
     }
@@ -274,31 +339,37 @@ impl SortKeys {
 pub(crate) struct TimeWheel<T> {
     /// Bucket width in simulated time units, in `1..=MAX_WIDTH`.
     width: SimTime,
-    /// Simulated time of bucket 0's lower edge for the current rotation.
-    window_start: SimTime,
-    /// Index of the bucket currently being drained.
-    cursor: usize,
-    /// The fixed ring of buckets.
+    /// Number (`at / width`) of the bucket being drained. The ring holds
+    /// buckets `cursor + 1 .. cursor + SLOTS`; the cursor's own slot is
+    /// empty, its events in `drain` or `current`.
+    cursor: u64,
+    /// The ring of buckets, bucket `b` in slot `b mod SLOTS`.
     slots: [Bucket; SLOTS],
     /// Every chunk the wheel has allocated, each on exactly one list.
     chunks: Vec<Chunk<T>>,
     /// Head of the free list: empty chunks, most recently freed first.
     free: usize,
-    /// The cursor bucket, gathered out of its chunks *descending*, so the
-    /// minimum pops off the end in `O(1)` without moving the rest.
+    /// The oldest chunk of the cursor bucket still holding an event when
+    /// the bucket was ordered in place (its chunks link on from there), or
+    /// [`NO_CHUNK`].
+    drain: usize,
+    /// The cursor bucket when it was gathered, *descending*, so the minimum
+    /// pops off the end in `O(1)` without moving the rest.
     current: Vec<ByKey<T>>,
-    /// The buffers a gather orders the cursor bucket's keys in.
+    /// The buffers the cursor bucket was ordered in.
     keys: SortKeys,
-    /// Events at or before the cursor bucket's upper edge, pushed after
-    /// the bucket was gathered.
+    /// Events at or before the cursor bucket, pushed after it was ordered.
     incoming: BinaryHeap<Reverse<ByKey<T>>>,
-    /// Events beyond the current rotation's horizon.
+    /// Events at or beyond the horizon, `SLOTS` buckets past the cursor.
     overflow: BinaryHeap<Reverse<ByKey<T>>>,
     /// Total queued events.
     len: usize,
     /// Largest `len` observed since the last [`TimeWheel::reset`]; the
     /// reset-time capacity clamp sizes retained allocations against it.
     peak_len: usize,
+    /// Events pushed into `overflow` since the wheel was made (test hook).
+    #[cfg(test)]
+    overflow_pushes: usize,
     /// Reference implementation (the pre-wheel global heap), mirrored on
     /// every push and checked on every pop in debug builds.
     #[cfg(debug_assertions)]
@@ -319,17 +390,19 @@ impl<T: WheelItem> TimeWheel<T> {
     pub(crate) fn empty() -> Self {
         Self {
             width: 1,
-            window_start: 0,
             cursor: 0,
             slots: [EMPTY; SLOTS],
             chunks: Vec::new(),
             free: NO_CHUNK,
+            drain: NO_CHUNK,
             current: Vec::new(),
             keys: SortKeys::default(),
             incoming: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
             len: 0,
             peak_len: 0,
+            #[cfg(test)]
+            overflow_pushes: 0,
             #[cfg(debug_assertions)]
             shadow: BinaryHeap::new(),
         }
@@ -349,6 +422,7 @@ impl<T: WheelItem> TimeWheel<T> {
     /// already cleared) has no trial to judge and keeps every allocation.
     pub(crate) fn reset(&mut self, width: SimTime) {
         self.slots = [EMPTY; SLOTS];
+        self.drain = NO_CHUNK;
         self.current.clear();
         self.incoming.clear();
         self.overflow.clear();
@@ -364,7 +438,6 @@ impl<T: WheelItem> TimeWheel<T> {
             chunk.next = std::mem::replace(&mut self.free, index);
         }
         self.width = width.clamp(1, MAX_WIDTH);
-        self.window_start = 0;
         self.cursor = 0;
         self.len = 0;
         self.peak_len = 0;
@@ -406,14 +479,14 @@ impl<T: WheelItem> TimeWheel<T> {
         self.reset(width);
     }
 
-    /// Hands the wheel the key buffers its gathers order buckets in
-    /// (dropping the ones it had).
+    /// Hands the wheel the buffers it orders buckets in (dropping the ones
+    /// it had).
     pub(crate) fn lend_keys(&mut self, keys: SortKeys) {
         self.keys = keys;
     }
 
-    /// Takes the wheel's key buffers, leaving it none (it allocates again
-    /// at its next gather).
+    /// Takes the wheel's buffers for ordering buckets, leaving it none (it
+    /// allocates again at its next bucket).
     pub(crate) fn take_keys(&mut self) -> SortKeys {
         std::mem::take(&mut self.keys)
     }
@@ -423,60 +496,47 @@ impl<T: WheelItem> TimeWheel<T> {
         self.len
     }
 
-    /// Upper edge of the cursor bucket: events strictly below it can no
-    /// longer be appended to the (already gathered) bucket and go through
-    /// the incoming heap instead.
-    fn cursor_end(&self) -> SimTime {
-        self.window_start
-            .saturating_add(self.width.saturating_mul(self.cursor as SimTime + 1))
-    }
-
     /// Schedules `item`.
     pub(crate) fn push(&mut self, item: T) {
         self.len += 1;
         self.peak_len = self.peak_len.max(self.len);
         #[cfg(debug_assertions)]
         self.shadow.push(Reverse(item.key()));
-        self.route(item);
+        self.route(item, self.cursor);
     }
 
     /// Opens a bulk-push session for scheduling a burst of events (a
-    /// broadcast fan-out). Pushing never moves the cursor or the window, so
-    /// the session computes the bucket-routing threshold once instead of
-    /// per event; the exclusive borrow guarantees no pop can intervene and
-    /// invalidate it.
+    /// broadcast fan-out). Pushing never moves the cursor, so the session
+    /// reads it once instead of per event; the exclusive borrow guarantees
+    /// no pop can intervene and move it.
     pub(crate) fn bulk(&mut self) -> BulkPush<'_, T> {
-        let cursor_end = self.cursor_end();
+        let cursor = self.cursor;
         BulkPush {
-            cursor_end,
+            cursor,
             wheel: self,
         }
     }
 
-    /// Files `item` into the right structure for its scheduled time.
-    fn route(&mut self, item: T) {
-        let cursor_end = self.cursor_end();
-        self.route_within(item, cursor_end);
+    /// Files `item` into the right structure for its bucket, given the
+    /// cursor (invariant across pushes, so bulk sessions hoist it).
+    fn route(&mut self, item: T, cursor: u64) {
+        let bucket = item.at() / self.width;
+        if bucket <= cursor {
+            // The cursor bucket, already ordered, or before it.
+            self.incoming.push(Reverse(ByKey(item)));
+        } else if bucket - cursor >= SLOTS as u64 {
+            #[cfg(test)]
+            {
+                self.overflow_pushes += 1;
+            }
+            self.overflow.push(Reverse(ByKey(item)));
+        } else {
+            self.file(slot_of(bucket), item);
+        }
     }
 
-    /// [`TimeWheel::route`] with the cursor bucket's upper edge already
-    /// computed (it is invariant across pushes, so bulk sessions hoist it).
-    fn route_within(&mut self, item: T, cursor_end: SimTime) {
-        let at = item.at();
-        if at < cursor_end {
-            // Current bucket (or, after a window jump, before it).
-            self.incoming.push(Reverse(ByKey(item)));
-            return;
-        }
-        // `at >= cursor_end > window_start`, so the subtraction is safe.
-        let offset = (at - self.window_start) / self.width;
-        if offset >= SLOTS as SimTime {
-            self.overflow.push(Reverse(ByKey(item)));
-            return;
-        }
-        // offset < SLOTS = 256, so the cast is lossless.
-        #[allow(clippy::cast_possible_truncation)]
-        let slot = offset as usize;
+    /// Appends `item` to bucket `slot`'s newest chunk.
+    fn file(&mut self, slot: usize, item: T) {
         match self.chunks.get_mut(self.slots[slot].newest) {
             Some(chunk) if chunk.items.len() < CHUNK => chunk.items.push(Some(item)),
             _ => self.push_in_new_chunk(slot, item),
@@ -511,37 +571,107 @@ impl<T: WheelItem> TimeWheel<T> {
         bucket.newest = index;
     }
 
-    /// Moves the events of bucket `slot` (not empty) into `current` (empty)
-    /// in descending `(at, seq)` order; see
-    /// [how a bucket is ordered](self#how-a-bucket-is-ordered). The bucket's
-    /// chunks go to the front of the free list, its oldest first.
-    fn gather(&mut self, slot: usize) {
-        debug_assert!(self.current.is_empty());
-        let bucket = std::mem::replace(&mut self.slots[slot], EMPTY);
+    /// Moves the cursor to bucket `to` (within the ring, or the earliest
+    /// overflow event's), files the overflow events the new horizon reaches
+    /// and orders the new cursor bucket.
+    fn advance(&mut self, to: u64) {
+        self.cursor = to;
+        while let Some(Reverse(first)) = self.overflow.peek() {
+            // Every overflow event is at or beyond the old horizon, so at
+            // or after the new cursor.
+            let bucket = first.0.at() / self.width;
+            if bucket - self.cursor >= SLOTS as u64 {
+                break;
+            }
+            let Some(Reverse(ByKey(item))) = self.overflow.pop() else {
+                unreachable!("peek() just returned an item")
+            };
+            self.file(slot_of(bucket), item);
+        }
+        let bucket = std::mem::replace(&mut self.slots[slot_of(to)], EMPTY);
+        self.sort_keys(bucket);
+        if self.keys.keys.len() <= IN_PLACE_MAX {
+            self.order_in_place();
+            self.drain = bucket.oldest;
+        } else {
+            self.gather(bucket);
+        }
+    }
+
+    /// Lists the chunks of `bucket`, the cursor's and not empty, and sorts
+    /// its keys; see [how a bucket is ordered](self#how-a-bucket-is-ordered).
+    fn sort_keys(&mut self, bucket: Bucket) {
         // Every event of the bucket is at or after its lower edge, so
         // neither this nor the offsets below can overflow.
-        let bucket_start = self.window_start + self.width * slot as SimTime;
-        let keys = &mut self.keys.keys;
+        let bucket_start = self.cursor * self.width;
+        let SortKeys { keys, list, .. } = &mut self.keys;
         keys.clear();
+        list.clear();
         let mut index = bucket.oldest;
         while let Some(chunk) = self.chunks.get(index) {
-            // `index < MAX_CHUNKS`, so every place fits 32 bits.
-            let base = index * CHUNK;
+            list.push(index);
+            // Fewer than `MAX_CHUNKS · CHUNK` = 2³² events are queued, so
+            // every position fits 32 bits.
+            let first = keys.len();
             keys.extend(chunk.items.iter().enumerate().map(|(offset, item)| {
                 let Some(item) = item else {
                     unreachable!("a queued chunk holds only events")
                 };
-                (item.at() - bucket_start) << 32 | (base + offset) as u64
+                (item.at() - bucket_start) << 32 | (first + offset) as u64
             }));
             index = chunk.next;
         }
         self.keys.sort(radix_passes(self.width));
+    }
+
+    /// Puts the cursor bucket's events, whose keys are sorted, in pop order
+    /// within the bucket's own chunks: rank `r` goes to chunk `r / CHUNK`
+    /// of the bucket, counted from that chunk's end. Each event moves once,
+    /// along the cycles of that permutation.
+    fn order_in_place(&mut self) {
+        let SortKeys { keys, spare, list } = &mut self.keys;
+        let len = keys.len();
+        // `to[p]`: the position the event at position `p` goes to.
+        let to = spare;
+        to.resize(len, 0);
+        for (rank, &key) in keys.iter().enumerate() {
+            let chunk = rank / CHUNK;
+            let filled = CHUNK.min(len - chunk * CHUNK);
+            to[position(key)] = (chunk * CHUNK + filled - 1 - rank % CHUNK) as u64;
+        }
+        let place = |p: usize| (list[p / CHUNK], p % CHUNK);
+        for start in 0..len {
+            // A position already visited points at itself.
+            if to[start] == start as u64 {
+                continue;
+            }
+            let (chunk, offset) = place(start);
+            let mut held = self.chunks[chunk].items[offset].take();
+            let mut at = start;
+            loop {
+                let next = position(std::mem::replace(&mut to[at], at as u64));
+                let (chunk, offset) = place(next);
+                let slot = &mut self.chunks[chunk].items[offset];
+                if next == start {
+                    *slot = held;
+                    break;
+                }
+                held = std::mem::replace(slot, held);
+                at = next;
+            }
+        }
+    }
+
+    /// Moves the events of `bucket`, the cursor's, whose keys are sorted,
+    /// into `current` (empty) in descending `(at, seq)` order. The bucket's
+    /// chunks go to the front of the free list, its oldest first.
+    fn gather(&mut self, bucket: Bucket) {
+        debug_assert!(self.current.is_empty());
         self.current.reserve(self.keys.keys.len());
         for &key in self.keys.keys.iter().rev() {
-            // The key's lower half.
-            #[allow(clippy::cast_possible_truncation)]
-            let place = key as u32 as usize;
-            let Some(item) = self.chunks[place / CHUNK].items[place % CHUNK].take() else {
+            let p = position(key);
+            let chunk = &mut self.chunks[self.keys.list[p / CHUNK]];
+            let Some(item) = chunk.items[p % CHUNK].take() else {
                 unreachable!("every key names a different event")
             };
             self.current.push(ByKey(item));
@@ -559,52 +689,57 @@ impl<T: WheelItem> TimeWheel<T> {
         self.free = bucket.oldest;
     }
 
-    /// Advances the cursor until the next event is reachable from the
-    /// current bucket or the incoming heap (or the wheel is empty).
-    fn ensure_ready(&mut self) {
-        loop {
-            if !self.current.is_empty() || !self.incoming.is_empty() {
-                return;
-            }
-            // Scanning from `cursor` (not `cursor + 1`) is required for the
-            // saturation edge: when `cursor_end` caps at `SimTime::MAX`, an
-            // event at exactly `SimTime::MAX` routes into the cursor slot
-            // itself instead of the incoming heap. Mid-rotation the cursor
-            // slot is empty (its contents were gathered into `current`), so
-            // the wider scan never re-reads drained events.
-            if let Some(next) = (self.cursor..SLOTS).find(|&j| self.slots[j].oldest != NO_CHUNK) {
-                self.cursor = next;
-                self.gather(next);
-                return;
-            }
-            // The whole rotation has drained: start the next window at the
-            // earliest overflow event and spill everything within reach
-            // back into the buckets.
-            let Some(Reverse(earliest)) = self.overflow.peek() else {
-                return;
-            };
-            self.window_start = earliest.0.at();
-            self.cursor = 0;
-            while let Some(Reverse(item)) = self.overflow.peek() {
-                let offset = (item.0.at() - self.window_start) / self.width;
-                if offset >= SLOTS as SimTime {
-                    break;
-                }
-                let Some(Reverse(item)) = self.overflow.pop() else {
-                    unreachable!("peek() just returned an item")
-                };
-                self.route(item.0);
-            }
-            // The earliest spilled event landed at or before the new
-            // cursor bucket, so the next iteration returns through the
-            // incoming heap.
+    /// The cursor bucket's next event, if any is left.
+    fn next_in_bucket(&self) -> Option<&T> {
+        match self.chunks.get(self.drain) {
+            Some(chunk) => match chunk.items.last() {
+                Some(Some(item)) => Some(item),
+                _ => unreachable!("an ordered chunk holds only events"),
+            },
+            None => self.current.last().map(|item| &item.0),
         }
+    }
+
+    /// Removes the cursor bucket's next event, which exists; a chunk it
+    /// empties goes back to the free list.
+    fn pop_in_bucket(&mut self) -> T {
+        let Some(chunk) = self.chunks.get_mut(self.drain) else {
+            let Some(ByKey(item)) = self.current.pop() else {
+                unreachable!("the cursor bucket has an event left")
+            };
+            return item;
+        };
+        let Some(Some(item)) = chunk.items.pop() else {
+            unreachable!("an ordered chunk holds only events")
+        };
+        if chunk.items.is_empty() {
+            let next = std::mem::replace(&mut chunk.next, self.free);
+            self.free = std::mem::replace(&mut self.drain, next);
+        }
+        item
+    }
+
+    /// Advances the cursor until the next event is reachable from the
+    /// cursor bucket or the incoming heap (or the wheel is empty).
+    fn ensure_ready(&mut self) {
+        if self.drain != NO_CHUNK || !self.current.is_empty() || !self.incoming.is_empty() {
+            return;
+        }
+        let cursor_slot = slot_of(self.cursor);
+        let ahead = (1..SLOTS).find(|&d| self.slots[(cursor_slot + d) % SLOTS].oldest != NO_CHUNK);
+        let to = match (ahead, self.overflow.peek()) {
+            (Some(d), _) => self.cursor + d as u64,
+            // The ring has drained: jump to the earliest overflow event.
+            (None, Some(Reverse(first))) => first.0.at() / self.width,
+            (None, None) => return,
+        };
+        self.advance(to);
     }
 
     /// Removes and returns the event with the smallest `(at, seq)` key.
     pub(crate) fn pop(&mut self) -> Option<T> {
         self.ensure_ready();
-        let bucket_key = self.current.last().map(|item| item.0.key());
+        let bucket_key = self.next_in_bucket().map(WheelItem::key);
         let incoming_key = self.incoming.peek().map(|Reverse(item)| item.0.key());
         let from_bucket = match (bucket_key, incoming_key) {
             (Some(b), Some(i)) => b < i,
@@ -613,15 +748,12 @@ impl<T: WheelItem> TimeWheel<T> {
             (None, None) => return None,
         };
         let item = if from_bucket {
-            let Some(item) = self.current.pop() else {
-                unreachable!("last() just returned an item")
-            };
-            item.0
+            self.pop_in_bucket()
         } else {
-            let Some(Reverse(item)) = self.incoming.pop() else {
+            let Some(Reverse(ByKey(item))) = self.incoming.pop() else {
                 unreachable!("peek() just returned an item")
             };
-            item.0
+            item
         };
         self.len -= 1;
         #[cfg(debug_assertions)]
@@ -642,6 +774,13 @@ impl<T: WheelItem> TimeWheel<T> {
         self.keys.capacity()
     }
 
+    /// Events pushed into the overflow heap since the wheel was made (test
+    /// hook).
+    #[cfg(test)]
+    pub(crate) fn overflow_pushes(&self) -> usize {
+        self.overflow_pushes
+    }
+
     /// Total retained item capacity across chunks, `current`, the key
     /// buffers and the heaps (test hook for the capacity regression suite).
     #[cfg(test)]
@@ -659,17 +798,17 @@ impl<T: WheelItem> TimeWheel<T> {
 
 /// An open bulk-push session on a [`TimeWheel`]; see [`TimeWheel::bulk`].
 ///
-/// Holds the wheel exclusively for its lifetime, so the routing threshold
-/// cached at open time stays valid for every push in the burst. Dropping
-/// the session ends it; there is nothing to flush, since every push lands
-/// in its final structure immediately.
+/// Holds the wheel exclusively for its lifetime, so the cursor read at
+/// open time stays valid for every push in the burst. Dropping the session
+/// ends it; there is nothing to flush, since every push lands in its final
+/// structure immediately.
 #[derive(Debug)]
 pub(crate) struct BulkPush<'a, T> {
     /// The wheel being pushed into.
     wheel: &'a mut TimeWheel<T>,
-    /// Upper edge of the cursor bucket, hoisted out of the per-push path
-    /// (invariant while the session holds the wheel).
-    cursor_end: SimTime,
+    /// The wheel's cursor, hoisted out of the per-push path (invariant
+    /// while the session holds the wheel).
+    cursor: u64,
 }
 
 impl<T: WheelItem> BulkPush<'_, T> {
@@ -680,7 +819,7 @@ impl<T: WheelItem> BulkPush<'_, T> {
         self.wheel.peak_len = self.wheel.peak_len.max(self.wheel.len);
         #[cfg(debug_assertions)]
         self.wheel.shadow.push(Reverse(item.key()));
-        self.wheel.route_within(item, self.cursor_end);
+        self.wheel.route(item, self.cursor);
     }
 }
 
@@ -752,8 +891,8 @@ mod tests {
     fn far_future_timers_rewindow_through_overflow() {
         let mut wheel = TimeWheel::empty();
         wheel.reset(10);
-        // Far beyond the 256-slot horizon (and one at u64::MAX to exercise
-        // the saturating window arithmetic).
+        // Far beyond the ring's horizon, and one in the last bucket of all,
+        // at `u64::MAX`.
         wheel.push((1_000_000, 0));
         wheel.push((1_000_005, 1));
         wheel.push((40, 2));
@@ -771,11 +910,10 @@ mod tests {
     ///
     /// From `near` on, four buckets two apart get `CHUNK − 1`, `CHUNK`,
     /// `CHUNK + 1` and several chunks' worth of events, each bucket's at
-    /// one time, so they share a bucket however the window is aligned. At
-    /// `far` sits a cluster that a re-windowing spills more than a chunk of
-    /// into a single bucket: one event to anchor the new window, the rest
-    /// one bucket later (bucket 0 of a new window is the cursor bucket and
-    /// takes its events through the incoming heap).
+    /// one time, so they share a bucket however the ring is aligned. At
+    /// `far` sits a cluster that the overflow heap spills more than a chunk
+    /// of into a single bucket: one event in the bucket the cursor jumps
+    /// to once the ring has drained, the rest one bucket later.
     fn chunk_edge_events(near: SimTime, far: SimTime, seq: &mut u64) -> Vec<(SimTime, u64)> {
         let buckets = [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5]
             .into_iter()
@@ -843,10 +981,9 @@ mod tests {
         assert!(edges_at.next().is_none(), "the run ended before its edges");
         assert_eq!(wheel.len(), 0);
 
-        // The saturation edge: once the cursor bucket's upper edge caps at
-        // `SimTime::MAX`, an event at exactly that time files into the
-        // cursor bucket's chunks, not the incoming heap — also while the
-        // events gathered from that bucket are still being popped.
+        // The last bucket of all: events at `SimTime::MAX` reach it through
+        // the overflow heap, and pushed while it drains, through the
+        // incoming heap.
         wheel.push((SimTime::MAX - 5, seq));
         wheel.push((SimTime::MAX - 3, seq + 1));
         for extra in 0..CHUNK as u64 + 1 {
@@ -897,15 +1034,15 @@ mod tests {
             single.push(event);
             bulk.push(event);
         }
-        // Drain a little so both wheels are mid-rotation with a sorted
-        // current bucket before the burst arrives.
+        // Drain a little so both wheels are mid-ring, draining a sorted
+        // cursor bucket, before the burst arrives.
         for _ in 0..50 {
             assert_eq!(single.pop(), bulk.pop());
         }
         // The burst also fills buckets exactly to the chunk boundaries (no
         // other event is that late), spills more than a chunk out of the
-        // overflow heap into one bucket, and ends at the `SimTime::MAX`
-        // saturation edge.
+        // overflow heap into one bucket, and ends in the last bucket of
+        // all, at `SimTime::MAX`.
         events.extend(chunk_edge_events(200_000, 1_000_000, &mut seq));
         events.push((SimTime::MAX - 1, seq));
         events.extend((1..=CHUNK as u64 + 1).map(|extra| (SimTime::MAX, seq + extra)));
@@ -955,8 +1092,8 @@ mod tests {
         // after a subsequent small trial must release it — otherwise one
         // 10⁶-node trial pins hundreds of megabytes in the arena pool for
         // the rest of the process. The large trial also gathers a bucket of
-        // 40 000 events, so the key buffers and `current` are that large
-        // too, and must shrink with the rest.
+        // 40 000 events, above `IN_PLACE_MAX`, so the key buffers and
+        // `current` are that large too, and must shrink with the rest.
         let mut wheel = TimeWheel::empty();
         wheel.reset(width_for(1050));
         let large = 1_000_000usize;
@@ -1053,7 +1190,8 @@ mod tests {
             wheel.push((1500 + seq % (hot_slots * 10), seq));
         }
         assert_eq!(wheel.retained_capacity(), grown);
-        // Draining adds `current`, sized for the fullest bucket.
+        // Draining adds the buffers that order a bucket, sized for the
+        // fullest one.
         drain_sorted(&mut wheel);
         assert!(wheel.retained_capacity() <= capacity_bound(200_000));
         // A small trial afterwards still releases the large one's chunks.
@@ -1073,7 +1211,8 @@ mod tests {
         // is at some moment the busiest — buckets that each kept the buffer
         // they grew ended up holding `SLOTS` waves — while the events in
         // flight never exceed one wave, and neither may the chunks
-        // (17 920 items of capacity here; per-bucket buffers: 236 032).
+        // (10 010 items of capacity here, 7 424 of them in chunks and the
+        // rest in the key buffers; per-bucket buffers: 236 032).
         let mut rng = StdRng::seed_from_u64(3);
         let mut wheel = TimeWheel::empty();
         wheel.reset(WIDTH);
@@ -1099,9 +1238,9 @@ mod tests {
     fn a_repeated_trial_allocates_no_chunk() {
         // Draining hands a bucket's chunks to the free list and the next
         // pushes take them from there, wherever they land: an identical
-        // trial on a cleared and re-armed wheel finds every chunk it needs,
-        // and `current` already sized for its fullest bucket. Three
-        // far-future events force a re-windowing per trial as well.
+        // trial on a cleared and re-armed wheel finds every chunk it needs.
+        // Three far-future events make the cursor jump across the drained
+        // ring in every trial as well.
         let mut wheel = TimeWheel::empty();
         let mut after_first = 0;
         for trial in 0..6 {
@@ -1260,8 +1399,8 @@ mod tests {
             seq += 1;
         };
         push(&mut wheel, &mut reference, 5);
-        // Beyond the horizon: `far` anchors the next window (its bucket 0
-        // is the cursor's), the rest spill into bucket 1.
+        // Beyond the horizon: once the ring has drained, the cursor jumps
+        // to `far`'s bucket, and the rest spill into the bucket after it.
         push(&mut wheel, &mut reference, far);
         for i in 0..CHUNK + 7 {
             push(
@@ -1293,6 +1432,186 @@ mod tests {
         }
         assert_eq!(wheel.pop(), None);
         assert_eq!(popped, 2 * CHUNK + 16);
+    }
+
+    /// A wheel beside a `BinaryHeap` of the same keys: each push goes to
+    /// both, numbered in push order, and each pop must return what the heap
+    /// does — so the check holds without the debug shadow heap too.
+    struct Lockstep {
+        wheel: TimeWheel<(SimTime, u64)>,
+        reference: BinaryHeap<Reverse<(SimTime, u64)>>,
+        seq: u64,
+    }
+
+    impl Lockstep {
+        fn new(width: SimTime) -> Self {
+            let mut wheel = TimeWheel::empty();
+            wheel.reset(width);
+            Self {
+                wheel,
+                reference: BinaryHeap::new(),
+                seq: 0,
+            }
+        }
+
+        fn push(&mut self, at: SimTime) {
+            self.wheel.push((at, self.seq));
+            self.reference.push(Reverse((at, self.seq)));
+            self.seq += 1;
+        }
+
+        /// Pops one event from both and returns its time.
+        fn pop(&mut self) -> Option<SimTime> {
+            let expected = self.reference.pop().map(|Reverse(key)| key);
+            assert_eq!(self.wheel.pop(), expected, "the wheel diverged from the heap");
+            expected.map(|(at, _)| at)
+        }
+
+        /// Pops everything, returning how many events there were.
+        fn drain(&mut self) -> usize {
+            let mut popped = 0;
+            while self.pop().is_some() {
+                popped += 1;
+            }
+            assert_eq!(self.wheel.len(), 0);
+            popped
+        }
+    }
+
+    #[test]
+    fn deliveries_up_to_the_model_bound_never_overflow() {
+        // Every delay from zero to the model bound, each scheduled from
+        // wherever in its bucket the clock happens to be, while the ring
+        // turns more than three times: each lands at most 65 buckets
+        // ahead, inside the ring, and none passes through the overflow
+        // heap. A long timer beside them does, once.
+        let max_delay = 6400;
+        let width = width_for(max_delay);
+        let ring = SLOTS as SimTime * width;
+        let mut run = Lockstep::new(width);
+        let mut delays = 0..=max_delay;
+        for delay in delays.by_ref().take(64) {
+            run.push(delay);
+        }
+        let mut now = 0;
+        while let Some(at) = run.pop() {
+            now = at;
+            if let Some(delay) = delays.next() {
+                run.push(now + delay);
+            } else if now < 3 * ring {
+                run.push(now + max_delay);
+            }
+        }
+        assert!(now >= 3 * ring, "the run ended at {now}, before three wraps");
+        assert_eq!(run.wheel.overflow_pushes(), 0);
+        run.push(now + ring);
+        assert_eq!(run.wheel.overflow_pushes(), 1);
+        assert_eq!(run.drain(), 1);
+    }
+
+    #[test]
+    fn a_spill_as_the_cursor_steps_precedes_direct_pushes_at_the_same_time() {
+        // Bucket 300 is beyond the horizon of cursor 0, so more than a
+        // chunk of events there, some at one time, go to the overflow heap.
+        // A chain of events ten buckets apart steps the cursor without the
+        // ring ever draining; the step to bucket 50 brings bucket 300 into
+        // the ring, and its events move into it. Pushed after that, events
+        // at the same times go straight into the bucket, behind the moved
+        // ones, as their `seq` demands. Several wraps of the ring later the
+        // chain stops.
+        const W: SimTime = 10;
+        let far = 300 * W + 5;
+        let times = [far, 300 * W, far, 301 * W - 1];
+        let mut run = Lockstep::new(W);
+        for i in 0..CHUNK + 3 {
+            run.push(times[i % 4]);
+        }
+        assert_eq!(run.wheel.overflow_pushes(), CHUNK + 3);
+        run.push(10 * W);
+        let mut chain_at = 10 * W;
+        let mut pushed_after_spill = false;
+        while let Some(at) = run.pop() {
+            if at == chain_at && at < 5 * SLOTS as SimTime * W {
+                chain_at = at + 10 * W;
+                run.push(chain_at);
+            }
+            if !pushed_after_spill && run.wheel.cursor >= 50 {
+                assert!(run.wheel.overflow.is_empty(), "bucket 300 was not spilled");
+                assert!(run.wheel.cursor < 300);
+                for i in 0..CHUNK + 5 {
+                    run.push(times[(i + 1) % 4]);
+                }
+                pushed_after_spill = true;
+            }
+        }
+        assert!(pushed_after_spill);
+        assert_eq!(run.wheel.overflow_pushes(), CHUNK + 3);
+        assert!(chain_at >= 5 * SLOTS as SimTime * W);
+    }
+
+    #[test]
+    fn a_jump_across_an_empty_ring_lands_on_a_far_overflow_event() {
+        // Once the ring drains, the cursor jumps ten wraps ahead to the
+        // earliest overflow event, whose bucket shares the old cursor's
+        // slot. The jump moves in the overflow events the new horizon
+        // reaches — two in the ring's last bucket — and leaves the one a
+        // bucket beyond it, which shares a slot with the new cursor. Pushes
+        // after the jump land beside all of them: in the cursor bucket
+        // through the incoming heap, in the ring directly, and a bucket
+        // beyond it through the overflow heap.
+        const W: SimTime = 10;
+        let mut run = Lockstep::new(W);
+        run.push(15);
+        run.push(2 * W + 7);
+        assert_eq!(run.pop(), Some(15));
+        assert_eq!(run.pop(), Some(2 * W + 7));
+        assert_eq!(run.wheel.cursor, 2);
+        let target = 2 + 10 * SLOTS as u64;
+        let last = target + SLOTS as u64 - 1;
+        let beyond = last + 1;
+        for bucket in [beyond, last, target, target, last] {
+            run.push(bucket * W + 3);
+        }
+        assert_eq!(run.wheel.overflow_pushes(), 5);
+        assert_eq!(run.pop(), Some(target * W + 3));
+        assert_eq!(run.wheel.cursor, target);
+        assert_eq!(run.wheel.overflow.len(), 1, "only the bucket beyond waits");
+        for bucket in [target, target + 1, last, beyond] {
+            run.push(bucket * W + 3);
+        }
+        assert_eq!(run.wheel.overflow_pushes(), 6);
+        assert_eq!(run.drain(), 8);
+    }
+
+    #[test]
+    fn the_last_bucket_before_simtime_max_pops_in_order() {
+        // From cursor 0 the last buckets of all are far beyond the horizon:
+        // the ring drains, the cursor jumps to the earliest of them, and
+        // `SimTime::MAX`'s bucket — whose upper edge is past the end of
+        // time when the width does not divide it — fills through the
+        // overflow heap, then through direct pushes, then, while it is the
+        // cursor's, through the incoming heap.
+        for width in [1, 7, 10, MAX_WIDTH] {
+            let mut run = Lockstep::new(width);
+            run.push(5);
+            for at in [SimTime::MAX, SimTime::MAX - 1, SimTime::MAX - 2 * width] {
+                for _ in 0..CHUNK / 2 + 1 {
+                    run.push(at);
+                }
+            }
+            assert_eq!(run.pop(), Some(5));
+            assert_eq!(run.pop(), Some(SimTime::MAX - 2 * width));
+            for _ in 0..CHUNK {
+                run.push(SimTime::MAX);
+                run.push(SimTime::MAX - 1);
+            }
+            while run.pop().expect("events up to the end of time") != SimTime::MAX {}
+            assert_eq!(run.wheel.cursor, SimTime::MAX / width);
+            for _ in 0..CHUNK + 1 {
+                run.push(SimTime::MAX);
+            }
+            assert!(run.drain() > 2 * CHUNK, "width {width}");
+        }
     }
 
     #[test]
