@@ -177,8 +177,9 @@ fn strip_hash(function: &str) -> &str {
 /// matches; the rest are "other".
 const GROUPS: &[(&str, &str)] = &[
     ("time wheel: chunks", "TimeWheel<T>::push_in_new_chunk"),
+    ("time wheel: gather buffer", "TimeWheel<T>::gather"),
     ("time wheel: sort keys", "wheel::SortKeys::"),
-    ("time wheel: heaps and current", "netsim/src/wheel.rs"),
+    ("time wheel: heaps", "netsim/src/wheel.rs"),
     ("instance rows", "SteadySession<C>::admit"),
     ("effect mailboxes", "Mailbox<M>::push"),
     ("infection-tree child lists", "InfectionTree::adopt"),

@@ -25,7 +25,7 @@
 //! heap (pop order is strictly ascending `(at, seq)`):
 //!
 //! * an `incoming` min-heap for events that land in the cursor bucket once
-//!   it is ordered, or before it (a handler at time `t` may schedule for
+//!   it is gathered, or before it (a handler at time `t` may schedule for
 //!   `t + 1`, which can fall into the same bucket — appending to the
 //!   already-ordered bucket would break ordering);
 //! * an `overflow` min-heap for events at or beyond the horizon, `SLOTS`
@@ -45,36 +45,20 @@
 //! A bucket owns no buffer. It is a linked list, oldest to newest, of
 //! fixed-size *chunks* ([`CHUNK`] events each) drawn LIFO from one
 //! wheel-wide free list; only the newest chunk of a bucket can be partly
-//! filled. When the cursor reaches a bucket, the bucket is ordered (see
-//! [below](self#how-a-bucket-is-ordered)), in one of two ways:
-//!
-//! * A bucket of at most [`IN_PLACE_MAX`] events — every bucket of a
-//!   1 000-node trial or a steady session — is put in pop order within its
-//!   own chunks, its smallest event at the end of its oldest chunk, and
-//!   popped off their ends. Each chunk goes back to the free list, still
-//!   warm, as soon as its last event is popped, for the pushes that
-//!   popping those events will cause.
-//! * A larger bucket is *gathered*: moved in pop order into the one
-//!   persistent `current` buffer, which is popped from the end, and its
-//!   chunks go straight back to the free list.
-//!
-//! Putting a bucket in order within its chunks needs no buffer of its own,
-//! but it moves each event along the cycles of a permutation, one step's
-//! place read from the step before. That costs nothing while the bucket is
-//! cache-resident; a large flood's buckets of a hundred thousand events
-//! would pay a cache miss per step. The gather reads them in one loop whose
-//! misses overlap. The wheel therefore holds
+//! filled. When the cursor reaches a bucket, its events are *gathered* —
+//! moved in pop order into the one persistent `current` buffer, which is
+//! popped from the end — and its chunks go straight back to the free list,
+//! still warm, for the pushes that popping those events will cause. The
+//! wheel therefore holds
 //!
 //! * one chunk per [`CHUNK`] events in flight, plus at most one partly
 //!   filled chunk per non-empty bucket — `O(peak in flight)`, whichever
 //!   buckets the events of this trial, or the last one, happened to fall
 //!   into;
-//! * `current`, as large as the largest bucket ever gathered, and empty
-//!   while no bucket outgrows [`IN_PLACE_MAX`]; and
-//! * three type-independent buffers ([`SortKeys`]) as long as the fullest
-//!   bucket ever ordered, which a [`TrialArena`](crate::TrialArena) keeps
-//!   across trials of different event types, and a process-wide pool
-//!   across arenas.
+//! * `current`, as large as the fullest bucket ever gathered; and
+//! * two `u64` key buffers ([`SortKeys`]) of that size, which a
+//!   [`TrialArena`](crate::TrialArena) keeps across trials of different
+//!   event types, and a process-wide pool across arenas.
 //!
 //! A bucket that kept a `Vec` of its own would keep the capacity of the
 //! busiest moment it ever saw, `O(SLOTS × per-bucket peak)` in all: for a
@@ -89,14 +73,14 @@
 //! an event into its bucket, in `(at, seq)` order, at the cursor advance
 //! that brings the bucket within the horizon — before any direct push can
 //! reach that bucket. So ordering a bucket by `at` alone, *stably*, orders
-//! it by `(at, seq)`. One `u64` is packed per event, oldest first: the
-//! event's offset `at − bucket start` (below the width, at most 2³²) in the
-//! upper half and its position in the bucket in the lower. A
+//! it by `(at, seq)`. The gather packs one `u64` per event, oldest first:
+//! the event's offset `at − bucket start` (below the width, at most 2³²) in
+//! the upper half and its place in the chunk storage in the lower. A
 //! least-significant-digit radix sort over the offset's bytes —
 //! ⌈log₂ width / 8⌉ passes, two for the default latency model, a pass
 //! skipped when all keys share its digit — puts the keys in order without
-//! comparing events, and each event then moves once: to the place its
-//! rank names in the bucket's own chunks, or into `current`.
+//! comparing events, and each event then moves once, straight from its
+//! chunk into `current`, in descending key order.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -126,15 +110,6 @@ const BUCKETS_PER_MAX_DELAY: u64 = 64;
 /// 64 a chunk of flood events is 2.5 KB). A constant, not a setting.
 const CHUNK: usize = 64;
 
-/// The largest bucket ordered within its own chunks; a larger one is
-/// gathered into `current` (see [where the events live](self#where-the-events-live)).
-///
-/// At 2¹² events, a bucket of the largest events the simulator queues
-/// (72 B) and its places take under 320 KB, well inside a core's L2
-/// cache; every bucket of a 1 000-node trial or a steady session is
-/// smaller. A constant, not a setting.
-const IN_PLACE_MAX: usize = 1 << 12;
-
 /// "No chunk": the end of a bucket's list or of the free list, and an
 /// empty bucket. Out of range for `chunks`, so `chunks.get(NO_CHUNK)` is
 /// the `None` that the "does this bucket have a chunk with room" check on
@@ -153,7 +128,7 @@ const EMPTY: Bucket = Bucket {
 /// width.
 const MAX_WIDTH: SimTime = 1 << 32;
 
-/// The most chunks a wheel may hold: an event's position in its bucket
+/// The most chunks a wheel may hold: an event's place in the chunk storage
 /// must fit the lower half of its sort key. That is 2³² events in flight,
 /// far beyond any memory the events themselves would fit in.
 const MAX_CHUNKS: usize = (1 << 32) / CHUNK;
@@ -186,14 +161,6 @@ fn slot_of(bucket: u64) -> usize {
     #[allow(clippy::cast_possible_truncation)]
     let slot = (bucket % SLOTS as u64) as usize;
     slot
-}
-
-/// The position in its bucket of the event a sort key names: the key's
-/// lower half.
-fn position(key: u64) -> usize {
-    #[allow(clippy::cast_possible_truncation)]
-    let position = key as u32 as usize;
-    position
 }
 
 /// An event that can be scheduled on a [`TimeWheel`].
@@ -237,11 +204,9 @@ impl<T: WheelItem> Ord for ByKey<T> {
 /// [module documentation](self#where-the-events-live).
 #[derive(Debug)]
 struct Chunk<T> {
-    /// At most [`CHUNK`] events: in push order on a bucket, in descending
-    /// `(at, seq)` order once its bucket is ordered in place. Allocated
-    /// once, at that capacity, and never grown. Ordering and gathering
-    /// take the events out one by one, leaving `None`s until they are put
-    /// back or the chunk is cleared.
+    /// At most [`CHUNK`] events, in push order; allocated once, at that
+    /// capacity, and never grown. A gather takes the events out in pop
+    /// order, leaving `None`s until the chunk is cleared.
     items: Vec<Option<T>>,
     /// The next (newer) chunk of the bucket this one is on, the next chunk
     /// of the free list, or [`NO_CHUNK`].
@@ -251,14 +216,14 @@ struct Chunk<T> {
 /// One bucket's list of chunks, as indices into the wheel's `chunks`.
 #[derive(Clone, Copy, Debug)]
 struct Bucket {
-    /// The first chunk filled, where ordering starts; [`NO_CHUNK`] if
+    /// The first chunk filled, where a gather starts; [`NO_CHUNK`] if
     /// empty.
     oldest: usize,
     /// The only chunk that can have room; [`NO_CHUNK`] if empty.
     newest: usize,
 }
 
-/// The buffers a [`TimeWheel`] orders a bucket in (see
+/// The two `u64` buffers a [`TimeWheel`] orders a bucket's keys in (see
 /// [how a bucket is ordered](self#how-a-bucket-is-ordered)). They do not
 /// depend on the event type, so a [`TrialArena`](crate::TrialArena) keeps
 /// them when it drops a pooled wheel of another event type.
@@ -267,12 +232,7 @@ pub(crate) struct SortKeys {
     /// The keys being ordered; ascending once [`SortKeys::sort`] returns.
     keys: Vec<u64>,
     /// Where a radix pass scatters to; swapped with `keys` after the pass.
-    /// Once the keys are sorted, where each event of a bucket ordered in
-    /// place goes.
     spare: Vec<u64>,
-    /// The chunks of the bucket being ordered, oldest first: position `p`
-    /// is event `p mod CHUNK` of chunk `list[p / CHUNK]`.
-    list: Vec<usize>,
 }
 
 impl SortKeys {
@@ -311,8 +271,7 @@ impl SortKeys {
         }
     }
 
-    /// Shrinks each buffer that is more than [`WHEEL_CLAMP_FACTOR`]× `keep`
-    /// keys.
+    /// Shrinks each buffer that is more than [`WHEEL_CLAMP_FACTOR`]× `keep`.
     fn clamp(&mut self, keep: usize) {
         for buffer in [&mut self.keys, &mut self.spare] {
             buffer.clear();
@@ -320,14 +279,9 @@ impl SortKeys {
                 buffer.shrink_to(keep);
             }
         }
-        let chunks = keep.div_ceil(CHUNK);
-        self.list.clear();
-        if self.list.capacity() > chunks * WHEEL_CLAMP_FACTOR {
-            self.list.shrink_to(chunks);
-        }
     }
 
-    /// Total capacity of the two key buffers, in keys.
+    /// Total capacity of both buffers, in keys.
     pub(crate) fn capacity(&self) -> usize {
         self.keys.capacity() + self.spare.capacity()
     }
@@ -341,7 +295,7 @@ pub(crate) struct TimeWheel<T> {
     width: SimTime,
     /// Number (`at / width`) of the bucket being drained. The ring holds
     /// buckets `cursor + 1 .. cursor + SLOTS`; the cursor's own slot is
-    /// empty, its events in `drain` or `current`.
+    /// empty, its events gathered into `current`.
     cursor: u64,
     /// The ring of buckets, bucket `b` in slot `b mod SLOTS`.
     slots: [Bucket; SLOTS],
@@ -349,16 +303,12 @@ pub(crate) struct TimeWheel<T> {
     chunks: Vec<Chunk<T>>,
     /// Head of the free list: empty chunks, most recently freed first.
     free: usize,
-    /// The oldest chunk of the cursor bucket still holding an event when
-    /// the bucket was ordered in place (its chunks link on from there), or
-    /// [`NO_CHUNK`].
-    drain: usize,
-    /// The cursor bucket when it was gathered, *descending*, so the minimum
-    /// pops off the end in `O(1)` without moving the rest.
+    /// The cursor bucket, gathered out of its chunks *descending*, so the
+    /// minimum pops off the end in `O(1)` without moving the rest.
     current: Vec<ByKey<T>>,
-    /// The buffers the cursor bucket was ordered in.
+    /// The buffers a gather orders the cursor bucket's keys in.
     keys: SortKeys,
-    /// Events at or before the cursor bucket, pushed after it was ordered.
+    /// Events at or before the cursor bucket, pushed after it was gathered.
     incoming: BinaryHeap<Reverse<ByKey<T>>>,
     /// Events at or beyond the horizon, `SLOTS` buckets past the cursor.
     overflow: BinaryHeap<Reverse<ByKey<T>>>,
@@ -394,7 +344,6 @@ impl<T: WheelItem> TimeWheel<T> {
             slots: [EMPTY; SLOTS],
             chunks: Vec::new(),
             free: NO_CHUNK,
-            drain: NO_CHUNK,
             current: Vec::new(),
             keys: SortKeys::default(),
             incoming: BinaryHeap::new(),
@@ -422,7 +371,6 @@ impl<T: WheelItem> TimeWheel<T> {
     /// already cleared) has no trial to judge and keeps every allocation.
     pub(crate) fn reset(&mut self, width: SimTime) {
         self.slots = [EMPTY; SLOTS];
-        self.drain = NO_CHUNK;
         self.current.clear();
         self.incoming.clear();
         self.overflow.clear();
@@ -479,14 +427,14 @@ impl<T: WheelItem> TimeWheel<T> {
         self.reset(width);
     }
 
-    /// Hands the wheel the buffers it orders buckets in (dropping the ones
-    /// it had).
+    /// Hands the wheel the key buffers its gathers order buckets in
+    /// (dropping the ones it had).
     pub(crate) fn lend_keys(&mut self, keys: SortKeys) {
         self.keys = keys;
     }
 
-    /// Takes the wheel's buffers for ordering buckets, leaving it none (it
-    /// allocates again at its next bucket).
+    /// Takes the wheel's key buffers, leaving it none (it allocates again
+    /// at its next gather).
     pub(crate) fn take_keys(&mut self) -> SortKeys {
         std::mem::take(&mut self.keys)
     }
@@ -522,7 +470,7 @@ impl<T: WheelItem> TimeWheel<T> {
     fn route(&mut self, item: T, cursor: u64) {
         let bucket = item.at() / self.width;
         if bucket <= cursor {
-            // The cursor bucket, already ordered, or before it.
+            // The cursor bucket, already gathered, or before it.
             self.incoming.push(Reverse(ByKey(item)));
         } else if bucket - cursor >= SLOTS as u64 {
             #[cfg(test)]
@@ -573,7 +521,7 @@ impl<T: WheelItem> TimeWheel<T> {
 
     /// Moves the cursor to bucket `to` (within the ring, or the earliest
     /// overflow event's), files the overflow events the new horizon reaches
-    /// and orders the new cursor bucket.
+    /// and gathers the new cursor bucket.
     fn advance(&mut self, to: u64) {
         self.cursor = to;
         while let Some(Reverse(first)) = self.overflow.peek() {
@@ -588,90 +536,40 @@ impl<T: WheelItem> TimeWheel<T> {
             };
             self.file(slot_of(bucket), item);
         }
-        let bucket = std::mem::replace(&mut self.slots[slot_of(to)], EMPTY);
-        self.sort_keys(bucket);
-        if self.keys.keys.len() <= IN_PLACE_MAX {
-            self.order_in_place();
-            self.drain = bucket.oldest;
-        } else {
-            self.gather(bucket);
-        }
+        self.gather(slot_of(to));
     }
 
-    /// Lists the chunks of `bucket`, the cursor's and not empty, and sorts
-    /// its keys; see [how a bucket is ordered](self#how-a-bucket-is-ordered).
-    fn sort_keys(&mut self, bucket: Bucket) {
+    /// Moves the events of bucket `slot`, the cursor's and not empty, into
+    /// `current` (empty) in descending `(at, seq)` order; see
+    /// [how a bucket is ordered](self#how-a-bucket-is-ordered). The bucket's
+    /// chunks go to the front of the free list, its oldest first.
+    fn gather(&mut self, slot: usize) {
+        debug_assert!(self.current.is_empty());
+        let bucket = std::mem::replace(&mut self.slots[slot], EMPTY);
         // Every event of the bucket is at or after its lower edge, so
         // neither this nor the offsets below can overflow.
         let bucket_start = self.cursor * self.width;
-        let SortKeys { keys, list, .. } = &mut self.keys;
+        let keys = &mut self.keys.keys;
         keys.clear();
-        list.clear();
         let mut index = bucket.oldest;
         while let Some(chunk) = self.chunks.get(index) {
-            list.push(index);
-            // Fewer than `MAX_CHUNKS · CHUNK` = 2³² events are queued, so
-            // every position fits 32 bits.
-            let first = keys.len();
+            // `index < MAX_CHUNKS`, so every place fits 32 bits.
+            let base = index * CHUNK;
             keys.extend(chunk.items.iter().enumerate().map(|(offset, item)| {
                 let Some(item) = item else {
                     unreachable!("a queued chunk holds only events")
                 };
-                (item.at() - bucket_start) << 32 | (first + offset) as u64
+                (item.at() - bucket_start) << 32 | (base + offset) as u64
             }));
             index = chunk.next;
         }
         self.keys.sort(radix_passes(self.width));
-    }
-
-    /// Puts the cursor bucket's events, whose keys are sorted, in pop order
-    /// within the bucket's own chunks: rank `r` goes to chunk `r / CHUNK`
-    /// of the bucket, counted from that chunk's end. Each event moves once,
-    /// along the cycles of that permutation.
-    fn order_in_place(&mut self) {
-        let SortKeys { keys, spare, list } = &mut self.keys;
-        let len = keys.len();
-        // `to[p]`: the position the event at position `p` goes to.
-        let to = spare;
-        to.resize(len, 0);
-        for (rank, &key) in keys.iter().enumerate() {
-            let chunk = rank / CHUNK;
-            let filled = CHUNK.min(len - chunk * CHUNK);
-            to[position(key)] = (chunk * CHUNK + filled - 1 - rank % CHUNK) as u64;
-        }
-        let place = |p: usize| (list[p / CHUNK], p % CHUNK);
-        for start in 0..len {
-            // A position already visited points at itself.
-            if to[start] == start as u64 {
-                continue;
-            }
-            let (chunk, offset) = place(start);
-            let mut held = self.chunks[chunk].items[offset].take();
-            let mut at = start;
-            loop {
-                let next = position(std::mem::replace(&mut to[at], at as u64));
-                let (chunk, offset) = place(next);
-                let slot = &mut self.chunks[chunk].items[offset];
-                if next == start {
-                    *slot = held;
-                    break;
-                }
-                held = std::mem::replace(slot, held);
-                at = next;
-            }
-        }
-    }
-
-    /// Moves the events of `bucket`, the cursor's, whose keys are sorted,
-    /// into `current` (empty) in descending `(at, seq)` order. The bucket's
-    /// chunks go to the front of the free list, its oldest first.
-    fn gather(&mut self, bucket: Bucket) {
-        debug_assert!(self.current.is_empty());
         self.current.reserve(self.keys.keys.len());
         for &key in self.keys.keys.iter().rev() {
-            let p = position(key);
-            let chunk = &mut self.chunks[self.keys.list[p / CHUNK]];
-            let Some(item) = chunk.items[p % CHUNK].take() else {
+            // The key's lower half.
+            #[allow(clippy::cast_possible_truncation)]
+            let place = key as u32 as usize;
+            let Some(item) = self.chunks[place / CHUNK].items[place % CHUNK].take() else {
                 unreachable!("every key names a different event")
             };
             self.current.push(ByKey(item));
@@ -689,40 +587,10 @@ impl<T: WheelItem> TimeWheel<T> {
         self.free = bucket.oldest;
     }
 
-    /// The cursor bucket's next event, if any is left.
-    fn next_in_bucket(&self) -> Option<&T> {
-        match self.chunks.get(self.drain) {
-            Some(chunk) => match chunk.items.last() {
-                Some(Some(item)) => Some(item),
-                _ => unreachable!("an ordered chunk holds only events"),
-            },
-            None => self.current.last().map(|item| &item.0),
-        }
-    }
-
-    /// Removes the cursor bucket's next event, which exists; a chunk it
-    /// empties goes back to the free list.
-    fn pop_in_bucket(&mut self) -> T {
-        let Some(chunk) = self.chunks.get_mut(self.drain) else {
-            let Some(ByKey(item)) = self.current.pop() else {
-                unreachable!("the cursor bucket has an event left")
-            };
-            return item;
-        };
-        let Some(Some(item)) = chunk.items.pop() else {
-            unreachable!("an ordered chunk holds only events")
-        };
-        if chunk.items.is_empty() {
-            let next = std::mem::replace(&mut chunk.next, self.free);
-            self.free = std::mem::replace(&mut self.drain, next);
-        }
-        item
-    }
-
     /// Advances the cursor until the next event is reachable from the
     /// cursor bucket or the incoming heap (or the wheel is empty).
     fn ensure_ready(&mut self) {
-        if self.drain != NO_CHUNK || !self.current.is_empty() || !self.incoming.is_empty() {
+        if !self.current.is_empty() || !self.incoming.is_empty() {
             return;
         }
         let cursor_slot = slot_of(self.cursor);
@@ -739,7 +607,7 @@ impl<T: WheelItem> TimeWheel<T> {
     /// Removes and returns the event with the smallest `(at, seq)` key.
     pub(crate) fn pop(&mut self) -> Option<T> {
         self.ensure_ready();
-        let bucket_key = self.next_in_bucket().map(WheelItem::key);
+        let bucket_key = self.current.last().map(|item| item.0.key());
         let incoming_key = self.incoming.peek().map(|Reverse(item)| item.0.key());
         let from_bucket = match (bucket_key, incoming_key) {
             (Some(b), Some(i)) => b < i,
@@ -748,7 +616,10 @@ impl<T: WheelItem> TimeWheel<T> {
             (None, None) => return None,
         };
         let item = if from_bucket {
-            self.pop_in_bucket()
+            let Some(ByKey(item)) = self.current.pop() else {
+                unreachable!("last() just returned an item")
+            };
+            item
         } else {
             let Some(Reverse(ByKey(item))) = self.incoming.pop() else {
                 unreachable!("peek() just returned an item")
@@ -1092,8 +963,8 @@ mod tests {
         // after a subsequent small trial must release it — otherwise one
         // 10⁶-node trial pins hundreds of megabytes in the arena pool for
         // the rest of the process. The large trial also gathers a bucket of
-        // 40 000 events, above `IN_PLACE_MAX`, so the key buffers and
-        // `current` are that large too, and must shrink with the rest.
+        // 40 000 events, so the key buffers and `current` are that large
+        // too, and must shrink with the rest.
         let mut wheel = TimeWheel::empty();
         wheel.reset(width_for(1050));
         let large = 1_000_000usize;
@@ -1211,8 +1082,8 @@ mod tests {
         // is at some moment the busiest — buckets that each kept the buffer
         // they grew ended up holding `SLOTS` waves — while the events in
         // flight never exceed one wave, and neither may the chunks
-        // (10 010 items of capacity here, 7 424 of them in chunks and the
-        // rest in the key buffers; per-bucket buffers: 236 032).
+        // (11 444 items of capacity here: 7 424 in chunks, 2 586 in the key
+        // buffers, 1 434 in `current`; per-bucket buffers: 236 032).
         let mut rng = StdRng::seed_from_u64(3);
         let mut wheel = TimeWheel::empty();
         wheel.reset(WIDTH);
@@ -1463,7 +1334,11 @@ mod tests {
         /// Pops one event from both and returns its time.
         fn pop(&mut self) -> Option<SimTime> {
             let expected = self.reference.pop().map(|Reverse(key)| key);
-            assert_eq!(self.wheel.pop(), expected, "the wheel diverged from the heap");
+            assert_eq!(
+                self.wheel.pop(),
+                expected,
+                "the wheel diverged from the heap"
+            );
             expected.map(|(at, _)| at)
         }
 
@@ -1502,7 +1377,10 @@ mod tests {
                 run.push(now + max_delay);
             }
         }
-        assert!(now >= 3 * ring, "the run ended at {now}, before three wraps");
+        assert!(
+            now >= 3 * ring,
+            "the run ended at {now}, before three wraps"
+        );
         assert_eq!(run.wheel.overflow_pushes(), 0);
         run.push(now + ring);
         assert_eq!(run.wheel.overflow_pushes(), 1);
