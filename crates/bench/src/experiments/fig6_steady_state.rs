@@ -192,9 +192,7 @@ fn steady_trial(
             )
         }
         ProtocolKind::AdaptiveDiffusion(params) => {
-            let prototypes = (0..n)
-                .map(|_| fnp_diffusion::AdaptiveDiffusionNode::new(params))
-                .collect();
+            let prototypes = vec![fnp_diffusion::AdaptiveDiffusionNode::new(params); n];
             run_steady_in(
                 arena,
                 graph,

@@ -1,17 +1,21 @@
-//! Where a `steady_mix`-shaped unit's heap bytes come from, by allocation
-//! site: a report, not a wall, so it is `#[ignore]`d. Run it as
+//! Where the heap bytes of a `steady_mix`-shaped or a `paper_grid`-shaped
+//! unit come from, by allocation site: reports, not walls, so they are
+//! `#[ignore]`d. Run them as
 //!
 //! ```console
-//! CARGO_PROFILE_RELEASE_DEBUG=1 cargo test --release -p fnp-bench --test alloc_sites -- --ignored --nocapture
+//! CARGO_PROFILE_RELEASE_DEBUG=1 cargo test --release -p fnp-bench --test alloc_sites -- --ignored --nocapture --test-threads 1
 //! ```
 //!
 //! (the debug information lets each frame, inlined ones included, name its
-//! source line). The unit is the repo benchmark's `steady_mix` allocation
-//! unit: `steady_state_with` on one worker at n = 300, 12 miners, one run,
-//! rates 2 and 8 per second, a 6 s horizon and base seed `0xA11`, counted
-//! after an identical warm-up unit. Bytes are counted as the benchmark
-//! counts them — every `alloc`'s size and every `realloc`'s new size — and
-//! divided by the transactions injected.
+//! source line), or name one report after `--ignored`. Each unit is the
+//! repo benchmark's allocation unit of its workload, on one worker with
+//! base seed `0xA11`, counted after an identical warm-up unit:
+//! `steady_mix` is `steady_state_with` at n = 300, 12 miners, one run,
+//! rates 2 and 8 per second and a 6 s horizon, one op per transaction
+//! injected; `paper_grid` is `landscape_with` at n = 1 000, two runs and
+//! adversary fractions 0.1 and 0.3, one op per protocol trial. Bytes are
+//! counted as the benchmark counts them — every `alloc`'s size and every
+//! `realloc`'s new size — and divided by the ops.
 //!
 //! This binary's global allocator keys each request the measuring thread
 //! makes by the return addresses on its stack (glibc's `backtrace(3)`) and
@@ -20,7 +24,7 @@
 //! workspace's own source outside this file. The report lists the sites,
 //! then sums them into the groups of [`GROUPS`].
 
-use fnp_bench::{steady_state_with, TrialRunner};
+use fnp_bench::{landscape_with, steady_state_with, TrialRunner};
 use fnp_netsim::SECOND;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::backtrace::Backtrace;
@@ -172,40 +176,50 @@ fn strip_hash(function: &str) -> &str {
     }
 }
 
-/// The groups the report sums sites into: a label and the part of a
-/// site's text that puts it there. A site lands in the first group that
-/// matches; the rest are "other".
-const GROUPS: &[(&str, &str)] = &[
-    ("time wheel: chunks", "TimeWheel<T>::push_in_new_chunk"),
-    ("time wheel: gather buffer", "TimeWheel<T>::gather"),
-    ("time wheel: sort keys", "wheel::SortKeys::"),
-    ("time wheel: heaps", "netsim/src/wheel.rs"),
-    ("instance rows", "SteadySession<C>::admit"),
-    ("effect mailboxes", "Mailbox<M>::push"),
-    ("infection-tree child lists", "InfectionTree::adopt"),
-    (
-        "latency log and transaction records",
-        "SteadySession<C>::new",
-    ),
-    ("fig6 latency copy", "steady_state_with ("),
-    ("broadcast exclusion lists", "Mailbox<M>::broadcast"),
+/// The groups a report sums sites into: a label and the parts of a site's
+/// text that put it there. A site lands in the first group one of whose
+/// parts it contains; the rest are "other".
+type Groups = &'static [(&'static str, &'static [&'static str])];
+
+/// The time wheel's groups, shared by both reports.
+const WHEEL: Groups = &[
+    ("time wheel: chunks", &["TimeWheel<T>::push_in_new_chunk"]),
+    ("time wheel: gather buffer", &["TimeWheel<T>::gather"]),
+    ("time wheel: sort keys", &["wheel::SortKeys::"]),
+    ("time wheel: heaps", &["netsim/src/wheel.rs"]),
 ];
 
-#[test]
-#[ignore = "a report: run with --ignored --nocapture, in release with debug information"]
-fn steady_mix_bytes_by_allocation_site() {
-    let unit = || {
-        let rows = steady_state_with(
-            &TrialRunner::new(1),
-            300,
-            12,
-            1,
-            &[2.0, 8.0],
-            6 * SECOND,
-            0xA11,
-        );
-        rows.iter().map(|row| row.injected).sum::<usize>()
-    };
+const STEADY_GROUPS: Groups = &[
+    ("instance rows", &["SteadySession<C>::admit"]),
+    ("effect mailboxes", &["Mailbox<M>::push"]),
+    ("infection-tree child lists", &["InfectionTree::adopt"]),
+    ("virtual-source tokens", &["InfectionTree::hold_token"]),
+    (
+        "latency log and transaction records",
+        &["SteadySession<C>::new"],
+    ),
+    ("fig6 latency copy", &["steady_state_with ("]),
+    ("broadcast exclusion lists", &["Mailbox<M>::broadcast"]),
+];
+
+const GRID_GROUPS: Groups = &[
+    (
+        "phase-1 DC state: engines, contributions, pad keys",
+        &["fnp_dcnet::", "FlexNode::engine", "keycache::"],
+    ),
+    ("adversary sets and views", &["fnp_adversary::"]),
+    ("time-to-coverage copies", &["Metrics::time_to_coverage"]),
+    ("infection-tree child lists", &["InfectionTree::adopt"]),
+    ("virtual-source tokens", &["InfectionTree::hold_token"]),
+    ("effect mailboxes", &["Mailbox<M>::push"]),
+    ("broadcast exclusion lists", &["Mailbox<M>::broadcast"]),
+    ("arena boxes", &["netsim/src/arena.rs"]),
+];
+
+/// Runs `unit` (which returns its ops) once to warm it, then again
+/// counted, and prints the counted run's bytes per op by site, then by the
+/// groups of `WHEEL` and `groups`.
+fn report(unit: impl Fn() -> usize, groups: Groups) {
     // Resolve one backtrace before measuring, so the resolver's own
     // set-up is not charged, and warm the unit.
     let _ = frames(&Backtrace::force_capture());
@@ -225,25 +239,59 @@ fn steady_mix_bytes_by_allocation_site() {
     sites.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
 
     println!(
-        "{ops} transactions, {total} B requested, {:.0} B/op\n",
+        "{ops} ops, {total} B requested, {:.0} B/op\n",
         per_op(total)
     );
     println!("{:>10}  site", "B/op");
     for (site, bytes) in &sites {
         println!("{:>10.0}  {site}", per_op(*bytes));
     }
-    let mut groups = vec![0u64; GROUPS.len() + 1];
+    let groups: Vec<_> = WHEEL.iter().chain(groups).collect();
+    let mut sums = vec![0u64; groups.len() + 1];
     for (site, bytes) in &sites {
-        let group = GROUPS
+        let group = groups
             .iter()
-            .position(|(_, part)| site.contains(part))
-            .unwrap_or(GROUPS.len());
-        groups[group] += bytes;
+            .position(|(_, parts)| parts.iter().any(|part| site.contains(part)))
+            .unwrap_or(groups.len());
+        sums[group] += bytes;
     }
     println!("\n{:>10}  group", "B/op");
-    let labels = GROUPS.iter().map(|(label, _)| *label).chain(["other"]);
-    for (label, bytes) in labels.zip(groups) {
+    let labels = groups.iter().map(|(label, _)| *label).chain(["other"]);
+    for (label, bytes) in labels.zip(sums) {
         println!("{:>10.0}  {label}", per_op(bytes));
     }
-    assert!(ops > 0 && total > 0, "the unit injected and allocated");
+    assert!(ops > 0 && total > 0, "the unit ran and allocated");
+}
+
+#[test]
+#[ignore = "a report: run with --ignored --nocapture, in release with debug information"]
+fn steady_mix_bytes_by_allocation_site() {
+    report(
+        || {
+            let rows = steady_state_with(
+                &TrialRunner::new(1),
+                300,
+                12,
+                1,
+                &[2.0, 8.0],
+                6 * SECOND,
+                0xA11,
+            );
+            rows.iter().map(|row| row.injected).sum::<usize>()
+        },
+        STEADY_GROUPS,
+    );
+}
+
+#[test]
+#[ignore = "a report: run with --ignored --nocapture, in release with debug information"]
+fn paper_grid_bytes_by_allocation_site() {
+    report(
+        || {
+            let rows = landscape_with(&TrialRunner::new(1), 1000, 2, &[0.1, 0.3], 0xA11);
+            // Each row is one protocol × fraction cell of two runs.
+            rows.len() * 2
+        },
+        GRID_GROUPS,
+    );
 }

@@ -175,11 +175,13 @@ fn latency_rows_match_fresh_arena_rows() {
 #[test]
 fn steady_state_rows_match_fresh_arena_rows() {
     // Steady-state trials lease per-transaction hot lanes from the arena's
-    // pools and run four different node types through the type-erased node
-    // storage; a stale lane or session left by a previous trial would show
-    // up as a row difference against the fresh-arena run.
+    // pools, run four different node types through the type-erased node
+    // storage and hand their instance rows back to the arena, where the
+    // next trial of the same protocol — the higher rate after the lower —
+    // finds them; a stale lane, session or instance left by a previous
+    // trial would show up as a row difference against the fresh-arena run.
     assert_reuse_matches_fresh("steady_state", |runner| {
-        fnp_bench::steady_state_with(runner, 50, 10, 2, &[2.0], 2 * fnp_netsim::SECOND, 22)
+        fnp_bench::steady_state_with(runner, 50, 10, 2, &[2.0, 8.0], 2 * fnp_netsim::SECOND, 22)
     });
 }
 

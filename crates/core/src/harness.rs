@@ -368,9 +368,8 @@ pub fn run_protocol_in(
         ProtocolKind::AdaptiveDiffusion(params) => {
             let node_count = graph.node_count();
             let mut nodes: Vec<SimDriver<AdaptiveDiffusionNode>> = arena.take_nodes();
-            nodes.extend(
-                (0..node_count).map(|_| SimDriver::new(AdaptiveDiffusionNode::new(params))),
-            );
+            let node = SimDriver::new(AdaptiveDiffusionNode::new(params));
+            nodes.extend(std::iter::repeat_n(node, node_count));
             let mut sim = Simulator::new_in(arena, graph, nodes, recorded);
             sim.trigger(origin, |driver, ctx| {
                 driver.drive(ctx, |node, view, out| node.start_broadcast(view, out));

@@ -451,7 +451,7 @@ impl FlexNode {
         self.ad = InfectionTree {
             parent: None,
             children,
-            token: Some(Token::FIRST),
+            token: Some(Box::new(Token::FIRST)),
         };
         view.mark_round_seen(0);
 

@@ -25,7 +25,7 @@
 
 use fnp_core::{flex_steady_prototypes_in, run_protocol_in, FlexConfig, FlexNode, ProtocolKind};
 use fnp_netsim::{topology, Graph, NodeId, SimConfig, SimTime, TrialArena, SECOND};
-use fnp_proto::steady::{run_steady_in, Arrival};
+use fnp_proto::steady::{run_steady_in, Arrival, InstanceRow};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -162,7 +162,8 @@ fn a_hundred_times_longer_flexible_session_requests_no_more_per_transaction() {
 /// request: the node cores, the group formation, and each group's roster
 /// and members' pad keys, derived in one pass over buffers the set-up
 /// reuses from group to group and written straight into the node cores.
-/// Measured: 478 984 B. Node cores holding their configuration and a
+/// Measured: 462 984 B (478 984 B with the token inline in the node
+/// cores). Node cores holding their configuration and a
 /// three-word membership inline read 546 032 B; collecting the
 /// memberships into a node-ordered
 /// vector first read 570 032 B; deriving each group into its own mirrored
@@ -191,7 +192,8 @@ fn the_flexible_set_up_keeps_what_a_member_needs() {
 /// Bytes a warm flexible trial at the paper's n = 1 000 may request: the
 /// set-up above, what the run records, and phase 1's round state, one
 /// engine per member since every group runs its silent rounds. Measured:
-/// 1 088 690 B. With a build-and-combine buffer per engine, each
+/// 1 015 850 B; 1 020 074 B when every trial re-boxed the pooled event
+/// queue. With a build-and-combine buffer per engine, each
 /// contribution framed in that buffer and copied into its `Arc`, and the
 /// rounds' bookkeeping in three allocations, it read 1 540 682 B.
 const WARM_TRIAL_BYTES_BOUND: u64 = 1_150_000;
@@ -227,13 +229,14 @@ fn a_warm_flexible_trial_holds_its_rounds_at_their_footprint() {
 
 /// The largest node core, and so the largest steady row entry (an empty
 /// entry costs no byte beside it), these walls admit.
-const FLEX_NODE_BOUND: usize = 104;
+const FLEX_NODE_BOUND: usize = 80;
 
 /// The size of a node core: the simulator holds one per overlay node and a
-/// steady session one per row entry. Measured: 96 B — the roster pointer
+/// steady session one per row entry. Measured: 80 B — the roster pointer
 /// through which the node reaches its configuration and group, its index
 /// in the roster, phase 1 as one boxed engine that only the originator's
-/// group creates, the payload and the infection tree. With the
+/// group creates, the payload and the infection tree, whose token is
+/// boxed at its one holder. With the token inline it read 96 B; with the
 /// configuration and a three-word membership held inline it read 176 B; a
 /// layout holding the engine inline as well read 360 B.
 #[test]
@@ -259,8 +262,9 @@ fn an_empty_row_entry_costs_no_byte_beside_the_node() {
 /// besides its rows: the latency log, one lane set per slot, the
 /// originator groups' round engines and contributions, every infected
 /// node's child list, the per-node arrival lists, the session's one
-/// mailbox and the per-transaction records. Measured: 164 440 B beside
-/// rows of 96 B entries, 262 744 B in all. Entries of 184 B — the
+/// mailbox and the per-transaction records. Measured: 163 748 B beside
+/// rows of 80 B entries, 245 668 B in all (164 440 B beside rows of 96 B
+/// entries with the token inline, 262 736 B in all). Entries of 184 B — the
 /// configuration and a three-word membership inline, and an `Init` flag —
 /// with a mailbox per node read 460 608 B in all.
 const OVERLAP_SLACK: u64 = 176 << 10;
@@ -299,8 +303,11 @@ fn overlapping_flexible_transactions_request_rows_of_bare_instances() {
         }
         requested
     };
-    // The first session warms the arena's pooled wheel and metrics.
+    // The first session warms the arena's pooled wheel and metrics; its
+    // rows, which the arena pools too, go, so the measured session numbers
+    // its own.
     session(&mut arena);
+    drop(arena.take_rows::<InstanceRow<FlexNode>>());
     let requested = session(&mut arena);
 
     let rows = (PEAK * NODES * FLEX_NODE_BOUND) as u64;

@@ -84,8 +84,10 @@ pub struct InfectionTree {
     pub parent: Option<NodeId>,
     /// The nodes this one has infected, in infection order.
     pub children: Vec<NodeId>,
-    /// The token, if currently held.
-    pub token: Option<Token>,
+    /// The token, if currently held. Boxed: at most one node of an
+    /// infection holds it, so every other node's tree keeps one pointer,
+    /// not room for the token.
+    pub token: Option<Box<Token>>,
 }
 
 impl InfectionTree {
@@ -121,12 +123,12 @@ impl InfectionTree {
     /// [`spread_wave`](Self::spread_wave) away from `from`, then arming the
     /// round timer.
     pub fn hold_token(&mut self, t: u32, h: u32, round: u32, from: NodeId) {
-        self.token = Some(Token {
+        self.token = Some(Box::new(Token {
             t,
             h,
             round,
             received_from: Some(from),
-        });
+        }));
     }
 
     /// Infects every neighbour that is neither parent, child nor `excluded`.

@@ -26,6 +26,7 @@ use crate::alpha::AlphaSchedule;
 use crate::engine::{InfectionTree, Round, Token, Wire};
 use fnp_netsim::{ContextView, Payload, SimTime, MILLISECOND};
 use fnp_proto::{Input, Mailbox, ProtocolCore, SteadyProtocol};
+use std::rc::Rc;
 
 /// Timer tag used by the virtual source to pace rounds.
 const ROUND_TIMER: u64 = 1;
@@ -128,9 +129,13 @@ impl Wire for AdWire {
 
 /// A node running adaptive diffusion: the [`engine`](crate::engine) on the
 /// bare wire.
+///
+/// Clones share one copy of the parameters, so an overlay's nodes — and a
+/// steady session's instances, which are clones of them — are best built
+/// by cloning one node: every [`new`](Self::new) allocates a copy.
 #[derive(Clone, Debug)]
 pub struct AdaptiveDiffusionNode {
-    params: AdParams,
+    params: Rc<AdParams>,
     /// This node's tree links and token; all empty until it is infected.
     /// Whether it is lives in the driver's
     /// [`seen` lane](fnp_netsim::ContextView::seen), so a duplicate infection —
@@ -144,7 +149,7 @@ impl AdaptiveDiffusionNode {
     /// Creates an idle (uninfected) node.
     pub fn new(params: AdParams) -> Self {
         Self {
-            params,
+            params: Rc::new(params),
             tree: InfectionTree::default(),
             is_origin: false,
         }
@@ -254,9 +259,8 @@ mod tests {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let graph = topology::random_regular(n, degree, &mut rng).unwrap();
-        let nodes = (0..n)
-            .map(|_| SimDriver::new(AdaptiveDiffusionNode::new(params)))
-            .collect();
+        let node = SimDriver::new(AdaptiveDiffusionNode::new(params));
+        let nodes = std::iter::repeat_n(node, n).collect();
         let mut sim = Simulator::new(
             graph,
             nodes,
@@ -288,8 +292,7 @@ mod tests {
             max_rounds: 64,
             ..AdParams::default()
         };
-        let prototypes: Vec<AdaptiveDiffusionNode> =
-            (0..n).map(|_| AdaptiveDiffusionNode::new(params)).collect();
+        let prototypes = vec![AdaptiveDiffusionNode::new(params); n];
         let arrivals = [
             Arrival {
                 at: 1,

@@ -17,7 +17,7 @@
 //! time wheel carries a shadow heap whose growth the bounds would measure
 //! instead.
 
-use fnp_diffusion::{AdParams, AdaptiveDiffusionNode};
+use fnp_diffusion::{run_adaptive_diffusion_in, AdParams, AdaptiveDiffusionNode};
 use fnp_netsim::{topology, Graph, Metrics, NodeId, SimConfig, Simulator, TrialArena};
 use fnp_proto::SimDriver;
 use rand::rngs::StdRng;
@@ -56,7 +56,8 @@ fn trial(arena: &mut TrialArena, graph: Graph, seed: u64) -> Metrics {
         ..AdParams::default()
     };
     let mut nodes: Vec<SimDriver<AdaptiveDiffusionNode>> = arena.take_nodes();
-    nodes.extend((0..NODES).map(|_| SimDriver::new(AdaptiveDiffusionNode::new(params))));
+    let node = SimDriver::new(AdaptiveDiffusionNode::new(params));
+    nodes.extend(std::iter::repeat_n(node, NODES));
     let config = SimConfig {
         seed,
         record_receipts: true,
@@ -105,4 +106,36 @@ fn an_adaptive_diffusion_trial_requests_what_its_waves_need_once() {
         "bytes requested per trial: {trials:?}"
     );
     assert!(held <= LIVE_BOUND, "the arena holds {held} B");
+}
+
+/// Bytes a warm trial over `NODES` isolated nodes may request: one
+/// parameter block shared by every node (48 B with its reference counts)
+/// and the origin's first effect buffer (160 B). Nothing spreads, so
+/// nothing else is asked of the heap. Measured: 208 B. A parameter block
+/// per node reads 48 000 B more; re-boxing the pooled event queue every
+/// trial read 4 304 B more.
+const SET_UP_BOUND: u64 = 256;
+
+#[test]
+fn an_n_node_set_up_requests_one_parameter_block() {
+    let mut arena = TrialArena::new();
+    let trial = |arena: &mut TrialArena| {
+        let graph = arena.graph(NODES);
+        let report = run_adaptive_diffusion_in(
+            arena,
+            graph,
+            NodeId::new(0),
+            AdParams::default(),
+            SimConfig::default(),
+        );
+        assert_eq!(report.metrics.delivered_count(), 1, "the origin alone");
+        arena.recycle_metrics(report.metrics);
+    };
+    // The first trial warms the arena's pooled simulator storage.
+    trial(&mut arena);
+    let requested = counting_alloc::measure(|| trial(&mut arena)).requested;
+    assert!(
+        requested <= SET_UP_BOUND,
+        "{requested} B for a warm trial over {NODES} isolated nodes (bound {SET_UP_BOUND})"
+    );
 }

@@ -15,9 +15,13 @@
 //! node vectors), a reused arena is observationally identical to a fresh
 //! one — the arena-reuse determinism suite asserts byte-identical rows.
 //!
-//! The event-queue and node-vector pools are type-erased (`Box<dyn Any>`)
-//! because their element types are protocol-specific; a checkout under a
-//! different type simply falls back to a fresh allocation. The wheel's
+//! The event-queue, node-vector and steady-row pools are type-erased
+//! (`Box<dyn Any>`) because their element types are protocol-specific; a
+//! checkout under a different type drops the pooled storage and falls back
+//! to a fresh allocation, so each pool holds one type at a time. A checkout
+//! under the same type moves the storage out of its box and leaves the box
+//! pooled for the return, so no trial of the same type as the last one
+//! allocates a box; a type switch drops the pool and boxes afresh. The wheel's
 //! sort-key buffers hold plain `u64`s, so the arena keeps them apart from
 //! the typed wheel and lends them to whichever wheel it checks out; and
 //! since a [`TrialRunner`](crate::TrialRunner) builds every worker a fresh
@@ -70,6 +74,10 @@ pub struct TrialArena {
     /// Cleared node-state vector of the previous trial, type-erased
     /// (`Vec<N>` for whatever protocol ran last).
     nodes: Option<Box<dyn Any>>,
+    /// Emptied instance rows of the previous steady session, type-erased
+    /// (whatever row type ran last); see
+    /// [`take_rows`](TrialArena::take_rows).
+    rows: Option<Box<dyn Any>>,
     /// Scratch buffers of the configuration-model overlay generator.
     regular_scratch: Option<RegularScratch>,
 }
@@ -145,16 +153,8 @@ impl TrialArena {
     /// several times oversized (see `TimeWheel::reset`). Whatever the
     /// event type, the wheel gets the pooled sort-key buffers.
     pub(crate) fn take_queue<T: WheelItem + 'static>(&mut self) -> TimeWheel<T> {
-        let mut wheel = match self.queue.take() {
-            Some(boxed) => match boxed.downcast::<TimeWheel<T>>() {
-                Ok(wheel) => {
-                    debug_assert_eq!(wheel.len(), 0, "pooled wheels are stored cleared");
-                    *wheel
-                }
-                Err(_) => TimeWheel::empty(),
-            },
-            None => TimeWheel::empty(),
-        };
+        let mut wheel: TimeWheel<T> = take_typed(&mut self.queue);
+        debug_assert_eq!(wheel.len(), 0, "pooled wheels are stored cleared");
         if self.wheel_keys.capacity() == 0 {
             self.wheel_keys = dropped_wheel_keys().pop().unwrap_or_default();
         }
@@ -168,20 +168,36 @@ impl TrialArena {
     pub(crate) fn store_queue<T: WheelItem + 'static>(&mut self, mut queue: TimeWheel<T>) {
         queue.clear();
         self.wheel_keys = queue.take_keys();
-        self.queue = Some(Box::new(queue));
+        store_typed(&mut self.queue, queue);
     }
 
     /// Checks out an empty node-state vector, reusing the pooled allocation
     /// when the previous trial ran the same protocol type.
     #[must_use]
     pub fn take_nodes<T: 'static>(&mut self) -> Vec<T> {
-        take_typed_vec(&mut self.nodes)
+        let nodes: Vec<T> = take_typed(&mut self.nodes);
+        debug_assert!(nodes.is_empty(), "pooled vectors are stored cleared");
+        nodes
     }
 
     /// Returns a node-state vector to the pool (cleared here).
     pub fn store_nodes<T: 'static>(&mut self, mut nodes: Vec<T>) {
         nodes.clear();
-        self.nodes = Some(Box::new(nodes));
+        store_typed(&mut self.nodes, nodes);
+    }
+
+    /// Checks out the rows the previous steady session stored, if it stored
+    /// rows of type `R`; otherwise none. Unlike the node vector, the rows
+    /// come back as they were stored: the session empties each row itself,
+    /// and reuses only rows of its own overlay size.
+    #[must_use]
+    pub fn take_rows<R: 'static>(&mut self) -> Vec<R> {
+        take_typed(&mut self.rows)
+    }
+
+    /// Returns a steady session's emptied instance rows to the pool.
+    pub fn store_rows<R: 'static>(&mut self, rows: Vec<R>) {
+        store_typed(&mut self.rows, rows);
     }
 
     /// Checks out the pooled scratch buffers of the configuration-model
@@ -208,18 +224,25 @@ impl Drop for TrialArena {
     }
 }
 
-/// Takes the pooled vector out of `slot` if it holds a `Vec<T>`; otherwise
-/// (empty pool or a different element type) returns a fresh vector.
-fn take_typed_vec<T: 'static>(slot: &mut Option<Box<dyn Any>>) -> Vec<T> {
-    match slot.take() {
-        Some(boxed) => match boxed.downcast::<Vec<T>>() {
-            Ok(vec) => {
-                debug_assert!(vec.is_empty(), "pooled vectors are stored cleared");
-                *vec
-            }
-            Err(_) => Vec::new(),
-        },
-        None => Vec::new(),
+/// Takes the value pooled in `slot` if it is a `T`, leaving a default in
+/// its box for [`store_typed`] to fill again. Otherwise (empty pool or a
+/// different type) drops whatever the pool held and returns a default.
+fn take_typed<T: Default + 'static>(slot: &mut Option<Box<dyn Any>>) -> T {
+    match slot.as_mut().and_then(|boxed| boxed.downcast_mut::<T>()) {
+        Some(pooled) => std::mem::take(pooled),
+        None => {
+            *slot = None;
+            T::default()
+        }
+    }
+}
+
+/// Pools `value` in `slot`: in the box already there when it holds a `T`,
+/// in a new box otherwise.
+fn store_typed<T: 'static>(slot: &mut Option<Box<dyn Any>>, value: T) {
+    match slot.as_mut().and_then(|boxed| boxed.downcast_mut::<T>()) {
+        Some(pooled) => *pooled = value,
+        None => *slot = Some(Box::new(value)),
     }
 }
 
@@ -317,6 +340,54 @@ mod tests {
         let mut mismatched: TimeWheel<Tock> = arena.take_queue();
         assert_eq!(mismatched.len(), 0);
         assert!(mismatched.pop().is_none());
+    }
+
+    #[test]
+    fn a_same_type_checkout_leaves_the_box_pooled() {
+        #[derive(Debug)]
+        struct Tick(u64);
+        impl WheelItem for Tick {
+            fn key(&self) -> (u64, u64) {
+                (self.0, 0)
+            }
+        }
+        let boxed = |slot: &Option<Box<dyn Any>>| {
+            slot.as_deref()
+                .map(|pooled| std::ptr::from_ref(pooled).cast::<u8>())
+        };
+        let mut arena = TrialArena::new();
+        let queue: TimeWheel<Tick> = arena.take_queue();
+        arena.store_queue(queue);
+        let nodes: Vec<u32> = arena.take_nodes();
+        arena.store_nodes(nodes);
+        let (queue_box, nodes_box) = (boxed(&arena.queue), boxed(&arena.nodes));
+        assert!(queue_box.is_some() && nodes_box.is_some());
+        for _ in 0..3 {
+            let queue: TimeWheel<Tick> = arena.take_queue();
+            let nodes: Vec<u32> = arena.take_nodes();
+            // Out on loan, the storage leaves its box behind.
+            assert_eq!(boxed(&arena.queue), queue_box);
+            arena.store_queue(queue);
+            arena.store_nodes(nodes);
+            assert_eq!(boxed(&arena.queue), queue_box);
+            assert_eq!(boxed(&arena.nodes), nodes_box);
+        }
+        // A checkout under another type drops the pooled storage.
+        let _: Vec<u64> = arena.take_nodes();
+        assert!(arena.nodes.is_none());
+    }
+
+    #[test]
+    fn rows_come_back_as_stored_under_their_own_type() {
+        let mut arena = TrialArena::new();
+        arena.store_rows(vec![vec![Some(1u8), None], vec![None, Some(2)]]);
+        let rows: Vec<Vec<Option<u8>>> = arena.take_rows();
+        assert_eq!(rows, [[Some(1), None], [None, Some(2)]]);
+        arena.store_rows(rows);
+        let other: Vec<Vec<Option<u16>>> = arena.take_rows();
+        assert!(other.is_empty());
+        let gone: Vec<Vec<Option<u8>>> = arena.take_rows();
+        assert!(gone.is_empty(), "a mismatched checkout dropped the rows");
     }
 
     #[test]

@@ -33,11 +33,17 @@
 //! session keeps each transaction's record — in-flight count, leased lane
 //! set, slot — at `txs[tx]`; the slot is a small number leased with the
 //! lanes at arrival and returned to a free list at retirement, so there are
-//! never more slots than the session's peak concurrency. A slot is numbered
-//! together with its row: one instance entry per node, allocated once and
-//! reused by every later transaction leased that slot. The row is emptied
-//! when its transaction retires — no event can reach a retired transaction
-//! — so a recycled slot always starts with an empty row. Routing an event
+//! never more slots than the session's peak concurrency. Each slot has its
+//! row: one instance entry per node, reused by every later transaction
+//! leased that slot. The row is emptied when its transaction retires — no
+//! event can reach a retired transaction — so a recycled slot always starts
+//! with an empty row. Rows outlive their session: [`run_steady_in`] hands
+//! them back to its [`TrialArena`], and the next session of the same
+//! protocol and overlay size starts with them, allocating a row only for a
+//! slot numbered beyond them. So one row per slot, the peak concurrency,
+//! is what a session on a fresh arena holds; on a warm arena it holds as
+//! many as the highest peak of the sessions since the protocol or the size
+//! last changed. Routing an event
 //! is therefore one session borrow and the indexed loads `txs[tx]` and
 //! `rows[slot][node]`, whatever the number of live transactions; nothing
 //! is keyed, searched or stamped.
@@ -146,6 +152,12 @@ pub struct SteadyReport {
     pub peak_concurrent: usize,
 }
 
+/// One slot's row of a [`SteadySession`] multiplexing the core `C`: the
+/// slot's instance on each node, once its transaction has reached the node.
+/// [`run_steady_in`] pools a session's rows in its [`TrialArena`] under
+/// this type ([`TrialArena::take_rows`]).
+pub type InstanceRow<C> = Box<[Option<C>]>;
+
 /// Per-transaction live bookkeeping.
 #[derive(Clone, Debug)]
 struct TxState {
@@ -169,10 +181,11 @@ pub struct SteadySession<C: ProtocolCore> {
     /// numbered — so the slot count equals the pool's `peak_live`.
     free_slots: Vec<usize>,
     /// `rows[slot][node]`: the instance on `node` of the transaction
-    /// leased `slot`, once the transaction has reached the node. One row
-    /// per slot ever numbered, allocated with it; emptied when its
-    /// transaction retires.
-    rows: Vec<Box<[Option<C>]>>,
+    /// leased `slot`, once the transaction has reached the node. A slot's
+    /// row is the one at its index: handed over by the arena from an
+    /// earlier session, or allocated when the slot is numbered. Emptied
+    /// when its transaction retires.
+    rows: Vec<InstanceRow<C>>,
     /// The one mailbox every instance is polled into, drained onto the
     /// shared wire after each poll.
     inner: Mailbox<C::Message>,
@@ -246,8 +259,9 @@ impl<C: ProtocolCore> SteadySession<C> {
         &mut self.txs[tx as usize]
     }
 
-    /// Instance rows numbered so far — one per slot, so after the run the
-    /// session's peak concurrency.
+    /// Instance rows the session holds: one per slot it numbered, or more
+    /// when its arena handed it the rows of a session that peaked higher.
+    /// So on a fresh arena, after the run, the session's peak concurrency.
     #[must_use]
     pub fn rows(&self) -> usize {
         self.rows.len()
@@ -265,15 +279,35 @@ impl<C: ProtocolCore> SteadySession<C> {
     }
 
     /// Leases lanes and a slot to the arriving `tx`, numbering a new slot
-    /// with its empty row only when the free list is empty.
+    /// only when the free list is empty — and allocating its empty row only
+    /// when no earlier session left one at its index.
     fn admit(&mut self, tx: u64) {
-        let n = self.lanes.node_count();
-        let rows = &mut self.rows;
-        let slot = self.free_slots.pop().unwrap_or_else(|| {
-            rows.push((0..n).map(|_| None).collect());
-            rows.len() - 1
-        });
+        // Slots and lanes are leased and returned together, so with no
+        // free slot every slot numbered so far is live.
+        let slot = self.free_slots.pop().unwrap_or(self.lanes.live());
+        if slot == self.rows.len() {
+            let n = self.lanes.node_count();
+            self.rows.push((0..n).map(|_| None).collect());
+        }
         self.tx(tx).lease = Some((self.lanes.acquire(), slot));
+    }
+
+    /// Hands over rows an earlier session of the same protocol emptied,
+    /// keeping those of this session's overlay size.
+    fn reuse_rows(&mut self, mut rows: Vec<InstanceRow<C>>) {
+        debug_assert!(self.rows.is_empty(), "rows are handed over before the run");
+        let n = self.lanes.node_count();
+        rows.retain(|row| row.len() == n);
+        self.rows = rows;
+    }
+
+    /// Takes the rows out for the next session, empty: a transaction that
+    /// never retired (a lossy run) still holds its row's instances.
+    fn take_rows(&mut self) -> Vec<InstanceRow<C>> {
+        for (_, slot) in self.txs.iter().filter_map(|state| state.lease.as_ref()) {
+            self.rows[*slot].fill_with(|| None);
+        }
+        std::mem::take(&mut self.rows)
     }
 
     /// Consumes one input of the live `tx` on `node`: lends its leased
@@ -543,12 +577,9 @@ pub fn run_steady_in<C: SteadyProtocol + 'static>(
 ) -> (Metrics, SteadyReport) {
     let n = graph.node_count();
     assert_eq!(prototypes.len(), n, "one prototype per overlay node");
-    let session = Rc::new(RefCell::new(SteadySession::new(
-        n,
-        arrivals,
-        adversaries,
-        miner_count,
-    )));
+    let mut session = SteadySession::new(n, arrivals, adversaries, miner_count);
+    session.reuse_rows(arena.take_rows());
+    let session = Rc::new(RefCell::new(session));
 
     let mut per_node: Vec<Vec<(SimTime, u64)>> = vec![Vec::new(); n];
     for (tx, arrival) in arrivals.iter().enumerate() {
@@ -570,9 +601,10 @@ pub fn run_steady_in<C: SteadyProtocol + 'static>(
     let (nodes, metrics) = sim.into_parts_in(arena);
     // Clearing the node storage drops every `Rc` clone of the session.
     arena.store_nodes(nodes);
-    let session = Rc::into_inner(session)
+    let mut session = Rc::into_inner(session)
         .expect("all session handles released with the nodes")
         .into_inner();
+    arena.store_rows(session.take_rows());
     (metrics, session.into_report())
 }
 
@@ -840,6 +872,104 @@ mod tests {
         let warm = run(&mut arena);
         assert_eq!(fresh, cold);
         assert_eq!(fresh, warm);
+    }
+
+    /// A core that delivers at its origin and sends nothing: a protocol
+    /// other than [`MiniFlood`] on the same wire.
+    #[derive(Clone, Debug)]
+    struct Silent;
+
+    impl ProtocolCore for Silent {
+        type Message = Ping;
+
+        fn poll(&mut self, _: Input<Ping>, _: &mut ContextView<'_>, _: &mut Mailbox<Ping>) {}
+    }
+
+    impl SteadyProtocol for Silent {
+        fn start_tx(&mut self, _tx: u64, _: &mut ContextView<'_>, out: &mut Mailbox<Ping>) {
+            out.deliver();
+        }
+    }
+
+    /// The [`MiniFlood`] rows `arena` pools — how many, and whether all are
+    /// empty — left in the arena for the next session.
+    fn pooled_rows(arena: &mut TrialArena) -> (usize, bool) {
+        let rows = arena.take_rows::<InstanceRow<MiniFlood>>();
+        let empty = rows.iter().all(|row| row.iter().all(Option::is_none));
+        let count = rows.len();
+        arena.store_rows(rows);
+        (count, empty)
+    }
+
+    #[test]
+    fn pooled_rows_are_invisible_and_come_back_empty() {
+        // `count` overlapping transactions on an `n`-node ring, reported.
+        let flood = |arena: &mut TrialArena, n: usize, count: u64| {
+            let arrivals: Vec<Arrival> = (0..count)
+                .map(|i| arrival(1 + i * 300, (3 * i as usize) % n))
+                .collect();
+            let config = SimConfig {
+                seed: 9,
+                ..SimConfig::default()
+            };
+            let (metrics, report) = run_steady_in(
+                arena,
+                ring(n),
+                vec![MiniFlood; n],
+                &arrivals,
+                &[NodeId::new(1)],
+                2,
+                config,
+            );
+            arena.recycle_metrics(metrics);
+            (format!("{report:?}"), report.peak_concurrent)
+        };
+        let (fresh, peak) = flood(&mut TrialArena::new(), 10, 4);
+        assert!(peak >= 2, "the transactions overlap");
+
+        // After a different protocol: its rows are dropped, not reused.
+        let mut arena = TrialArena::new();
+        let arrivals = [arrival(5, 2), arrival(6, 3)];
+        let _ = run_steady_in(
+            &mut arena,
+            ring(10),
+            vec![Silent; 10],
+            &arrivals,
+            &[],
+            0,
+            SimConfig::default(),
+        );
+        assert_eq!(flood(&mut arena, 10, 4).0, fresh);
+        assert_eq!(pooled_rows(&mut arena), (peak, true));
+
+        // After a different overlay size: its rows are dropped too.
+        let mut arena = TrialArena::new();
+        flood(&mut arena, 14, 4);
+        assert_eq!(flood(&mut arena, 10, 4).0, fresh);
+        assert_eq!(pooled_rows(&mut arena), (peak, true));
+
+        // After a larger session of the same protocol and size: its rows,
+        // more than this session numbers, all come back, empty.
+        let mut arena = TrialArena::new();
+        let (_, larger) = flood(&mut arena, 10, 12);
+        assert!(larger > peak, "the larger session peaks higher");
+        assert_eq!(pooled_rows(&mut arena), (larger, true));
+        assert_eq!(flood(&mut arena, 10, 4).0, fresh);
+        assert_eq!(pooled_rows(&mut arena), (larger, true));
+    }
+
+    #[test]
+    fn rows_taken_from_a_session_cut_short_are_empty() {
+        // A transaction that never retires still holds its row's
+        // instances; the session empties that row as it hands it over.
+        let mut session = SteadySession::<MiniFlood>::new(4, &[arrival(1, 0)], &[], 0);
+        session.admit(0);
+        let (_, entry) = session.consume(0, NodeId::new(2));
+        *entry = Some(MiniFlood);
+        assert_eq!(session.instances(), 1);
+        let rows = session.take_rows();
+        assert_eq!(rows.len(), 1);
+        assert!(rows[0].iter().all(Option::is_none));
     }
 
     /// `run_steady_in` wired by hand, without an arena, so the session
